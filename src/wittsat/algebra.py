@@ -16,11 +16,10 @@ idempotents multiplied) shows up as a 00 field.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -431,69 +430,38 @@ def assignment_element(assignment) -> DiagonalElement:
     return DiagonalElement(len(values), {_sigma_pattern(values): 1})
 
 
-# Dense expansion works on a 3^n table; past this the table would not fit.
-_DENSE_EXPAND_MAX_N = 14
+def _subcube(pattern: int, n: int) -> tuple:
+    """Index of a pattern's assignments in a value table of shape (2,)*n.
 
-
-def _expand_terms_dense(terms: Mapping[int, int], n: int) -> dict[int, int]:
-    """Vectorized expansion: one zeta-transform pass per position.
-
-    Raises OverflowError when coefficients do not safely fit an int64
-    (the sums along any position stay below 2^62 by the magnitude guard).
+    Axis i is variable i+1, with index 0 for true (q_ip_i) and 1 for false
+    (p_iq_i); an identity position spans its whole axis.
     """
-    pats = np.fromiter(terms.keys(), dtype=np.int64, count=len(terms))
-    coeffs = np.fromiter(terms.values(), dtype=np.int64, count=len(terms))
-    if np.abs(coeffs).max() >= (1 << 62) >> n:
-        raise OverflowError("coefficients too large for the dense path")
-    # ternary digit per position: 0 = qp, 1 = pq, 2 = identity
-    tern = np.zeros(len(terms), dtype=np.int64)
-    weight = 1
-    for i in range(n):
-        tern += (((pats >> (2 * i)) & 3) - 1) * weight
-        weight *= 3
-    table = np.zeros(3**n, dtype=np.int64)
-    np.add.at(table, tern, coeffs)
-    # Contract one position per pass: its identity lane folds into both
-    # diagonal lanes, and the fresh binary digit stacks above earlier ones.
-    for k in range(n):
-        t = table.reshape(3 ** (n - k - 1), 3, 1 << k)
-        out = np.empty((3 ** (n - k - 1), 2, 1 << k), dtype=np.int64)
-        out[:, 0] = t[:, 0] + t[:, 2]
-        out[:, 1] = t[:, 1] + t[:, 2]
-        table = out.reshape(-1)
+    fields = (pattern_field(pattern, i) for i in range(n))
+    return tuple(slice(None) if f == D_ID else f - 1 for f in fields)
+
+
+def _value_table(terms: Mapping[int, int], n: int) -> np.ndarray:
+    """The value on every assignment: each pattern adds over its subcube.
+
+    No cell can exceed the sum of |coefficients|, so int64 holds the cells
+    exactly when that sum fits, and Python integers (dtype object) otherwise.
+    """
+    exact = sum(abs(c) for c in terms.values()) < 1 << 63
+    table = np.zeros((2,) * n, dtype=np.int64 if exact else object)
+    for pat, c in terms.items():
+        table[_subcube(pat, n)] += c
+    return table
+
+
+def _table_terms(table: np.ndarray) -> dict[int, int]:
+    """The nonzero cells of a value table as full patterns."""
+    n = table.ndim
     nz = np.flatnonzero(table)
     packed = np.zeros_like(nz)
     for i in range(n):
-        packed |= (((nz >> i) & 1) + 1) << (2 * i)
-    return dict(zip(packed.tolist(), table[nz].tolist()))
-
-
-def _expand_terms(terms: Mapping[int, int], n: int) -> dict[int, int]:
-    if 0 < n <= _DENSE_EXPAND_MAX_N and len(terms) >= 64:
-        try:
-            return _expand_terms_dense(terms, n)
-        except OverflowError:
-            pass
-    out: dict[int, int] = {}
-    for pat, c in terms.items():
-        free = [i for i in range(n) if pattern_field(pat, i) == D_ID]
-        if not free:
-            nc = out.get(pat, 0) + c
-            if nc:
-                out[pat] = nc
-            elif pat in out:
-                del out[pat]
-            continue
-        for combo in itertools.product((D_QP, D_PQ), repeat=len(free)):
-            bits = pat
-            for pos, code in zip(free, combo):
-                bits = (bits & ~(0b11 << (2 * pos))) | (code << (2 * pos))
-            nc = out.get(bits, 0) + c
-            if nc:
-                out[bits] = nc
-            elif bits in out:
-                del out[bits]
-    return out
+        # C order: variable 1 is the most significant bit of the flat index
+        packed |= (((nz >> (n - 1 - i)) & 1) + 1) << (2 * i)
+    return dict(zip(packed.tolist(), table.reshape(-1)[nz].tolist()))
 
 
 def expand_primitive(a: DiagonalElement, limit: int = EXPAND_LIMIT) -> DiagonalElement:
@@ -506,7 +474,7 @@ def expand_primitive(a: DiagonalElement, limit: int = EXPAND_LIMIT) -> DiagonalE
         raise ExpansionLimitError(
             f"expansion over n={a.n} positions exceeds limit {limit}"
         )
-    return DiagonalElement(a.n, _expand_terms(a.terms, a.n))
+    return DiagonalElement(a.n, _table_terms(_value_table(a.terms, a.n)))
 
 
 def zero_test_splits(a: DiagonalElement) -> tuple[bool, int]:
@@ -561,10 +529,3 @@ def _zero_recursive(terms: dict[int, int], n: int, stats: list[int]) -> bool:
             return False
     return True
 
-
-def primitive_assignments(a: DiagonalElement) -> Iterator[tuple[tuple[bool, ...], int]]:
-    """(values, coefficient) pairs of a fully expanded element's patterns."""
-    for pat, c in a.terms.items():
-        if identity_count(pat, a.n):
-            raise ValueError("element is not in primitive form")
-        yield tuple(pattern_field(pat, i) == D_QP for i in range(a.n)), c

@@ -18,6 +18,9 @@ from .algebra import (
     EXPAND_LIMIT,
     ResourceLimitError,
     _all_identity,
+    _subcube,
+    _table_terms,
+    _value_table,
     eval_at,
     expand_primitive,
     identity_count,
@@ -88,13 +91,15 @@ def encode_formula(
     term_budget: int | None = None,
     order: str = "input",
 ) -> DiagonalElement:
-    """Product over clauses of (identity - falsifier), kept sparse throughout.
+    """Product over clauses of (identity - falsifier).
 
-    Like patterns merge after every factor.  Whenever the sparse form grows
-    past 2^n the running product is rewritten in canonical primitive form,
-    which is never larger and stays closed under further factors; this keeps
-    long products over few variables from blowing up combinatorially.
-    Exceeding the pattern budget raises :class:`TermBudgetError`.
+    The product starts sparse, merging like patterns after every factor.
+    Once it holds more than 2^n / 16 patterns, and 2^n fits the pattern
+    budget, it moves into a table of its values on all 2^n assignments, so
+    long products over few variables cannot blow up combinatorially.  Each
+    later clause zeroes its falsifier's subcube there, and the nonzero cells
+    come back as full patterns, one per model.  Exceeding the pattern budget
+    raises :class:`TermBudgetError`.
     """
     budget = DEFAULT_TERM_BUDGET if term_budget is None else int(term_budget)
     if budget < 1:
@@ -103,8 +108,7 @@ def encode_formula(
     if f.has_empty_clause:
         return DiagonalElement(n, {})
     terms: dict[int, int] = {_all_identity(n): 1}
-    primitive_cap = 1 << n
-    primitive = False
+    table = None
     for clause in ordered_clauses(f, order):
         if clause.is_tautological:
             warnings.warn(
@@ -112,35 +116,28 @@ def encode_formula(
             )
             continue
         z = _clause_pattern(clause, n)
-        if primitive:
-            # Full patterns either match the falsifier outright or miss it.
-            terms = {pat: c for pat, c in terms.items() if (pat & z) != pat}
-        else:
-            delta: dict[int, int] = {}
-            for pat, c in terms.items():
-                r = pat & z
-                if not pattern_alive(r, n):
-                    continue
-                delta[r] = delta.get(r, 0) - c
-            for pat, c in delta.items():
-                nc = terms.get(pat, 0) + c
-                if nc:
-                    terms[pat] = nc
-                elif pat in terms:
-                    del terms[pat]
-            if len(terms) > primitive_cap and primitive_cap <= budget:
-                terms = _expand_to_primitive(terms, n)
-                primitive = True
-        if len(terms) > budget:
+        if table is not None:
+            table[_subcube(z, n)] = 0
+            continue
+        delta: dict[int, int] = {}
+        for pat, c in terms.items():
+            r = pat & z
+            if not pattern_alive(r, n):
+                continue
+            delta[r] = delta.get(r, 0) - c
+        for pat, c in delta.items():
+            nc = terms.get(pat, 0) + c
+            if nc:
+                terms[pat] = nc
+            elif pat in terms:
+                del terms[pat]
+        if 16 * len(terms) > 1 << n and 1 << n <= budget:
+            table = _value_table(terms, n)
+        elif len(terms) > budget:
             raise TermBudgetError(
                 f"{len(terms)} patterns exceed the budget of {budget}"
             )
-    return DiagonalElement(n, terms)
-
-
-def _expand_to_primitive(terms: dict[int, int], n: int) -> dict[int, int]:
-    expanded = expand_primitive(DiagonalElement(n, terms), limit=max(n, EXPAND_LIMIT))
-    return dict(expanded.terms)
+    return DiagonalElement(n, terms if table is None else _table_terms(table))
 
 
 def is_unsatisfiable(

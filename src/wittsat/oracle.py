@@ -273,9 +273,5 @@ class GammaRep:
         return True
 
 
-def build_gamma(n: int) -> GammaRep:
-    return GammaRep(n)
-
-
 def is_zero_matrix(m: np.ndarray) -> bool:
     return not m.any()

@@ -41,7 +41,7 @@ from .geometry import (
     mtnp_of_assignment,
     witness_uncovered,
 )
-from .oracle import UNSAT, brute_force, build_gamma, dpll
+from .oracle import UNSAT, GammaRep, brute_force, dpll
 from .ortho import (
     NonTransversalError,
     OrthogonalMatrix,
@@ -147,7 +147,7 @@ def _random_element(rng: np.random.Generator, n: int) -> DiagonalElement:
 def check_matrix_backend(pairs: int = 1000, seed: int = 104) -> str:
     """Exact matrix image: generator relations, product homomorphism, and
     evaluations equal to diagonal entries, all with zero tolerance."""
-    reps = {n: build_gamma(n) for n in range(1, 5)}
+    reps = {n: GammaRep(n) for n in range(1, 5)}
     for rep in reps.values():
         assert rep.check_generator_relations()
     rng = np.random.default_rng(seed)
@@ -170,7 +170,7 @@ def check_annihilation_planes() -> str:
     exactly when the vector lies in the term's plane, per the symbols and per
     the matrix backend, and surviving actions match matrices exactly."""
     n = 3
-    rep = build_gamma(n)
+    rep = GammaRep(n)
     vectors = [WittVector(i, k) for i in range(1, n + 1) for k in ("p", "q")]
     checked = 0
     for bits in range(1 << (2 * n)):

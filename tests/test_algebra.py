@@ -6,6 +6,7 @@ matrix backend, which is built from entirely different primitives.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from wittsat.algebra import (
     EFBTerm,
     ExpansionLimitError,
     WittVector,
-    _expand_terms_dense,
     annihilates,
     assignment_element,
     assignment_term,
@@ -282,14 +282,34 @@ def test_expand_primitive_preserves_evaluations_and_is_idempotent(data):
     assert all(identity_count(p, a.n) == 0 for p in expanded.terms)
 
 
+def _point_values(a):
+    """Reference primitive form: one full pattern per nonzero evaluation."""
+    sigmas = (Assignment.from_mask(m, a.n) for m in range(1 << a.n))
+    points = {next(iter(assignment_element(s).terms)): eval_at(a, s) for s in sigmas}
+    return {pat: value for pat, value in points.items() if value}
+
+
 @given(st.data())
 @settings(max_examples=200)
 def test_dense_expansion_matches_per_term_expansion(data):
     a = data.draw(elements())
-    if not a.terms:
-        return
-    dense = _expand_terms_dense(a.terms, a.n)
-    assert dense == expand_primitive(a).terms
+    assert expand_primitive(a).terms == _point_values(a)
+
+
+def test_expand_primitive_is_exact_past_int64():
+    # the coefficients sum past 2^63, so the value table holds Python ints
+    rnd = random.Random(11)
+    fields = (D_QP, D_PQ, D_ID)
+    terms = {
+        pattern_bits(6, {i: rnd.choice(fields) for i in range(1, 7)}):
+        rnd.choice((1, -1)) * ((1 << 64) + rnd.randrange(1000))
+        for _ in range(80)
+    }
+    a = DiagonalElement(6, terms)
+    assert a.term_count >= 64
+    expanded = expand_primitive(a)
+    assert max(abs(c) for c in expanded.terms.values()) >= 1 << 63
+    assert expanded.terms == _point_values(a)
 
 
 @given(st.data())

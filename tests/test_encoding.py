@@ -4,11 +4,12 @@ Reference values come from truth tables (the brute-force oracle lives in
 wittsat.oracle and is tested independently against DPLL).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittsat.algebra import expand_primitive, is_zero_element
+from wittsat.algebra import expand_primitive, identity_count, is_zero_element
 from wittsat.cnf import Assignment, Clause, CnfFormula, TautologyError
 from wittsat.encoding import (
     DroppedClauseWarning,
@@ -22,6 +23,7 @@ from wittsat.encoding import (
     substitute,
 )
 from wittsat.oracle import brute_force
+from wittsat.selftest import _random_clause
 
 from test_cnf import formulas
 
@@ -96,6 +98,27 @@ def test_ordered_clauses_activity_sorts_by_variable_frequency():
     assert by_activity[-1].to_ints() == (3,)
     with pytest.raises(ValueError):
         ordered_clauses(f, "nope")
+
+
+@pytest.mark.parametrize("seed", [0, 4])  # 7 models, unsatisfiable
+def test_threshold_3sat_at_n15_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    f = CnfFormula.from_ints(15, [_random_clause(rng, 15, 3) for _ in range(64)])
+    expected = set(brute_force(f).models)
+    e = encode_formula(f)  # past the switch: one full pattern per model
+    assert e.term_count == len(expected)
+    assert all(identity_count(p, f.n) == 0 for p in e.terms)
+    assert is_unsatisfiable(f) == (not expected)
+    assert count_models(f) == len(expected) and models(f) == expected
+
+
+def test_switched_product_is_zeroed_by_later_clauses():
+    # three clauses leave 8 patterns, past 2^6 / 16, so the table takes over
+    prefix = [(1, 2), (3, 4), (5, 6)]
+    assert encode_formula(CnfFormula.from_ints(6, prefix)).term_count == 27
+    f = CnfFormula.from_ints(6, prefix + [(-1,), (-2,)])
+    assert brute_force(f).models == () and encode_formula(f).term_count == 0
+    assert is_unsatisfiable(f) and count_models(f) == 0 and models(f) == set()
 
 
 @given(formulas())

@@ -18,8 +18,8 @@ from wittsat.oracle import (
     GAMMA_LIMIT,
     SAT,
     UNSAT,
+    GammaRep,
     brute_force,
-    build_gamma,
     dpll,
     is_zero_matrix,
 )
@@ -61,7 +61,7 @@ def test_dpll_agrees_with_brute_force(f):
 
 
 def test_gamma_blocks_at_n1_are_the_standard_ladder():
-    rep = build_gamma(1)
+    rep = GammaRep(1)
     assert np.array_equal(rep.p(1), np.array([[0, 0], [1, 0]], dtype=object))
     assert np.array_equal(rep.q(1), np.array([[0, 1], [0, 0]], dtype=object))
     qp = np.dot(rep.q(1), rep.p(1))
@@ -72,7 +72,7 @@ def test_gamma_blocks_at_n1_are_the_standard_ladder():
 
 def test_gamma_relations_and_null_squares():
     for n in (1, 2, 3):
-        rep = build_gamma(n)
+        rep = GammaRep(n)
         assert rep.check_generator_relations()
         for i in range(1, n + 1):
             assert is_zero_matrix(np.dot(rep.p(i), rep.p(i)))
@@ -83,7 +83,7 @@ def test_gamma_relations_and_null_squares():
 
 
 def test_cross_position_vectors_anticommute():
-    rep = build_gamma(3)
+    rep = GammaRep(3)
     vs = [rep.p(1), rep.q(2), rep.p(3)]
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
@@ -91,7 +91,7 @@ def test_cross_position_vectors_anticommute():
 
 
 def test_identity_and_omega_matrices():
-    rep = build_gamma(2)
+    rep = GammaRep(2)
     assert np.array_equal(rep.matrix_of(identity_element(2)), rep.identity())
     om = rep.matrix_of(omega_element(2))
     # sign flips once per false variable: slots TT, TF, FT, FF
@@ -101,7 +101,7 @@ def test_identity_and_omega_matrices():
 
 
 def test_term_matrix_respects_position_order():
-    rep = build_gamma(2)
+    rep = GammaRep(2)
     t = EFBTerm.from_text("1 * p q")
     direct = np.dot(rep.p(1), rep.q(2))
     assert np.array_equal(rep.matrix_of(t), direct)
@@ -110,10 +110,10 @@ def test_term_matrix_respects_position_order():
 
 def test_gamma_rejects_out_of_range():
     with pytest.raises(ValueError):
-        build_gamma(GAMMA_LIMIT + 1)
+        GammaRep(GAMMA_LIMIT + 1)
     with pytest.raises(ValueError):
-        build_gamma(0)
-    rep = build_gamma(2)
+        GammaRep(0)
+    rep = GammaRep(2)
     with pytest.raises(ValueError):
         rep.matrix_of(WittVector(3, "p"))
     with pytest.raises(TypeError):
