@@ -2,8 +2,8 @@
 
 Exit codes: 0 satisfiable (or report/rebase success), 1 unsatisfiable (or
 planes not transversal), 2 bad input, 3 resource limit exceeded, 4 internal
-route divergence.  With --solver-codes the check command uses the solver
-convention instead: 10 satisfiable, 20 unsatisfiable.
+error (route divergence or a crash).  With --solver-codes the check command
+uses the solver convention instead: 10 satisfiable, 20 unsatisfiable.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import __version__
 from .algebra import ResourceLimitError, zero_test_splits
@@ -40,7 +41,7 @@ EXIT_SAT = 0
 EXIT_UNSAT = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
-EXIT_DIVERGE = 4
+EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
@@ -54,7 +55,7 @@ def _load_formula(path: str) -> CnfFormula:
     return parse_dimacs(_read_text(path))
 
 
-def _term_budget(args) -> int | None:
+def _budget(args) -> int | None:
     if args.limit is not None:
         return args.limit
     raw = os.environ.get("WITTSAT_LIMIT", "").strip()
@@ -73,13 +74,14 @@ def _verdict_name(unsat: bool) -> str:
 def _cmd_check(args) -> int:
     f = _load_formula(args.file)
     route = args.route or ("all" if f.n <= 16 else "dpll")
+    budget = _budget(args)
     verdicts: dict[str, bool] = {}
     timings: dict[str, float] = {}
     stats: dict[str, int] = {}
     model = None
     if route in ("algebra", "all"):
         start = time.perf_counter()
-        element = encode_formula(f, term_budget=_term_budget(args), order=args.order)
+        element = encode_formula(f, term_budget=budget, order=args.order)
         zero, splits = zero_test_splits(element)
         timings["algebra"] = (time.perf_counter() - start) * 1000.0
         verdicts["algebra"] = zero
@@ -87,14 +89,14 @@ def _cmd_check(args) -> int:
         stats["splits"] = splits
     if route in ("cover", "all"):
         start = time.perf_counter()
-        covered, witness = cover_verdict(f)
+        covered, witness = cover_verdict(f, decision_budget=budget)
         timings["cover"] = (time.perf_counter() - start) * 1000.0
         verdicts["cover"] = covered
         if witness is not None:
             model = witness
     if route in ("dpll", "all"):
         start = time.perf_counter()
-        result = dpll(f)
+        result = dpll(f, decision_budget=budget)
         timings["dpll"] = (time.perf_counter() - start) * 1000.0
         verdicts["dpll"] = result.verdict == UNSAT
         if result.model is not None:
@@ -104,11 +106,11 @@ def _cmd_check(args) -> int:
             f"{k}={_verdict_name(v)}" for k, v in sorted(verdicts.items())
         )
         print(f"error: routes disagree: {detail}", file=sys.stderr)
-        return EXIT_DIVERGE
+        return EXIT_INTERNAL
     unsat = next(iter(verdicts.values()))
     if model is not None and not model.satisfies(f):
         print("error: model failed verification", file=sys.stderr)
-        return EXIT_DIVERGE
+        return EXIT_INTERNAL
     if args.solver_codes:
         print(f"s {'UNSATISFIABLE' if unsat else 'SATISFIABLE'}")
         if model is not None:
@@ -141,7 +143,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_models(args) -> int:
     f = _load_formula(args.file)
-    budget = _term_budget(args)
+    budget = _budget(args)
     total = count_models(f, term_budget=budget)
     enumerated = 0 < total <= args.max_enum
     listing = None
@@ -149,7 +151,7 @@ def _cmd_models(args) -> int:
         found = models(f, term_budget=budget)
         if len(found) != total:
             print("error: enumeration disagrees with the count", file=sys.stderr)
-            return EXIT_DIVERGE
+            return EXIT_INTERNAL
         listing = sorted(found, key=lambda a: a.primitive_index())
     if args.json:
         payload = {
@@ -309,7 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=None,
-        help="sparse term budget (default: WITTSAT_LIMIT env or built-in)",
+        help="budget: sparse terms for the algebra route, branching "
+        "decisions for cover and dpll (default: WITTSAT_LIMIT env, else the "
+        "built-in term budget and unbounded searches)",
     )
     check.add_argument("--json", action="store_true")
     check.add_argument(
@@ -389,6 +393,11 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:
+        # a defect, never a verdict: exit 1 would read as UNSAT
+        traceback.print_exc()
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     EFBTerm,
+    ResourceLimitError,
     S_PQ,
     S_QP,
     WittVector,
@@ -196,20 +197,31 @@ def compatible(clause: Clause, assignment: Assignment, *, verify: bool = False) 
     return containment
 
 
-def induced_pattern(clause: Clause, n: int) -> TernaryPattern:
-    """Sign vectors of the isometries whose plane holds the clause plane.
+def clause_slots(clause: Clause, n: int) -> dict[int, int]:
+    """The fixed slots of the clause's pattern as ``{position: sign}``.
 
     A positive literal pins its slot to +1 (the p side), a negated literal
-    to -1; untouched variables are free.  Exactly the assignments falsifying
-    the clause correspond to matching sign vectors.
+    to -1; every other position is free and absent from the dict.
     """
     if clause.is_tautological:
         raise TautologyError(f"tautological clause {clause} induces no pattern")
-    slots = [FREE] * n
+    slots = {}
     for lit in clause.literals:
         if lit.var > n:
             raise ValueError(f"variable {lit.var} exceeds n={n}")
         slots[lit.var - 1] = -1 if lit.negated else 1
+    return slots
+
+
+def induced_pattern(clause: Clause, n: int) -> TernaryPattern:
+    """Sign vectors of the isometries whose plane holds the clause plane.
+
+    Slots are pinned as in :func:`clause_slots`.  Exactly the assignments
+    falsifying the clause correspond to matching sign vectors.
+    """
+    slots = [FREE] * n
+    for pos, sign in clause_slots(clause, n).items():
+        slots[pos] = sign
     return TernaryPattern(tuple(slots))
 
 
@@ -218,41 +230,123 @@ def witness_uncovered(
 ) -> SignVector | None:
     """A sign vector matched by no pattern, or None when covered.
 
-    Recursive sign splitting on the position fixed by the most patterns;
-    a pattern with no remaining fixed slot matches the whole subspace.
+    An iterative search with unit propagation over the patterns' fixed
+    slots (see :func:`_first_uncovered`); free positions of the witness
+    are +1.
     """
     fixed: list[dict[int, int]] = []
     for p in patterns:
         if p.n != n:
             raise ValueError("pattern width mismatch")
         fixed.append({i: s for i, s in enumerate(p.slots) if s != FREE})
-    found = _uncovered(fixed, {}, n)
+    found = _first_uncovered(fixed, n)
     return None if found is None else SignVector(found)
 
 
-def _uncovered(
-    pats: list[dict[int, int]], assigned: dict[int, int], n: int
+def _first_uncovered(
+    patterns: list[dict[int, int]], n: int, decision_budget: int | None = None
 ) -> tuple[int, ...] | None:
-    for p in pats:
-        if not p:
-            return None  # this pattern matches every completion
-    if not pats:
-        return tuple(assigned.get(i, 1) for i in range(n))
-    counts: dict[int, int] = {}
-    for p in pats:
-        for i in p:
-            counts[i] = counts.get(i, 0) + 1
-    best = min(sorted(counts), key=lambda i: -counts[i])
-    for s in (1, -1):
-        sub = [
-            {k: v for k, v in p.items() if k != best}
-            for p in pats
-            if p.get(best, s) == s
-        ]
-        w = _uncovered(sub, {**assigned, best: s}, n)
-        if w is not None:
-            return w
-    return None
+    """Search for a sign vector that no pattern matches.
+
+    Positions are assigned along a trail and unassigned by popping it.  A
+    pattern is live while none of its fixed slots is contradicted.  A live
+    pattern whose slots all agree matches every completion, so the branch
+    is covered; a live pattern with one unassigned slot left forces the
+    opposite sign there (unit propagation read on covers).  Branching takes
+    the position fixed by the most live patterns, lowest index on ties, +1
+    first.  Positions left unassigned read +1 in the witness.  More than
+    ``decision_budget`` branchings raise ResourceLimitError.
+    """
+    slots = [tuple(p.items()) for p in patterns]
+    if not all(slots):
+        return None  # a pattern without fixed slots matches everything
+    occurs = {1: [[] for _ in range(n)], -1: [[] for _ in range(n)]}
+    for j, pattern in enumerate(slots):
+        for pos, sign in pattern:
+            occurs[sign][pos].append(j)
+    size = [len(pattern) for pattern in slots]
+    agree = [0] * len(slots)  # assigned slots that match
+    killed = [0] * len(slots)  # assigned slots that contradict
+    live = len(slots)
+    # live patterns fixing each position; an assigned position is lowered by
+    # `assigned_mark` so that max() picks only unassigned positions
+    assigned_mark = len(slots) + 1
+    weight = [0] * n
+    for pattern in slots:
+        for pos, _ in pattern:
+            weight[pos] += 1
+    value = [0] * n
+    trail: list[int] = []
+    branches: list[tuple[int, int]] = []  # (trail mark, position) tried at +1
+    decisions = 0
+    queue = [(p[0][0], -p[0][1]) for p in slots if len(p) == 1]
+
+    def propagate(queue: list[tuple[int, int]]) -> bool:
+        """Assign the queued positions and what they force; False on cover."""
+        nonlocal live
+        while queue:
+            pos, sign = queue.pop()
+            if value[pos]:
+                if value[pos] != sign:
+                    return False
+                continue
+            value[pos] = sign
+            trail.append(pos)
+            weight[pos] -= assigned_mark
+            for j in occurs[-sign][pos]:
+                killed[j] += 1
+                if killed[j] == 1:
+                    live -= 1
+                    for q, _ in slots[j]:
+                        weight[q] -= 1
+            agreeing = occurs[sign][pos]
+            for j in agreeing:
+                agree[j] += 1
+            for j in agreeing:
+                if killed[j]:
+                    continue
+                left = size[j] - agree[j]
+                if left == 0:
+                    return False
+                if left == 1:
+                    q, s = next((q, s) for q, s in slots[j] if not value[q])
+                    queue.append((q, -s))
+        return True
+
+    def undo(mark: int) -> None:
+        nonlocal live
+        while len(trail) > mark:
+            pos = trail.pop()
+            sign = value[pos]
+            value[pos] = 0
+            weight[pos] += assigned_mark
+            for j in occurs[sign][pos]:
+                agree[j] -= 1
+            for j in occurs[-sign][pos]:
+                killed[j] -= 1
+                if killed[j] == 0:
+                    live += 1
+                    for q, _ in slots[j]:
+                        weight[q] += 1
+
+    while True:
+        if propagate(queue):
+            if live == 0:
+                return tuple(v or 1 for v in value)
+            decisions += 1
+            if decision_budget is not None and decisions > decision_budget:
+                raise ResourceLimitError(
+                    f"cover search exceeded {decision_budget} decisions"
+                )
+            pos = weight.index(max(weight))
+            branches.append((len(trail), pos))
+            queue = [(pos, 1)]
+            continue
+        if not branches:
+            return None
+        mark, pos = branches.pop()
+        undo(mark)
+        queue = [(pos, -1)]
 
 
 def covers(patterns: Sequence[TernaryPattern], n: int) -> bool:
@@ -273,16 +367,21 @@ def formula_patterns(f: CnfFormula) -> list[TernaryPattern]:
     return pats
 
 
-def cover_verdict(f: CnfFormula) -> tuple[bool, Assignment | None]:
+def cover_verdict(
+    f: CnfFormula, *, decision_budget: int | None = None
+) -> tuple[bool, Assignment | None]:
     """(covered, satisfying assignment built from the uncovered witness).
 
     Covered means unsatisfiable; an uncovered sign vector translates back to
-    an assignment falsifying no clause.
+    an assignment falsifying no clause.  More than ``decision_budget``
+    branchings raise ResourceLimitError; None means unbounded.
     """
-    w = witness_uncovered(formula_patterns(f), f.n)
-    if w is None:
+    fixed = [{}] if f.has_empty_clause else []
+    fixed += [clause_slots(c, f.n) for c in f.clauses if not c.is_tautological]
+    found = _first_uncovered(fixed, f.n, decision_budget)
+    if found is None:
         return True, None
-    return False, assignment_of_sign_vector(w)
+    return False, assignment_of_sign_vector(SignVector(found))
 
 
 def psi_z_expansion(clause: Clause, n: int) -> list[EFBTerm]:

@@ -73,16 +73,18 @@ class DpllResult:
     model: Assignment | None
 
 
-def dpll(f: CnfFormula) -> DpllResult:
+def dpll(f: CnfFormula, *, decision_budget: int | None = None) -> DpllResult:
     """Unit propagation, pure-literal elimination, then branching on the
     lowest still-occurring variable trying True first.  A returned model is
-    re-verified by direct evaluation."""
+    re-verified by direct evaluation.  More than ``decision_budget``
+    branchings raise ResourceLimitError; None means unbounded."""
     if f.has_empty_clause:
         return DpllResult(UNSAT, None)
     clauses = [frozenset(c.to_ints()) for c in f.clauses]
-    found = _dpll_solve(clauses, {})
-    if found is None:
+    trail = _dpll_solve(clauses, decision_budget)
+    if trail is None:
         return DpllResult(UNSAT, None)
+    found = {abs(lit): lit > 0 for lit in trail}
     values = tuple(found.get(v, True) for v in range(1, f.n + 1))
     model = Assignment(values)
     if not model.satisfies(f):
@@ -103,32 +105,50 @@ def _dpll_assign(clauses: list[frozenset[int]], lit: int):
     return out
 
 
-def _dpll_solve(clauses: list[frozenset[int]], assign: dict[int, bool]):
+def _dpll_solve(
+    clauses: list[frozenset[int]], decision_budget: int | None
+) -> list[int] | None:
+    """The literals set true on the way to a satisfied clause list, or None.
+
+    ``clauses`` is None after a conflict.  Each branching pushes the clause
+    list and trail length it started from, so a conflict resumes the newest
+    branching whose False side is still untried.
+    """
+    trail: list[int] = []
+    branches: list[tuple[list[frozenset[int]], int, int]] = []
+    decisions = 0
     while True:
+        if clauses is None:
+            if not branches:
+                return None
+            saved, mark, v = branches.pop()
+            del trail[mark:]
+            clauses = _dpll_assign(saved, -v)
+            if clauses is not None:
+                trail.append(-v)
+            continue
         if not clauses:
-            return assign
+            return trail
         unit = next((next(iter(c)) for c in clauses if len(c) == 1), None)
         if unit is not None:
-            nxt = _dpll_assign(clauses, unit)
-            if nxt is None:
-                return None
-            clauses = nxt
-            assign[abs(unit)] = unit > 0
+            clauses = _dpll_assign(clauses, unit)
+            trail.append(unit)
             continue
         lits = set().union(*clauses)
         pure = next((l for l in sorted(lits, key=abs) if -l not in lits), None)
         if pure is not None:
             clauses = _dpll_assign(clauses, pure)
-            assign[abs(pure)] = pure > 0
+            trail.append(pure)
             continue
+        decisions += 1
+        if decision_budget is not None and decisions > decision_budget:
+            raise ResourceLimitError(
+                f"DPLL search exceeded {decision_budget} decisions"
+            )
         v = min(abs(l) for l in lits)
-        for lit in (v, -v):
-            nxt = _dpll_assign(clauses, lit)
-            if nxt is not None:
-                got = _dpll_solve(nxt, {**assign, v: lit > 0})
-                if got is not None:
-                    return got
-        return None
+        branches.append((clauses, len(trail), v))
+        clauses = _dpll_assign(clauses, v)
+        trail.append(v)
 
 
 def _frac_matrix(rows) -> np.ndarray:

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from wittsat.cli import main
+from wittsat.cnf import Assignment, serialize_dimacs
 from wittsat.ortho import matrix_to_text, sample_orthogonal
+
+from test_cnf import independent_pairs, pigeonhole
 
 SAT_TEXT = "p cnf 2 2\n1 2 0\n-1 0\n"
 UNSAT_TEXT = "p cnf 1 2\n1 0\n-1 0\n"
@@ -107,6 +110,36 @@ def test_term_budget_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WITTSAT_LIMIT", "banana")
     assert main(["check", "--route", "algebra", str(f)]) == 2
     assert "WITTSAT_LIMIT" in capsys.readouterr().err
+
+
+def test_search_routes_answer_deep_independent_pairs(tmp_path, capsys):
+    f = independent_pairs(1200)  # n=2400: one decision per pair
+    path = tmp_path / "pairs.cnf"
+    path.write_text(serialize_dimacs(f))
+    for route in ("cover", "dpll"):
+        assert main(["check", str(path), "--route", route, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        model = Assignment(tuple(v > 0 for v in payload["model"]))
+        assert model.satisfies(f)
+
+
+def test_decision_budget_exit_code(tmp_path, capsys):
+    path = tmp_path / "php7-6.cnf"
+    path.write_text(serialize_dimacs(pigeonhole(6)))
+    for route in ("cover", "dpll"):
+        assert main(["check", str(path), "--route", route, "--limit", "1"]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert main(["check", str(path), "--route", route]) == 1
+        capsys.readouterr()
+
+
+def test_internal_error_is_not_unsat(sat_file, monkeypatch, capsys):
+    def crash(f, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("wittsat.cli.dpll", crash)
+    assert main(["check", "--route", "dpll", sat_file]) == 4
+    assert "error: internal: RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_models_listing_and_json(sat_file, unsat_file, capsys):

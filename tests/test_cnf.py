@@ -151,6 +151,36 @@ def formulas(draw):
     )
 
 
+def independent_pairs(k):
+    """k disjoint copies of (a b)(-a -b): satisfiable, and one branching
+    decision per pair for a search that splits on one variable at a time."""
+    clauses = []
+    for i in range(k):
+        a, b = 2 * i + 1, 2 * i + 2
+        clauses += [(a, b), (-a, -b)]
+    return CnfFormula.from_ints(2 * k, clauses)
+
+
+def implication_chain(n):
+    """x1, x1 -> x2 -> ... -> xn, and not xn: unsatisfiable through n unit
+    propagations in a row."""
+    clauses = [(1,)] + [(-i, i + 1) for i in range(1, n)] + [(-n,)]
+    return CnfFormula.from_ints(n, clauses)
+
+
+def pigeonhole(holes):
+    """PHP(holes + 1, holes): unsatisfiable, and hard for resolution."""
+    pigeons = holes + 1
+    clauses = [
+        tuple(i * holes + j + 1 for j in range(holes)) for i in range(pigeons)
+    ]
+    for j in range(holes):
+        for a in range(pigeons):
+            for b in range(a + 1, pigeons):
+                clauses.append((-(a * holes + j + 1), -(b * holes + j + 1)))
+    return CnfFormula.from_ints(pigeons * holes, clauses)
+
+
 @given(formulas())
 @settings(max_examples=200)
 def test_serialize_parse_round_trip(f):

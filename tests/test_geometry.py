@@ -1,12 +1,18 @@
 """Sign vectors, ternary patterns, null planes, and the cover test."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittsat.algebra import WittVector, assignment_term, mtnp_of_spinor
+from wittsat.algebra import (
+    ResourceLimitError,
+    WittVector,
+    assignment_term,
+    mtnp_of_spinor,
+)
 from wittsat.cnf import Assignment, Clause, CnfFormula, TautologyError
 from wittsat.geometry import (
     SignVector,
@@ -29,7 +35,7 @@ from wittsat.geometry import (
 )
 from wittsat.oracle import brute_force
 
-from test_cnf import formulas
+from test_cnf import formulas, implication_chain, independent_pairs, pigeonhole
 
 
 def test_sign_vector_text_round_trip():
@@ -156,6 +162,43 @@ def test_expansion_plane_intersection_recovers_clause_plane():
 def test_certified_width_regime():
     assert clause_plane_certified(Clause.from_ints((1, 2)), 6)
     assert not clause_plane_certified(Clause.from_ints((1, 2)), 4)
+
+
+def test_cover_verdict_on_deep_independent_pairs():
+    f = independent_pairs(1200)  # n=2400: one decision per pair
+    covered, witness = cover_verdict(f)
+    assert not covered and witness.satisfies(f)
+
+
+def test_cover_verdict_on_long_implication_chain():
+    assert cover_verdict(implication_chain(3000)) == (True, None)
+
+
+def test_cover_verdict_on_duplicate_tautological_and_empty_clauses():
+    rng = random.Random(401)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        clauses = []
+        for _ in range(rng.randint(0, 10)):
+            width = rng.randint(1, n)
+            lits = [v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, n + 1), width)]
+            if rng.random() < 0.2:
+                lits.append(-lits[0])  # tautology
+            clauses.append(Clause.from_ints(lits))
+            if rng.random() < 0.3:
+                clauses.append(clauses[-1])  # duplicate
+        f = CnfFormula(n, tuple(clauses), empty_clause_count=int(rng.random() < 0.1))
+        covered, witness = cover_verdict(f)
+        assert covered == (brute_force(f).verdict == "UNSAT")
+        assert covered or witness.satisfies(f)
+
+
+def test_cover_verdict_decision_budget():
+    php = pigeonhole(6)
+    with pytest.raises(ResourceLimitError):
+        cover_verdict(php, decision_budget=1)
+    assert cover_verdict(php) == (True, None)
 
 
 @given(formulas())

@@ -18,13 +18,14 @@ from wittsat.oracle import (
     GAMMA_LIMIT,
     SAT,
     UNSAT,
+    DpllResult,
     GammaRep,
     brute_force,
     dpll,
     is_zero_matrix,
 )
 
-from test_cnf import formulas
+from test_cnf import formulas, implication_chain, independent_pairs, pigeonhole
 
 
 def test_brute_force_known_model_set():
@@ -52,6 +53,30 @@ def test_dpll_known_cases():
     )
     unsat = dpll(CnfFormula.from_ints(2, [(1,), (-1, 2), (-2,)]))
     assert unsat.verdict == UNSAT and unsat.model is None
+
+
+def test_dpll_model_after_backtracking():
+    # x1 = True fails after setting x3 and x2 false; nothing set on that
+    # branch may leak into the model, where the unset x2 reads True
+    f = CnfFormula.from_ints(3, [(-1, -2, 3), (-3, -1), (1, 3), (-1, 2)])
+    assert dpll(f).model.to_ints() == (-1, 2, 3)
+
+
+def test_dpll_on_deep_independent_pairs():
+    f = independent_pairs(1200)  # n=2400: one decision per pair
+    res = dpll(f)
+    assert res.verdict == SAT and res.model.satisfies(f)
+
+
+def test_dpll_on_long_implication_chain():
+    assert dpll(implication_chain(3000)) == DpllResult(UNSAT, None)
+
+
+def test_dpll_decision_budget():
+    php = pigeonhole(6)
+    with pytest.raises(ResourceLimitError):
+        dpll(php, decision_budget=1)
+    assert dpll(php).verdict == UNSAT
 
 
 @given(formulas())
