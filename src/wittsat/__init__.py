@@ -2,131 +2,3 @@
 covers of the assignment hypercube, and orthogonal-matrix geometry."""
 
 __version__ = "0.1.0"
-
-from .algebra import (
-    DiagonalElement,
-    EFBTerm,
-    ExpansionLimitError,
-    ResourceLimitError,
-    WittVector,
-    annihilates,
-    assignment_element,
-    diag_mul,
-    eval_at,
-    expand_primitive,
-    identity_element,
-    is_zero_element,
-    literal_element,
-    mtnp_of_spinor,
-    omega_element,
-    vector_action,
-)
-from .cnf import (
-    Assignment,
-    Clause,
-    CnfFormula,
-    DimacsError,
-    Literal,
-    TautologyError,
-    parse_dimacs,
-    serialize_dimacs,
-)
-from .encoding import (
-    TermBudgetError,
-    count_models,
-    encode_clause,
-    encode_formula,
-    is_unsatisfiable,
-    models,
-    substitute,
-)
-from .geometry import (
-    SignVector,
-    TernaryPattern,
-    TotallyNullPlane,
-    check_intersection,
-    compatible,
-    cover_verdict,
-    covers,
-    formula_patterns,
-    induced_pattern,
-    mtnp_of_assignment,
-    psi_z_expansion,
-    tnp_of_clause,
-    witness_uncovered,
-)
-from .oracle import SAT, UNSAT, GammaRep, brute_force, dpll
-from .ortho import (
-    NonOrthogonalMatrixError,
-    NonTransversalError,
-    OrthogonalMatrix,
-    WittBasis,
-    mtnp_from_isometry,
-    orthogonal_cover_report,
-    rebase_residuals,
-    sample_orthogonal,
-    strict_membership,
-    witt_rebase,
-)
-
-__all__ = [
-    "Assignment",
-    "Clause",
-    "CnfFormula",
-    "DiagonalElement",
-    "DimacsError",
-    "EFBTerm",
-    "ExpansionLimitError",
-    "GammaRep",
-    "Literal",
-    "NonOrthogonalMatrixError",
-    "NonTransversalError",
-    "OrthogonalMatrix",
-    "ResourceLimitError",
-    "SAT",
-    "SignVector",
-    "TautologyError",
-    "TermBudgetError",
-    "TernaryPattern",
-    "TotallyNullPlane",
-    "UNSAT",
-    "WittBasis",
-    "WittVector",
-    "annihilates",
-    "assignment_element",
-    "brute_force",
-    "check_intersection",
-    "compatible",
-    "count_models",
-    "cover_verdict",
-    "covers",
-    "diag_mul",
-    "dpll",
-    "encode_clause",
-    "encode_formula",
-    "eval_at",
-    "expand_primitive",
-    "formula_patterns",
-    "identity_element",
-    "induced_pattern",
-    "is_unsatisfiable",
-    "is_zero_element",
-    "literal_element",
-    "models",
-    "mtnp_from_isometry",
-    "mtnp_of_assignment",
-    "mtnp_of_spinor",
-    "omega_element",
-    "orthogonal_cover_report",
-    "parse_dimacs",
-    "psi_z_expansion",
-    "rebase_residuals",
-    "sample_orthogonal",
-    "serialize_dimacs",
-    "strict_membership",
-    "substitute",
-    "tnp_of_clause",
-    "vector_action",
-    "witness_uncovered",
-    "witt_rebase",
-]

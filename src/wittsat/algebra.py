@@ -478,54 +478,60 @@ def expand_primitive(a: DiagonalElement, limit: int = EXPAND_LIMIT) -> DiagonalE
 
 
 def zero_test_splits(a: DiagonalElement) -> tuple[bool, int]:
-    """Semantic zero test; also reports how many cofactor splits were taken."""
-    stats = [0]
-    return _zero_recursive(dict(a.terms), a.n, stats), stats[0]
+    """Semantic zero test; also reports how many cofactor splits were taken.
 
-
-def is_zero_element(a: DiagonalElement) -> bool:
-    """True when the element evaluates to 0 on every assignment."""
-    return zero_test_splits(a)[0]
-
-
-def _zero_recursive(terms: dict[int, int], n: int, stats: list[int]) -> bool:
-    if not terms:
-        return True
-    if len(terms) == 1:
-        return False  # a single pattern matches at least one assignment
-    has_pos = has_neg = False
-    for c in terms.values():
-        if c > 0:
-            has_pos = True
-        else:
-            has_neg = True
-    if not (has_pos and has_neg):
-        return False  # coefficients of one sign cannot cancel anywhere
-    # Split on the most constrained position: fewest identity fields.
-    counts = [0] * n
-    for pat in terms:
+    The element is zero exactly when both cofactors on some position are
+    zero.  The search runs on an explicit stack of (terms, n, split
+    position, kept field) frames, so its depth does not depend on n; each
+    cofactor is built when its frame is popped, and the q_ip_i side is
+    searched before the p_iq_i side.
+    """
+    splits = 0
+    stack: list[tuple[dict[int, int], int, int, int]] = [(a.terms, a.n, -1, D_ID)]
+    while stack:
+        terms, n, pos, keep = stack.pop()
+        if pos >= 0:
+            terms, n = _cofactor(terms, pos, keep), n - 1
+        if not terms:
+            continue
+        if len(terms) == 1:
+            return False, splits  # a single pattern matches some assignment
+        has_pos = has_neg = False
+        for c in terms.values():
+            if c > 0:
+                has_pos = True
+            else:
+                has_neg = True
+        if not (has_pos and has_neg):
+            return False, splits  # coefficients of one sign cannot cancel
+        # Split on the most constrained position: fewest identity fields.
+        counts = [0] * n
+        for pat in terms:
+            for i in range(n):
+                if pattern_field(pat, i) == D_ID:
+                    counts[i] += 1
+        total = len(terms)
+        best = -1
+        best_ids = total + 1
         for i in range(n):
-            if pattern_field(pat, i) == D_ID:
-                counts[i] += 1
-    total = len(terms)
-    best = -1
-    best_ids = total + 1
-    for i in range(n):
-        if counts[i] < total and counts[i] < best_ids:
-            best, best_ids = i, counts[i]
-    stats[0] += 1
-    for keep in (D_QP, D_PQ):
-        sub: dict[int, int] = {}
-        for pat, c in terms.items():
-            f = pattern_field(pat, best)
-            if f == keep or f == D_ID:
-                r = _drop_field(pat, best)
-                nc = sub.get(r, 0) + c
-                if nc:
-                    sub[r] = nc
-                elif r in sub:
-                    del sub[r]
-        if not _zero_recursive(sub, n - 1, stats):
-            return False
-    return True
+            if counts[i] < total and counts[i] < best_ids:
+                best, best_ids = i, counts[i]
+        splits += 1
+        stack.append((terms, n, best, D_PQ))
+        stack.append((terms, n, best, D_QP))
+    return True, splits
 
+
+def _cofactor(terms: Mapping[int, int], pos: int, keep: int) -> dict[int, int]:
+    """The terms restricted to field *keep* at *pos*, with that field dropped."""
+    sub: dict[int, int] = {}
+    for pat, c in terms.items():
+        f = pattern_field(pat, pos)
+        if f == keep or f == D_ID:
+            r = _drop_field(pat, pos)
+            nc = sub.get(r, 0) + c
+            if nc:
+                sub[r] = nc
+            elif r in sub:
+                del sub[r]
+    return sub

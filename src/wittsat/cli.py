@@ -81,7 +81,7 @@ def _cmd_check(args) -> int:
     model = None
     if route in ("algebra", "all"):
         start = time.perf_counter()
-        element = encode_formula(f, term_budget=budget, order=args.order)
+        element = encode_formula(f, term_budget=budget)
         zero, splits = zero_test_splits(element)
         timings["algebra"] = (time.perf_counter() - start) * 1000.0
         verdicts["algebra"] = zero
@@ -143,12 +143,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_models(args) -> int:
     f = _load_formula(args.file)
-    budget = _budget(args)
-    total = count_models(f, term_budget=budget)
+    element = encode_formula(f, term_budget=_budget(args))
+    total = count_models(element)
     enumerated = 0 < total <= args.max_enum
     listing = None
     if enumerated:
-        found = models(f, term_budget=budget)
+        found = models(element)
         if len(found) != total:
             print("error: enumeration disagrees with the count", file=sys.stderr)
             return EXIT_INTERNAL
@@ -302,12 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="decision route (default: all for n <= 16, dpll above)",
     )
     check.add_argument(
-        "--order",
-        choices=("input", "activity"),
-        default="input",
-        help="clause multiplication order for the algebra route",
-    )
-    check.add_argument(
         "--limit",
         type=int,
         default=None,
@@ -325,7 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mdl = sub.add_parser("models", help="count and list satisfying assignments")
     mdl.add_argument("file", help="DIMACS CNF file, or - for stdin")
-    mdl.add_argument("--limit", type=int, default=None)
+    mdl.add_argument(
+        "--limit",
+        type=int,
+        default=None,
+        help="sparse term budget for the encoding (default: WITTSAT_LIMIT "
+        "env, else the built-in term budget)",
+    )
     mdl.add_argument(
         "--max-enum",
         type=int,

@@ -21,10 +21,8 @@ from .algebra import (
     _subcube,
     _table_terms,
     _value_table,
-    eval_at,
     expand_primitive,
     identity_count,
-    is_zero_element,
     pattern_alive,
     pattern_bits,
     pattern_field,
@@ -42,6 +40,11 @@ class DroppedClauseWarning(UserWarning):
     """A tautological clause was skipped while encoding."""
 
 
+def _clause_pattern(clause: Clause, n: int) -> int:
+    fixed = {lit.var: (D_QP if lit.negated else D_PQ) for lit in clause.literals}
+    return pattern_bits(n, fixed)
+
+
 def encode_clause(clause: Clause, n: int) -> DiagonalElement:
     """The idempotent selecting the clause's unique falsifying pattern.
 
@@ -52,44 +55,11 @@ def encode_clause(clause: Clause, n: int) -> DiagonalElement:
     """
     if clause.is_tautological:
         raise TautologyError(f"tautological clause {clause} has no falsifier")
-    fixed = {}
-    for lit in clause.literals:
-        if lit.var > n:
-            raise ValueError(f"variable {lit.var} exceeds n={n}")
-        fixed[lit.var] = D_QP if lit.negated else D_PQ
-    return DiagonalElement(n, {pattern_bits(n, fixed): 1})
-
-
-def _clause_pattern(clause: Clause, n: int) -> int:
-    fixed = {lit.var: (D_QP if lit.negated else D_PQ) for lit in clause.literals}
-    return pattern_bits(n, fixed)
-
-
-def ordered_clauses(f: CnfFormula, order: str = "input") -> tuple[Clause, ...]:
-    """Clause ordering for the product; semantically irrelevant, sometimes
-    helpful for intermediate sparsity.  "activity" sorts by descending total
-    frequency of a clause's variables, stable on ties."""
-    if order == "input":
-        return f.clauses
-    if order == "activity":
-        freq: dict[int, int] = {}
-        for c in f.clauses:
-            for v in c.variables:
-                freq[v] = freq.get(v, 0) + 1
-        return tuple(
-            sorted(
-                f.clauses,
-                key=lambda c: -sum(freq[v] for v in c.variables),
-            )
-        )
-    raise ValueError(f"unknown clause order {order!r}")
+    return DiagonalElement(n, {_clause_pattern(clause, n): 1})
 
 
 def encode_formula(
-    f: CnfFormula,
-    *,
-    term_budget: int | None = None,
-    order: str = "input",
+    f: CnfFormula, *, term_budget: int | None = None
 ) -> DiagonalElement:
     """Product over clauses of (identity - falsifier).
 
@@ -109,7 +79,7 @@ def encode_formula(
         return DiagonalElement(n, {})
     terms: dict[int, int] = {_all_identity(n): 1}
     table = None
-    for clause in ordered_clauses(f, order):
+    for clause in f.clauses:
         if clause.is_tautological:
             warnings.warn(
                 f"dropping tautological clause {clause}", DroppedClauseWarning
@@ -140,30 +110,16 @@ def encode_formula(
     return DiagonalElement(n, terms if table is None else _table_terms(table))
 
 
-def is_unsatisfiable(
-    f: CnfFormula, *, term_budget: int | None = None, order: str = "input"
-) -> bool:
+def is_unsatisfiable(f: CnfFormula, *, term_budget: int | None = None) -> bool:
     """Algebraic route: the encoded product is the zero element."""
-    return is_zero_element(encode_formula(f, term_budget=term_budget, order=order))
-
-
-def substitute(assignment: Assignment, element: DiagonalElement) -> int:
-    """Evaluate an element on a total assignment."""
-    if assignment.n != element.n:
-        raise ValueError(
-            f"assignment over {assignment.n} variables, element over {element.n}"
-        )
-    return eval_at(element, assignment)
+    return encode_formula(f, term_budget=term_budget).is_zero()
 
 
 def models(
-    f: CnfFormula,
-    *,
-    expand_limit: int = EXPAND_LIMIT,
-    term_budget: int | None = None,
+    element: DiagonalElement, *, expand_limit: int = EXPAND_LIMIT
 ) -> set[Assignment]:
-    """The satisfying assignments, read off the primitive expansion."""
-    element = encode_formula(f, term_budget=term_budget)
+    """The satisfying assignments of an encoded formula, read off the
+    primitive expansion."""
     expanded = expand_primitive(element, limit=expand_limit)
     out: set[Assignment] = set()
     for pat, c in expanded.terms.items():
@@ -173,20 +129,22 @@ def models(
                 "this indicates a defect in the term engine"
             )
         out.add(
-            Assignment(tuple(pattern_field(pat, i) == D_QP for i in range(f.n)))
+            Assignment(
+                tuple(pattern_field(pat, i) == D_QP for i in range(element.n))
+            )
         )
     return out
 
 
-def count_models(f: CnfFormula, *, term_budget: int | None = None) -> int:
-    """Number of satisfying assignments, by linearity over the sparse form.
+def count_models(element: DiagonalElement) -> int:
+    """Number of satisfying assignments of an encoded formula, by linearity
+    over the sparse form.
 
     Each pattern matches 2^(identity positions) assignments, and the encoded
     product evaluates to 0 or 1 everywhere, so summing coefficient * 2^free
     counts models exactly without expanding.
     """
-    element = encode_formula(f, term_budget=term_budget)
     total = 0
     for pat, c in element.terms.items():
-        total += c << identity_count(pat, f.n)
+        total += c << identity_count(pat, element.n)
     return total

@@ -9,7 +9,6 @@ what makes it a meaningful cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -151,17 +150,10 @@ def _dpll_solve(
         trail.append(v)
 
 
-def _frac_matrix(rows) -> np.ndarray:
-    return np.array(
-        [[Fraction(v) for v in row] for row in rows], dtype=object
-    )
-
-
-def _frac_eye(dim: int) -> np.ndarray:
-    m = np.full((dim, dim), Fraction(0), dtype=object)
-    for i in range(dim):
-        m[i, i] = Fraction(1)
-    return m
+def _halve(m: np.ndarray) -> np.ndarray:
+    if any(v % 2 for v in m.flat):
+        raise ArithmeticError("ladder sum has an odd entry; halving is not exact")
+    return m // 2
 
 
 def _kron_all(blocks) -> np.ndarray:
@@ -177,8 +169,10 @@ class GammaRep:
     Generators use the standard ladder: position i carries the real 2x2
     blocks X = [[0,1],[1,0]] (square +1) and Y = [[0,-1],[1,0]] (square -1),
     prefixed by sign-alternating blocks so distinct positions anticommute.
-    Entries are exact fractions, so every check against this backend is a
-    zero-tolerance comparison.
+    The ladder sums gamma_2i-1 +- gamma_2i have even entries, so p_i and q_i
+    are integer matrices.  Entries are Python ints in object arrays, exact
+    at any coefficient size (int64 would wrap silently), so every check
+    against this backend is a zero-tolerance comparison.
 
     With this choice the variable-true idempotent q_ip_i is diagonal with
     support on indices whose i-th bit (variable 1 most significant) is 0,
@@ -190,28 +184,27 @@ class GammaRep:
             raise ValueError(f"matrix backend supports 1 <= n <= {GAMMA_LIMIT}")
         self.n = n
         self.dim = 1 << n
-        x = _frac_matrix([[0, 1], [1, 0]])
-        y = _frac_matrix([[0, -1], [1, 0]])
-        z = _frac_matrix([[1, 0], [0, -1]])
-        eye2 = _frac_matrix([[1, 0], [0, 1]])
+        x = np.array([[0, 1], [1, 0]], dtype=object)
+        y = np.array([[0, -1], [1, 0]], dtype=object)
+        z = np.array([[1, 0], [0, -1]], dtype=object)
+        eye2 = np.eye(2, dtype=object)
         gammas = []
         for i in range(n):
             before, after = [z] * i, [eye2] * (n - 1 - i)
             gammas.append(_kron_all(before + [x] + after))
             gammas.append(_kron_all(before + [y] + after))
         self.gamma = tuple(gammas)
-        half = Fraction(1, 2)
         self._p = tuple(
-            (self.gamma[2 * i] + self.gamma[2 * i + 1]) * half for i in range(n)
+            _halve(self.gamma[2 * i] + self.gamma[2 * i + 1]) for i in range(n)
         )
         self._q = tuple(
-            (self.gamma[2 * i] - self.gamma[2 * i + 1]) * half for i in range(n)
+            _halve(self.gamma[2 * i] - self.gamma[2 * i + 1]) for i in range(n)
         )
         self._symbols: dict[tuple[int, str], np.ndarray] = {}
         self._patterns: dict[int, np.ndarray] = {}
 
     def identity(self) -> np.ndarray:
-        return _frac_eye(self.dim)
+        return np.eye(self.dim, dtype=object)
 
     def p(self, i: int) -> np.ndarray:
         return self._p[i - 1]
@@ -264,7 +257,7 @@ class GammaRep:
     def element_matrix(self, a: DiagonalElement) -> np.ndarray:
         if a.n != self.n:
             raise ValueError(f"element over n={a.n}, backend over n={self.n}")
-        out = np.full((self.dim, self.dim), Fraction(0), dtype=object)
+        out = np.zeros((self.dim, self.dim), dtype=object)
         for pat, c in a.terms.items():
             out = out + self._pattern_matrix(pat) * c
         return out

@@ -29,7 +29,7 @@ from .algebra import (
     vector_action,
 )
 from .cnf import Assignment, Clause, CnfFormula
-from .encoding import is_unsatisfiable, models
+from .encoding import encode_formula, is_unsatisfiable, models
 from .geometry import (
     assignment_of_sign_vector,
     check_intersection,
@@ -129,7 +129,7 @@ def check_model_sets(cases: int = 200, seed: int = 103) -> str:
         m = int(rng.integers(0, 3 * n + 1))
         f = _random_formula(rng, n, m)
         expected = set(brute_force(f).models)
-        assert models(f) == expected
+        assert models(encode_formula(f)) == expected
     return f"{cases} seeded instances, n <= 10"
 
 

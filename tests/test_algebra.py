@@ -28,7 +28,6 @@ from wittsat.algebra import (
     expand_primitive,
     identity_count,
     identity_element,
-    is_zero_element,
     literal_element,
     mtnp_of_spinor,
     omega_element,
@@ -213,7 +212,7 @@ def test_element_text_round_trip():
 def test_diag_mul_implements_positionwise_and():
     x1 = literal_element(2, 1)
     not_x1 = literal_element(2, 1, positive=False)
-    assert is_zero_element(diag_mul(x1, not_x1))
+    assert diag_mul(x1, not_x1).is_zero()
     again = diag_mul(x1, x1)
     assert again == x1
 
@@ -223,7 +222,7 @@ def test_zero_test_on_telescoping_sum():
     total = identity_element(2)
     for mask in range(4):
         total = total - assignment_element(Assignment.from_mask(mask, 2))
-    assert is_zero_element(total)
+    assert total.is_zero()
     zero, splits = zero_test_splits(total)
     assert zero and splits >= 1
 
@@ -319,5 +318,5 @@ def test_zero_test_agrees_with_exhaustive_evaluation(data):
     truly_zero = all(
         eval_at(a, Assignment.from_mask(m, a.n)) == 0 for m in range(1 << a.n)
     )
-    assert is_zero_element(a) == truly_zero
+    assert a.is_zero() == truly_zero
     assert (a == DiagonalElement(a.n, {})) == truly_zero

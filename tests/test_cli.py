@@ -13,7 +13,7 @@ from wittsat.cli import main
 from wittsat.cnf import Assignment, serialize_dimacs
 from wittsat.ortho import matrix_to_text, sample_orthogonal
 
-from test_cnf import independent_pairs, pigeonhole
+from test_cnf import independent_pairs, pigeonhole, two_wide_clauses
 
 SAT_TEXT = "p cnf 2 2\n1 2 0\n-1 0\n"
 UNSAT_TEXT = "p cnf 1 2\n1 0\n-1 0\n"
@@ -121,6 +121,15 @@ def test_search_routes_answer_deep_independent_pairs(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         model = Assignment(tuple(v > 0 for v in payload["model"]))
         assert model.satisfies(f)
+
+
+def test_algebra_route_answers_two_wide_clauses(tmp_path, capsys):
+    path = tmp_path / "wide.cnf"
+    path.write_text(serialize_dimacs(two_wide_clauses(3000)))
+    assert main(["check", str(path), "--route", "algebra", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "SAT"
+    assert payload["stats"] == {"patterns": 3, "splits": 3000}
 
 
 def test_decision_budget_exit_code(tmp_path, capsys):

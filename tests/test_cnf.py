@@ -168,6 +168,14 @@ def implication_chain(n):
     return CnfFormula.from_ints(n, clauses)
 
 
+def two_wide_clauses(n):
+    """(x1 v ... v xn)(-x1 v ... v -xn): satisfiable, a 3-term product, and
+    one cofactor split per variable for the algebraic zero test."""
+    return CnfFormula.from_ints(
+        n, [tuple(range(1, n + 1)), tuple(-v for v in range(1, n + 1))]
+    )
+
+
 def pigeonhole(holes):
     """PHP(holes + 1, holes): unsatisfiable, and hard for resolution."""
     pigeons = holes + 1

@@ -4,12 +4,19 @@ Reference values come from truth tables (the brute-force oracle lives in
 wittsat.oracle and is tested independently against DPLL).
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittsat.algebra import expand_primitive, identity_count, is_zero_element
+from wittsat.algebra import (
+    eval_at,
+    expand_primitive,
+    identity_count,
+    zero_test_splits,
+)
 from wittsat.cnf import Assignment, Clause, CnfFormula, TautologyError
 from wittsat.encoding import (
     DroppedClauseWarning,
@@ -19,13 +26,11 @@ from wittsat.encoding import (
     encode_formula,
     is_unsatisfiable,
     models,
-    ordered_clauses,
-    substitute,
 )
 from wittsat.oracle import brute_force
 from wittsat.selftest import _random_clause
 
-from test_cnf import formulas
+from test_cnf import formulas, two_wide_clauses
 
 
 def test_encode_clause_marks_falsifying_fields():
@@ -44,34 +49,35 @@ def test_encode_clause_is_the_falsification_indicator():
     e = encode_clause(c, 3)
     for mask in range(8):
         a = Assignment.from_mask(mask, 3)
-        assert substitute(a, e) == int(c.falsified_by(a))
+        assert eval_at(e, a) == int(c.falsified_by(a))
 
 
 def test_single_model_formula_collapses_to_its_point():
     f = CnfFormula.from_ints(2, [(1, 2), (-1, 2), (1, -2)])
     e = expand_primitive(encode_formula(f))
     assert e.to_text().splitlines() == ["1 * qp qp"]
-    assert models(f) == {Assignment((True, True))}
-    assert count_models(f) == 1
+    assert models(e) == {Assignment((True, True))}
+    assert count_models(e) == 1
 
 
 def test_full_clause_universe_encodes_to_zero():
     # all four width-2 clauses over two variables leave nothing standing
     f = CnfFormula.from_ints(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
-    assert is_zero_element(encode_formula(f))
+    e = encode_formula(f)
+    assert e.is_zero()
     assert is_unsatisfiable(f)
-    assert count_models(f) == 0 and models(f) == set()
+    assert count_models(e) == 0 and models(e) == set()
 
 
 def test_empty_formula_is_the_identity():
     f = CnfFormula.from_ints(3, [])
-    assert count_models(f) == 8
+    assert count_models(encode_formula(f)) == 8
     assert not is_unsatisfiable(f)
 
 
 def test_empty_clause_encodes_to_zero():
     f = CnfFormula(2, (Clause.from_ints((1, 2)),), empty_clause_count=1)
-    assert is_zero_element(encode_formula(f))
+    assert encode_formula(f).is_zero()
     assert is_unsatisfiable(f)
 
 
@@ -90,16 +96,6 @@ def test_term_budget_is_enforced():
         encode_formula(f, term_budget=4)
 
 
-def test_ordered_clauses_activity_sorts_by_variable_frequency():
-    f = CnfFormula.from_ints(3, [(3,), (1, 2), (1,), (1, 3)])
-    by_activity = ordered_clauses(f, "activity")
-    # var 1 appears three times and var 3 twice, so (1, 3) scores highest
-    assert by_activity[0].to_ints() == (1, 3)
-    assert by_activity[-1].to_ints() == (3,)
-    with pytest.raises(ValueError):
-        ordered_clauses(f, "nope")
-
-
 @pytest.mark.parametrize("seed", [0, 4])  # 7 models, unsatisfiable
 def test_threshold_3sat_at_n15_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
@@ -109,7 +105,7 @@ def test_threshold_3sat_at_n15_matches_brute_force(seed):
     assert e.term_count == len(expected)
     assert all(identity_count(p, f.n) == 0 for p in e.terms)
     assert is_unsatisfiable(f) == (not expected)
-    assert count_models(f) == len(expected) and models(f) == expected
+    assert count_models(e) == len(expected) and models(e) == expected
 
 
 def test_switched_product_is_zeroed_by_later_clauses():
@@ -117,25 +113,35 @@ def test_switched_product_is_zeroed_by_later_clauses():
     prefix = [(1, 2), (3, 4), (5, 6)]
     assert encode_formula(CnfFormula.from_ints(6, prefix)).term_count == 27
     f = CnfFormula.from_ints(6, prefix + [(-1,), (-2,)])
-    assert brute_force(f).models == () and encode_formula(f).term_count == 0
-    assert is_unsatisfiable(f) and count_models(f) == 0 and models(f) == set()
+    e = encode_formula(f)
+    assert brute_force(f).models == () and e.term_count == 0
+    assert is_unsatisfiable(f) and count_models(e) == 0 and models(e) == set()
+
+
+def test_zero_test_depth_does_not_grow_with_n():
+    # 3000 splits in a row, far past the default recursion limit
+    assert sys.getrecursionlimit() < 3000
+    e = encode_formula(two_wide_clauses(3000))
+    assert e.term_count == 3
+    assert zero_test_splits(e) == (False, 3000)
 
 
 @given(formulas())
 @settings(max_examples=150)
-def test_substitute_matches_clause_semantics(f):
+def test_eval_at_matches_clause_semantics(f):
     e = encode_formula(f)
     for mask in range(1 << f.n):
         a = Assignment.from_mask(mask, f.n)
-        assert substitute(a, e) == int(a.satisfies(f))
+        assert eval_at(e, a) == int(a.satisfies(f))
 
 
 @given(formulas())
 @settings(max_examples=150)
 def test_models_and_count_match_brute_force(f):
     expected = set(brute_force(f).models)
-    assert models(f) == expected
-    assert count_models(f) == len(expected)
+    e = encode_formula(f)
+    assert models(e) == expected
+    assert count_models(e) == len(expected)
 
 
 @given(formulas(), st.randoms())
@@ -145,4 +151,3 @@ def test_encoding_is_invariant_under_clause_order(f, rnd):
     rnd.shuffle(shuffled)
     g = CnfFormula(f.n, tuple(shuffled), f.empty_clause_count)
     assert encode_formula(f) == encode_formula(g)
-    assert encode_formula(f, order="activity") == encode_formula(g)

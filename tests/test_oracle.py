@@ -7,11 +7,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 
 from wittsat.algebra import (
+    D_PQ,
+    D_QP,
+    DiagonalElement,
     EFBTerm,
     ResourceLimitError,
     WittVector,
+    eval_at,
     identity_element,
     omega_element,
+    pattern_bits,
 )
 from wittsat.cnf import Assignment, CnfFormula
 from wittsat.oracle import (
@@ -123,6 +128,21 @@ def test_identity_and_omega_matrices():
     assert np.array_equal(
         om, np.diag([Fraction(1), Fraction(-1), Fraction(-1), Fraction(1)])
     )
+
+
+def test_element_matrix_is_exact_past_int64():
+    # the two patterns overlap on x1 true, x2 false, where they cancel to 0
+    big = 2**70
+    a = DiagonalElement(
+        3, {pattern_bits(3, {1: D_QP}): big, pattern_bits(3, {2: D_PQ}): -big}
+    )
+    m = GammaRep(3).matrix_of(a)
+    for mask in range(8):
+        sigma = Assignment.from_mask(mask, 3)
+        idx = sigma.primitive_index()
+        assert m[idx, idx] == eval_at(a, sigma)
+    assert set(np.diagonal(m)) == {big, -big, 0}
+    assert not (m - np.diag(np.diagonal(m))).any()
 
 
 def test_term_matrix_respects_position_order():
