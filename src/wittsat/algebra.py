@@ -83,11 +83,6 @@ def pattern_alive(pattern: int, n: int) -> bool:
     return ((pattern | (pattern >> 1)) & low) == low
 
 
-def _drop_field(pattern: int, pos: int) -> int:
-    low = pattern & ((1 << (2 * pos)) - 1)
-    return low | ((pattern >> (2 * pos + 2)) << (2 * pos))
-
-
 def pattern_bits(n: int, fixed: Mapping[int, int]) -> int:
     """Pack a pattern: identity everywhere except the given 1-based positions."""
     _check_n(n)
@@ -180,14 +175,6 @@ class EFBTerm:
         return cls.from_symbols(sym_text.split(), int(coeff_text.strip()))
 
 
-def assignment_term(values: Sequence[bool], coeff: int = 1) -> EFBTerm:
-    """The primitive even term of a truth assignment (q_ip_i where true)."""
-    bits = 0
-    for i, v in enumerate(values):
-        bits |= (S_QP if v else S_PQ) << (2 * i)
-    return EFBTerm(len(values), bits, coeff)
-
-
 # Left action of a bare null vector on the symbol at its own position.
 # Missing entries annihilate: p (p q) = p p = 0 and q (q p) = q q = 0.
 _LEFT_ACTION = {
@@ -211,11 +198,6 @@ def vector_action(v: WittVector, t: EFBTerm) -> EFBTerm | None:
     sign = -1 if t.odd_before(v.index) & 1 else 1
     bits = (t.bits & ~(0b11 << (2 * pos))) | (new << (2 * pos))
     return EFBTerm(t.n, bits, sign * t.coeff)
-
-
-def annihilates(v: WittVector, t: EFBTerm) -> bool:
-    """True when left multiplication by the vector kills the term."""
-    return vector_action(v, t) is None
 
 
 _FIRST_FACTOR = {S_QP: "q", S_PQ: "p", S_P: "p", S_Q: "q"}
@@ -417,13 +399,6 @@ def omega_element(n: int, limit: int = EXPAND_LIMIT) -> DiagonalElement:
     return DiagonalElement(n, terms)
 
 
-def literal_element(n: int, var: int, positive: bool = True) -> DiagonalElement:
-    """q_vp_v (the variable-true idempotent) or p_vq_v (variable-false)."""
-    return DiagonalElement(
-        n, {pattern_bits(n, {var: D_QP if positive else D_PQ}): 1}
-    )
-
-
 def assignment_element(assignment) -> DiagonalElement:
     """The primitive idempotent selecting exactly one assignment."""
     values = _values_of(assignment)
@@ -481,17 +456,22 @@ def zero_test_splits(a: DiagonalElement) -> tuple[bool, int]:
     """Semantic zero test; also reports how many cofactor splits were taken.
 
     The element is zero exactly when both cofactors on some position are
-    zero.  The search runs on an explicit stack of (terms, n, split
-    position, kept field) frames, so its depth does not depend on n; each
-    cofactor is built when its frame is popped, and the q_ip_i side is
-    searched before the p_iq_i side.
+    zero.  The search runs on an explicit stack of (terms, split position,
+    kept field) frames, so its depth does not depend on n; each cofactor is
+    built when its frame is popped, and the q_ip_i side is searched before
+    the p_iq_i side.  Patterns stay n fields wide throughout: a cofactor
+    sets its split field to identity, so a split position is identity in
+    every term and is never chosen again.
     """
+    n = a.n
+    low = _low_field_bits(n)
+    width = (n + 3) // 4  # bytes per identity mask, four fields to a byte
     splits = 0
-    stack: list[tuple[dict[int, int], int, int, int]] = [(a.terms, a.n, -1, D_ID)]
+    stack: list[tuple[dict[int, int], int, int]] = [(a.terms, -1, D_ID)]
     while stack:
-        terms, n, pos, keep = stack.pop()
+        terms, pos, keep = stack.pop()
         if pos >= 0:
-            terms, n = _cofactor(terms, pos, keep), n - 1
+            terms = _cofactor(terms, pos, keep)
         if not terms:
             continue
         if len(terms) == 1:
@@ -504,31 +484,34 @@ def zero_test_splits(a: DiagonalElement) -> tuple[bool, int]:
                 has_neg = True
         if not (has_pos and has_neg):
             return False, splits  # coefficients of one sign cannot cancel
-        # Split on the most constrained position: fewest identity fields.
-        counts = [0] * n
-        for pat in terms:
-            for i in range(n):
-                if pattern_field(pat, i) == D_ID:
-                    counts[i] += 1
-        total = len(terms)
-        best = -1
-        best_ids = total + 1
-        for i in range(n):
-            if counts[i] < total and counts[i] < best_ids:
-                best, best_ids = i, counts[i]
+        # Split on the most constrained position: fewest identity fields,
+        # lowest index on ties, never one that is identity in every term.
+        masks = b"".join(
+            (p & (p >> 1) & low).to_bytes(width, "little") for p in terms
+        )
+        rows = np.frombuffer(masks, dtype=np.uint8).reshape(len(terms), width)
+        counts = np.empty((width, 4), dtype=np.int64)
+        for k in range(4):
+            counts[:, k] = ((rows >> (2 * k)) & 1).sum(axis=0, dtype=np.int64)
+        counts = counts.reshape(-1)[:n]
+        counts[counts == len(terms)] = len(terms) + 1
+        best = int(np.argmin(counts))
         splits += 1
-        stack.append((terms, n, best, D_PQ))
-        stack.append((terms, n, best, D_QP))
+        stack.append((terms, best, D_PQ))
+        stack.append((terms, best, D_QP))
     return True, splits
 
 
 def _cofactor(terms: Mapping[int, int], pos: int, keep: int) -> dict[int, int]:
-    """The terms restricted to field *keep* at *pos*, with that field dropped."""
+    """The terms restricted to field *keep* at *pos*, that field set to
+    identity."""
+    shift = 2 * pos
+    ident = D_ID << shift
     sub: dict[int, int] = {}
     for pat, c in terms.items():
-        f = pattern_field(pat, pos)
+        f = (pat >> shift) & 0b11
         if f == keep or f == D_ID:
-            r = _drop_field(pat, pos)
+            r = pat | ident
             nc = sub.get(r, 0) + c
             if nc:
                 sub[r] = nc

@@ -56,15 +56,19 @@ def _load_formula(path: str) -> CnfFormula:
 
 
 def _budget(args) -> int | None:
-    if args.limit is not None:
-        return args.limit
-    raw = os.environ.get("WITTSAT_LIMIT", "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"WITTSAT_LIMIT must be an integer, got {raw!r}") from None
+    budget, source = args.limit, "--limit"
+    if budget is None:
+        raw = os.environ.get("WITTSAT_LIMIT", "").strip()
+        if not raw:
+            return None
+        source = "WITTSAT_LIMIT"
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ValueError(f"WITTSAT_LIMIT must be an integer, got {raw!r}") from None
+    if budget < 1:
+        raise ValueError(f"{source} must be positive, got {budget}")
+    return budget
 
 
 def _verdict_name(unsat: bool) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (
     EFBTerm,
@@ -125,16 +125,6 @@ class TotallyNullPlane:
 
     def contains(self, other: "TotallyNullPlane") -> bool:
         return other.generator_set <= self.generator_set
-
-
-def is_totally_null(vectors: Iterable[WittVector]) -> bool:
-    """All pairings vanish: no position carries both a p and a q vector."""
-    kinds: dict[int, str] = {}
-    for v in vectors:
-        prev = kinds.setdefault(v.index, v.kind)
-        if prev != v.kind:
-            return False
-    return True
 
 
 def mtnp_of_assignment(a: Assignment) -> SignVector:
@@ -419,9 +409,3 @@ def check_intersection(clause: Clause, n: int) -> bool:
     ]
     common = frozenset.intersection(*planes)
     return common == tnp_of_clause(clause, n).generator_set
-
-
-def clause_plane_certified(clause: Clause, n: int) -> bool:
-    """Width regime in which the expansion-plane correspondence is
-    established; wider clauses still compute but sit outside it."""
-    return clause.width < n - 2

@@ -284,7 +284,3 @@ class GammaRep:
                 if not np.array_equal(anti, want):
                     return False
         return True
-
-
-def is_zero_matrix(m: np.ndarray) -> bool:
-    return not m.any()

@@ -104,11 +104,6 @@ def mtnp_from_isometry(t: OrthogonalMatrix) -> NullFrame:
     return NullFrame(np.hstack([np.eye(t.n), t.entries.T]))
 
 
-def is_null_plane(frame: NullFrame, tol: float = VERIFY_TOL) -> bool:
-    g = neutral_gram(frame.vectors, frame.vectors)
-    return float(np.abs(g).max()) <= tol
-
-
 def intersect_dim(
     f1: NullFrame, f2: NullFrame, rel_cutoff: float = SV_RELATIVE_CUTOFF
 ) -> int:

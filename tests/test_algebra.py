@@ -20,15 +20,12 @@ from wittsat.algebra import (
     EFBTerm,
     ExpansionLimitError,
     WittVector,
-    annihilates,
     assignment_element,
-    assignment_term,
     diag_mul,
     eval_at,
     expand_primitive,
     identity_count,
     identity_element,
-    literal_element,
     mtnp_of_spinor,
     omega_element,
     pattern_alive,
@@ -82,11 +79,6 @@ def test_term_parity_counts_odd_factors():
     assert EFBTerm.from_text("1 * p q").parity == 0
 
 
-def test_assignment_term_uses_true_maps_to_qp():
-    t = assignment_term((True, False))
-    assert t.symbols() == ("qp", "pq")
-
-
 # -------------------------------------------------- left action by vectors
 #
 # The four rewrite rules, with the sign rule (-1)^(odd factors to the left):
@@ -112,7 +104,6 @@ def test_vector_action_annihilation_cases():
     for kind, sym in (("p", "pq"), ("p", "p"), ("q", "qp"), ("q", "q")):
         t = EFBTerm.from_symbols((sym,))
         assert vector_action(WittVector(1, kind), t) is None
-        assert annihilates(WittVector(1, kind), t)
 
 
 def test_vector_action_sign_from_odd_factors_to_the_left():
@@ -142,7 +133,7 @@ def test_mtnp_of_spinor_members_annihilate_their_term():
         t = EFBTerm.from_symbols(syms)
         plane = set(mtnp_of_spinor(t))
         for v in (WittVector(i, k) for i in (1, 2) for k in ("p", "q")):
-            assert annihilates(v, t) == (v in plane)
+            assert (vector_action(v, t) is None) == (v in plane)
 
 
 # ------------------------------------------------------- diagonal elements
@@ -170,7 +161,7 @@ def test_omega_evaluations_alternate_with_false_count():
 
 
 def test_literal_element_is_indicator_of_the_literal():
-    e = literal_element(2, 1, positive=True)
+    e = DiagonalElement(2, {pattern_bits(2, {1: D_QP}): 1})  # q_1p_1
     for mask in range(4):
         a = Assignment.from_mask(mask, 2)
         assert eval_at(e, a) == int(a.values[0])
@@ -203,15 +194,16 @@ def test_element_equality_is_semantic_not_structural():
 
 
 def test_element_text_round_trip():
-    e = identity_element(2) - 2 * literal_element(2, 2, positive=False)
+    not_x2 = DiagonalElement(2, {pattern_bits(2, {2: D_PQ}): 1})
+    e = identity_element(2) - 2 * not_x2
     text = e.to_text()
     assert DiagonalElement.from_text(text, n=2) == e
     assert sorted(text.splitlines()) == ["-2 * 1 pq", "1 * 1 1"]
 
 
 def test_diag_mul_implements_positionwise_and():
-    x1 = literal_element(2, 1)
-    not_x1 = literal_element(2, 1, positive=False)
+    x1 = DiagonalElement(2, {pattern_bits(2, {1: D_QP}): 1})
+    not_x1 = DiagonalElement(2, {pattern_bits(2, {1: D_PQ}): 1})
     assert diag_mul(x1, not_x1).is_zero()
     again = diag_mul(x1, x1)
     assert again == x1

@@ -112,6 +112,23 @@ def test_term_budget_env_fallback(tmp_path, monkeypatch, capsys):
     assert "WITTSAT_LIMIT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize(
+    "command",
+    [["check", "--route", "algebra"], ["check", "--route", "cover"],
+     ["check", "--route", "dpll"], ["models"]],
+    ids=["algebra", "cover", "dpll", "models"],
+)
+def test_nonpositive_limit_is_bad_input(sat_file, monkeypatch, capsys, command, source):
+    argv = command + [sat_file]
+    if source == "flag":
+        argv += ["--limit", "-5"]
+    else:
+        monkeypatch.setenv("WITTSAT_LIMIT", "-1")
+    assert main(argv) == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_search_routes_answer_deep_independent_pairs(tmp_path, capsys):
     f = independent_pairs(1200)  # n=2400: one decision per pair
     path = tmp_path / "pairs.cnf"

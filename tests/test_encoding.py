@@ -4,6 +4,7 @@ Reference values come from truth tables (the brute-force oracle lives in
 wittsat.oracle and is tested independently against DPLL).
 """
 
+import random
 import sys
 
 import numpy as np
@@ -12,6 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittsat.algebra import (
+    D_ID,
+    D_PQ,
+    D_QP,
+    DiagonalElement,
     eval_at,
     expand_primitive,
     identity_count,
@@ -30,7 +35,7 @@ from wittsat.encoding import (
 from wittsat.oracle import brute_force
 from wittsat.selftest import _random_clause
 
-from test_cnf import formulas, two_wide_clauses
+from test_cnf import formulas, pigeonhole, two_wide_clauses
 
 
 def test_encode_clause_marks_falsifying_fields():
@@ -124,6 +129,61 @@ def test_zero_test_depth_does_not_grow_with_n():
     e = encode_formula(two_wide_clauses(3000))
     assert e.term_count == 3
     assert zero_test_splits(e) == (False, 3000)
+
+
+def _split_corpus():
+    """Seeded formulas and elements, each with its truth-table verdict."""
+    cases = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n, ratio = 12 + seed % 5, (1.0, 1.25, 1.5)[seed % 3]
+        f = CnfFormula.from_ints(
+            n, [_random_clause(rng, n, 3) for _ in range(round(ratio * n))]
+        )
+        cases.append((encode_formula(f), brute_force(f).verdict == "UNSAT"))
+    php = pigeonhole(3)
+    cases.append((encode_formula(php), brute_force(php).verdict == "UNSAT"))
+    rnd = random.Random(6)
+    for k in range(50):
+        n = rnd.randint(1, 6)
+        terms = {}
+        for _ in range(rnd.randint(2, 10)):
+            pat = sum(rnd.choice((D_QP, D_PQ, D_ID)) << (2 * i) for i in range(n))
+            terms[pat] = rnd.choice((-3, -2, -1, 1, 2, 3))
+        a = DiagonalElement(n, terms)
+        if k % 3 == 0:
+            a = a - expand_primitive(a)  # cancelled: zero in a sparse form
+        zero = all(
+            eval_at(a, Assignment.from_mask(m, n)) == 0 for m in range(1 << n)
+        )
+        cases.append((a, zero))
+    return cases
+
+
+# (verdict, splits) per corpus entry, as the zero test's split rule gives
+# them: fewest identity fields, lowest position on ties, q_ip_i side first.
+PINNED_SPLITS = [
+    (False, 8), (False, 12), (False, 0), (False, 15), (False, 12), (False, 0),
+    (False, 10), (False, 12), (False, 31), (False, 9), (False, 0), (False, 0),
+    (False, 9), (False, 9), (False, 16), (False, 9), (False, 9), (False, 10),
+    (False, 13), (False, 11), (True, 0), (True, 7), (False, 2), (False, 0),
+    (True, 3), (False, 2), (False, 1), (True, 1), (False, 0), (False, 3),
+    (True, 9), (False, 2), (False, 1), (True, 14), (False, 0), (False, 1),
+    (True, 13), (False, 1), (False, 1), (True, 43), (False, 2), (False, 3),
+    (True, 2), (False, 5), (False, 6), (True, 37), (False, 2), (False, 0),
+    (True, 11), (False, 1), (False, 3), (True, 13), (False, 0), (False, 3),
+    (True, 14), (False, 1), (False, 2), (True, 3), (False, 2), (False, 3),
+    (True, 3), (False, 3), (False, 4), (True, 2), (False, 0), (False, 3),
+    (True, 15), (False, 0), (False, 0), (True, 3), (False, 1),
+]
+
+
+def test_zero_test_split_counts_are_pinned():
+    cases = _split_corpus()
+    assert [zero for _, zero in cases].count(True) >= 10
+    got = [zero_test_splits(e) for e, _ in cases]
+    assert [zero for zero, _ in got] == [zero for _, zero in cases]
+    assert got == PINNED_SPLITS
 
 
 @given(formulas())

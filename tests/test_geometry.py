@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittsat.algebra import (
+    EFBTerm,
     ResourceLimitError,
     WittVector,
-    assignment_term,
     mtnp_of_spinor,
 )
 from wittsat.cnf import Assignment, Clause, CnfFormula, TautologyError
@@ -20,13 +20,11 @@ from wittsat.geometry import (
     TotallyNullPlane,
     assignment_of_sign_vector,
     check_intersection,
-    clause_plane_certified,
     compatible,
     cover_verdict,
     covers,
     formula_patterns,
     induced_pattern,
-    is_totally_null,
     mtnp_of_assignment,
     plane_of_sign_vector,
     psi_z_expansion,
@@ -56,14 +54,11 @@ def test_pattern_matching_and_members():
 
 
 def test_plane_rejects_clashing_generators():
+    # {p_1, q_1} = 1, so a plane cannot hold both; split positions are fine
     with pytest.raises(ValueError):
         TotallyNullPlane((WittVector(1, "p"), WittVector(1, "q")))
-
-
-def test_null_span_criterion():
-    # {p_1, q_1} = 1, so a plane cannot hold both; split positions are fine
-    assert not is_totally_null([WittVector(1, "p"), WittVector(1, "q")])
-    assert is_totally_null([WittVector(1, "p"), WittVector(2, "q")])
+    plane = TotallyNullPlane((WittVector(1, "p"), WittVector(2, "q")))
+    assert plane.dimension == 2
 
 
 def test_assignment_sign_vector_bijection():
@@ -79,7 +74,8 @@ def test_spinor_route_matches_sign_vector_route():
     # first factors of the assignment's basis term == plane of its sign vector
     for values in itertools.product((True, False), repeat=3):
         a = Assignment(values)
-        via_term = set(mtnp_of_spinor(assignment_term(values)))
+        term = EFBTerm.from_symbols("qp" if v else "pq" for v in values)
+        via_term = set(mtnp_of_spinor(term))
         via_signs = set(plane_of_sign_vector(mtnp_of_assignment(a)).generators)
         assert via_term == via_signs
 
@@ -157,11 +153,6 @@ def test_psi_z_expansion_enumerates_even_completions():
 def test_expansion_plane_intersection_recovers_clause_plane():
     assert check_intersection(Clause.from_ints((1, 2)), 6)
     assert check_intersection(Clause.from_ints((-3,)), 5)
-
-
-def test_certified_width_regime():
-    assert clause_plane_certified(Clause.from_ints((1, 2)), 6)
-    assert not clause_plane_certified(Clause.from_ints((1, 2)), 4)
 
 
 def test_cover_verdict_on_deep_independent_pairs():

@@ -14,7 +14,6 @@ from wittsat.ortho import (
     WittBasis,
     eigenvalue_one_multiplicity,
     intersect_dim,
-    is_null_plane,
     matrices_from_text,
     matrix_to_text,
     mtnp_from_isometry,
@@ -51,9 +50,11 @@ def test_graph_planes_are_null_of_full_dimension():
         t = sample_orthogonal(n, seed=5 + n)
         frame = mtnp_from_isometry(t)
         assert frame.dim == n and frame.ambient_n == n
-        assert is_null_plane(frame)
+        v = frame.vectors
+        assert np.abs(neutral_gram(v, v)).max() <= 1e-6
     # a frame mixing the two blocks unevenly is not null
-    assert not is_null_plane(NullFrame([[1.0, 0.0, 0.0, 0.0]]))
+    v = NullFrame([[1.0, 0.0, 0.0, 0.0]]).vectors
+    assert np.abs(neutral_gram(v, v)).max() > 1e-6
 
 
 def test_intersection_dimensions_of_partial_flips():
