@@ -54,11 +54,24 @@ def test_pattern_matching_and_members():
 
 
 def test_plane_rejects_clashing_generators():
-    # {p_1, q_1} = 1, so a plane cannot hold both; split positions are fine
     with pytest.raises(ValueError):
         TotallyNullPlane((WittVector(1, "p"), WittVector(1, "q")))
+
+
+def test_null_span_criterion():
+    # {p_i, q_i} = 1, so a plane cannot hold both; split positions are fine
     plane = TotallyNullPlane((WittVector(1, "p"), WittVector(2, "q")))
     assert plane.dimension == 2
+    vectors = [WittVector(i, k) for i in (1, 2, 3) for k in "pq"]
+    for u, v in itertools.combinations(vectors, 2):
+        if u.index == v.index:
+            with pytest.raises(ValueError):
+                TotallyNullPlane((u, v))
+        else:
+            assert TotallyNullPlane((u, v)).generator_set == {
+                (u.index, u.kind),
+                (v.index, v.kind),
+            }
 
 
 def test_assignment_sign_vector_bijection():
