@@ -405,14 +405,18 @@ def assignment_element(assignment) -> DiagonalElement:
     return DiagonalElement(len(values), {_sigma_pattern(values): 1})
 
 
+# Table index of each field code: dead (never looked up), q_ip_i, p_iq_i,
+# identity.
+_AXIS_INDEX = (None, 0, 1, slice(None))
+
+
 def _subcube(pattern: int, n: int) -> tuple:
     """Index of a pattern's assignments in a value table of shape (2,)*n.
 
     Axis i is variable i+1, with index 0 for true (q_ip_i) and 1 for false
     (p_iq_i); an identity position spans its whole axis.
     """
-    fields = (pattern_field(pattern, i) for i in range(n))
-    return tuple(slice(None) if f == D_ID else f - 1 for f in fields)
+    return tuple([_AXIS_INDEX[(pattern >> (2 * i)) & 0b11] for i in range(n)])
 
 
 def _value_table(terms: Mapping[int, int], n: int) -> np.ndarray:

@@ -81,11 +81,11 @@ def _cmd_check(args) -> int:
     budget = _budget(args)
     verdicts: dict[str, bool] = {}
     timings: dict[str, float] = {}
-    stats: dict[str, int] = {}
+    stats: dict[str, int | None] = {}
     model = None
     if route in ("algebra", "all"):
         start = time.perf_counter()
-        element = encode_formula(f, term_budget=budget)
+        element = encode_formula(f, term_budget=budget, stats=stats)
         zero, splits = zero_test_splits(element)
         timings["algebra"] = (time.perf_counter() - start) * 1000.0
         verdicts["algebra"] = zero
@@ -178,7 +178,7 @@ def _cmd_models(args) -> int:
 def _cmd_cover(args) -> int:
     f = _load_formula(args.file)
     patterns = [p.to_text() for p in formula_patterns(f)]
-    covered, witness = cover_verdict(f)
+    covered, witness = cover_verdict(f, decision_budget=_budget(args))
     if args.json:
         payload = {
             "n": f.n,
@@ -309,9 +309,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=None,
-        help="budget: sparse terms for the algebra route, branching "
-        "decisions for cover and dpll (default: WITTSAT_LIMIT env, else the "
-        "built-in term budget and unbounded searches)",
+        help="budget: sparse terms and table cells for the algebra route, "
+        "branching decisions for cover and dpll (default: WITTSAT_LIMIT env, "
+        "else 2^20 terms, 2^22 cells and unbounded searches)",
     )
     check.add_argument("--json", action="store_true")
     check.add_argument(
@@ -327,8 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=None,
-        help="sparse term budget for the encoding (default: WITTSAT_LIMIT "
-        "env, else the built-in term budget)",
+        help="sparse term and table cell budget for the encoding (default: "
+        "WITTSAT_LIMIT env, else 2^20 terms and 2^22 cells)",
     )
     mdl.add_argument(
         "--max-enum",
@@ -341,6 +341,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cov = sub.add_parser("cover", help="sign-pattern cover view of a formula")
     cov.add_argument("file", help="DIMACS CNF file, or - for stdin")
+    cov.add_argument(
+        "--limit",
+        type=int,
+        default=None,
+        help="branching decision budget for the cover search (default: "
+        "WITTSAT_LIMIT env, else unbounded)",
+    )
     cov.add_argument("--json", action="store_true")
     cov.set_defaults(func=_cmd_cover)
 

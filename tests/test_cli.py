@@ -9,9 +9,13 @@ import sys
 import numpy as np
 import pytest
 
+from wittsat.algebra import identity_element
 from wittsat.cli import main
-from wittsat.cnf import Assignment, serialize_dimacs
+from wittsat.cnf import Assignment, CnfFormula, serialize_dimacs
+from wittsat.encoding import encode_clause
+from wittsat.oracle import brute_force, dpll
 from wittsat.ortho import matrix_to_text, sample_orthogonal
+from wittsat.selftest import _random_clause
 
 from test_cnf import independent_pairs, pigeonhole, two_wide_clauses
 
@@ -57,7 +61,7 @@ def test_check_json_payload(unsat_file, sat_file, capsys):
     }
     assert "model" not in payload
     assert set(payload["timings"]) == {"algebra", "cover", "dpll"}
-    assert set(payload["stats"]) == {"patterns", "splits"}
+    assert set(payload["stats"]) == {"patterns", "splits", "switch_clause"}
     assert main(["check", "--json", sat_file]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "SAT"
@@ -146,7 +150,7 @@ def test_algebra_route_answers_two_wide_clauses(tmp_path, capsys):
     assert main(["check", str(path), "--route", "algebra", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "SAT"
-    assert payload["stats"] == {"patterns": 3, "splits": 3000}
+    assert payload["stats"] == {"patterns": 3, "splits": 3000, "switch_clause": None}
 
 
 def test_decision_budget_exit_code(tmp_path, capsys):
@@ -157,6 +161,66 @@ def test_decision_budget_exit_code(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
         assert main(["check", str(path), "--route", route]) == 1
         capsys.readouterr()
+
+
+def _threshold_file(tmp_path, n, seed):
+    rng = np.random.default_rng(seed)
+    f = CnfFormula.from_ints(
+        n, [_random_clause(rng, n, 3) for _ in range(round(4.26 * n))]
+    )
+    path = tmp_path / f"threshold-{n}-{seed}.cnf"
+    path.write_text(serialize_dimacs(f))
+    return f, str(path)
+
+
+def _size_switch(f):
+    """The clause before which a product switches once it holds more than
+    2^n / 16 patterns, or None."""
+    product = identity_element(f.n)
+    for k, clause in enumerate(f.clauses):
+        product = product * (identity_element(f.n) - encode_clause(clause, f.n))
+        if 16 * product.term_count > 1 << f.n:
+            return k + 1
+    return None
+
+
+@pytest.mark.parametrize("seed", range(12))  # seeds 8 and 9 are unsatisfiable
+def test_check_reports_an_early_cost_switch(tmp_path, capsys, seed):
+    f, path = _threshold_file(tmp_path, 13 + seed % 4, seed)
+    expected = brute_force(f)
+    code = main(["check", path, "--route", "algebra", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == expected.verdict
+    assert code == (1 if expected.verdict == "UNSAT" else 0)
+    assert payload["stats"]["patterns"] == len(expected.models)
+    size_switch = _size_switch(f)
+    assert size_switch is not None
+    assert payload["stats"]["switch_clause"] < size_switch
+
+
+@pytest.mark.parametrize("seed", [1, 2])  # unsatisfiable, satisfiable
+def test_algebra_route_answers_threshold_n22(tmp_path, capsys, seed):
+    f, path = _threshold_file(tmp_path, 22, seed)
+    expected = dpll(f).verdict
+    code = main(["check", path, "--route", "algebra", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == expected
+    assert code == (1 if expected == "UNSAT" else 0)
+    assert payload["stats"]["switch_clause"] is not None
+
+
+def test_cover_honours_the_budget(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "php7-6.cnf"
+    path.write_text(serialize_dimacs(pigeonhole(6)))
+    assert main(["cover", str(path), "--limit", "1"]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert main(["cover", str(path), "--limit", "0"]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert main(["cover", str(path)]) == 1
+    capsys.readouterr()
+    monkeypatch.setenv("WITTSAT_LIMIT", "1")
+    assert main(["cover", str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_internal_error_is_not_unsat(sat_file, monkeypatch, capsys):

@@ -101,6 +101,17 @@ def test_term_budget_is_enforced():
         encode_formula(f, term_budget=4)
 
 
+def test_explicit_budget_caps_the_table_cells():
+    rng = np.random.default_rng(0)
+    f = CnfFormula.from_ints(13, [_random_clause(rng, 13, 3) for _ in range(55)])
+    stats = {}
+    e = encode_formula(f, term_budget=1 << 13, stats=stats)
+    assert stats["switch_clause"] is not None and e == encode_formula(f)
+    # one cell fewer refuses the table, and the sparse product outgrows it
+    with pytest.raises(TermBudgetError):
+        encode_formula(f, term_budget=(1 << 13) - 1)
+
+
 @pytest.mark.parametrize("seed", [0, 4])  # 7 models, unsatisfiable
 def test_threshold_3sat_at_n15_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
@@ -121,6 +132,18 @@ def test_switched_product_is_zeroed_by_later_clauses():
     e = encode_formula(f)
     assert brute_force(f).models == () and e.term_count == 0
     assert is_unsatisfiable(f) and count_models(e) == 0 and models(e) == set()
+
+
+def test_switch_clause_indexes_the_formula():
+    stats = {}
+    pairs = [(1, 2), (3, 4), (5, 6)]
+    encode_formula(CnfFormula.from_ints(6, pairs + [(-1,)]), stats=stats)
+    assert stats == {"switch_clause": 3}
+    with pytest.warns(DroppedClauseWarning):
+        encode_formula(CnfFormula.from_ints(6, [(1, -1)] + pairs), stats=stats)
+    assert stats == {"switch_clause": 4}  # moved after the last clause
+    encode_formula(CnfFormula.from_ints(6, pairs[:2]), stats=stats)
+    assert stats == {"switch_clause": None}
 
 
 def test_zero_test_depth_does_not_grow_with_n():
