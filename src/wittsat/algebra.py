@@ -23,6 +23,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .cnf import ResourceLimitError
+
 # Diagonal pattern fields, two bits per position.  AND implements the
 # positionwise product: the identity factor keeps anything, equal idempotents
 # are stable, opposite idempotents annihilate (field -> 00).
@@ -43,10 +45,6 @@ _DIAG_CODE = {text: code for code, text in _DIAG_TEXT.items()}
 
 # Default cap on n for anything that walks all 2^n primitive patterns.
 EXPAND_LIMIT = 24
-
-
-class ResourceLimitError(RuntimeError):
-    """A configured size budget was exceeded."""
 
 
 class ExpansionLimitError(ResourceLimitError):

@@ -202,6 +202,7 @@ _SIGN_DUMP_MAX_N = 6
 
 def _cmd_geometry(args) -> int:
     f = _load_formula(args.file)
+    budget = _budget(args)
     clause_rows: list[tuple[str, list[str] | None]] = []
     for clause in f.clauses:
         try:
@@ -217,7 +218,9 @@ def _cmd_geometry(args) -> int:
         ]
     report = None
     if args.samples > 0:
-        report = orthogonal_cover_report(f, args.samples, args.seed)
+        report = orthogonal_cover_report(
+            f, args.samples, args.seed, scan_budget=budget
+        )
     if args.json:
         payload = {
             "n": f.n,
@@ -364,6 +367,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="isometries to sample for the cover report (0 = dump only)",
     )
     geo.add_argument("--seed", type=int, default=0)
+    geo.add_argument(
+        "--limit",
+        type=int,
+        default=None,
+        help="diagonal isometries the report's discrete cover scan may visit "
+        "(default: WITTSAT_LIMIT env, else unbounded)",
+    )
     geo.add_argument("--json", action="store_true")
     geo.set_defaults(func=_cmd_geometry)
 

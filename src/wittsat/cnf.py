@@ -16,6 +16,10 @@ class TautologyError(ValueError):
     """Operation undefined on a tautological clause (it has no falsifier)."""
 
 
+class ResourceLimitError(RuntimeError):
+    """A configured size budget was exceeded."""
+
+
 class ParseWarning(UserWarning):
     pass
 

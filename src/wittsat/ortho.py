@@ -4,20 +4,32 @@ Witt position.
 
 The neutral bilinear form on R^{2n} is B((x1,y1),(x2,y2)) = x1.x2 - y1.y2;
 an orthogonal t gives the totally null graph plane {(x, t x)}.
+
+The sampling report works on stacks of matrices, shape (k, n, n): numpy's
+linalg functions and matmul loop over the leading axis, so one call serves
+a whole stack and gives each matrix the same result as a call of its own.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, TautologyError
+from .cnf import Clause, CnfFormula, ResourceLimitError, TautologyError
 
 CONSTRUCTION_TOL = 1e-9
 VERIFY_TOL = 1e-6
 SV_RELATIVE_CUTOFF = 1e-8
+
+# The report draws and tests Haar samples this many at a time, scans
+# diagonal isometries this many at a time, and matches clauses against a
+# stack this many at a time.  A stack also holds at most _STACK_CELLS
+# matrix or sign entries, so its working arrays stay a few MB at any n.
+_SAMPLE_CHUNK = 256
+_SIGN_CHUNK = 1 << 12
+_CLAUSE_CHUNK = 64
+_STACK_CELLS = 1 << 18
 
 
 class NonOrthogonalMatrixError(ValueError):
@@ -94,9 +106,11 @@ class NullFrame:
 
 
 def neutral_gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pairwise B values between two row stacks in R^(2n)."""
-    n = u.shape[1] // 2
-    return u[:, :n] @ v[:, :n].T - u[:, n:] @ v[:, n:].T
+    """Pairwise B values between the rows of u and v in R^(2n), or between
+    matching row blocks of two stacks of them."""
+    n = u.shape[-1] // 2
+    return (u[..., :n] @ np.swapaxes(v[..., :n], -1, -2)
+            - u[..., n:] @ np.swapaxes(v[..., n:], -1, -2))
 
 
 def mtnp_from_isometry(t: OrthogonalMatrix) -> NullFrame:
@@ -119,6 +133,45 @@ def intersect_dim(
     return f1.dim + f2.dim - rank
 
 
+def _column_signs(m: np.ndarray, tol: float) -> np.ndarray:
+    """Read each column of a matrix, or of each matrix in a stack, once:
+    +1 where column j is e_j within tol (every entry), -1 where it is -e_j,
+    0 otherwise.  Returns int8 of shape m.shape[:-1]."""
+    if not tol < 1.0:
+        raise ValueError(f"tolerance {tol} cannot tell e_j from -e_j")
+    n = m.shape[-1]
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    off = np.abs(m)
+    off[..., np.arange(n), np.arange(n)] = 0.0
+    off = off.max(axis=-2, initial=0.0)
+    plus = np.maximum(off, np.abs(diag - 1.0)) <= tol
+    minus = np.maximum(off, np.abs(diag + 1.0)) <= tol
+    return plus.astype(np.int8) - minus.astype(np.int8)
+
+
+def _clause_columns(clauses: list[Clause], n: int) -> np.ndarray:
+    """An (n, m) matrix of the column sign each non-tautological clause asks
+    for, 0 where it asks none."""
+    want = np.zeros((n, len(clauses)))
+    for j, clause in enumerate(clauses):
+        for lit in clause.literals:
+            want[lit.var - 1, j] = -1.0 if lit.negated else 1.0
+    return want
+
+
+def _holds_some(signs: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Which rows of a (k, n) column-sign array strictly hold some clause.
+    Each literal adds +1 to signs @ want when its column has its sign and
+    at most 0 otherwise, so a clause is held exactly when the sum reaches
+    its width."""
+    held = np.zeros(len(signs), dtype=bool)
+    s = signs.astype(float)
+    for lo in range(0, want.shape[1], _CLAUSE_CHUNK):
+        block = want[:, lo:lo + _CLAUSE_CHUNK]
+        held |= (s @ block == np.abs(block).sum(axis=0)).any(axis=1)
+    return held
+
+
 def strict_membership(
     t: OrthogonalMatrix, clause: Clause, tol: float = VERIFY_TOL
 ) -> bool:
@@ -128,33 +181,53 @@ def strict_membership(
     exactly the induced-pattern match."""
     if clause.is_tautological:
         raise TautologyError(f"tautological clause {clause} has no plane")
+    signs = _column_signs(t.entries, tol)
     for lit in clause.literals:
         if lit.var > t.n:
             raise ValueError(f"variable {lit.var} exceeds n={t.n}")
-        col = t.entries[:, lit.var - 1]
-        target = np.zeros(t.n)
-        target[lit.var - 1] = -1.0 if lit.negated else 1.0
-        if np.abs(col - target).max() > tol:
+        if signs[lit.var - 1] != (-1 if lit.negated else 1):
             return False
     return True
 
 
-def _sample(n: int, rng: np.random.Generator) -> OrthogonalMatrix:
-    a = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    d = np.sign(np.diag(r))
+def haar_samples(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count Haar draws from O(n), stacked (count, n, n): the QR of Gaussian
+    matrices with R's diagonal signs absorbed into Q's columns (Mezzadri,
+    Notices AMS 2007).  The stack equals count draws of one matrix each from
+    the same generator.  Every draw must pass t^T t = I within
+    CONSTRUCTION_TOL, as OrthogonalMatrix requires."""
+    q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    return OrthogonalMatrix(n, q * d)
+    q = q * d[:, None, :]
+    residual = np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n)).max(initial=0.0)
+    if residual > CONSTRUCTION_TOL:
+        raise NonOrthogonalMatrixError(
+            f"orthogonality residual {residual:.3e} exceeds {CONSTRUCTION_TOL:.1e}"
+        )
+    return q
 
 
 def sample_orthogonal(n: int, seed: int) -> OrthogonalMatrix:
-    """Haar-style draw: QR of a seeded Gaussian with R's diagonal signs
-    absorbed into Q's columns.  Deterministic per seed."""
-    return _sample(n, np.random.default_rng(seed))
+    """One Haar draw, deterministic per seed."""
+    return OrthogonalMatrix(n, haar_samples(n, 1, np.random.default_rng(seed))[0])
 
 
-def eigenvalue_one_multiplicity(m: np.ndarray, tol: float = VERIFY_TOL) -> int:
-    return int((np.abs(np.linalg.eigvals(m) - 1.0) <= tol).sum())
+def eigenvalue_one_multiplicity(m: np.ndarray, tol: float = VERIFY_TOL):
+    """Eigenvalues within tol of 1: an int for one matrix, an array of
+    counts for a stack."""
+    counts = (np.abs(np.linalg.eigvals(m) - 1.0) <= tol).sum(axis=-1)
+    return int(counts) if counts.ndim == 0 else counts
+
+
+def _witt_residual(p: np.ndarray, q: np.ndarray):
+    """The largest error of 2 B(p_i, q_j) = delta_ij and of both sides being
+    null, for one basis or for each basis of a stack (NaN if any entry is)."""
+    pairing = 2.0 * neutral_gram(p, q) - np.eye(p.shape[-2])
+    return np.maximum.reduce([
+        np.abs(g).max(axis=(-2, -1))
+        for g in (pairing, neutral_gram(p, p), neutral_gram(q, q))
+    ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +243,8 @@ class WittBasis:
         q = np.array(self.q_vectors, dtype=float)
         if p.shape != q.shape or p.ndim != 2 or p.shape[1] != 2 * p.shape[0]:
             raise ValueError("expected matching (n, 2n) row stacks")
-        residual = self._residual(p, q)
-        if residual > self.tol:
+        residual = _witt_residual(p, q)
+        if not residual <= self.tol:
             raise ValueError(
                 f"Witt pairing residual {residual:.3e} exceeds {self.tol:.1e}"
             )
@@ -180,30 +253,53 @@ class WittBasis:
         object.__setattr__(self, "p_vectors", p)
         object.__setattr__(self, "q_vectors", q)
 
-    @staticmethod
-    def _residual(p: np.ndarray, q: np.ndarray) -> float:
-        n = p.shape[0]
-        pairing = 2.0 * neutral_gram(p, q) - np.eye(n)
-        return float(
-            max(
-                np.abs(pairing).max(),
-                np.abs(neutral_gram(p, p)).max(),
-                np.abs(neutral_gram(q, q)).max(),
-            )
-        )
-
     @property
     def n(self) -> int:
         return self.p_vectors.shape[0]
 
     def pairing_residual(self) -> float:
-        return self._residual(self.p_vectors, self.q_vectors)
+        return float(_witt_residual(self.p_vectors, self.q_vectors))
 
     def coordinates(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(alpha, beta) with row = sum alpha_i p_i + beta_i q_i."""
         alpha = 2.0 * neutral_gram(rows, self.q_vectors)
         beta = 2.0 * neutral_gram(rows, self.p_vectors)
         return alpha, beta
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a stack, where a singular system leaves NaN rows
+    for its own pair instead of failing the whole stack."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+def _rebase_stack(t1: np.ndarray, t2: np.ndarray, tol: float):
+    """Witt rebasing of a stack of pairs: t2 is (k, n, n), t1 the same or one
+    matrix shared by every pair.  Returns the eigenvalue-one multiplicity of
+    each t1^T t2, the indices of the transversal pairs (multiplicity 0), and
+    their p and q rows.  A singular solve leaves NaN q rows, which fail the
+    Witt check."""
+    n = t2.shape[-1]
+    m = np.swapaxes(t1, -1, -2) @ t2
+    r = eigenvalue_one_multiplicity(m, tol)
+    idx = np.flatnonzero(r == 0)
+    shape = (len(idx), n, n)
+    eye = np.broadcast_to(np.eye(n), shape)
+    t1 = np.broadcast_to(t1, t2.shape)[idx]
+    p_rows = np.concatenate([eye, np.swapaxes(t1, -1, -2)], axis=-1)
+    b_rows = np.concatenate([eye, np.swapaxes(t2[idx], -1, -2)], axis=-1)
+    gram = 2.0 * (np.eye(n) - m[idx])  # gram[i, j] = 2 B(p_rows_i, b_rows_j)
+    q_rows = _solve_each(np.swapaxes(gram, -1, -2), b_rows)
+    return r, idx, p_rows, q_rows
 
 
 def witt_rebase(
@@ -215,20 +311,15 @@ def witt_rebase(
     The planes are transversal exactly when t1^T t2 has no eigenvalue 1;
     otherwise the eigenvalue's multiplicity is the intersection dimension and
     the pair is rejected.  The q side is the unique basis of the second plane
-    dual to the rows of the first under twice the neutral form.
+    dual to the rows of the first under twice the neutral form.  This is
+    the stacked rebasing of the sampling report, on a stack of one.
     """
     if t1.n != t2.n:
         raise ValueError("matrix sizes differ")
-    n = t1.n
-    m = t1.entries.T @ t2.entries
-    r = eigenvalue_one_multiplicity(m, tol)
-    if r:
-        raise NonTransversalError(r)
-    p_rows = np.hstack([np.eye(n), t1.entries.T])
-    b_rows = np.hstack([np.eye(n), t2.entries.T])
-    gram = 2.0 * (np.eye(n) - m)  # gram[i, j] = 2 B(p_rows_i, b_rows_j)
-    q_rows = np.linalg.solve(gram.T, b_rows)
-    return WittBasis(p_rows, q_rows)
+    r, _, p_rows, q_rows = _rebase_stack(t1.entries[None], t2.entries[None], tol)
+    if r[0]:
+        raise NonTransversalError(int(r[0]))
+    return WittBasis(p_rows[0], q_rows[0])
 
 
 def rebase_residuals(
@@ -246,58 +337,85 @@ def rebase_residuals(
     }
 
 
+def _discrete_cover(n: int, want: np.ndarray, budget: int | None) -> bool:
+    """Every +-1 diagonal isometry strictly holds some clause.  The 2^n sign
+    vectors are scanned in itertools.product((1, -1), repeat=n) order, a
+    chunk at a time; a diagonal matrix's column signs are its
+    diagonal.  The scan stops at the first chunk with an uncovered vector;
+    visiting more than budget vectors raises ResourceLimitError."""
+    total = 1 << n
+    step = max(1, min(_SIGN_CHUNK, _STACK_CELLS // n))
+    # bit n-1-j of a vector's index is 1 where position j reads -1
+    shifts = np.minimum(np.arange(n - 1, -1, -1), 63)
+    start = 0
+    while start < total:
+        if budget is not None and start >= budget:
+            raise ResourceLimitError(
+                f"discrete cover needs more than {budget} diagonal isometries"
+            )
+        stop = min(total, start + step, budget or total)
+        index = np.arange(start, stop, dtype=np.int64)
+        signs = (1 - 2 * ((index[:, None] >> shifts) & 1)).astype(np.int8)
+        if not _holds_some(signs, want).all():
+            return False
+        start = stop
+    return True
+
+
+def _rebased(reference: np.ndarray, t: np.ndarray, tol: float):
+    """Which samples rebase against the reference plane, and which meet it."""
+    r, idx, p_rows, q_rows = _rebase_stack(reference, t, tol)
+    ok = np.zeros(len(t), dtype=bool)
+    ok[idx] = _witt_residual(p_rows, q_rows) <= CONSTRUCTION_TOL
+    return ok, r > 0
+
+
 def orthogonal_cover_report(
-    f: CnfFormula, samples: int, seed: int, *, tol: float = VERIFY_TOL
+    f: CnfFormula,
+    samples: int,
+    seed: int,
+    *,
+    tol: float = VERIFY_TOL,
+    scan_budget: int | None = None,
 ) -> dict:
     """Sampling report over the isometry group for a formula's clause family.
 
     discrete_cover: every +-1 diagonal isometry strictly holds some clause
-    plane (the discrete mirror of the cover test).  strict_fraction: share
-    of Haar samples strictly holding one; exact alignment has measure zero,
-    so ~0 is the expected negative control.  transversal_fraction: share of
-    samples whose graph plane can be rebased into Witt position against a
-    coordinate reference plane; the all-p plane is tried first and the all-q
-    plane second, since every sample with an eigenvalue pinned at +1 by its
-    determinant class still generically avoids -1.  The p-only number is
-    reported separately.
+    plane (the discrete mirror of the cover test); a scan that would visit
+    more than scan_budget of them raises ResourceLimitError.
+    strict_fraction: share of Haar samples strictly holding one; exact
+    alignment has measure zero, so ~0 is the expected negative control.
+    transversal_fraction: share of samples whose graph plane can be rebased
+    into Witt position against a coordinate reference plane, the all-p plane
+    (t = I) first and the all-q plane (t = -I) second.  The plane of t meets
+    them when t has eigenvalue +1, resp. -1.  At odd n every sample has one
+    of the two, fixed by its determinant, and generically not the other, so
+    the fraction is ~1; at even n a det -1 sample has both, so the fraction
+    is ~1/2, the share of SO(n).  The p-only number is reported separately.
+
+    Samples are drawn, tested and rebased in stacks, which gives the same
+    report as taking them one by one.
     """
     if samples < 0:
         raise ValueError("sample count must be nonnegative")
     n = f.n
-    usable = [c for c in f.clauses if not c.is_tautological]
-    if f.has_empty_clause:
-        discrete = True
-    else:
-        discrete = True
-        for signs in itertools.product((1.0, -1.0), repeat=n):
-            t = OrthogonalMatrix.diagonal(signs)
-            if not any(strict_membership(t, c, tol) for c in usable):
-                discrete = False
-                break
+    want = _clause_columns([c for c in f.clauses if not c.is_tautological], n)
+    discrete = f.has_empty_clause or _discrete_cover(n, want, scan_budget)
     rng = np.random.default_rng(seed)
-    strict_hits = 0
-    rebasable = 0
-    p_side = 0
-    reference_p = OrthogonalMatrix.identity(n)
-    reference_q = OrthogonalMatrix(n, -np.eye(n))
-    for _ in range(samples):
-        t = _sample(n, rng)
-        if usable and any(strict_membership(t, c, tol) for c in usable):
-            strict_hits += 1
-        try:
-            witt_rebase(reference_p, t, tol)
-            rebasable += 1
-            p_side += 1
-        except NonTransversalError:
-            try:
-                witt_rebase(reference_q, t, tol)
-                rebasable += 1
-            except (NonTransversalError, ValueError):
-                pass
-        except ValueError:
-            pass
+    strict_hits = rebasable = p_side = 0
+    step = max(1, min(_SAMPLE_CHUNK, _STACK_CELLS // (n * n)))
+    for start in range(0, samples, step):
+        t = haar_samples(n, min(step, samples - start), rng)
+        strict_hits += int(_holds_some(_column_signs(t, tol), want).sum())
+        # the q side is tried only for samples that meet the p side
+        p_ok, meets_p = _rebased(np.eye(n), t, tol)
+        q_ok, _ = _rebased(-np.eye(n), t[meets_p], tol)
+        p_side += int(p_ok.sum())
+        rebasable += int(p_ok.sum()) + int(q_ok.sum())
+
     def frac(k: int) -> float:
         return k / samples if samples else 0.0
+
     return {
         "discrete_cover": discrete,
         "strict_fraction": frac(strict_hits),

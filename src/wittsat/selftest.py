@@ -46,12 +46,13 @@ from .ortho import (
     NonTransversalError,
     OrthogonalMatrix,
     eigenvalue_one_multiplicity,
+    haar_samples,
     intersect_dim,
     mtnp_from_isometry,
     orthogonal_cover_report,
     rebase_residuals,
+    strict_membership,
     witt_rebase,
-    _sample,
 )
 
 
@@ -240,7 +241,7 @@ def check_witt_rebase(pairs_per_n: int = 100, seed: int = 108) -> str:
         rng = np.random.default_rng(seed + n)
         count = 0
         while count < pairs_per_n:
-            t1, t2 = _sample(n, rng), _sample(n, rng)
+            t1, t2 = (OrthogonalMatrix(n, t) for t in haar_samples(n, 2, rng))
             try:
                 basis = witt_rebase(t1, t2)
             except NonTransversalError:
@@ -250,7 +251,7 @@ def check_witt_rebase(pairs_per_n: int = 100, seed: int = 108) -> str:
             count += 1
             accepted += 1
         for r in range(1, n + 1):
-            t1 = _sample(n, rng)
+            t1 = OrthogonalMatrix(n, haar_samples(n, 1, rng)[0])
             flip = np.diag([1.0] * r + [-1.0] * (n - r))
             t2 = OrthogonalMatrix(n, t1.entries @ flip)
             m = t1.entries.T @ t2.entries
@@ -269,8 +270,8 @@ def check_witt_rebase(pairs_per_n: int = 100, seed: int = 108) -> str:
 def check_group_sampling(samples: int = 1000, seed: int = 109) -> str:
     """Deterministic sampling report on a fixed unsatisfiable instance:
     discrete cover holds and mirrors the pattern cover, strict membership of
-    continuous samples is the measure-zero control, and almost every sample
-    rebases against a coordinate plane."""
+    continuous samples is the measure-zero control, and at this odd n almost
+    every sample rebases against a coordinate plane."""
     clauses = list(itertools.product((1, -1), repeat=3))
     f = CnfFormula.from_ints(3, [tuple(s * v for v, s in zip((1, 2, 3), signs))
                                  for signs in clauses])
@@ -289,7 +290,8 @@ def check_group_sampling(samples: int = 1000, seed: int = 109) -> str:
 
 def check_compatibility_triangle(max_n: int = 4) -> str:
     """The three falsification readings agree on every clause/assignment
-    pair, and match the sign-pattern test, exhaustively for n <= 4."""
+    pair, and match the sign-pattern test and strict membership in the
+    assignment's diagonal isometry, exhaustively for n <= 4."""
     pairs = 0
     for n in range(1, max_n + 1):
         for ints in clause_universe(n):
@@ -299,9 +301,13 @@ def check_compatibility_triangle(max_n: int = 4) -> str:
                 a = Assignment.from_mask(mask, n)
                 agreed = compatible(clause, a, verify=True)
                 assert agreed == clause.falsified_by(a)
-                assert agreed == mtnp_of_assignment(a).matches(pattern)
+                signs = mtnp_of_assignment(a)
+                assert agreed == signs.matches(pattern)
+                t = OrthogonalMatrix.diagonal([float(e) for e in signs.eps])
+                assert agreed == strict_membership(t, clause)
                 pairs += 1
-    return f"{pairs} clause/assignment pairs, three definitions + patterns"
+    return (f"{pairs} clause/assignment pairs, three definitions + patterns "
+            "+ strict membership")
 
 
 @dataclass(frozen=True)

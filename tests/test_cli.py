@@ -120,8 +120,8 @@ def test_term_budget_env_fallback(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "command",
     [["check", "--route", "algebra"], ["check", "--route", "cover"],
-     ["check", "--route", "dpll"], ["models"]],
-    ids=["algebra", "cover", "dpll", "models"],
+     ["check", "--route", "dpll"], ["models"], ["geometry"]],
+    ids=["algebra", "cover", "dpll", "models", "geometry"],
 )
 def test_nonpositive_limit_is_bad_input(sat_file, monkeypatch, capsys, command, source):
     argv = command + [sat_file]
@@ -221,6 +221,33 @@ def test_cover_honours_the_budget(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WITTSAT_LIMIT", "1")
     assert main(["cover", str(path)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def _all_sign_file(tmp_path, n, seed):
+    """All 8 sign clauses over 3 seeded variables, so every sign vector is
+    covered and the discrete scan must visit all 2^n of them."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (int(v) for v in rng.choice(np.arange(1, n + 1), 3, replace=False))
+    clauses = [(sa * a, sb * b, sc * c)
+               for sa in (1, -1) for sb in (1, -1) for sc in (1, -1)]
+    path = tmp_path / f"all-sign-{n}.cnf"
+    path.write_text(serialize_dimacs(CnfFormula.from_ints(n, clauses)))
+    return str(path)
+
+
+def test_geometry_honours_the_budget(tmp_path, monkeypatch, capsys):
+    big = _all_sign_file(tmp_path, 30, seed=30)
+    argv = ["geometry", big, "--samples", "1", "--json"]
+    assert main(argv + ["--limit", "4096"]) == 3
+    assert "4096 diagonal isometries" in capsys.readouterr().err
+    monkeypatch.setenv("WITTSAT_LIMIT", "4096")
+    assert main(argv) == 3
+    capsys.readouterr()
+    monkeypatch.delenv("WITTSAT_LIMIT")
+    # without a budget the scan is unbounded; n=14 is 2^14 vectors
+    assert main(["geometry", _all_sign_file(tmp_path, 14, seed=14),
+                 "--samples", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["discrete_cover"] is True
 
 
 def test_internal_error_is_not_unsat(sat_file, monkeypatch, capsys):

@@ -1,7 +1,9 @@
 """The three decision routes stay independent: the algebraic product
 (algebra, encoding), the sign-pattern cover (geometry) and the oracles
 (oracle).  Their agreement is the correctness argument, so no route may
-import another's code."""
+import another's code.  The orthogonal-group layer (ortho) computes its
+discrete cover on its own, so it mirrors the cover route without sharing
+code with any route."""
 
 import ast
 from pathlib import Path
@@ -15,6 +17,7 @@ FORBIDDEN = {
     "oracle": {"encoding", "geometry"},
     "algebra": {"geometry", "oracle"},
     "encoding": {"geometry", "oracle"},
+    "ortho": {"geometry", "oracle", "algebra", "encoding"},
 }
 
 

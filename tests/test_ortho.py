@@ -1,11 +1,22 @@
 """Floating-point geometry: orthogonal matrices, graph planes, Witt
 rebasing, and the sampling report."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
-from wittsat.cnf import Assignment, Clause, CnfFormula
+from wittsat.cli import main
+from wittsat.cnf import (
+    Assignment,
+    Clause,
+    CnfFormula,
+    ResourceLimitError,
+    TautologyError,
+)
 from wittsat.geometry import induced_pattern, mtnp_of_assignment
+from wittsat.oracle import UNSAT, brute_force
 from wittsat.ortho import (
     NonOrthogonalMatrixError,
     NonTransversalError,
@@ -23,8 +34,9 @@ from wittsat.ortho import (
     sample_orthogonal,
     strict_membership,
     witt_rebase,
+    _solve_each,
 )
-from wittsat.selftest import clause_universe
+from wittsat.selftest import _random_clause, clause_universe
 
 
 def test_orthogonal_matrix_validation():
@@ -187,3 +199,206 @@ def test_cover_report_zero_samples_edge():
     assert report["discrete_cover"] is True
     assert report["strict_fraction"] == 0.0
     assert report["transversal_fraction"] == 0.0
+
+
+def test_strict_membership_error_cases():
+    t = OrthogonalMatrix.identity(2)
+    with pytest.raises(TautologyError):
+        strict_membership(t, Clause.from_ints((1, -1)))
+    with pytest.raises(ValueError):
+        strict_membership(t, Clause.from_ints((3,)))
+    with pytest.raises(ValueError):
+        strict_membership(t, Clause.from_ints((1,)), tol=1.0)
+    # diag(1, -1) holds x1 and -x2, so (x1 -x2) but not (x2)
+    flip = OrthogonalMatrix.diagonal([1.0, -1.0])
+    assert strict_membership(flip, Clause.from_ints((1, -2)))
+    assert not strict_membership(flip, Clause.from_ints((2,)))
+    # a small rotation keeps its diagonal within tol of 1, but not its columns
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    tilt = OrthogonalMatrix(2, [[c, -s], [s, c]])
+    assert abs(c - 1.0) < 1e-6
+    assert not strict_membership(tilt, Clause.from_ints((1,)))
+
+
+def test_a_singular_pair_does_not_fail_the_stack():
+    a = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+    b = np.ones((3, 2, 4))
+    x = _solve_each(a, b)
+    assert np.array_equal(x[0], b[0]) and np.array_equal(x[2], b[2] / 2.0)
+    assert np.isnan(x[1]).all()
+    # NaN rows fail the Witt check instead of passing it
+    with pytest.raises(ValueError):
+        WittBasis(np.hstack([np.eye(2), np.eye(2)]), np.full((2, 4), np.nan))
+
+
+def _reference_report(f: CnfFormula, samples: int, seed: int) -> dict:
+    """The report by its definition: one Gaussian draw, one QR, one
+    strict_membership per clause and one witt_rebase per reference plane at a
+    time, and the discrete cover over every diagonal sign matrix."""
+    n = f.n
+    usable = [c for c in f.clauses if not c.is_tautological]
+    discrete = f.has_empty_clause or all(
+        any(strict_membership(OrthogonalMatrix.diagonal(signs), c) for c in usable)
+        for signs in itertools.product((1.0, -1.0), repeat=n)
+    )
+    rng = np.random.default_rng(seed)
+    strict = rebased = p_side = 0
+    references = (OrthogonalMatrix.identity(n), OrthogonalMatrix(n, -np.eye(n)))
+    for _ in range(samples):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        d = np.sign(np.diag(r))
+        d[d == 0] = 1.0
+        t = OrthogonalMatrix(n, q * d)
+        strict += any(strict_membership(t, c) for c in usable)
+        for side, reference in enumerate(references):
+            try:
+                witt_rebase(reference, t)
+            except NonTransversalError:
+                continue  # the q side is tried only after the p side meets
+            except ValueError:
+                break
+            rebased += 1
+            p_side += side == 0
+            break
+    frac = (lambda k: k / samples) if samples else (lambda k: 0.0)
+    return {
+        "discrete_cover": discrete,
+        "strict_fraction": frac(strict),
+        "transversal_fraction": frac(rebased),
+        "transversal_to_p_fraction": frac(p_side),
+        "samples": samples,
+        "seed": seed,
+        "n": n,
+    }
+
+
+def _seeded_formula(rng: np.random.Generator, n: int, kind: int) -> CnfFormula:
+    m = int(rng.integers(1, 4 * n + 2))
+    clauses = [_random_clause(rng, n, int(rng.integers(1, min(n, 3) + 1)))
+               for _ in range(m)]
+    if kind == 1 and n >= 2:
+        clauses.append((1, -1, 2))  # tautological: ignored by the report
+    if kind == 2 and n >= 3:  # every sign vector covered
+        clauses[:0] = [(a, 2 * b, 3 * c)
+                       for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    f = CnfFormula.from_ints(n, clauses)
+    if kind == 3:
+        f = CnfFormula(n, f.clauses, empty_clause_count=1)
+    return f
+
+
+def test_stacked_report_equals_the_per_matrix_definition():
+    rng = np.random.default_rng(909)
+    cases = []
+    for n in range(2, 11):
+        for kind in range(4):
+            cases.append((_seeded_formula(rng, n, kind), 5, kind))
+    # at n=1 every sample is +-1, so about half hold (x1)
+    axis = CnfFormula.from_ints(1, [(1,)])
+    assert 0 < orthogonal_cover_report(axis, 40, 3)["strict_fraction"] < 1
+    cases.append((axis, 40, 3))
+    # stacks past one chunk
+    cases.append((CnfFormula.from_ints(2, [(1, 2), (-1,)]), 300, 4))
+    cases.append((CnfFormula.from_ints(7, [(1, -2, 3), (-4,)]), 260, 5))
+    cases.append((CnfFormula.from_ints(3, [(1, -1)]), 30, 6))  # nothing usable
+    # at n=40 a stack holds fewer samples than at small n
+    cases.append((CnfFormula.from_ints(40, [(-1, -2), (-3,)]), 170, 7))
+    for f, samples, seed in cases:
+        report = orthogonal_cover_report(f, samples, seed)
+        assert report == _reference_report(f, samples, seed), (f, samples, seed)
+
+
+def test_discrete_cover_is_the_unsat_verdict():
+    rng = np.random.default_rng(910)
+    verdicts = set()
+    for n in range(1, 13):
+        for kind in (0, 0, 2):
+            f = _seeded_formula(rng, n, kind)
+            unsat = brute_force(f).verdict == UNSAT
+            assert orthogonal_cover_report(f, 0, 0)["discrete_cover"] == unsat
+            verdicts.add(unsat)
+    assert verdicts == {True, False}
+
+
+def test_transversal_fraction_by_parity():
+    # odd n: a sample has eigenvalue +1 or -1, set by its determinant, and
+    # rebases against the other reference; even n: a det -1 sample has both
+    for n in (7, 8, 9, 10):
+        f = CnfFormula.from_ints(n, [(1, 2, 3)])
+        frac = orthogonal_cover_report(f, 2000, 700 + n)["transversal_fraction"]
+        if n % 2:
+            assert frac >= 0.99
+        else:
+            assert abs(frac - 0.5) <= 0.05  # 4.5 standard deviations at p=1/2
+
+
+def test_discrete_scan_budget_counts_visited_isometries():
+    covered = CnfFormula.from_ints(
+        4, [(a, 2 * b) for a in (1, -1) for b in (1, -1)]
+    )
+    assert orthogonal_cover_report(covered, 0, 0, scan_budget=16)["discrete_cover"]
+    with pytest.raises(ResourceLimitError):
+        orthogonal_cover_report(covered, 0, 0, scan_budget=15)
+    # (x1) holds for the first four vectors of the scan, +-- order, and
+    # fails at the fifth
+    sat = CnfFormula.from_ints(3, [(1,)])
+    assert orthogonal_cover_report(sat, 0, 0, scan_budget=5)["discrete_cover"] is False
+    with pytest.raises(ResourceLimitError):
+        orthogonal_cover_report(sat, 0, 0, scan_budget=4)
+    # past 63 variables the leading positions read +1 for every vector the
+    # scan can reach; (x100) fails first at the second vector
+    wide = CnfFormula.from_ints(100, [(100,)])
+    assert orthogonal_cover_report(wide, 0, 0, scan_budget=2)["discrete_cover"] is False
+    with pytest.raises(ResourceLimitError):
+        orthogonal_cover_report(wide, 0, 0, scan_budget=1)
+    with pytest.raises(ResourceLimitError):
+        orthogonal_cover_report(CnfFormula.from_ints(100, [(1,), (-1,)]), 0, 0,
+                                scan_budget=5000)
+    # an empty clause covers everything without a scan
+    empty = CnfFormula(20, (), empty_clause_count=1)
+    assert orthogonal_cover_report(empty, 0, 0, scan_budget=1)["discrete_cover"]
+
+
+def _pre_stack_rebase(a1: np.ndarray, a2: np.ndarray) -> tuple[int, str, str]:
+    """What the rebase command printed, and its exit code, when witt_rebase
+    solved one pair at a time: the reference for its output."""
+    t1 = OrthogonalMatrix.from_array(a1)
+    t2 = OrthogonalMatrix.from_array(a2)
+    n = t1.n
+    m = t1.entries.T @ t2.entries
+    r = int((np.abs(np.linalg.eigvals(m) - 1.0) <= 1e-6).sum())
+    if r:
+        return 1, "", f"not transversal: planes meet in dimension {r}\n"
+    p_rows = np.hstack([np.eye(n), t1.entries.T])
+    b_rows = np.hstack([np.eye(n), t2.entries.T])
+    q_rows = np.linalg.solve((2.0 * (np.eye(n) - m)).T, b_rows)
+    basis = WittBasis(p_rows, q_rows)
+    payload = {
+        "n": n,
+        "residuals": rebase_residuals(basis, t1, t2),
+        "p_rows": basis.p_vectors.tolist(),
+        "q_rows": basis.q_vectors.tolist(),
+    }
+    return 0, json.dumps(payload, sort_keys=True) + "\n", ""
+
+
+@pytest.mark.parametrize("n", [6, 129])
+def test_rebase_json_is_unchanged_by_the_stacked_core(tmp_path, capsys, n):
+    t1 = sample_orthogonal(n, seed=n)
+    pairs = [(t1.entries, t1.entries @ np.diag([1.0] * r + [-1.0] * (n - r)))
+             for r in (1, 2)]
+    seed = 1000
+    while len(pairs) < 4:  # two transversal pairs
+        seed += 1
+        t2 = sample_orthogonal(n, seed=seed).entries
+        if eigenvalue_one_multiplicity(t1.entries.T @ t2) == 0:
+            pairs.append((t1.entries, t2))
+    codes = []
+    for i, (a1, a2) in enumerate(pairs):
+        path = tmp_path / f"pair{i}.txt"
+        path.write_text(matrix_to_text(a1) + matrix_to_text(a2))
+        code = main(["rebase", str(path), "--json"])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == _pre_stack_rebase(a1, a2)
+        codes.append(code)
+    assert codes == [1, 1, 0, 0]
