@@ -9,6 +9,7 @@ uses the solver convention instead: 10 satisfiable, 20 unsatisfiable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -100,8 +101,10 @@ def _cmd_check(args) -> int:
             model = witness
     if route in ("dpll", "all"):
         start = time.perf_counter()
-        result = dpll(f, decision_budget=budget)
+        counters: dict[str, int] = {}
+        result = dpll(f, decision_budget=budget, stats=counters)
         timings["dpll"] = (time.perf_counter() - start) * 1000.0
+        stats.update((f"dpll_{k}", v) for k, v in counters.items())
         verdicts["dpll"] = result.verdict == UNSAT
         if result.model is not None:
             model = result.model
@@ -140,7 +143,7 @@ def _cmd_check(args) -> int:
         print(f"status: {_verdict_name(unsat)}")
         if model is not None:
             print(f"model: {model}")
-        if stats:
+        if "patterns" in stats:
             print(f"patterns: {stats['patterns']}  splits: {stats['splits']}")
     return EXIT_UNSAT if unsat else EXIT_SAT
 
@@ -291,7 +294,10 @@ def _cmd_selftest(args) -> int:
     return EXIT_SAT if run_all(quick=args.quick) else EXIT_UNSAT
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first ``main`` call and reused: parsing leaves no state
+    on the parser, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="wittsat",
         description="CNF satisfiability through null-plane algebra, "

@@ -9,6 +9,7 @@ what makes it a meaningful cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -72,82 +73,189 @@ class DpllResult:
     model: Assignment | None
 
 
-def dpll(f: CnfFormula, *, decision_budget: int | None = None) -> DpllResult:
+def dpll(
+    f: CnfFormula, *, decision_budget: int | None = None, stats: dict | None = None
+) -> DpllResult:
     """Unit propagation, pure-literal elimination, then branching on the
     lowest still-occurring variable trying True first.  A returned model is
     re-verified by direct evaluation.  More than ``decision_budget``
-    branchings raise ResourceLimitError; None means unbounded."""
+    branchings raise ResourceLimitError; None means unbounded.  If *stats* is
+    a dict, ``stats["decisions"]`` and ``stats["propagations"]`` (literals
+    set by unit clauses) are set, also when the budget runs out."""
+    stats = {} if stats is None else stats
+    stats["decisions"] = stats["propagations"] = 0
     if f.has_empty_clause:
         return DpllResult(UNSAT, None)
-    clauses = [frozenset(c.to_ints()) for c in f.clauses]
-    trail = _dpll_solve(clauses, decision_budget)
-    if trail is None:
+    search = _TrailSearch(f.n, [c.to_ints() for c in f.clauses])
+    try:
+        found = search.solve(decision_budget)
+    finally:
+        stats["decisions"] = search.decisions
+        stats["propagations"] = search.propagations
+    if not found:
         return DpllResult(UNSAT, None)
-    found = {abs(lit): lit > 0 for lit in trail}
-    values = tuple(found.get(v, True) for v in range(1, f.n + 1))
-    model = Assignment(values)
+    # a variable the search never set reads True
+    model = Assignment(tuple(search.value[v] >= 0 for v in range(1, f.n + 1)))
     if not model.satisfies(f):
         raise RuntimeError("solver produced a non-model; this is a defect")
     return DpllResult(SAT, model)
 
 
-def _dpll_assign(clauses: list[frozenset[int]], lit: int):
-    out = []
-    for c in clauses:
-        if lit in c:
-            continue
-        if -lit in c:
-            c = c - {-lit}
-            if not c:
-                return None
-        out.append(c)
-    return out
+class _TrailSearch:
+    """Iterative DPLL over integer clauses, undone by popping a trail.
 
-
-def _dpll_solve(
-    clauses: list[frozenset[int]], decision_budget: int | None
-) -> list[int] | None:
-    """The literals set true on the way to a satisfied clause list, or None.
-
-    ``clauses`` is None after a conflict.  Each branching pushes the clause
-    list and trail length it started from, so a conflict resumes the newest
-    branching whose False side is still untried.
+    Per-literal lists are indexed by the signed literal itself (``-v`` lands
+    in the upper half of a list of 2n+1 slots).  ``value[l]`` is 1, -1 or 0
+    (unset); a literal is set when it goes on the trail, and its clauses are
+    updated when the propagation reaches it (``head``).  Per clause, ``sat``
+    counts its reached true literals and ``free`` its literals not reached
+    false, so a clause with ``sat`` 0 is a conflict at ``free`` 0 and may be
+    unit at ``free`` 1.  ``count[l]`` is the number of unsatisfied clauses
+    containing l, so a variable still occurs while either polarity's count is
+    positive and is pure while exactly one is.  Every variable that turns
+    pure is pushed on ``pure``, a heap whose entries are checked when popped.
+    A decision is taken only when no variable is pure, and backtracking
+    restores that state, so it clears the heap.
     """
-    trail: list[int] = []
-    branches: list[tuple[list[frozenset[int]], int, int]] = []
-    decisions = 0
-    while True:
-        if clauses is None:
-            if not branches:
-                return None
-            saved, mark, v = branches.pop()
-            del trail[mark:]
-            clauses = _dpll_assign(saved, -v)
-            if clauses is not None:
-                trail.append(-v)
-            continue
-        if not clauses:
-            return trail
-        unit = next((next(iter(c)) for c in clauses if len(c) == 1), None)
-        if unit is not None:
-            clauses = _dpll_assign(clauses, unit)
-            trail.append(unit)
-            continue
-        lits = set().union(*clauses)
-        pure = next((l for l in sorted(lits, key=abs) if -l not in lits), None)
-        if pure is not None:
-            clauses = _dpll_assign(clauses, pure)
-            trail.append(pure)
-            continue
-        decisions += 1
-        if decision_budget is not None and decisions > decision_budget:
-            raise ResourceLimitError(
-                f"DPLL search exceeded {decision_budget} decisions"
-            )
-        v = min(abs(l) for l in lits)
-        branches.append((clauses, len(trail), v))
-        clauses = _dpll_assign(clauses, v)
-        trail.append(v)
+
+    def __init__(self, n: int, clauses: list[tuple[int, ...]]):
+        self.clauses = clauses
+        self.occurs: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.count = [0] * (2 * n + 1)
+        for i, clause in enumerate(clauses):
+            for lit in clause:
+                self.occurs[lit].append(i)
+                self.count[lit] += 1
+        self.value = [0] * (2 * n + 1)
+        self.sat = [0] * len(clauses)
+        self.free = [len(c) for c in clauses]
+        self.unsat = len(clauses)
+        self.trail: list[int] = []
+        self.head = 0
+        self.pure = [
+            v for v in range(1, n + 1) if (self.count[v] > 0) != (self.count[-v] > 0)
+        ]
+        self.decisions = 0
+        self.propagations = 0
+
+    def _set(self, lit: int) -> bool:
+        """Set lit true and propagate unit clauses to fixpoint; False on a
+        conflict.  A literal already set true is a no-op, one set false a
+        conflict."""
+        value = self.value
+        if value[lit]:
+            return value[lit] > 0
+        trail, count, sat, free = self.trail, self.count, self.sat, self.free
+        clauses, occurs, pure = self.clauses, self.occurs, self.pure
+        value[lit] = 1
+        value[-lit] = -1
+        trail.append(lit)
+        head, unsat, ok = self.head, self.unsat, True
+        while ok and head < len(trail):
+            lit = trail[head]
+            head += 1
+            for c in occurs[lit]:
+                sat[c] += 1
+                if sat[c] == 1:
+                    unsat -= 1
+                    for x in clauses[c]:
+                        count[x] -= 1
+                        if not count[x] and count[-x] and not value[x]:
+                            heappush(pure, abs(x))
+            for c in occurs[-lit]:
+                free[c] -= 1
+                if sat[c]:
+                    continue
+                if not free[c]:
+                    ok = False
+                elif free[c] == 1:
+                    # at most one literal is unset; none if the last one
+                    # is already on the trail, unreached
+                    for x in clauses[c]:
+                        if not value[x]:
+                            value[x] = 1
+                            value[-x] = -1
+                            trail.append(x)
+                            self.propagations += 1
+                            break
+        self.head, self.unsat = head, unsat
+        return ok
+
+    def _undo(self, mark: int) -> None:
+        """Pop the trail back to ``mark``, reversing the counters of the
+        literals the propagation reached."""
+        trail, value, count = self.trail, self.value, self.count
+        sat, free, clauses, occurs = self.sat, self.free, self.clauses, self.occurs
+        for lit in trail[self.head:]:
+            value[lit] = value[-lit] = 0
+        unsat = self.unsat
+        for lit in reversed(trail[mark : self.head]):
+            value[lit] = value[-lit] = 0
+            for c in occurs[-lit]:
+                free[c] += 1
+            for c in occurs[lit]:
+                sat[c] -= 1
+                if not sat[c]:
+                    unsat += 1
+                    for x in clauses[c]:
+                        count[x] += 1
+        del trail[mark:]
+        self.head, self.unsat = mark, unsat
+        self.pure.clear()
+
+    def _lowest_pure(self) -> int:
+        """The pure literal of the lowest pure variable, or 0."""
+        pure, count, value = self.pure, self.count, self.value
+        while pure:
+            v = heappop(pure)
+            if not value[v] and (count[v] > 0) != (count[-v] > 0):
+                return v if count[v] else -v
+        return 0
+
+    def solve(self, decision_budget: int | None) -> bool:
+        """Search to a satisfying ``value`` (True) or exhaust it (False).
+
+        Each branching pushes the trail length and variable it started
+        from, so a conflict resumes the newest branching whose False side is
+        still untried.  At a branching every variable below the chosen one
+        is set or gone from the unsatisfied clauses, and stays so beneath
+        it, so the next variable is looked for only above it.
+        """
+        value, count = self.value, self.count
+        for clause in self.clauses:
+            if len(clause) == 1:
+                self.propagations += not value[clause[0]]
+                if not self._set(clause[0]):
+                    return False
+        branches: list[tuple[int, int]] = []
+        low = 1
+        ok = True
+        while True:
+            if not ok:
+                if not branches:
+                    return False
+                mark, v = branches.pop()
+                self._undo(mark)
+                low = v + 1
+                ok = self._set(-v)
+                continue
+            if not self.unsat:
+                return True
+            pure = self._lowest_pure()
+            if pure:
+                self._set(pure)  # satisfies clauses only: no conflict or unit
+                continue
+            self.decisions += 1
+            if decision_budget is not None and self.decisions > decision_budget:
+                raise ResourceLimitError(
+                    f"DPLL search exceeded {decision_budget} decisions"
+                )
+            v = low
+            while value[v] or not (count[v] or count[-v]):
+                v += 1
+            branches.append((len(self.trail), v))
+            low = v + 1
+            ok = self._set(v)
 
 
 def _halve(m: np.ndarray) -> np.ndarray:

@@ -61,7 +61,9 @@ def test_check_json_payload(unsat_file, sat_file, capsys):
     }
     assert "model" not in payload
     assert set(payload["timings"]) == {"algebra", "cover", "dpll"}
-    assert set(payload["stats"]) == {"patterns", "splits", "switch_clause"}
+    assert set(payload["stats"]) == {
+        "patterns", "splits", "switch_clause", "dpll_decisions", "dpll_propagations"
+    }
     assert main(["check", "--json", sat_file]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "SAT"
@@ -82,6 +84,36 @@ def test_check_single_route(sat_file, capsys):
     assert main(["check", "--route", "dpll", sat_file]) == 0
     out = capsys.readouterr().out
     assert "dpll: SAT" in out and "algebra" not in out
+
+
+def test_check_dpll_route_reports_search_counters(tmp_path, sat_file, capsys):
+    # without --json the DPLL counters must not reach the algebra's line
+    assert main(["check", "--route", "dpll", sat_file]) == 0
+    assert "patterns" not in capsys.readouterr().out
+    path = tmp_path / "pairs.cnf"
+    path.write_text(serialize_dimacs(independent_pairs(3)))
+    assert main(["check", str(path), "--route", "dpll", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stats"] == {"dpll_decisions": 3, "dpll_propagations": 3}
+
+
+def test_consecutive_calls_share_no_state(tmp_path, sat_file, capsys):
+    # one parser serves every call in a process; no option may carry over
+    assert main(["check", "--json", sat_file]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "SAT"
+    assert main(["check", sat_file]) == 0
+    assert "status: SAT" in capsys.readouterr().out
+    php = tmp_path / "php4-3.cnf"
+    php.write_text(serialize_dimacs(pigeonhole(3)))
+    assert main(["check", str(php), "--route", "dpll", "--limit", "1"]) == 3
+    capsys.readouterr()
+    assert main(["check", str(php), "--route", "dpll"]) == 1
+    assert "status: UNSAT" in capsys.readouterr().out
+    assert main(["check", sat_file, "--route", "cover"]) == 0
+    assert "cover: SAT" in capsys.readouterr().out
+    assert main(["geometry", sat_file]) == 0
+    out = capsys.readouterr().out
+    assert "clause" in out and "status" not in out and "covered" not in out
 
 
 def test_check_reads_stdin(monkeypatch, capsys):

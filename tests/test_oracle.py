@@ -1,10 +1,14 @@
-"""Oracle layer: the two solvers against each other, and the exact matrix
-backend against hand-computed blocks."""
+"""Oracle layer: the two solvers against each other, the trail DPLL
+against its frozen clause-copying predecessor, and the exact matrix backend
+against hand-computed blocks."""
+
+import random
 
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittsat.algebra import (
     D_PQ,
@@ -18,7 +22,8 @@ from wittsat.algebra import (
     omega_element,
     pattern_bits,
 )
-from wittsat.cnf import Assignment, CnfFormula
+from wittsat.cnf import Assignment, Clause, CnfFormula
+from wittsat.geometry import cover_verdict
 from wittsat.oracle import (
     GAMMA_LIMIT,
     SAT,
@@ -29,6 +34,7 @@ from wittsat.oracle import (
     dpll,
 )
 
+from dpll_reference import reference_dpll
 from test_cnf import formulas, implication_chain, independent_pairs, pigeonhole
 
 
@@ -68,8 +74,10 @@ def test_dpll_model_after_backtracking():
 
 def test_dpll_on_deep_independent_pairs():
     f = independent_pairs(1200)  # n=2400: one decision per pair
-    res = dpll(f)
+    stats = {}
+    res = dpll(f, stats=stats)
     assert res.verdict == SAT and res.model.satisfies(f)
+    assert stats == {"decisions": 1200, "propagations": 1200}
 
 
 def test_dpll_on_long_implication_chain():
@@ -78,9 +86,161 @@ def test_dpll_on_long_implication_chain():
 
 def test_dpll_decision_budget():
     php = pigeonhole(6)
+    stats = {}
     with pytest.raises(ResourceLimitError):
-        dpll(php, decision_budget=1)
+        dpll(php, decision_budget=1, stats=stats)
+    assert stats["decisions"] == 2  # counted up to the one that overran
     assert dpll(php).verdict == UNSAT
+
+
+def test_dpll_stats_on_trivial_formulas():
+    for f in (
+        CnfFormula(2, (), empty_clause_count=1),
+        CnfFormula.from_ints(2, []),
+    ):
+        stats = {}
+        dpll(f, stats=stats)
+        assert stats == {"decisions": 0, "propagations": 0}
+    # the unit x1 forces x2..x5, and x5 meets the unit -x5
+    stats = {}
+    assert dpll(implication_chain(5), stats=stats).verdict == UNSAT
+    assert stats == {"decisions": 0, "propagations": 5}
+
+
+def _assert_matches_reference(f):
+    """Same verdict, model and decision count as the frozen reference, and
+    a decision budget that runs out exactly below that count."""
+    model, decisions = reference_dpll(f)
+    stats = {}
+    res = dpll(f, decision_budget=decisions, stats=stats)
+    assert res == DpllResult(UNSAT if model is None else SAT, model)
+    assert stats["decisions"] == decisions
+    if decisions:
+        with pytest.raises(ResourceLimitError):
+            dpll(f, decision_budget=decisions - 1)
+
+
+def _corpus_formula(rng):
+    """n <= 12, widths 1-4; a clause may name a variable twice in either
+    sign (a dropped duplicate or a tautology), some clauses repeat, and a
+    few formulas carry an empty clause."""
+    n = rng.randint(1, 12)
+    clauses = []
+    for _ in range(rng.randint(0, 5 * n)):
+        width = rng.randint(1, min(n, 4))
+        clauses.append([rng.choice((1, -1)) * rng.randint(1, n) for _ in range(width)])
+    clauses += rng.sample(clauses, min(len(clauses), rng.randint(0, 2)))
+    return CnfFormula(
+        n,
+        tuple(Clause.from_ints(c) for c in clauses),
+        empty_clause_count=int(rng.random() < 0.02),
+    )
+
+
+def test_trail_dpll_matches_reference_on_seeded_corpus():
+    rng = random.Random(2003)
+    for _ in range(5000):
+        _assert_matches_reference(_corpus_formula(rng))
+
+
+def _random_3sat(rng, n, m, hidden=None):
+    out = []
+    while len(out) < m:
+        clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+        if hidden is None or any((lit > 0) == hidden[abs(lit) - 1] for lit in clause):
+            out.append(clause)
+    return CnfFormula.from_ints(n, out)
+
+
+def _renamed_pigeonhole(rng, holes):
+    f = pigeonhole(holes)
+    name = list(range(1, f.n + 1))
+    rng.shuffle(name)
+    clauses = [[name[abs(l) - 1] * (1 if l > 0 else -1) for l in c.to_ints()] for c in f.clauses]
+    rng.shuffle(clauses)
+    return CnfFormula.from_ints(f.n, clauses)
+
+
+@pytest.mark.parametrize(
+    "family, copies", [("php7-6-renamed", 1), ("threshold-45", 6), ("planted-50", 3)]
+)
+def test_trail_dpll_matches_reference_on_search_families(family, copies):
+    rng = random.Random(1962)
+    for _ in range(copies):
+        if family == "php7-6-renamed":
+            f = _renamed_pigeonhole(rng, 6)
+        elif family == "threshold-45":
+            f = _random_3sat(rng, 45, round(4.26 * 45))
+        else:
+            hidden = [rng.random() < 0.5 for _ in range(50)]
+            f = _random_3sat(rng, 50, round(4.26 * 50), hidden)
+        _assert_matches_reference(f)
+
+
+def _clause_over(draw, variables):
+    width = draw(st.integers(min_value=1, max_value=min(3, len(variables))))
+    vs = draw(st.lists(st.sampled_from(variables), min_size=width, max_size=width, unique=True))
+    return [v if draw(st.booleans()) else -v for v in vs]
+
+
+@st.composite
+def component_formulas(draw):
+    """Up to eight independent components of 1-4 variables each (n <= 20),
+    their variables interleaved by a drawn renaming."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=8))
+    n = min(sum(sizes), 20)
+    name = draw(st.permutations(range(1, n + 1)))
+    clauses, start = [], 0
+    for size in sizes:
+        block = list(name[start : min(start + size, n)])
+        if not block:
+            break
+        for _ in range(draw(st.integers(min_value=0, max_value=3 * len(block)))):
+            clauses.append(_clause_over(draw, block))
+        start += size
+    return CnfFormula.from_ints(n, clauses)
+
+
+@st.composite
+def chain_formulas(draw):
+    """A chain of implications l1 -> l2 -> ... over drawn literals, maybe
+    forced at its start or refuted at its end, plus random side clauses
+    (n <= 16, where the truth table stays a few milliseconds)."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    order = draw(st.permutations(range(1, n + 1)))
+    lits = [v if draw(st.booleans()) else -v
+            for v in order[: draw(st.integers(min_value=2, max_value=n))]]
+    clauses = [[-a, b] for a, b in zip(lits, lits[1:])]
+    if draw(st.booleans()):
+        clauses.append([lits[0]])
+    if draw(st.booleans()):
+        clauses.append([-lits[-1]])
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        clauses.append(_clause_over(draw, list(range(1, n + 1))))
+    order_of = draw(st.permutations(range(len(clauses))))
+    return CnfFormula.from_ints(n, [clauses[i] for i in order_of])
+
+
+def _search_routes_agree_with_brute_force(f):
+    truth = brute_force(f).verdict
+    covered, witness = cover_verdict(f)
+    assert covered == (truth == UNSAT)
+    assert witness is None or witness.satisfies(f)
+    res = dpll(f)
+    assert res.verdict == truth
+    assert res.model is None or res.model.satisfies(f)
+
+
+@given(component_formulas())
+@settings(max_examples=50, derandomize=True, deadline=None)
+def test_search_routes_on_independent_components(f):
+    _search_routes_agree_with_brute_force(f)
+
+
+@given(chain_formulas())
+@settings(max_examples=50, derandomize=True, deadline=None)
+def test_search_routes_on_implication_chains(f):
+    _search_routes_agree_with_brute_force(f)
 
 
 @given(formulas())
