@@ -147,10 +147,6 @@ class EFBTerm:
                 raise ValueError(f"unknown symbol {s!r}") from None
         return cls(len(syms), bits, coeff)
 
-    def symbol(self, i: int) -> str:
-        """Symbol text at 1-based position *i*."""
-        return _TERM_TEXT[pattern_field(self.bits, i - 1)]
-
     def symbols(self) -> tuple[str, ...]:
         return tuple(_TERM_TEXT[pattern_field(self.bits, i)] for i in range(self.n))
 

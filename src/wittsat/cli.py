@@ -16,10 +16,12 @@ import sys
 import time
 import traceback
 
+import numpy as np
+
 from . import __version__
 from .algebra import ResourceLimitError, zero_test_splits
 from .cnf import Assignment, CnfFormula, DimacsError, TautologyError, parse_dimacs
-from .encoding import count_models, encode_formula, models
+from .encoding import count_models, encode_formula, encode_table, models
 from .geometry import (
     cover_verdict,
     formula_patterns,
@@ -83,14 +85,20 @@ def _cmd_check(args) -> int:
     verdicts: dict[str, bool] = {}
     timings: dict[str, float] = {}
     stats: dict[str, int | None] = {}
-    model = None
+    found: dict[str, Assignment] = {}
     if route in ("algebra", "all"):
         start = time.perf_counter()
-        element = encode_formula(f, term_budget=budget, stats=stats)
-        zero, splits = zero_test_splits(element)
+        table = encode_table(f, term_budget=budget)
+        if table is None:
+            element = encode_formula(f, term_budget=budget, stats=stats)
+            zero, splits = zero_test_splits(element)
+            stats["patterns"] = element.term_count
+        else:
+            zero, splits = not table.any(), 0
+            stats["patterns"] = int(np.count_nonzero(table))
+            stats["switch_clause"] = 0
         timings["algebra"] = (time.perf_counter() - start) * 1000.0
         verdicts["algebra"] = zero
-        stats["patterns"] = element.term_count
         stats["splits"] = splits
     if route in ("cover", "all"):
         start = time.perf_counter()
@@ -98,7 +106,7 @@ def _cmd_check(args) -> int:
         timings["cover"] = (time.perf_counter() - start) * 1000.0
         verdicts["cover"] = covered
         if witness is not None:
-            model = witness
+            found["cover"] = witness
     if route in ("dpll", "all"):
         start = time.perf_counter()
         counters: dict[str, int] = {}
@@ -107,7 +115,7 @@ def _cmd_check(args) -> int:
         stats.update((f"dpll_{k}", v) for k, v in counters.items())
         verdicts["dpll"] = result.verdict == UNSAT
         if result.model is not None:
-            model = result.model
+            found["dpll"] = result.model
     if len(set(verdicts.values())) > 1:
         detail = ", ".join(
             f"{k}={_verdict_name(v)}" for k, v in sorted(verdicts.items())
@@ -115,9 +123,11 @@ def _cmd_check(args) -> int:
         print(f"error: routes disagree: {detail}", file=sys.stderr)
         return EXIT_INTERNAL
     unsat = next(iter(verdicts.values()))
-    if model is not None and not model.satisfies(f):
-        print("error: model failed verification", file=sys.stderr)
-        return EXIT_INTERNAL
+    for name, candidate in found.items():
+        if not candidate.satisfies(f):
+            print(f"error: {name} model failed verification", file=sys.stderr)
+            return EXIT_INTERNAL
+    model = found.get("dpll", found.get("cover"))
     if args.solver_codes:
         print(f"s {'UNSATISFIABLE' if unsat else 'SATISFIABLE'}")
         if model is not None:
@@ -150,16 +160,26 @@ def _cmd_check(args) -> int:
 
 def _cmd_models(args) -> int:
     f = _load_formula(args.file)
-    element = encode_formula(f, term_budget=_budget(args))
-    total = count_models(element)
-    enumerated = 0 < total <= args.max_enum
+    budget = _budget(args)
+    table = encode_table(f, term_budget=budget)
+    if table is None:
+        element = encode_formula(f, term_budget=budget)
+        total = count_models(element)
+    else:
+        total = int(np.count_nonzero(table))
     listing = None
-    if enumerated:
-        found = models(element)
-        if len(found) != total:
-            print("error: enumeration disagrees with the count", file=sys.stderr)
-            return EXIT_INTERNAL
-        listing = sorted(found, key=lambda a: a.primitive_index())
+    if 0 < total <= args.max_enum:
+        if table is None:
+            listing = sorted(models(element), key=lambda a: a.primitive_index())
+            if len(listing) != total:
+                print("error: enumeration disagrees with the count", file=sys.stderr)
+                return EXIT_INTERNAL
+        else:
+            # the table's flat index is the primitive index
+            listing = [
+                Assignment.from_primitive_index(i, f.n)
+                for i in np.flatnonzero(table).tolist()
+            ]
     if args.json:
         payload = {
             "n": f.n,

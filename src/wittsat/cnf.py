@@ -78,14 +78,6 @@ class Clause:
         return cls(tuple(out))
 
     @property
-    def width(self) -> int:
-        return len(self.literals)
-
-    @property
-    def variables(self) -> frozenset[int]:
-        return frozenset(l.var for l in self.literals)
-
-    @property
     def is_tautological(self) -> bool:
         pos = {l.var for l in self.literals if not l.negated}
         neg = {l.var for l in self.literals if l.negated}

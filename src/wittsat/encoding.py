@@ -5,11 +5,19 @@ assignment; a formula maps to the product over clauses of (identity minus
 that falsifier).  The product evaluates to 1 exactly on satisfying
 assignments, so the formula is unsatisfiable precisely when the product is
 the zero element.
+
+The product takes one of two forms, chosen by the input's size alone.
+While 2^n fits the cell budget it is its table of values on all 2^n
+assignments (:func:`encode_table`), which is zero when no cell is set.
+Past the budget it is a sparse sum of patterns, which the cofactor zero
+test decides.
 """
 
 from __future__ import annotations
 
 import warnings
+
+import numpy as np
 
 from .algebra import (
     D_PQ,
@@ -20,7 +28,6 @@ from .algebra import (
     _all_identity,
     _subcube,
     _table_terms,
-    _value_table,
     expand_primitive,
     identity_count,
     pattern_alive,
@@ -31,47 +38,6 @@ from .cnf import Assignment, Clause, CnfFormula, TautologyError
 
 DEFAULT_TERM_BUDGET = 1 << 20
 DEFAULT_CELL_BUDGET = 1 << 22
-
-# Cost model of the product in microseconds, measured on a 2-vCPU x86
-# machine (Python 3.11, numpy 2.4) at n=12-22; see _switch_to_table.
-_TERM_US = 0.6  # one sparse step, per pattern held
-_OP_US = 4.5  # one table operation: build a subcube index, slice the table
-_CELL_US = 0.0015  # one table cell read or written by such a slice
-
-
-def _switch_to_table(
-    terms: dict[int, int], n: int, left: int, cells_left: int
-) -> bool:
-    """Whether to finish the product in a value table, *left* clauses
-    before the end; *cells_left* is the number of cells those clauses zero
-    there.
-
-    Two triggers, either of which switches:
-
-    - Cost.  Continuing sparse costs one pass over the held patterns per
-      clause, priced as if the product kept its current size.  The table
-      costs two operations per held pattern (adding it reads and writes
-      its subcube), one per remaining clause (a slice-assign over
-      *cells_left* in all), and one pass over the 2^n cells to allocate and
-      read back the table.  The held patterns' cells are summed only when
-      the rest already favours the table.
-    - Size: more than 2^n / 16 patterns, the fixed rule the cost trigger
-      was added to.  The cost trigger cannot see a product that is still
-      growing.  With it kept, every product the fixed rule moved to the
-      table still reaches the zero test as one pattern per model.  And
-      since a factor at most doubles the product, while the pattern budget
-      is at least 2^n / 8 whenever the table fits the cell budget, a
-      product whose table fits never fails the pattern budget.
-    """
-    held = len(terms)
-    if 16 * held > 1 << n:
-        return True
-    sparse = _TERM_US * held * left
-    table = _OP_US * (2 * held + left) + _CELL_US * ((1 << n) + cells_left)
-    if sparse <= table:
-        return False
-    cells = sum(1 << identity_count(p, n) for p in terms)
-    return sparse > table + _CELL_US * 2 * cells
 
 
 class TermBudgetError(ResourceLimitError):
@@ -100,54 +66,75 @@ def encode_clause(clause: Clause, n: int) -> DiagonalElement:
     return DiagonalElement(n, {_clause_pattern(clause, n): 1})
 
 
-def encode_formula(
-    f: CnfFormula, *, term_budget: int | None = None, stats: dict | None = None
-) -> DiagonalElement:
-    """Product over clauses of (identity - falsifier).
-
-    The product starts sparse, merging like patterns after every factor.
-    After each factor, :func:`_switch_to_table` predicts whether the rest
-    of the product costs less in a table of its values on all 2^n
-    assignments; once it does, and 2^n fits the cell budget, the product
-    moves there, and each later clause zeroes its falsifier's subcube.  The
-    nonzero cells come back as full patterns, one per model.  Short
-    products over many variables stay sparse to the end.
-
-    The pattern budget (*term_budget*, default 2^20) caps the sparse
-    product; exceeding it raises :class:`TermBudgetError`.  The cell budget
-    is 2^22 when *term_budget* is None and *term_budget* otherwise.  When
-    *stats* is a dict, ``stats["switch_clause"]`` is set to the 0-based
-    index of the clause before which the product moved to the table (the
-    clause count when it moved after the last one), or None when it stayed
-    sparse.
-    """
-    budget = DEFAULT_TERM_BUDGET if term_budget is None else int(term_budget)
-    if budget < 1:
-        raise ValueError("term budget must be positive")
-    cell_budget = DEFAULT_CELL_BUDGET if term_budget is None else budget
-    n = f.n
-    stats = {} if stats is None else stats
-    stats["switch_clause"] = None
-    if f.has_empty_clause:
-        return DiagonalElement(n, {})
+def _live_patterns(f: CnfFormula) -> list[int]:
+    """The falsifier patterns of the clauses, dropping (with a warning) the
+    tautological ones, which have none."""
     live = []
-    for k, clause in enumerate(f.clauses):
+    for clause in f.clauses:
         if clause.is_tautological:
             warnings.warn(
                 f"dropping tautological clause {clause}", DroppedClauseWarning
             )
         else:
-            live.append((k, _clause_pattern(clause, n)))
-    # cells the clauses not yet multiplied would zero in a table
-    cells_left = sum(1 << identity_count(z, n) for _, z in live)
-    table_fits = 1 << n <= cell_budget
+            live.append(_clause_pattern(clause, f.n))
+    return live
+
+
+def encode_table(
+    f: CnfFormula, *, term_budget: int | None = None
+) -> np.ndarray | None:
+    """The product's values on all 2^n assignments, or None when 2^n
+    exceeds the cell budget or a table that size cannot be made.
+
+    The table is the product written in the primitive-idempotent basis,
+    with shape (2,)*n and the axes of :func:`algebra._subcube`.  It starts
+    as the identity (all ones, int8: every value is 0 or 1), and each
+    clause zeroes its falsifier's subcube with one slice-assign; an empty
+    clause zeroes everything.  The cell budget is 2^22 when *term_budget*
+    is None and *term_budget* otherwise.
+    """
+    cell_budget = DEFAULT_CELL_BUDGET if term_budget is None else int(term_budget)
+    if cell_budget < 1:
+        raise ValueError("term budget must be positive")
+    n = f.n
+    if 1 << n > cell_budget:
+        return None
+    try:
+        table = np.ones((2,) * n, dtype=np.int8)
+    except (ValueError, MemoryError):
+        return None  # past numpy's 64 axes, or past the memory
+    if f.has_empty_clause:
+        table[...] = 0
+        return table
+    for z in _live_patterns(f):
+        table[_subcube(z, n)] = 0
+    return table
+
+
+def encode_formula(
+    f: CnfFormula, *, term_budget: int | None = None, stats: dict | None = None
+) -> DiagonalElement:
+    """Product over clauses of (identity - falsifier).
+
+    When :func:`encode_table` fits the cell budget, the product is that
+    table, returned as its nonzero cells: one full pattern per model.
+    Otherwise the product is built sparse, merging like patterns after
+    every factor, under the pattern budget (*term_budget*, default 2^20);
+    exceeding it raises :class:`TermBudgetError`.  When *stats* is a dict,
+    ``stats["switch_clause"]`` is set to 0 for the table and to None for
+    the sparse product.
+    """
+    stats = {} if stats is None else stats
+    table = encode_table(f, term_budget=term_budget)
+    stats["switch_clause"] = None if table is None else 0
+    if table is not None:
+        return DiagonalElement(f.n, _table_terms(table))
+    n = f.n
+    budget = DEFAULT_TERM_BUDGET if term_budget is None else int(term_budget)
+    if f.has_empty_clause:
+        return DiagonalElement(n, {})
     terms: dict[int, int] = {_all_identity(n): 1}
-    table = None
-    for j, (k, z) in enumerate(live):
-        if table is not None:
-            table[_subcube(z, n)] = 0
-            continue
-        cells_left -= 1 << identity_count(z, n)
+    for z in _live_patterns(f):
         delta: dict[int, int] = {}
         for pat, c in terms.items():
             r = pat & z
@@ -160,16 +147,11 @@ def encode_formula(
                 terms[pat] = nc
             elif pat in terms:
                 del terms[pat]
-        if table_fits and _switch_to_table(
-            terms, n, len(live) - j - 1, cells_left
-        ):
-            table = _value_table(terms, n)
-            stats["switch_clause"] = k + 1
-        elif len(terms) > budget:
+        if len(terms) > budget:
             raise TermBudgetError(
                 f"{len(terms)} patterns exceed the budget of {budget}"
             )
-    return DiagonalElement(n, terms if table is None else _table_terms(table))
+    return DiagonalElement(n, terms)
 
 
 def is_unsatisfiable(f: CnfFormula, *, term_budget: int | None = None) -> bool:

@@ -185,6 +185,22 @@ def test_algebra_route_answers_two_wide_clauses(tmp_path, capsys):
     assert payload["stats"] == {"patterns": 3, "splits": 3000, "switch_clause": None}
 
 
+def _algebra_json(capsys, path, *extra):
+    code = main(["check", path, "--route", "algebra", "--json", *extra])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("n", [60, 70])
+def test_a_limit_past_what_a_table_can_hold_stays_sparse(tmp_path, capsys, n):
+    # 2^60 cells cannot be allocated and numpy arrays stop at 64 axes, so
+    # a --limit above 2^n leaves these products sparse instead of failing
+    path = tmp_path / "wide.cnf"
+    path.write_text(serialize_dimacs(two_wide_clauses(n)))
+    code, payload = _algebra_json(capsys, str(path), "--limit", str(1 << (n + 1)))
+    assert code == 0
+    assert payload["stats"] == {"patterns": 3, "splits": n, "switch_clause": None}
+
+
 def test_decision_budget_exit_code(tmp_path, capsys):
     path = tmp_path / "php7-6.cnf"
     path.write_text(serialize_dimacs(pigeonhole(6)))
@@ -195,12 +211,12 @@ def test_decision_budget_exit_code(tmp_path, capsys):
         capsys.readouterr()
 
 
-def _threshold_file(tmp_path, n, seed):
+def _random_file(tmp_path, n, ratio, seed):
     rng = np.random.default_rng(seed)
     f = CnfFormula.from_ints(
-        n, [_random_clause(rng, n, 3) for _ in range(round(4.26 * n))]
+        n, [_random_clause(rng, n, 3) for _ in range(round(ratio * n))]
     )
-    path = tmp_path / f"threshold-{n}-{seed}.cnf"
+    path = tmp_path / f"random-{n}-{ratio}-{seed}.cnf"
     path.write_text(serialize_dimacs(f))
     return f, str(path)
 
@@ -218,7 +234,7 @@ def _size_switch(f):
 
 @pytest.mark.parametrize("seed", range(12))  # seeds 8 and 9 are unsatisfiable
 def test_check_reports_an_early_cost_switch(tmp_path, capsys, seed):
-    f, path = _threshold_file(tmp_path, 13 + seed % 4, seed)
+    f, path = _random_file(tmp_path, 13 + seed % 4, 4.26, seed)
     expected = brute_force(f)
     code = main(["check", path, "--route", "algebra", "--json"])
     payload = json.loads(capsys.readouterr().out)
@@ -232,13 +248,81 @@ def test_check_reports_an_early_cost_switch(tmp_path, capsys, seed):
 
 @pytest.mark.parametrize("seed", [1, 2])  # unsatisfiable, satisfiable
 def test_algebra_route_answers_threshold_n22(tmp_path, capsys, seed):
-    f, path = _threshold_file(tmp_path, 22, seed)
+    f, path = _random_file(tmp_path, 22, 4.26, seed)
     expected = dpll(f).verdict
     code = main(["check", path, "--route", "algebra", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == expected
     assert code == (1 if expected == "UNSAT" else 0)
     assert payload["stats"]["switch_clause"] is not None
+
+
+@pytest.mark.parametrize("case", [*range(9), "php4-3"])
+def test_sparse_route_below_the_cell_budget(tmp_path, capsys, case):
+    # a --limit one cell short of 2^n keeps the product sparse, so the
+    # cofactor zero test still runs on formulas the table would take
+    if case == "php4-3":
+        f = pigeonhole(3)  # n=12, unsatisfiable
+        path = tmp_path / "php4-3.cnf"
+        path.write_text(serialize_dimacs(f))
+        path = str(path)
+    else:
+        n, ratio = 12 + case % 3, (1.0, 1.25, 1.5)[case // 3]
+        f, path = _random_file(tmp_path, n, ratio, case)
+    expected = brute_force(f)
+    code = 1 if expected.verdict == "UNSAT" else 0
+    sparse_code, sparse = _algebra_json(capsys, path, "--limit", str((1 << f.n) - 1))
+    table_code, table = _algebra_json(capsys, path)
+    assert sparse_code == table_code == code
+    assert sparse["status"] == table["status"] == expected.verdict
+    assert sparse["stats"]["switch_clause"] is None
+    assert table["stats"] == {
+        "patterns": len(expected.models), "splits": 0, "switch_clause": 0
+    }
+
+
+@pytest.mark.parametrize(
+    "n, ratio, seed",
+    [(18, 2.0, 1), (19, 3.0, 2), (20, 2.0, 1), (21, 2.5, 3), (22, 2.5, 3),
+     (22, 3.0, 3)],
+)
+def test_algebra_route_answers_mid_ratio_formulas(tmp_path, capsys, n, ratio, seed):
+    f, path = _random_file(tmp_path, n, ratio, 1000 * n + seed)
+    expected = dpll(f).verdict
+    code, payload = _algebra_json(capsys, path)
+    assert payload["status"] == expected
+    assert code == (1 if expected == "UNSAT" else 0)
+
+
+def test_models_counts_a_ratio_one_formula_at_n20(tmp_path, capsys):
+    f, path = _random_file(tmp_path, 20, 1.0, 20000)
+    assert main(["models", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == len(brute_force(f).models) > 1024
+    assert payload["models"] is None
+
+
+def test_models_lists_from_the_table_and_from_the_sparse_form(tmp_path, capsys):
+    f, path = _random_file(tmp_path, 12, 3.0, 12)
+    expected = [list(a.to_ints()) for a in brute_force(f).models]
+    listings = []
+    for extra in ([], ["--limit", str((1 << 12) - 1)]):
+        assert main(["models", path, "--json", *extra]) == 0
+        listings.append(json.loads(capsys.readouterr().out)["models"])
+    assert 0 < len(expected) <= 1024
+    assert listings[0] == listings[1]
+    assert sorted(listings[0]) == sorted(expected)
+
+
+def test_check_verifies_every_route_model(sat_file, monkeypatch, capsys):
+    # under --route all DPLL's model is the one printed, but the cover
+    # witness is checked on its own
+    def wrong_witness(f, **kwargs):
+        return False, Assignment((True, True))
+
+    monkeypatch.setattr("wittsat.cli.cover_verdict", wrong_witness)
+    assert main(["check", sat_file, "--route", "all"]) == 4
+    assert "cover model failed verification" in capsys.readouterr().err
 
 
 def test_cover_honours_the_budget(tmp_path, monkeypatch, capsys):

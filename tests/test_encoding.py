@@ -20,6 +20,7 @@ from wittsat.algebra import (
     eval_at,
     expand_primitive,
     identity_count,
+    identity_element,
     zero_test_splits,
 )
 from wittsat.cnf import Assignment, Clause, CnfFormula, TautologyError
@@ -117,7 +118,7 @@ def test_threshold_3sat_at_n15_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     f = CnfFormula.from_ints(15, [_random_clause(rng, 15, 3) for _ in range(64)])
     expected = set(brute_force(f).models)
-    e = encode_formula(f)  # past the switch: one full pattern per model
+    e = encode_formula(f)  # the table: one full pattern per model
     assert e.term_count == len(expected)
     assert all(identity_count(p, f.n) == 0 for p in e.terms)
     assert is_unsatisfiable(f) == (not expected)
@@ -125,7 +126,7 @@ def test_threshold_3sat_at_n15_matches_brute_force(seed):
 
 
 def test_switched_product_is_zeroed_by_later_clauses():
-    # three clauses leave 8 patterns, past 2^6 / 16, so the table takes over
+    # the table holds the product; the unit clauses zero all its cells
     prefix = [(1, 2), (3, 4), (5, 6)]
     assert encode_formula(CnfFormula.from_ints(6, prefix)).term_count == 27
     f = CnfFormula.from_ints(6, prefix + [(-1,), (-2,)])
@@ -135,14 +136,18 @@ def test_switched_product_is_zeroed_by_later_clauses():
 
 
 def test_switch_clause_indexes_the_formula():
+    # 0: the table holds the product from before the first clause on;
+    # None: 2^n is past the cell budget, so the product stays sparse
     stats = {}
     pairs = [(1, 2), (3, 4), (5, 6)]
     encode_formula(CnfFormula.from_ints(6, pairs + [(-1,)]), stats=stats)
-    assert stats == {"switch_clause": 3}
+    assert stats == {"switch_clause": 0}
+    tautology = CnfFormula.from_ints(6, [(1, -1)] + pairs)
     with pytest.warns(DroppedClauseWarning):
-        encode_formula(CnfFormula.from_ints(6, [(1, -1)] + pairs), stats=stats)
-    assert stats == {"switch_clause": 4}  # moved after the last clause
-    encode_formula(CnfFormula.from_ints(6, pairs[:2]), stats=stats)
+        encode_formula(tautology, stats=stats)
+    assert stats == {"switch_clause": 0}
+    with pytest.warns(DroppedClauseWarning):
+        encode_formula(tautology, term_budget=(1 << 6) - 1, stats=stats)
     assert stats == {"switch_clause": None}
 
 
@@ -154,6 +159,15 @@ def test_zero_test_depth_does_not_grow_with_n():
     assert zero_test_splits(e) == (False, 3000)
 
 
+def _clause_product(f):
+    """The formula's product built factor by factor with ``*``, apart from
+    the encoder, so the corpus pins the zero test alone."""
+    product = identity_element(f.n)
+    for clause in f.clauses:
+        product = product * (identity_element(f.n) - encode_clause(clause, f.n))
+    return product
+
+
 def _split_corpus():
     """Seeded formulas and elements, each with its truth-table verdict."""
     cases = []
@@ -163,9 +177,9 @@ def _split_corpus():
         f = CnfFormula.from_ints(
             n, [_random_clause(rng, n, 3) for _ in range(round(ratio * n))]
         )
-        cases.append((encode_formula(f), brute_force(f).verdict == "UNSAT"))
+        cases.append((_clause_product(f), brute_force(f).verdict == "UNSAT"))
     php = pigeonhole(3)
-    cases.append((encode_formula(php), brute_force(php).verdict == "UNSAT"))
+    cases.append((_clause_product(php), brute_force(php).verdict == "UNSAT"))
     rnd = random.Random(6)
     for k in range(50):
         n = rnd.randint(1, 6)
@@ -186,10 +200,10 @@ def _split_corpus():
 # (verdict, splits) per corpus entry, as the zero test's split rule gives
 # them: fewest identity fields, lowest position on ties, q_ip_i side first.
 PINNED_SPLITS = [
-    (False, 8), (False, 12), (False, 0), (False, 15), (False, 12), (False, 0),
-    (False, 10), (False, 12), (False, 31), (False, 9), (False, 0), (False, 0),
+    (False, 8), (False, 12), (False, 13), (False, 15), (False, 12), (False, 12),
+    (False, 10), (False, 12), (False, 31), (False, 9), (False, 11), (False, 15),
     (False, 9), (False, 9), (False, 16), (False, 9), (False, 9), (False, 10),
-    (False, 13), (False, 11), (True, 0), (True, 7), (False, 2), (False, 0),
+    (False, 13), (False, 11), (True, 51), (True, 7), (False, 2), (False, 0),
     (True, 3), (False, 2), (False, 1), (True, 1), (False, 0), (False, 3),
     (True, 9), (False, 2), (False, 1), (True, 14), (False, 0), (False, 1),
     (True, 13), (False, 1), (False, 1), (True, 43), (False, 2), (False, 3),

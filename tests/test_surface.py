@@ -9,6 +9,7 @@ import ast
 from pathlib import Path
 
 import wittsat
+import wittsat.cli
 
 PACKAGE = Path(wittsat.__file__).parent
 
@@ -71,3 +72,20 @@ def test_every_public_name_has_a_use_in_the_package():
 def test_exemptions_are_still_defined_and_unused():
     # an exemption that gained a caller, or lost its definition, is stale
     assert set(EXEMPT) <= unreferenced_public_names(PACKAGE)
+
+
+# The layer functions the benchmark's tracer (wittbench/worker.py) wraps
+# by name on wittsat.cli; a traced run stops at the first one missing.
+TRACED_CLI_NAMES = (
+    "parse_dimacs", "encode_formula", "zero_test_splits", "count_models",
+    "models", "cover_verdict", "dpll", "orthogonal_cover_report",
+    "matrices_from_text", "witt_rebase", "rebase_residuals",
+)
+
+
+def test_cli_exposes_the_traced_layer_functions():
+    missing = [
+        name for name in TRACED_CLI_NAMES
+        if not callable(getattr(wittsat.cli, name, None))
+    ]
+    assert not missing, f"wittsat.cli lacks {missing}"
