@@ -19,7 +19,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,12 +43,12 @@ _TERM_CODE = {text: code for code, text in _TERM_TEXT.items()}
 _DIAG_TEXT = {D_QP: "qp", D_PQ: "pq", D_ID: "1"}
 _DIAG_CODE = {text: code for code, text in _DIAG_TEXT.items()}
 
-# Default cap on n for anything that walks all 2^n primitive patterns.
+# Cap on n for omega_element, which holds one pattern per assignment.
 EXPAND_LIMIT = 24
 
 
 class ExpansionLimitError(ResourceLimitError):
-    """Primitive expansion would enumerate more positions than allowed."""
+    """The volume element would span more positions than allowed."""
 
 
 def _check_n(n) -> None:
@@ -154,11 +154,6 @@ class EFBTerm:
         """Count of odd-grade symbols strictly left of 1-based position *i*."""
         prefix = self.bits & ((1 << (2 * (i - 1))) - 1)
         return ((prefix >> 1) & _low_field_bits(self.n)).bit_count()
-
-    @property
-    def parity(self) -> int:
-        """0 for even terms, 1 for odd ones."""
-        return self.odd_before(self.n + 1) & 1
 
     def __str__(self) -> str:
         return f"{self.coeff} * " + " ".join(self.symbols())
@@ -399,89 +394,44 @@ def assignment_element(assignment) -> DiagonalElement:
     return DiagonalElement(len(values), {_sigma_pattern(values): 1})
 
 
-# Table index of each field code: dead (never looked up), q_ip_i, p_iq_i,
-# identity.
-_AXIS_INDEX = (None, 0, 1, slice(None))
+def cofactor_leaves(
+    a: DiagonalElement, stats: dict | None = None
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """The nonzero leaves of the cofactor walk over *a*.
 
+    The walk splits on one position at a time over an explicit stack of
+    (terms, split position, kept field, path) frames, so its depth does not
+    depend on n; each cofactor is built when its frame is popped, and the
+    q_ip_i side is walked before the p_iq_i side.  Patterns stay n fields
+    wide throughout: a cofactor sets its split field to identity, so a
+    split position is identity in every term and is never chosen again.
 
-def _subcube(pattern: int, n: int) -> tuple:
-    """Index of a pattern's assignments in a value table of shape (2,)*n.
-
-    Axis i is variable i+1, with index 0 for true (q_ip_i) and 1 for false
-    (p_iq_i); an identity position spans its whole axis.
-    """
-    return tuple([_AXIS_INDEX[(pattern >> (2 * i)) & 0b11] for i in range(n)])
-
-
-def _value_table(terms: Mapping[int, int], n: int) -> np.ndarray:
-    """The value on every assignment: each pattern adds over its subcube.
-
-    No cell can exceed the sum of |coefficients|, so int64 holds the cells
-    exactly when that sum fits, and Python integers (dtype object) otherwise.
-    """
-    exact = sum(abs(c) for c in terms.values()) < 1 << 63
-    table = np.zeros((2,) * n, dtype=np.int64 if exact else object)
-    for pat, c in terms.items():
-        table[_subcube(pat, n)] += c
-    return table
-
-
-def _table_terms(table: np.ndarray) -> dict[int, int]:
-    """The nonzero cells of a value table as full patterns."""
-    n = table.ndim
-    nz = np.flatnonzero(table)
-    packed = np.zeros_like(nz)
-    for i in range(n):
-        # C order: variable 1 is the most significant bit of the flat index
-        packed |= (((nz >> (n - 1 - i)) & 1) + 1) << (2 * i)
-    return dict(zip(packed.tolist(), table.reshape(-1)[nz].tolist()))
-
-
-def expand_primitive(a: DiagonalElement, limit: int = EXPAND_LIMIT) -> DiagonalElement:
-    """Canonical form over full patterns (no identity factors anywhere).
-
-    Idempotent under repetition and evaluation-preserving; guarded because
-    the result can hold up to 2^n patterns.
-    """
-    if a.n > limit:
-        raise ExpansionLimitError(
-            f"expansion over n={a.n} positions exceeds limit {limit}"
-        )
-    return DiagonalElement(a.n, _table_terms(_value_table(a.terms, a.n)))
-
-
-def zero_test_splits(a: DiagonalElement) -> tuple[bool, int]:
-    """Semantic zero test; also reports how many cofactor splits were taken.
-
-    The element is zero exactly when both cofactors on some position are
-    zero.  The search runs on an explicit stack of (terms, split position,
-    kept field) frames, so its depth does not depend on n; each cofactor is
-    built when its frame is popped, and the q_ip_i side is searched before
-    the p_iq_i side.  Patterns stay n fields wide throughout: a cofactor
-    sets its split field to identity, so a split position is identity in
-    every term and is never chosen again.
+    A leaf is a cofactor whose coefficients all have one sign (a single
+    pattern is one), so it cannot cancel to zero; zero cofactors are
+    dropped.  Each leaf is yielded as (path, terms): *path* is the
+    all-identity pattern with the fields kept along the way, so a leaf
+    pattern ``pat`` stands for the assignments of ``pat & path``.  Leaves
+    cover disjoint sets of assignments.  When *stats* is a dict,
+    ``stats["splits"]`` counts the splits taken so far.
     """
     n = a.n
     low = _low_field_bits(n)
     width = (n + 3) // 4  # bytes per identity mask, four fields to a byte
-    splits = 0
-    stack: list[tuple[dict[int, int], int, int]] = [(a.terms, -1, D_ID)]
+    stats = {} if stats is None else stats
+    stats["splits"] = 0
+    stack: list[tuple[dict[int, int], int, int, int]] = [
+        (a.terms, -1, D_ID, _all_identity(n))
+    ]
     while stack:
-        terms, pos, keep = stack.pop()
+        terms, pos, keep, path = stack.pop()
         if pos >= 0:
             terms = _cofactor(terms, pos, keep)
+            path ^= (D_ID ^ keep) << (2 * pos)
         if not terms:
             continue
-        if len(terms) == 1:
-            return False, splits  # a single pattern matches some assignment
-        has_pos = has_neg = False
-        for c in terms.values():
-            if c > 0:
-                has_pos = True
-            else:
-                has_neg = True
-        if not (has_pos and has_neg):
-            return False, splits  # coefficients of one sign cannot cancel
+        if len({c > 0 for c in terms.values()}) == 1:
+            yield path, terms
+            continue
         # Split on the most constrained position: fewest identity fields,
         # lowest index on ties, never one that is identity in every term.
         masks = b"".join(
@@ -494,10 +444,20 @@ def zero_test_splits(a: DiagonalElement) -> tuple[bool, int]:
         counts = counts.reshape(-1)[:n]
         counts[counts == len(terms)] = len(terms) + 1
         best = int(np.argmin(counts))
-        splits += 1
-        stack.append((terms, best, D_PQ))
-        stack.append((terms, best, D_QP))
-    return True, splits
+        stats["splits"] += 1
+        stack.append((terms, best, D_PQ, path))
+        stack.append((terms, best, D_QP, path))
+
+
+def zero_test_splits(a: DiagonalElement) -> tuple[bool, int]:
+    """Semantic zero test; also reports how many cofactor splits were taken.
+
+    The element is zero exactly when the cofactor walk has no nonzero leaf,
+    so the test stops at the first leaf.
+    """
+    stats: dict[str, int] = {}
+    zero = next(cofactor_leaves(a, stats), None) is None
+    return zero, stats["splits"]
 
 
 def _cofactor(terms: Mapping[int, int], pos: int, keep: int) -> dict[int, int]:

@@ -84,19 +84,18 @@ def _cmd_check(args) -> int:
     budget = _budget(args)
     verdicts: dict[str, bool] = {}
     timings: dict[str, float] = {}
-    stats: dict[str, int | None] = {}
+    stats: dict[str, int] = {}
     found: dict[str, Assignment] = {}
     if route in ("algebra", "all"):
         start = time.perf_counter()
         table = encode_table(f, term_budget=budget)
         if table is None:
-            element = encode_formula(f, term_budget=budget, stats=stats)
+            element = encode_formula(f, term_budget=budget)
             zero, splits = zero_test_splits(element)
             stats["patterns"] = element.term_count
         else:
             zero, splits = not table.any(), 0
             stats["patterns"] = int(np.count_nonzero(table))
-            stats["switch_clause"] = 0
         timings["algebra"] = (time.perf_counter() - start) * 1000.0
         verdicts["algebra"] = zero
         stats["splits"] = splits

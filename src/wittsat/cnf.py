@@ -117,13 +117,6 @@ class Assignment:
         """Bit i-1 of the mask is the value of variable i."""
         return cls(tuple(bool((mask >> i) & 1) for i in range(n)))
 
-    def to_mask(self) -> int:
-        m = 0
-        for i, v in enumerate(self.values):
-            if v:
-                m |= 1 << i
-        return m
-
     def primitive_index(self) -> int:
         """Diagonal slot of this assignment's primitive idempotent.
 

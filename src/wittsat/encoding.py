@@ -15,20 +15,19 @@ test decides.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
 
 from .algebra import (
+    D_ID,
     D_PQ,
     D_QP,
     DiagonalElement,
-    EXPAND_LIMIT,
     ResourceLimitError,
     _all_identity,
-    _subcube,
-    _table_terms,
-    expand_primitive,
+    cofactor_leaves,
     identity_count,
     pattern_alive,
     pattern_bits,
@@ -80,6 +79,31 @@ def _live_patterns(f: CnfFormula) -> list[int]:
     return live
 
 
+# Table index of each field code: dead (never looked up), q_ip_i, p_iq_i,
+# identity.
+_AXIS_INDEX = (None, 0, 1, slice(None))
+
+
+def _subcube(pattern: int, n: int) -> tuple:
+    """Index of a pattern's assignments in a value table of shape (2,)*n.
+
+    Axis i is variable i+1, with index 0 for true (q_ip_i) and 1 for false
+    (p_iq_i); an identity position spans its whole axis.
+    """
+    return tuple([_AXIS_INDEX[(pattern >> (2 * i)) & 0b11] for i in range(n)])
+
+
+def _table_terms(table: np.ndarray) -> dict[int, int]:
+    """The nonzero cells of a value table as full patterns."""
+    n = table.ndim
+    nz = np.flatnonzero(table)
+    packed = np.zeros_like(nz)
+    for i in range(n):
+        # C order: variable 1 is the most significant bit of the flat index
+        packed |= (((nz >> (n - 1 - i)) & 1) + 1) << (2 * i)
+    return dict(zip(packed.tolist(), table.reshape(-1)[nz].tolist()))
+
+
 def encode_table(
     f: CnfFormula, *, term_budget: int | None = None
 ) -> np.ndarray | None:
@@ -87,7 +111,7 @@ def encode_table(
     exceeds the cell budget or a table that size cannot be made.
 
     The table is the product written in the primitive-idempotent basis,
-    with shape (2,)*n and the axes of :func:`algebra._subcube`.  It starts
+    with shape (2,)*n and the axes of :func:`_subcube`.  It starts
     as the identity (all ones, int8: every value is 0 or 1), and each
     clause zeroes its falsifier's subcube with one slice-assign; an empty
     clause zeroes everything.  The cell budget is 2^22 when *term_budget*
@@ -112,7 +136,7 @@ def encode_table(
 
 
 def encode_formula(
-    f: CnfFormula, *, term_budget: int | None = None, stats: dict | None = None
+    f: CnfFormula, *, term_budget: int | None = None
 ) -> DiagonalElement:
     """Product over clauses of (identity - falsifier).
 
@@ -120,13 +144,9 @@ def encode_formula(
     table, returned as its nonzero cells: one full pattern per model.
     Otherwise the product is built sparse, merging like patterns after
     every factor, under the pattern budget (*term_budget*, default 2^20);
-    exceeding it raises :class:`TermBudgetError`.  When *stats* is a dict,
-    ``stats["switch_clause"]`` is set to 0 for the table and to None for
-    the sparse product.
+    exceeding it raises :class:`TermBudgetError`.
     """
-    stats = {} if stats is None else stats
     table = encode_table(f, term_budget=term_budget)
-    stats["switch_clause"] = None if table is None else 0
     if table is not None:
         return DiagonalElement(f.n, _table_terms(table))
     n = f.n
@@ -159,24 +179,30 @@ def is_unsatisfiable(f: CnfFormula, *, term_budget: int | None = None) -> bool:
     return encode_formula(f, term_budget=term_budget).is_zero()
 
 
-def models(
-    element: DiagonalElement, *, expand_limit: int = EXPAND_LIMIT
-) -> set[Assignment]:
+# The truth values an assignment may take at each field code.
+_FIELD_VALUES = {D_QP: (True,), D_PQ: (False,), D_ID: (True, False)}
+
+
+def models(element: DiagonalElement) -> set[Assignment]:
     """The satisfying assignments of an encoded formula, read off the
-    primitive expansion."""
-    expanded = expand_primitive(element, limit=expand_limit)
+    leaves of the cofactor walk.
+
+    A leaf pattern, with the fields fixed along its path, matches every
+    assignment of its subcube.  The product is 0/1-valued, so every leaf
+    coefficient is 1; any other value raises RuntimeError.
+    """
+    n = element.n
     out: set[Assignment] = set()
-    for pat, c in expanded.terms.items():
-        if c != 1:
-            raise RuntimeError(
-                f"encoded product is not 0/1-valued (coefficient {c}); "
-                "this indicates a defect in the term engine"
-            )
-        out.add(
-            Assignment(
-                tuple(pattern_field(pat, i) == D_QP for i in range(element.n))
-            )
-        )
+    for path, terms in cofactor_leaves(element):
+        for pat, c in terms.items():
+            if c != 1:
+                raise RuntimeError(
+                    f"encoded product is not 0/1-valued (coefficient {c}); "
+                    "this indicates a defect in the term engine"
+                )
+            fixed = pat & path
+            choices = [_FIELD_VALUES[pattern_field(fixed, i)] for i in range(n)]
+            out.update(Assignment(v) for v in itertools.product(*choices))
     return out
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .algebra import (
     EFBTerm,
@@ -77,18 +76,6 @@ class TernaryPattern:
     def n(self) -> int:
         return len(self.slots)
 
-    @property
-    def fixed_count(self) -> int:
-        return sum(1 for s in self.slots if s != FREE)
-
-    def members(self) -> Iterator[SignVector]:
-        free = [i for i, s in enumerate(self.slots) if s == FREE]
-        base = list(self.slots)
-        for combo in itertools.product((1, -1), repeat=len(free)):
-            for pos, val in zip(free, combo):
-                base[pos] = val
-            yield SignVector(tuple(base))
-
     def to_text(self) -> str:
         return "".join("+" if s == 1 else "-" if s == -1 else "*" for s in self.slots)
 
@@ -114,10 +101,6 @@ class TotallyNullPlane:
                 "generators clash: two vectors at one position cannot both "
                 "lie in a totally null plane"
             )
-
-    @property
-    def dimension(self) -> int:
-        return len(self.generators)
 
     @property
     def generator_set(self) -> frozenset[tuple[int, str]]:
@@ -213,24 +196,6 @@ def induced_pattern(clause: Clause, n: int) -> TernaryPattern:
     for pos, sign in clause_slots(clause, n).items():
         slots[pos] = sign
     return TernaryPattern(tuple(slots))
-
-
-def witness_uncovered(
-    patterns: Sequence[TernaryPattern], n: int
-) -> SignVector | None:
-    """A sign vector matched by no pattern, or None when covered.
-
-    An iterative search with unit propagation over the patterns' fixed
-    slots (see :func:`_first_uncovered`); free positions of the witness
-    are +1.
-    """
-    fixed: list[dict[int, int]] = []
-    for p in patterns:
-        if p.n != n:
-            raise ValueError("pattern width mismatch")
-        fixed.append({i: s for i, s in enumerate(p.slots) if s != FREE})
-    found = _first_uncovered(fixed, n)
-    return None if found is None else SignVector(found)
 
 
 def _first_uncovered(
@@ -337,11 +302,6 @@ def _first_uncovered(
         mark, pos = branches.pop()
         undo(mark)
         queue = [(pos, -1)]
-
-
-def covers(patterns: Sequence[TernaryPattern], n: int) -> bool:
-    """True when the patterns jointly match every sign vector."""
-    return witness_uncovered(patterns, n) is None
 
 
 def formula_patterns(f: CnfFormula) -> list[TernaryPattern]:

@@ -71,16 +71,9 @@ class OrthogonalMatrix:
         return cls(a.shape[0], a, tol)
 
     @classmethod
-    def identity(cls, n: int) -> "OrthogonalMatrix":
-        return cls(n, np.eye(n))
-
-    @classmethod
     def diagonal(cls, signs) -> "OrthogonalMatrix":
         signs = np.asarray(signs, dtype=float)
         return cls(len(signs), np.diag(signs))
-
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries))
 
 
 @dataclass(frozen=True, eq=False)

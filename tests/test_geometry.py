@@ -22,14 +22,12 @@ from wittsat.geometry import (
     check_intersection,
     compatible,
     cover_verdict,
-    covers,
     formula_patterns,
     induced_pattern,
     mtnp_of_assignment,
     plane_of_sign_vector,
     psi_z_expansion,
     tnp_of_clause,
-    witness_uncovered,
 )
 from wittsat.oracle import brute_force
 
@@ -44,13 +42,17 @@ def test_sign_vector_text_round_trip():
         SignVector((1, 0))
 
 
+def _sign_vectors(n):
+    return [SignVector(eps) for eps in itertools.product((1, -1), repeat=n)]
+
+
 def test_pattern_matching_and_members():
     p = TernaryPattern.from_text("+*-")
-    assert p.fixed_count == 2
     assert SignVector.from_text("++-").matches(p)
     assert SignVector.from_text("+--").matches(p)
     assert not SignVector.from_text("-+-").matches(p)
-    assert {s.to_text() for s in p.members()} == {"++-", "+--"}
+    members = {s.to_text() for s in _sign_vectors(3) if s.matches(p)}
+    assert members == {"++-", "+--"}
 
 
 def test_plane_rejects_clashing_generators():
@@ -61,7 +63,7 @@ def test_plane_rejects_clashing_generators():
 def test_null_span_criterion():
     # {p_i, q_i} = 1, so a plane cannot hold both; split positions are fine
     plane = TotallyNullPlane((WittVector(1, "p"), WittVector(2, "q")))
-    assert plane.dimension == 2
+    assert len(plane.generators) == 2
     vectors = [WittVector(i, k) for i in (1, 2, 3) for k in "pq"]
     for u, v in itertools.combinations(vectors, 2):
         if u.index == v.index:
@@ -96,7 +98,6 @@ def test_spinor_route_matches_sign_vector_route():
 def test_clause_plane_generators():
     plane = tnp_of_clause(Clause.from_ints((3, -1)), 4)
     assert plane.generators == (WittVector(1, "q"), WittVector(3, "p"))
-    assert plane.dimension == 2
     with pytest.raises(TautologyError):
         tnp_of_clause(Clause.from_ints((1, -1)), 2)
 
@@ -122,7 +123,9 @@ def test_pattern_members_are_exactly_the_falsifying_assignments():
             c = Clause.from_ints(ints)
             p = induced_pattern(c, n)
             matched = {
-                assignment_of_sign_vector(s) for s in p.members()
+                assignment_of_sign_vector(s)
+                for s in _sign_vectors(n)
+                if s.matches(p)
             }
             falsified = {
                 a
@@ -133,15 +136,16 @@ def test_pattern_members_are_exactly_the_falsifying_assignments():
 
 
 def test_full_width_universe_covers_and_loses_cover_without_one():
-    all_four = [TernaryPattern.from_text(t) for t in ("++", "+-", "-+", "--")]
-    assert covers(all_four, 2)
-    w = witness_uncovered(all_four[:3], 2)
-    assert w is not None and w.to_text() == "--"
+    # the clauses of the patterns ++, +-, -+ and --
+    all_four = [(1, 2), (1, -2), (-1, 2), (-1, -2)]
+    assert cover_verdict(CnfFormula.from_ints(2, all_four)) == (True, None)
+    covered, w = cover_verdict(CnfFormula.from_ints(2, all_four[:3]))
+    assert not covered and mtnp_of_assignment(w).to_text() == "--"
 
 
 def test_witness_prefers_plus_on_free_positions():
-    w = witness_uncovered([TernaryPattern.from_text("-**")], 3)
-    assert w.to_text() == "+++"
+    covered, w = cover_verdict(CnfFormula.from_ints(3, [(-1,)]))  # -**
+    assert mtnp_of_assignment(w).to_text() == "+++"
 
 
 def test_formula_patterns_skip_tautologies_and_honor_empty_clause():

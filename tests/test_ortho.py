@@ -45,7 +45,8 @@ def test_orthogonal_matrix_validation():
         OrthogonalMatrix(2, [[1, 1], [0, 1]])
     with pytest.raises(ValueError):
         OrthogonalMatrix(2, [[1, 0, 0], [0, 1, 0]])
-    assert OrthogonalMatrix.diagonal([1, -1]).det() == pytest.approx(-1.0)
+    flip = OrthogonalMatrix.diagonal([1, -1])
+    assert flip.n == 2 and np.array_equal(flip.entries, np.diag([1.0, -1.0]))
 
 
 def test_neutral_form_signs():
@@ -122,7 +123,7 @@ def test_eigenvalue_one_multiplicity_known_cases():
 
 def test_rebase_of_opposite_reference_planes_is_the_split_basis():
     basis = witt_rebase(
-        OrthogonalMatrix.identity(2), OrthogonalMatrix(2, -np.eye(2))
+        OrthogonalMatrix(2, np.eye(2)), OrthogonalMatrix(2, -np.eye(2))
     )
     assert np.allclose(basis.p_vectors, np.array([[1, 0, 1, 0], [0, 1, 0, 1]]))
     assert np.allclose(
@@ -202,7 +203,7 @@ def test_cover_report_zero_samples_edge():
 
 
 def test_strict_membership_error_cases():
-    t = OrthogonalMatrix.identity(2)
+    t = OrthogonalMatrix(2, np.eye(2))
     with pytest.raises(TautologyError):
         strict_membership(t, Clause.from_ints((1, -1)))
     with pytest.raises(ValueError):
@@ -243,7 +244,7 @@ def _reference_report(f: CnfFormula, samples: int, seed: int) -> dict:
     )
     rng = np.random.default_rng(seed)
     strict = rebased = p_side = 0
-    references = (OrthogonalMatrix.identity(n), OrthogonalMatrix(n, -np.eye(n)))
+    references = (OrthogonalMatrix(n, np.eye(n)), OrthogonalMatrix(n, -np.eye(n)))
     for _ in range(samples):
         q, r = np.linalg.qr(rng.standard_normal((n, n)))
         d = np.sign(np.diag(r))
