@@ -21,7 +21,13 @@ import numpy as np
 from . import __version__
 from .algebra import ResourceLimitError, zero_test_splits
 from .cnf import Assignment, CnfFormula, DimacsError, TautologyError, parse_dimacs
-from .encoding import count_models, encode_formula, encode_table, models
+from .encoding import (
+    count_models,
+    encode_formula,
+    encode_table,
+    models,
+    table_cells,
+)
 from .geometry import (
     cover_verdict,
     formula_patterns,
@@ -95,7 +101,7 @@ def _cmd_check(args) -> int:
             stats["patterns"] = element.term_count
         else:
             zero, splits = not table.any(), 0
-            stats["patterns"] = int(np.count_nonzero(table))
+            stats["patterns"] = int(np.bitwise_count(table).sum())
         timings["algebra"] = (time.perf_counter() - start) * 1000.0
         verdicts["algebra"] = zero
         stats["splits"] = splits
@@ -165,7 +171,7 @@ def _cmd_models(args) -> int:
         element = encode_formula(f, term_budget=budget)
         total = count_models(element)
     else:
-        total = int(np.count_nonzero(table))
+        total = int(np.bitwise_count(table).sum())
     listing = None
     if 0 < total <= args.max_enum:
         if table is None:
@@ -174,10 +180,9 @@ def _cmd_models(args) -> int:
                 print("error: enumeration disagrees with the count", file=sys.stderr)
                 return EXIT_INTERNAL
         else:
-            # the table's flat index is the primitive index
             listing = [
                 Assignment.from_primitive_index(i, f.n)
-                for i in np.flatnonzero(table).tolist()
+                for i in table_cells(table, f.n).tolist()
             ]
     if args.json:
         payload = {

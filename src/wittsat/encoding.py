@@ -8,9 +8,9 @@ the zero element.
 
 The product takes one of two forms, chosen by the input's size alone.
 While 2^n fits the cell budget it is its table of values on all 2^n
-assignments (:func:`encode_table`), which is zero when no cell is set.
-Past the budget it is a sparse sum of patterns, which the cofactor zero
-test decides.
+assignments (:func:`encode_table`), one bit per assignment, which is zero
+when no bit is set.  Past the budget it is a sparse sum of patterns, which
+the cofactor zero test decides.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def encode_clause(clause: Clause, n: int) -> DiagonalElement:
     return DiagonalElement(n, {_clause_pattern(clause, n): 1})
 
 
-def _live_patterns(f: CnfFormula) -> list[int]:
-    """The falsifier patterns of the clauses, dropping (with a warning) the
+def _live_clauses(f: CnfFormula) -> list[Clause]:
+    """The clauses that have a falsifier, dropping (with a warning) the
     tautological ones, which have none."""
     live = []
     for clause in f.clauses:
@@ -75,47 +75,40 @@ def _live_patterns(f: CnfFormula) -> list[int]:
                 f"dropping tautological clause {clause}", DroppedClauseWarning
             )
         else:
-            live.append(_clause_pattern(clause, f.n))
+            live.append(clause)
     return live
 
 
-# Table index of each field code: dead (never looked up), q_ip_i, p_iq_i,
-# identity.
-_AXIS_INDEX = (None, 0, 1, slice(None))
-
-
-def _subcube(pattern: int, n: int) -> tuple:
-    """Index of a pattern's assignments in a value table of shape (2,)*n.
-
-    Axis i is variable i+1, with index 0 for true (q_ip_i) and 1 for false
-    (p_iq_i); an identity position spans its whole axis.
-    """
-    return tuple([_AXIS_INDEX[(pattern >> (2 * i)) & 0b11] for i in range(n)])
-
-
-def _table_terms(table: np.ndarray) -> dict[int, int]:
-    """The nonzero cells of a value table as full patterns."""
-    n = table.ndim
-    nz = np.flatnonzero(table)
-    packed = np.zeros_like(nz)
-    for i in range(n):
-        # C order: variable 1 is the most significant bit of the flat index
-        packed |= (((nz >> (n - 1 - i)) & 1) + 1) << (2 * i)
-    return dict(zip(packed.tolist(), table.reshape(-1)[nz].tolist()))
+# A value table keeps the cells of its last _LANES variables in the bits of
+# one uint64 word.  _LANE_FALSIFIERS[s][negated] is the set of bits where a
+# literal on the variable at lane bit s fails: a positive literal where that
+# bit is 1 (false), a negated one where it is 0 (true).
+_LANES = 6
+_WORD = (1 << 64) - 1
+_LANE_FALSIFIERS = tuple(
+    (ones, _WORD ^ ones)
+    for ones in (sum(1 << b for b in range(64) if b >> s & 1) for s in range(_LANES))
+)
 
 
 def encode_table(
     f: CnfFormula, *, term_budget: int | None = None
 ) -> np.ndarray | None:
-    """The product's values on all 2^n assignments, or None when 2^n
-    exceeds the cell budget or a table that size cannot be made.
+    """The product's values on all 2^n assignments, packed 64 to a word, or
+    None when 2^n exceeds the cell budget or a table that size cannot be
+    made.
 
-    The table is the product written in the primitive-idempotent basis,
-    with shape (2,)*n and the axes of :func:`_subcube`.  It starts
-    as the identity (all ones, int8: every value is 0 or 1), and each
-    clause zeroes its falsifier's subcube with one slice-assign; an empty
-    clause zeroes everything.  The cell budget is 2^22 when *term_budget*
-    is None and *term_budget* otherwise.
+    The table is the product written in the primitive-idempotent basis.
+    Every value is 0 or 1, so each cell is one bit: the table is a uint64
+    array of shape (2,)*(n-w), w = min(n, 6).  Its axes are the leading
+    variables, with index 0 for true and 1 for false, and bit b of a word
+    holds the cell whose last w variables read b the same way (variable n
+    is bit 0).  So word * 64 + bit is the assignment's primitive index
+    (:func:`table_cells`).  The table starts as the identity, every cell
+    set, and each clause clears its falsifier's cells with one in-place AND
+    on the subcube its word-axis literals fix, masked by its lane literals;
+    an empty clause clears everything.  The cell budget is 2^22 when
+    *term_budget* is None and *term_budget* otherwise.
     """
     cell_budget = DEFAULT_CELL_BUDGET if term_budget is None else int(term_budget)
     if cell_budget < 1:
@@ -123,16 +116,47 @@ def encode_table(
     n = f.n
     if 1 << n > cell_budget:
         return None
+    lanes = min(n, _LANES)
+    axes = n - lanes
     try:
-        table = np.ones((2,) * n, dtype=np.int8)
+        # below n = 6 one word holds all 2^n cells in its low bits
+        table = np.full((2,) * axes, _WORD >> (64 - (1 << lanes)), dtype=np.uint64)
     except (ValueError, MemoryError):
         return None  # past numpy's 64 axes, or past the memory
     if f.has_empty_clause:
         table[...] = 0
         return table
-    for z in _live_patterns(f):
-        table[_subcube(z, n)] = 0
+    for clause in _live_clauses(f):
+        index: list = [slice(None)] * axes
+        falsifier = _WORD
+        for lit in clause.literals:
+            if lit.var <= axes:
+                index[lit.var - 1] = 0 if lit.negated else 1
+            else:
+                falsifier &= _LANE_FALSIFIERS[n - lit.var][lit.negated]
+        # the trailing ... keeps a view even when every axis is fixed
+        view = table[(*index, ...)]
+        np.bitwise_and(view, _WORD ^ falsifier, out=view)
     return table
+
+
+def table_cells(table: np.ndarray, n: int) -> np.ndarray:
+    """The primitive indices of an n-variable value table's set cells, in
+    ascending order."""
+    bits = np.unpackbits(
+        table.astype("<u8").reshape(-1).view(np.uint8), bitorder="little"
+    )
+    return np.flatnonzero(bits[: 1 << n])
+
+
+def _table_terms(table: np.ndarray, n: int) -> dict[int, int]:
+    """The set cells of a value table as full patterns."""
+    cells = table_cells(table, n)
+    packed = np.zeros_like(cells)
+    for i in range(n):
+        # variable 1 is the most significant bit of the primitive index
+        packed |= (((cells >> (n - 1 - i)) & 1) + 1) << (2 * i)
+    return dict.fromkeys(packed.tolist(), 1)
 
 
 def encode_formula(
@@ -148,13 +172,25 @@ def encode_formula(
     """
     table = encode_table(f, term_budget=term_budget)
     if table is not None:
-        return DiagonalElement(f.n, _table_terms(table))
+        return DiagonalElement(f.n, _table_terms(table, f.n))
     n = f.n
     budget = DEFAULT_TERM_BUDGET if term_budget is None else int(term_budget)
     if f.has_empty_clause:
         return DiagonalElement(n, {})
     terms: dict[int, int] = {_all_identity(n): 1}
-    for z in _live_patterns(f):
+    for clause in _live_clauses(f):
+        z = _clause_pattern(clause, n)
+        if len(clause.literals) == 1:
+            # q_ip_i + p_iq_i is the identity, so (identity - falsifier) is
+            # the opposite field's idempotent: one pattern, not two
+            u = z ^ (D_ID << 2 * (clause.literals[0].var - 1))
+            product: dict[int, int] = {}
+            for pat, c in terms.items():
+                r = pat & u
+                if pattern_alive(r, n):
+                    product[r] = product.get(r, 0) + c
+            terms = {pat: c for pat, c in product.items() if c}
+            continue
         delta: dict[int, int] = {}
         for pat, c in terms.items():
             r = pat & z

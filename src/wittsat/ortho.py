@@ -275,24 +275,20 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def _rebase_stack(t1: np.ndarray, t2: np.ndarray, tol: float):
-    """Witt rebasing of a stack of pairs: t2 is (k, n, n), t1 the same or one
-    matrix shared by every pair.  Returns the eigenvalue-one multiplicity of
-    each t1^T t2, the indices of the transversal pairs (multiplicity 0), and
+def _rebase_stack(t1: np.ndarray, t2: np.ndarray, m: np.ndarray):
+    """Witt rebasing of a stack of transversal pairs: t2 is (k, n, n), t1
+    the same or one matrix shared by every pair, and m = t1^T t2.  Returns
     their p and q rows.  A singular solve leaves NaN q rows, which fail the
     Witt check."""
     n = t2.shape[-1]
-    m = np.swapaxes(t1, -1, -2) @ t2
-    r = eigenvalue_one_multiplicity(m, tol)
-    idx = np.flatnonzero(r == 0)
-    shape = (len(idx), n, n)
-    eye = np.broadcast_to(np.eye(n), shape)
-    t1 = np.broadcast_to(t1, t2.shape)[idx]
-    p_rows = np.concatenate([eye, np.swapaxes(t1, -1, -2)], axis=-1)
-    b_rows = np.concatenate([eye, np.swapaxes(t2[idx], -1, -2)], axis=-1)
-    gram = 2.0 * (np.eye(n) - m[idx])  # gram[i, j] = 2 B(p_rows_i, b_rows_j)
+    eye = np.broadcast_to(np.eye(n), t2.shape)
+    p_rows = np.concatenate(
+        [eye, np.swapaxes(np.broadcast_to(t1, t2.shape), -1, -2)], axis=-1
+    )
+    b_rows = np.concatenate([eye, np.swapaxes(t2, -1, -2)], axis=-1)
+    gram = 2.0 * (np.eye(n) - m)  # gram[i, j] = 2 B(p_rows_i, b_rows_j)
     q_rows = _solve_each(np.swapaxes(gram, -1, -2), b_rows)
-    return r, idx, p_rows, q_rows
+    return p_rows, q_rows
 
 
 def witt_rebase(
@@ -309,9 +305,11 @@ def witt_rebase(
     """
     if t1.n != t2.n:
         raise ValueError("matrix sizes differ")
-    r, _, p_rows, q_rows = _rebase_stack(t1.entries[None], t2.entries[None], tol)
-    if r[0]:
-        raise NonTransversalError(int(r[0]))
+    m = t1.entries.T @ t2.entries
+    r = eigenvalue_one_multiplicity(m, tol)
+    if r:
+        raise NonTransversalError(r)
+    p_rows, q_rows = _rebase_stack(t1.entries, t2.entries[None], m[None])
     return WittBasis(p_rows[0], q_rows[0])
 
 
@@ -355,12 +353,10 @@ def _discrete_cover(n: int, want: np.ndarray, budget: int | None) -> bool:
     return True
 
 
-def _rebased(reference: np.ndarray, t: np.ndarray, tol: float):
-    """Which samples rebase against the reference plane, and which meet it."""
-    r, idx, p_rows, q_rows = _rebase_stack(reference, t, tol)
-    ok = np.zeros(len(t), dtype=bool)
-    ok[idx] = _witt_residual(p_rows, q_rows) <= CONSTRUCTION_TOL
-    return ok, r > 0
+def _rebased(sign: float, t: np.ndarray) -> int:
+    """How many transversal samples rebase against the plane of sign * I."""
+    p_rows, q_rows = _rebase_stack(sign * np.eye(t.shape[-1]), t, sign * t)
+    return int((_witt_residual(p_rows, q_rows) <= CONSTRUCTION_TOL).sum())
 
 
 def orthogonal_cover_report(
@@ -400,11 +396,15 @@ def orthogonal_cover_report(
     for start in range(0, samples, step):
         t = haar_samples(n, min(step, samples - start), rng)
         strict_hits += int(_holds_some(_column_signs(t, tol), want).sum())
-        # the q side is tried only for samples that meet the p side
-        p_ok, meets_p = _rebased(np.eye(n), t, tol)
-        q_ok, _ = _rebased(-np.eye(n), t[meets_p], tol)
-        p_side += int(p_ok.sum())
-        rebasable += int(p_ok.sum()) + int(q_ok.sum())
+        # t meets the all-p plane at eigenvalue 1 and the all-q plane at
+        # eigenvalue -1 (the spectrum of -t); the q side is tried only for
+        # samples that meet the p side
+        lam = np.linalg.eigvals(t)
+        meets_p = (np.abs(lam - 1.0) <= tol).any(axis=-1)
+        meets_q = (np.abs(lam + 1.0) <= tol).any(axis=-1)
+        p_ok = _rebased(1.0, t[~meets_p])
+        p_side += p_ok
+        rebasable += p_ok + _rebased(-1.0, t[meets_p & ~meets_q])
 
     def frac(k: int) -> float:
         return k / samples if samples else 0.0

@@ -29,7 +29,7 @@ from .algebra import (
     vector_action,
 )
 from .cnf import Assignment, Clause, CnfFormula
-from .encoding import encode_formula, is_unsatisfiable, models
+from .encoding import TermBudgetError, encode_formula, is_unsatisfiable, models
 from .geometry import (
     check_intersection,
     compatible,
@@ -120,15 +120,24 @@ def check_route_agreement(cases: int = 500, seed: int = 102) -> str:
 
 def check_model_sets(cases: int = 200, seed: int = 103) -> str:
     """The models read off the encoded product are exactly the brute-force
-    models."""
+    models, from the value table and, where a pattern budget one below 2^n
+    holds the sparse product, from the cofactor walk."""
     rng = np.random.default_rng(seed)
+    walked = 0
     for _ in range(cases):
         n = int(rng.integers(1, 11))
         m = int(rng.integers(0, 3 * n + 1))
         f = _random_formula(rng, n, m)
         expected = set(brute_force(f).models)
         assert models(encode_formula(f)) == expected
-    return f"{cases} seeded instances, n <= 10"
+        try:
+            sparse = encode_formula(f, term_budget=(1 << n) - 1)
+        except TermBudgetError:
+            continue
+        assert models(sparse) == expected
+        walked += 1
+    assert walked > 0, "no sparse product fit its pattern budget"
+    return f"{cases} seeded instances, n <= 10, {walked} walked sparse"
 
 
 def _random_element(rng: np.random.Generator, n: int) -> DiagonalElement:

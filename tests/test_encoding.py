@@ -29,11 +29,13 @@ from wittsat.encoding import (
     count_models,
     encode_clause,
     encode_formula,
+    encode_table,
     is_unsatisfiable,
     models,
+    table_cells,
 )
 from wittsat.oracle import brute_force
-from wittsat.selftest import _random_clause
+from wittsat.selftest import _random_clause, _random_formula
 
 from test_algebra import _point_values
 from test_cnf import formulas, pigeonhole, two_wide_clauses
@@ -145,6 +147,109 @@ def test_tautology_is_dropped_from_both_product_forms():
         sparse = encode_formula(tautology, term_budget=(1 << 6) - 1)
     assert table.term_count == 27 and sparse.term_count < 27
     assert table == sparse == encode_formula(CnfFormula.from_ints(6, pairs))
+
+
+def _table_set(f):
+    """The encoded table's set cells as a boolean vector over primitive
+    indices, after checking the packed layout: one uint64 word per setting
+    of the leading n - 6 variables, and a bit count equal to the cells."""
+    n = f.n
+    table = encode_table(f)
+    assert table.dtype == np.uint64 and table.shape == (2,) * max(n - 6, 0)
+    cells = table_cells(table, n)
+    assert int(np.bitwise_count(table).sum()) == len(cells)
+    assert bool(table.any()) == bool(len(cells))
+    out = np.zeros(1 << n, dtype=bool)
+    out[cells] = True
+    return out
+
+
+def _assert_table_matches_satisfies(f):
+    got = _table_set(f)
+    for mask in range(1 << f.n):
+        a = Assignment.from_mask(mask, f.n)
+        assert got[a.primitive_index()] == a.satisfies(f), a
+
+
+# n < 6 fills part of one word, n = 6 exactly one, n = 7 two words
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_table_matches_satisfies(n, seed):
+    rng = np.random.default_rng(100 * n + seed)
+    _assert_table_matches_satisfies(_random_formula(rng, n, 2 * n))
+
+
+# at n = 8 variables 1-2 are word axes and 3-8 lanes; n = 7 has one axis
+@pytest.mark.parametrize(
+    "n, clauses",
+    [
+        (8, [(3, -4), (-5, 8, 6), (7,)]),  # lane variables only
+        (8, [(1, -2), (2,)]),  # word axes only; (1, -2) fixes both: a 0-d view
+        (7, [(-1,), (2, 7)]),  # (-1) fixes the only word axis: a 0-d view
+        (8, [(-1, 5), (2, -3, 8), (-2, 4), (1, 2, -6, 7)]),  # mixed
+    ],
+    ids=["lanes", "word-axes", "only-word-axis", "mixed"],
+)
+def test_packed_table_clause_placement(n, clauses):
+    _assert_table_matches_satisfies(CnfFormula.from_ints(n, clauses))
+
+
+def test_packed_table_empty_clause_clears_every_cell():
+    for n in (3, 6, 8):
+        f = CnfFormula(n, (Clause.from_ints((1, 2)),), empty_clause_count=1)
+        assert not _table_set(f).any()
+
+
+def test_packed_table_drops_a_tautology_with_warning():
+    f = CnfFormula.from_ints(8, [(2, -2, 7), (1, -7), (3, 8)])
+    with pytest.warns(DroppedClauseWarning):
+        _assert_table_matches_satisfies(f)  # a tautology holds everywhere
+
+
+def test_packed_table_at_n20_matches_satisfies():
+    n = 20
+    rng = np.random.default_rng(20001)
+    f = CnfFormula.from_ints(n, [_random_clause(rng, n, 3) for _ in range(80)])
+    got = _table_set(f)
+    # every cell against a clause-by-clause evaluation of its index ...
+    index = np.arange(1 << n)
+    want = np.ones(1 << n, dtype=bool)
+    for clause in f.clauses:
+        holds = np.zeros(1 << n, dtype=bool)
+        for lit in clause.literals:
+            false = ((index >> (n - lit.var)) & 1).astype(bool)
+            holds |= false if lit.negated else ~false
+        want &= holds
+    assert np.array_equal(got, want)
+    # ... and every model plus as many other cells against satisfies
+    models_ = np.flatnonzero(got)
+    assert 0 < len(models_) < 1000
+    others = rng.choice(np.flatnonzero(~got), size=len(models_), replace=False)
+    for i in np.concatenate([models_, others]).tolist():
+        a = Assignment.from_primitive_index(i, n)
+        assert a.satisfies(f) == got[i]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unit_clauses_fold_into_the_sparse_product(seed):
+    # a unit clause multiplies in as one pattern: the sparse product
+    # (forced by a budget one cell short of the table) equals the product
+    # built factor by factor and lists the same models
+    rng = np.random.default_rng(seed)
+    n = 8
+    clauses = [_random_clause(rng, n, 3) for _ in range(10)]
+    clauses += [_random_clause(rng, n, 1) for _ in range(3)]
+    rng.shuffle(clauses)
+    f = CnfFormula.from_ints(n, clauses)
+    sparse = encode_formula(f, term_budget=(1 << n) - 1)
+    assert sparse == _clause_product(f)
+    assert models(sparse) == set(brute_force(f).models)
+
+
+def test_unit_clauses_alone_are_one_pattern():
+    f = CnfFormula.from_ints(5, [(1,), (-3,), (5,)])
+    sparse = encode_formula(f, term_budget=(1 << 5) - 1)
+    assert sparse.to_text().splitlines() == ["1 * qp 1 pq 1 qp"]
 
 
 def test_zero_test_depth_does_not_grow_with_n():
