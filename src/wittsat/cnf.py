@@ -5,7 +5,8 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable
 
 
 class DimacsError(ValueError):
@@ -24,76 +25,48 @@ class ParseWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    var: int
-    negated: bool = False
+class Clause(tuple):
+    """A disjunction of literals, as a tuple of nonzero signed ints: ``v``
+    is variable v and ``-v`` its negation.  Never empty; duplicates are
+    rejected here and silently dropped by :meth:`from_ints`.  A clause
+    containing both polarities of a variable is kept but flagged
+    tautological: it is made a :class:`_TautologicalClause`, so the flag
+    is worked out once, when the clause is made."""
 
-    def __post_init__(self):
-        if self.var < 1:
-            raise ValueError("variables are numbered from 1")
+    __slots__ = ()
+    is_tautological = False
 
-    @classmethod
-    def from_int(cls, lit: int) -> "Literal":
-        if lit == 0:
-            raise ValueError("0 is not a literal")
-        return cls(abs(lit), lit < 0)
-
-    def to_int(self) -> int:
-        return -self.var if self.negated else self.var
-
-    def holds_in(self, values: Sequence[bool]) -> bool:
-        return bool(values[self.var - 1]) != self.negated
-
-    def __str__(self) -> str:
-        return str(self.to_int())
-
-
-@dataclass(frozen=True)
-class Clause:
-    """A disjunction of literals.  Never empty; duplicates are rejected here
-    and silently dropped by :meth:`from_ints`.  A clause containing both
-    polarities of a variable is kept but flagged tautological."""
-
-    literals: tuple[Literal, ...]
-
-    def __post_init__(self):
-        if not self.literals:
-            raise ValueError("empty clause; track it on the formula instead")
-        keys = {(l.var, l.negated) for l in self.literals}
-        if len(keys) != len(self.literals):
+    def __new__(cls, lits: Iterable[int]):
+        lits = tuple(lits)
+        if len(set(lits)) != len(lits):
             raise ValueError("duplicate literals; use Clause.from_ints to deduplicate")
+        return cls.from_ints(lits)
 
     @classmethod
     def from_ints(cls, lits: Iterable[int]) -> "Clause":
-        seen: set[tuple[int, bool]] = set()
-        out = []
-        for l in lits:
-            lit = Literal.from_int(l)
-            key = (lit.var, lit.negated)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(lit)
-        return cls(tuple(out))
-
-    @property
-    def is_tautological(self) -> bool:
-        pos = {l.var for l in self.literals if not l.negated}
-        neg = {l.var for l in self.literals if l.negated}
-        return bool(pos & neg)
-
-    def satisfied_by(self, assignment: "Assignment") -> bool:
-        return any(l.holds_in(assignment.values) for l in self.literals)
+        lits = tuple(lits)
+        if not lits:
+            raise ValueError("empty clause; track it on the formula instead")
+        if 0 in lits:
+            raise ValueError("0 is not a literal")
+        if len(set(map(abs, lits))) < len(lits):  # a variable repeats
+            lits = tuple(dict.fromkeys(lits))
+            if len(set(map(abs, lits))) < len(lits):
+                return tuple.__new__(_TautologicalClause, lits)
+        return tuple.__new__(Clause, lits)
 
     def falsified_by(self, assignment: "Assignment") -> bool:
-        return not self.satisfied_by(assignment)
-
-    def to_ints(self) -> tuple[int, ...]:
-        return tuple(l.to_int() for l in self.literals)
+        return set(assignment.to_ints()).isdisjoint(self)
 
     def __str__(self) -> str:
-        return " ".join(str(l) for l in self.literals) + " 0"
+        return " ".join(map(str, self)) + " 0"
+
+
+class _TautologicalClause(Clause):
+    """A clause holding both polarities of some variable."""
+
+    __slots__ = ()
+    is_tautological = True
 
 
 @dataclass(frozen=True)
@@ -137,9 +110,11 @@ class Assignment:
         return cls(tuple(vals))
 
     def satisfies(self, formula: "CnfFormula") -> bool:
+        """Every clause shares a literal with the assignment's true literals."""
         if formula.has_empty_clause:
             return False
-        return all(c.satisfied_by(self) for c in formula.clauses)
+        true = {v if x else -v for v, x in enumerate(self.values, 1)}
+        return not any(map(true.isdisjoint, formula.clauses))
 
     def to_ints(self) -> tuple[int, ...]:
         return tuple(i + 1 if v else -(i + 1) for i, v in enumerate(self.values))
@@ -163,12 +138,10 @@ class CnfFormula:
             raise ValueError("formulas need at least one variable")
         if self.empty_clause_count < 0:
             raise ValueError("negative empty-clause count")
-        for c in self.clauses:
-            for l in c.literals:
-                if l.var > self.n:
-                    raise ValueError(
-                        f"variable {l.var} exceeds declared count {self.n}"
-                    )
+        n = self.n
+        if max(map(abs, chain.from_iterable(self.clauses)), default=0) > n:
+            var = next(v for v in map(abs, chain.from_iterable(self.clauses)) if v > n)
+            raise ValueError(f"variable {var} exceeds declared count {n}")
 
     @property
     def m(self) -> int:
@@ -194,59 +167,87 @@ def parse_dimacs(text: str) -> CnfFormula:
     terminated by 0; a bare 0 is an empty clause.  Count mismatches against
     the header produce a :class:`ParseWarning`; structural problems raise
     :class:`DimacsError`.
+
+    The clause lines are read as one stream of tokens, converted with one
+    ``map(int, ...)``; only when that stream holds an error are the lines
+    read again one token at a time, to name its line and token.
     """
-    header: tuple[int, int] | None = None
-    raw_clauses: list[list[int]] = []
-    empties = 0
-    pending: list[int] = []
-    for ln, line in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    header = None
+    for ln, line in enumerate(lines, 1):
         s = line.strip()
         if not s or s.startswith("c"):
             continue
         if s.startswith("%"):
             break
-        if header is None:
-            if not s.startswith("p"):
-                raise DimacsError(f"line {ln}: expected 'p cnf' header, got {s!r}")
-            m = _HEADER.fullmatch(s)
-            if not m:
-                raise DimacsError(f"line {ln}: malformed header {s!r}")
-            header = (int(m.group(1)), int(m.group(2)))
-            if header[0] < 1:
-                raise DimacsError("at least one variable is required")
-            continue
-        for tok in s.split():
-            if tok == "-0":
-                raise DimacsError(f"line {ln}: '-0' is not a literal")
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise DimacsError(f"line {ln}: bad token {tok!r}") from None
-            if lit == 0:
-                if pending:
-                    raw_clauses.append(pending)
-                    pending = []
-                else:
-                    empties += 1
-            else:
-                if abs(lit) > header[0]:
-                    raise DimacsError(
-                        f"line {ln}: variable {abs(lit)} exceeds declared {header[0]}"
-                    )
-                pending.append(lit)
+        if not s.startswith("p"):
+            raise DimacsError(f"line {ln}: expected 'p cnf' header, got {s!r}")
+        m = _HEADER.fullmatch(s)
+        if not m:
+            raise DimacsError(f"line {ln}: malformed header {s!r}")
+        header = (int(m.group(1)), int(m.group(2)))
+        if header[0] < 1:
+            raise DimacsError("at least one variable is required")
+        break
     if header is None:
         raise DimacsError("missing 'p cnf' header")
-    if pending:
-        warnings.warn("unterminated final clause (missing trailing 0)", ParseWarning)
-        raw_clauses.append(pending)
     n, declared = header
-    clauses = tuple(Clause.from_ints(c) for c in raw_clauses)
+    body = []
+    for line in lines[ln:]:
+        head = line.lstrip()[:1]
+        if head == "c":
+            continue
+        if head == "%":
+            break
+        body.append(line)
+    toks = " ".join(body).split()
+    try:
+        lits = list(map(int, toks))
+    except ValueError:
+        lits = None
+    if lits is None or "-0" in toks or max(map(abs, lits), default=0) > n:
+        raise _first_token_error(lines, ln, n)
+    clauses = []
+    empties = start = 0
+    for _ in range(lits.count(0)):
+        end = lits.index(0, start)
+        if end > start:
+            clauses.append(Clause.from_ints(lits[start:end]))
+        else:
+            empties += 1
+        start = end + 1
+    if start < len(lits):
+        warnings.warn("unterminated final clause (missing trailing 0)", ParseWarning)
+        clauses.append(Clause.from_ints(lits[start:]))
     found = len(clauses) + empties
     if found != declared:
         warnings.warn(
             f"header declares {declared} clauses, found {found}", ParseWarning
         )
-    return CnfFormula(n, clauses, empties, {"declared_clauses": declared})
+    return CnfFormula(n, tuple(clauses), empties, {"declared_clauses": declared})
+
+
+def _first_token_error(lines: list[str], header_ln: int, n: int) -> DimacsError:
+    """The error of the first bad token after the header line: '-0', a
+    token that is no integer, or a variable past n."""
+    for ln, line in enumerate(lines[header_ln:], header_ln + 1):
+        s = line.strip()
+        if s.startswith("c"):
+            continue
+        if s.startswith("%"):
+            break
+        for tok in s.split():
+            if tok == "-0":
+                return DimacsError(f"line {ln}: '-0' is not a literal")
+            try:
+                lit = int(tok)
+            except ValueError:
+                return DimacsError(f"line {ln}: bad token {tok!r}")
+            if abs(lit) > n:
+                return DimacsError(
+                    f"line {ln}: variable {abs(lit)} exceeds declared {n}"
+                )
+    raise RuntimeError("no bad token after the header; this is a defect")
 
 
 def serialize_dimacs(f: CnfFormula) -> str:

@@ -48,7 +48,7 @@ class DroppedClauseWarning(UserWarning):
 
 
 def _clause_pattern(clause: Clause, n: int) -> int:
-    fixed = {lit.var: (D_QP if lit.negated else D_PQ) for lit in clause.literals}
+    fixed = {abs(lit): (D_PQ if lit > 0 else D_QP) for lit in clause}
     return pattern_bits(n, fixed)
 
 
@@ -129,11 +129,12 @@ def encode_table(
     for clause in _live_clauses(f):
         index: list = [slice(None)] * axes
         falsifier = _WORD
-        for lit in clause.literals:
-            if lit.var <= axes:
-                index[lit.var - 1] = 0 if lit.negated else 1
+        for lit in clause:
+            var = abs(lit)
+            if var <= axes:
+                index[var - 1] = 1 if lit > 0 else 0
             else:
-                falsifier &= _LANE_FALSIFIERS[n - lit.var][lit.negated]
+                falsifier &= _LANE_FALSIFIERS[n - var][lit < 0]
         # the trailing ... keeps a view even when every axis is fixed
         view = table[(*index, ...)]
         np.bitwise_and(view, _WORD ^ falsifier, out=view)
@@ -180,10 +181,10 @@ def encode_formula(
     terms: dict[int, int] = {_all_identity(n): 1}
     for clause in _live_clauses(f):
         z = _clause_pattern(clause, n)
-        if len(clause.literals) == 1:
+        if len(clause) == 1:
             # q_ip_i + p_iq_i is the identity, so (identity - falsifier) is
             # the opposite field's idempotent: one pattern, not two
-            u = z ^ (D_ID << 2 * (clause.literals[0].var - 1))
+            u = z ^ (D_ID << 2 * (abs(clause[0]) - 1))
             product: dict[int, int] = {}
             for pat, c in terms.items():
                 r = pat & u

@@ -138,10 +138,10 @@ def tnp_of_clause(clause: Clause, n: int) -> TotallyNullPlane:
     if clause.is_tautological:
         raise TautologyError(f"tautological clause {clause} has no plane")
     gens = []
-    for lit in sorted(clause.literals, key=lambda l: l.var):
-        if lit.var > n:
-            raise ValueError(f"variable {lit.var} exceeds n={n}")
-        gens.append(WittVector(lit.var, "q" if lit.negated else "p"))
+    for lit in sorted(clause, key=abs):
+        if abs(lit) > n:
+            raise ValueError(f"variable {abs(lit)} exceeds n={n}")
+        gens.append(WittVector(abs(lit), "p" if lit > 0 else "q"))
     return TotallyNullPlane(tuple(gens))
 
 
@@ -179,10 +179,10 @@ def clause_slots(clause: Clause, n: int) -> dict[int, int]:
     if clause.is_tautological:
         raise TautologyError(f"tautological clause {clause} induces no pattern")
     slots = {}
-    for lit in clause.literals:
-        if lit.var > n:
-            raise ValueError(f"variable {lit.var} exceeds n={n}")
-        slots[lit.var - 1] = -1 if lit.negated else 1
+    for lit in clause:
+        if abs(lit) > n:
+            raise ValueError(f"variable {abs(lit)} exceeds n={n}")
+        slots[abs(lit) - 1] = 1 if lit > 0 else -1
     return slots
 
 
@@ -344,10 +344,10 @@ def psi_z_expansion(clause: Clause, n: int) -> list[EFBTerm]:
     if clause.is_tautological:
         raise TautologyError(f"tautological clause {clause} has no expansion")
     fixed: dict[int, int] = {}
-    for lit in clause.literals:
-        if lit.var > n:
-            raise ValueError(f"variable {lit.var} exceeds n={n}")
-        fixed[lit.var - 1] = S_QP if lit.negated else S_PQ
+    for lit in clause:
+        if abs(lit) > n:
+            raise ValueError(f"variable {abs(lit)} exceeds n={n}")
+        fixed[abs(lit) - 1] = S_PQ if lit > 0 else S_QP
     free = [i for i in range(n) if i not in fixed]
     base = 0
     for pos, code in fixed.items():

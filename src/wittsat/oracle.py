@@ -8,6 +8,7 @@ what makes it a meaningful cross-check.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -48,11 +49,11 @@ def brute_force(f: CnfFormula) -> BruteForceResult:
     masks = []
     for c in f.clauses:
         pos = neg = 0
-        for lit in c.literals:
-            if lit.negated:
-                neg |= 1 << (lit.var - 1)
+        for lit in c:
+            if lit > 0:
+                pos |= 1 << (lit - 1)
             else:
-                pos |= 1 << (lit.var - 1)
+                neg |= 1 << (-lit - 1)
         masks.append((pos, neg))
     total = 1 << f.n
     hits: list[int] = []
@@ -86,7 +87,7 @@ def dpll(
     stats["decisions"] = stats["propagations"] = 0
     if f.has_empty_clause:
         return DpllResult(UNSAT, None)
-    search = _TrailSearch(f.n, [c.to_ints() for c in f.clauses])
+    search = _TrailSearch(f.n, f.clauses)
     try:
         found = search.solve(decision_budget)
     finally:
@@ -118,7 +119,7 @@ class _TrailSearch:
     restores that state, so it clears the heap.
     """
 
-    def __init__(self, n: int, clauses: list[tuple[int, ...]]):
+    def __init__(self, n: int, clauses: Sequence[tuple[int, ...]]):
         self.clauses = clauses
         self.occurs: list[list[int]] = [[] for _ in range(2 * n + 1)]
         self.count = [0] * (2 * n + 1)

@@ -147,8 +147,8 @@ def _clause_columns(clauses: list[Clause], n: int) -> np.ndarray:
     for, 0 where it asks none."""
     want = np.zeros((n, len(clauses)))
     for j, clause in enumerate(clauses):
-        for lit in clause.literals:
-            want[lit.var - 1, j] = -1.0 if lit.negated else 1.0
+        for lit in clause:
+            want[abs(lit) - 1, j] = 1.0 if lit > 0 else -1.0
     return want
 
 
@@ -175,10 +175,10 @@ def strict_membership(
     if clause.is_tautological:
         raise TautologyError(f"tautological clause {clause} has no plane")
     signs = _column_signs(t.entries, tol)
-    for lit in clause.literals:
-        if lit.var > t.n:
-            raise ValueError(f"variable {lit.var} exceeds n={t.n}")
-        if signs[lit.var - 1] != (-1 if lit.negated else 1):
+    for lit in clause:
+        if abs(lit) > t.n:
+            raise ValueError(f"variable {abs(lit)} exceeds n={t.n}")
+        if signs[abs(lit) - 1] != (1 if lit > 0 else -1):
             return False
     return True
 

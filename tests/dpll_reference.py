@@ -19,7 +19,7 @@ def reference_dpll(f: CnfFormula, decision_budget: int | None = None):
     """(model or None, decisions) with the reference solver."""
     if f.has_empty_clause:
         return None, 0
-    clauses = [frozenset(c.to_ints()) for c in f.clauses]
+    clauses = [frozenset(c) for c in f.clauses]
     trail, decisions = _dpll_solve(clauses, decision_budget)
     if trail is None:
         return None, decisions

@@ -1,5 +1,8 @@
 """CNF data model and DIMACS round trips."""
 
+import random
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,28 +12,41 @@ from wittsat.cnf import (
     Clause,
     CnfFormula,
     DimacsError,
-    Literal,
     ParseWarning,
     parse_dimacs,
     serialize_dimacs,
 )
 
+from dimacs_reference import reference_parse_dimacs
+
 
 def test_literal_int_round_trip():
-    assert Literal.from_int(3) == Literal(3, False)
-    assert Literal.from_int(-7) == Literal(7, True)
-    assert Literal.from_int(-7).to_int() == -7
-    with pytest.raises(ValueError):
-        Literal.from_int(0)
+    # a literal is its signed int: v is variable v, -v its negation
+    c = Clause.from_ints((3, -7))
+    assert c == (3, -7) and type(c[0]) is int
+    assert str(c) == "3 -7 0"
+    assert parse_dimacs(f"p cnf 7 1\n{c}\n").clauses == (c,)
+    for lits in [(0,), (2, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="0 is not a literal"):
+            Clause.from_ints(lits)
+        with pytest.raises(ValueError, match="0 is not a literal"):
+            Clause(lits)
 
 
 def test_clause_rejects_empty_and_duplicates():
-    with pytest.raises(ValueError):
-        Clause(())
-    with pytest.raises(ValueError):
-        Clause((Literal(1, False), Literal(1, False)))
-    # from_ints dedups instead
-    assert Clause.from_ints((1, 1, -2)).to_ints() == (1, -2)
+    for make in (Clause, Clause.from_ints):
+        with pytest.raises(ValueError, match="empty clause"):
+            make(())
+    with pytest.raises(ValueError, match="duplicate literals"):
+        Clause((1, 1))
+    with pytest.raises(ValueError, match="duplicate literals"):
+        Clause((1, -2, 1))
+    # the same variable with both signs is no duplicate
+    assert Clause((1, -1)) == (1, -1)
+    # from_ints dedups instead, keeping the first occurrence's order
+    assert Clause.from_ints((1, 1, -2)) == (1, -2)
+    assert Clause.from_ints([-2, 3, -2, 3, 1]) == (-2, 3, 1)
+    assert type(Clause.from_ints((1, 1))) is Clause
 
 
 def test_clause_tautology_flag():
@@ -40,8 +56,8 @@ def test_clause_tautology_flag():
 
 def test_clause_satisfaction():
     c = Clause.from_ints((1, -2))
-    assert c.satisfied_by(Assignment((True, True)))
-    assert c.satisfied_by(Assignment((False, False)))
+    assert not c.falsified_by(Assignment((True, True)))
+    assert not c.falsified_by(Assignment((False, False)))
     assert c.falsified_by(Assignment((False, True)))
 
 
@@ -82,13 +98,13 @@ def test_satisfies_respects_empty_clause():
 def test_parse_basic_file():
     f = parse_dimacs("c comment\np cnf 3 2\n1 -2 0\n2 3 0\n")
     assert f.n == 3 and f.m == 2
-    assert f.clauses[0].to_ints() == (1, -2)
+    assert f.clauses[0] == (1, -2)
     assert f.source_meta["declared_clauses"] == 2
 
 
 def test_parse_clause_spanning_lines_and_bare_zero():
     f = parse_dimacs("p cnf 2 2\n1\n-2 0\n0\n")
-    assert f.clauses[0].to_ints() == (1, -2)
+    assert f.clauses[0] == (1, -2)
     assert f.empty_clause_count == 1
 
 
@@ -105,12 +121,21 @@ def test_parse_errors():
         parse_dimacs("p cnf x 1\n1 0\n")
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 0 0\n")
-    with pytest.raises(DimacsError):
+    with pytest.raises(DimacsError, match=r"^line 2: variable 3 exceeds declared 2$"):
         parse_dimacs("p cnf 2 1\n1 3 0\n")  # variable out of range
-    with pytest.raises(DimacsError):
+    with pytest.raises(DimacsError, match=r"^line 2: '-0' is not a literal$"):
         parse_dimacs("p cnf 2 1\n1 -0\n")
-    with pytest.raises(DimacsError):
+    with pytest.raises(DimacsError, match=r"^line 2: bad token 'two'$"):
         parse_dimacs("p cnf 2 1\n1 two 0\n")
+    # the line is counted past comments and clauses that span lines, and
+    # the first bad token in reading order names the error
+    text = "c x\np cnf 2 3\n1\n\nc y\n-2 0 2 0 -1 -3 x 0\n"
+    with pytest.raises(DimacsError, match=r"^line 6: variable 3 exceeds declared 2$"):
+        parse_dimacs(text)
+    with pytest.raises(DimacsError, match=r"^line 4: bad token '\+x'$"):
+        parse_dimacs("p cnf 2 2\n1 0\n2 0\n+x -0 0\n")
+    with pytest.raises(DimacsError, match=r"^line 3: '-0' is not a literal$"):
+        parse_dimacs("p cnf 2 2\n1 0\n2 -0 two -5 0\n")
 
 
 def test_parse_warnings():
@@ -118,6 +143,82 @@ def test_parse_warnings():
         parse_dimacs("p cnf 2 1\n1 2\n")  # missing trailing 0
     with pytest.warns(ParseWarning):
         parse_dimacs("p cnf 2 5\n1 2 0\n")  # count mismatch
+
+
+def _reference_outcome(parse, text):
+    """What a parser makes of a text: its result, or its error's class and
+    message, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = parse(text)
+        except Exception as e:  # compared across the two parsers
+            got = (type(e).__name__, str(e))
+        else:
+            got = (got.n, tuple(map(tuple, got.clauses)), got.empty_clause_count,
+                   got.source_meta)
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+def _random_dimacs(rng):
+    """DIMACS-like text: comments, blank lines, clauses spanning lines,
+    duplicate literals, tautologies, bare zeros and odd whitespace, with now
+    and then a bad header, token or variable, or a '%' trailer."""
+    n = rng.randint(1, 6)
+    lines = [rng.choice(["c start", "", "  c indented", "\t"])
+             for _ in range(rng.randint(0, 2))]
+    header = f"p cnf {n} {rng.randint(0, 8)}"
+    if rng.random() < 0.04:
+        header = rng.choice(["p cnf x 1", "p cnf 0 0", "1 2 0", "p  cnf 2", ""])
+    if rng.random() < 0.97:
+        lines.append(header)
+    words = []
+    for _ in range(rng.randint(0, 24)):
+        r = rng.random()
+        if r < 0.7:
+            words.append(str(rng.choice([-1, 1]) * rng.randint(1, n)))
+        elif r < 0.88:
+            words.append("0")
+        elif r < 0.95:
+            words.append("\n" + rng.choice(["", "c note", "  ", "c 1 2 0"]) + "\n")
+        else:
+            words.append(rng.choice(["-0", "two", str(n + 1), str(-n - 1),
+                                     "+1", "00", "p"]))
+    lines.append(rng.choice([" ", "  ", "\t"]).join(words))
+    if rng.random() < 0.15:
+        lines += ["%", rng.choice(["0", "1 x 0", "garbage"])]
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+
+
+def test_parse_matches_frozen_reference_on_seeded_texts():
+    rng = random.Random(1403)
+    for _ in range(4000):
+        text = _random_dimacs(rng)
+        assert _reference_outcome(parse_dimacs, text) == _reference_outcome(
+            reference_parse_dimacs, text
+        ), text
+
+
+def test_satisfies_matches_clause_by_clause_evaluation():
+    rng = random.Random(1404)
+    for trial in range(400):
+        n = rng.randint(1, 7)
+        raw = [
+            [rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(0, 3 * n))
+        ]
+        f = CnfFormula(
+            n, tuple(Clause.from_ints(c) for c in raw), int(trial % 7 == 0)
+        )
+        for c, lits in zip(f.clauses, raw):
+            # from_ints keeps the first of each literal, in order
+            assert c == tuple(dict.fromkeys(lits))
+            assert c.is_tautological == any(-lit in lits for lit in lits)
+        for mask in range(1 << n):
+            a = Assignment.from_mask(mask, n)
+            holds = [any((lit > 0) == a.values[abs(lit) - 1] for lit in c) for c in raw]
+            assert a.satisfies(f) == (not f.has_empty_clause and all(holds))
+            assert [not c.falsified_by(a) for c in f.clauses] == holds
 
 
 def test_serialize_round_trip_fixed():

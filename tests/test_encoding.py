@@ -216,9 +216,9 @@ def test_packed_table_at_n20_matches_satisfies():
     want = np.ones(1 << n, dtype=bool)
     for clause in f.clauses:
         holds = np.zeros(1 << n, dtype=bool)
-        for lit in clause.literals:
-            false = ((index >> (n - lit.var)) & 1).astype(bool)
-            holds |= false if lit.negated else ~false
+        for lit in clause:
+            false = ((index >> (n - abs(lit))) & 1).astype(bool)
+            holds |= ~false if lit > 0 else false
         want &= holds
     assert np.array_equal(got, want)
     # ... and every model plus as many other cells against satisfies

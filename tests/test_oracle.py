@@ -156,7 +156,7 @@ def _renamed_pigeonhole(rng, holes):
     f = pigeonhole(holes)
     name = list(range(1, f.n + 1))
     rng.shuffle(name)
-    clauses = [[name[abs(l) - 1] * (1 if l > 0 else -1) for l in c.to_ints()] for c in f.clauses]
+    clauses = [[name[abs(l) - 1] * (1 if l > 0 else -1) for l in c] for c in f.clauses]
     rng.shuffle(clauses)
     return CnfFormula.from_ints(f.n, clauses)
 
