@@ -211,6 +211,12 @@ def _first_uncovered(
     the position fixed by the most live patterns, lowest index on ties, +1
     first.  Positions left unassigned read +1 in the witness.  More than
     ``decision_budget`` branchings raise ResourceLimitError.
+
+    A pattern goes on ``killed`` when its first slot is contradicted and
+    comes off when the undo frees that slot, so the list holds exactly the
+    dead patterns.  The branching weights are lowered only for
+    ``killed[:applied]``: the rest are applied just before a branching reads
+    the weights, so a branch that ends in a cover never touches them.
     """
     slots = [tuple(p.items()) for p in patterns]
     if not all(slots):
@@ -221,10 +227,11 @@ def _first_uncovered(
             occurs[sign][pos].append(j)
     size = [len(pattern) for pattern in slots]
     agree = [0] * len(slots)  # assigned slots that match
-    killed = [0] * len(slots)  # assigned slots that contradict
-    live = len(slots)
-    # live patterns fixing each position; an assigned position is lowered by
-    # `assigned_mark` so that max() picks only unassigned positions
+    contradicted = [0] * len(slots)  # assigned slots that contradict
+    killed: list[int] = []
+    applied = 0
+    # live patterns fixing each position, once applied; an assigned position
+    # is lowered by `assigned_mark` so that max() picks only unassigned ones
     assigned_mark = len(slots) + 1
     weight = [0] * n
     for pattern in slots:
@@ -232,13 +239,13 @@ def _first_uncovered(
             weight[pos] += 1
     value = [0] * n
     trail: list[int] = []
-    branches: list[tuple[int, int]] = []  # (trail mark, position) tried at +1
+    # (trail mark, killed mark, position) tried at +1
+    branches: list[tuple[int, int, int]] = []
     decisions = 0
     queue = [(p[0][0], -p[0][1]) for p in slots if len(p) == 1]
 
     def propagate(queue: list[tuple[int, int]]) -> bool:
         """Assign the queued positions and what they force; False on cover."""
-        nonlocal live
         while queue:
             pos, sign = queue.pop()
             if value[pos]:
@@ -249,16 +256,14 @@ def _first_uncovered(
             trail.append(pos)
             weight[pos] -= assigned_mark
             for j in occurs[-sign][pos]:
-                killed[j] += 1
-                if killed[j] == 1:
-                    live -= 1
-                    for q, _ in slots[j]:
-                        weight[q] -= 1
+                contradicted[j] += 1
+                if contradicted[j] == 1:
+                    killed.append(j)
             agreeing = occurs[sign][pos]
             for j in agreeing:
                 agree[j] += 1
             for j in agreeing:
-                if killed[j]:
+                if contradicted[j]:
                     continue
                 left = size[j] - agree[j]
                 if left == 0:
@@ -268,8 +273,7 @@ def _first_uncovered(
                     queue.append((q, -s))
         return True
 
-    def undo(mark: int) -> None:
-        nonlocal live
+    def undo(mark: int, killed_mark: int) -> None:
         while len(trail) > mark:
             pos = trail.pop()
             sign = value[pos]
@@ -278,29 +282,34 @@ def _first_uncovered(
             for j in occurs[sign][pos]:
                 agree[j] -= 1
             for j in occurs[-sign][pos]:
-                killed[j] -= 1
-                if killed[j] == 0:
-                    live += 1
-                    for q, _ in slots[j]:
-                        weight[q] += 1
+                contradicted[j] -= 1
+        for j in killed[killed_mark:applied]:
+            for q, _ in slots[j]:
+                weight[q] += 1
+        del killed[killed_mark:]
 
     while True:
         if propagate(queue):
-            if live == 0:
+            if len(killed) == len(slots):
                 return tuple(v or 1 for v in value)
             decisions += 1
             if decision_budget is not None and decisions > decision_budget:
                 raise ResourceLimitError(
                     f"cover search exceeded {decision_budget} decisions"
                 )
+            for j in killed[applied:]:
+                for q, _ in slots[j]:
+                    weight[q] -= 1
+            applied = len(killed)
             pos = weight.index(max(weight))
-            branches.append((len(trail), pos))
+            branches.append((len(trail), applied, pos))
             queue = [(pos, 1)]
             continue
         if not branches:
             return None
-        mark, pos = branches.pop()
-        undo(mark)
+        mark, applied_mark, pos = branches.pop()
+        undo(mark, applied_mark)
+        applied = applied_mark
         queue = [(pos, -1)]
 
 

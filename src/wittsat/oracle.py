@@ -111,12 +111,21 @@ class _TrailSearch:
     updated when the propagation reaches it (``head``).  Per clause, ``sat``
     counts its reached true literals and ``free`` its literals not reached
     false, so a clause with ``sat`` 0 is a conflict at ``free`` 0 and may be
-    unit at ``free`` 1.  ``count[l]`` is the number of unsatisfied clauses
-    containing l, so a variable still occurs while either polarity's count is
+    unit at ``free`` 1.
+
+    A clause goes on ``satisfied`` when its first true literal is reached,
+    and comes off when the undo unsets it, so the list holds exactly the
+    satisfied clauses.  ``count[l]`` is the number of unsatisfied clauses
+    containing l, but it is lowered only for the clauses
+    ``satisfied[:applied]``: the pure-literal rule applies the rest when it
+    is asked, at a propagation that ended without conflict, so a branch that
+    ends in a conflict never touches the counts.  Where the counts are read
+    they are exact: a variable still occurs while either polarity's count is
     positive and is pure while exactly one is.  Every variable that turns
     pure is pushed on ``pure``, a heap whose entries are checked when popped.
-    A decision is taken only when no variable is pure, and backtracking
-    restores that state, so it clears the heap.
+    A decision is taken only when no variable is pure and every satisfied
+    clause is applied, and backtracking restores that state, so it clears
+    the heap.
     """
 
     def __init__(self, n: int, clauses: Sequence[tuple[int, ...]]):
@@ -130,7 +139,8 @@ class _TrailSearch:
         self.value = [0] * (2 * n + 1)
         self.sat = [0] * len(clauses)
         self.free = [len(c) for c in clauses]
-        self.unsat = len(clauses)
+        self.satisfied: list[int] = []
+        self.applied = 0
         self.trail: list[int] = []
         self.head = 0
         self.pure = [
@@ -146,23 +156,19 @@ class _TrailSearch:
         value = self.value
         if value[lit]:
             return value[lit] > 0
-        trail, count, sat, free = self.trail, self.count, self.sat, self.free
-        clauses, occurs, pure = self.clauses, self.occurs, self.pure
+        trail, sat, free = self.trail, self.sat, self.free
+        clauses, occurs, satisfied = self.clauses, self.occurs, self.satisfied
         value[lit] = 1
         value[-lit] = -1
         trail.append(lit)
-        head, unsat, ok = self.head, self.unsat, True
+        head, ok = self.head, True
         while ok and head < len(trail):
             lit = trail[head]
             head += 1
             for c in occurs[lit]:
                 sat[c] += 1
                 if sat[c] == 1:
-                    unsat -= 1
-                    for x in clauses[c]:
-                        count[x] -= 1
-                        if not count[x] and count[-x] and not value[x]:
-                            heappush(pure, abs(x))
+                    satisfied.append(c)
             for c in occurs[-lit]:
                 free[c] -= 1
                 if sat[c]:
@@ -179,34 +185,44 @@ class _TrailSearch:
                             trail.append(x)
                             self.propagations += 1
                             break
-        self.head, self.unsat = head, unsat
+        self.head = head
         return ok
 
-    def _undo(self, mark: int) -> None:
-        """Pop the trail back to ``mark``, reversing the counters of the
-        literals the propagation reached."""
+    def _undo(self, mark: int, satisfied_mark: int) -> None:
+        """Pop the trail back to ``mark`` and ``satisfied`` back to
+        ``satisfied_mark``, the lengths both had at a branching, reversing
+        the counters of the literals the propagation reached and the counts
+        of the clauses already applied."""
         trail, value, count = self.trail, self.value, self.count
         sat, free, clauses, occurs = self.sat, self.free, self.clauses, self.occurs
         for lit in trail[self.head:]:
             value[lit] = value[-lit] = 0
-        unsat = self.unsat
         for lit in reversed(trail[mark : self.head]):
             value[lit] = value[-lit] = 0
             for c in occurs[-lit]:
                 free[c] += 1
             for c in occurs[lit]:
                 sat[c] -= 1
-                if not sat[c]:
-                    unsat += 1
-                    for x in clauses[c]:
-                        count[x] += 1
+        for c in self.satisfied[satisfied_mark : self.applied]:
+            for x in clauses[c]:
+                count[x] += 1
         del trail[mark:]
-        self.head, self.unsat = mark, unsat
+        del self.satisfied[satisfied_mark:]
+        self.head = mark
+        self.applied = satisfied_mark
         self.pure.clear()
 
     def _lowest_pure(self) -> int:
-        """The pure literal of the lowest pure variable, or 0."""
-        pure, count, value = self.pure, self.count, self.value
+        """Apply the satisfied clauses to the counts, then return the pure
+        literal of the lowest pure variable, or 0."""
+        pure, count, value, clauses = self.pure, self.count, self.value, self.clauses
+        satisfied = self.satisfied
+        for c in satisfied[self.applied:]:
+            for x in clauses[c]:
+                count[x] -= 1
+                if not count[x] and count[-x] and not value[x]:
+                    heappush(pure, abs(x))
+        self.applied = len(satisfied)
         while pure:
             v = heappop(pure)
             if not value[v] and (count[v] > 0) != (count[-v] > 0):
@@ -216,31 +232,33 @@ class _TrailSearch:
     def solve(self, decision_budget: int | None) -> bool:
         """Search to a satisfying ``value`` (True) or exhaust it (False).
 
-        Each branching pushes the trail length and variable it started
-        from, so a conflict resumes the newest branching whose False side is
-        still untried.  At a branching every variable below the chosen one
-        is set or gone from the unsatisfied clauses, and stays so beneath
-        it, so the next variable is looked for only above it.
+        Each branching pushes the trail length, the ``satisfied`` length and
+        the variable it started from, so a conflict resumes the newest
+        branching whose False side is still untried.  At a branching every
+        variable below the chosen one is set or gone from the unsatisfied
+        clauses, and stays so beneath it, so the next variable is looked for
+        only above it.
         """
-        value, count = self.value, self.count
+        value, count, satisfied = self.value, self.count, self.satisfied
+        clause_count = len(self.clauses)
         for clause in self.clauses:
             if len(clause) == 1:
                 self.propagations += not value[clause[0]]
                 if not self._set(clause[0]):
                     return False
-        branches: list[tuple[int, int]] = []
+        branches: list[tuple[int, int, int]] = []
         low = 1
         ok = True
         while True:
             if not ok:
                 if not branches:
                     return False
-                mark, v = branches.pop()
-                self._undo(mark)
+                mark, satisfied_mark, v = branches.pop()
+                self._undo(mark, satisfied_mark)
                 low = v + 1
                 ok = self._set(-v)
                 continue
-            if not self.unsat:
+            if len(satisfied) == clause_count:
                 return True
             pure = self._lowest_pure()
             if pure:
@@ -254,7 +272,7 @@ class _TrailSearch:
             v = low
             while value[v] or not (count[v] or count[-v]):
                 v += 1
-            branches.append((len(self.trail), v))
+            branches.append((len(self.trail), len(satisfied), v))
             low = v + 1
             ok = self._set(v)
 

@@ -57,8 +57,14 @@ class OrthogonalMatrix:
         m = np.array(self.entries, dtype=float)
         if m.shape != (self.n, self.n):
             raise ValueError(f"expected a {self.n}x{self.n} matrix, got {m.shape}")
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            raise NonOrthogonalMatrixError(
+                f"row {i + 1}, column {j + 1} is {m[i, j]}; "
+                "an orthogonal matrix has finite entries"
+            )
         residual = np.abs(m.T @ m - np.eye(self.n)).max()
-        if residual > self.tol:
+        if not residual <= self.tol:
             raise NonOrthogonalMatrixError(
                 f"orthogonality residual {residual:.3e} exceeds {self.tol:.1e}"
             )
@@ -194,7 +200,7 @@ def haar_samples(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     d[d == 0] = 1.0
     q = q * d[:, None, :]
     residual = np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n)).max(initial=0.0)
-    if residual > CONSTRUCTION_TOL:
+    if not residual <= CONSTRUCTION_TOL:
         raise NonOrthogonalMatrixError(
             f"orthogonality residual {residual:.3e} exceeds {CONSTRUCTION_TOL:.1e}"
         )

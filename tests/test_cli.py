@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -467,6 +468,20 @@ def test_rebase_error_paths(tmp_path, capsys):
     skewed.write_text("2\n1.0 1.0\n0.0 1.0\n")
     assert main(["rebase", str(skewed), str(ident)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_rebase_names_a_non_finite_entry(tmp_path, capsys, bad):
+    ident = tmp_path / "i.mat"
+    ident.write_text(matrix_to_text(np.eye(2)))
+    broken = tmp_path / "broken.mat"
+    broken.write_text(f"2\n1.0 0.0\n0.0 {bad}\n")
+    with warnings.catch_warnings():
+        # a RuntimeWarning raised here would reach main's defect branch (exit 4)
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["rebase", str(broken), str(ident)]) == 2
+    err = capsys.readouterr().err
+    assert f"row 2, column 2 is {bad}" in err
 
 
 def test_selftest_wiring(monkeypatch, capsys):

@@ -289,6 +289,50 @@ def pigeonhole(holes):
     return CnfFormula.from_ints(pigeons * holes, clauses)
 
 
+def model_bits(model):
+    """An assignment as one "1" or "0" per variable (None stays None), the
+    compact form the search tests pin models in."""
+    return None if model is None else "".join("1" if v else "0" for v in model.values)
+
+
+def renamed_pigeonhole(rng, holes):
+    """PHP(holes + 1, holes) with its variables renamed and its clauses
+    shuffled by the ``random.Random`` *rng*."""
+    f = pigeonhole(holes)
+    name = list(range(1, f.n + 1))
+    rng.shuffle(name)
+    clauses = [[name[abs(l) - 1] * (1 if l > 0 else -1) for l in c] for c in f.clauses]
+    rng.shuffle(clauses)
+    return CnfFormula.from_ints(f.n, clauses)
+
+
+def random_3sat(rng, n, m, hidden=None):
+    """m clauses of 3 distinct variables with uniform signs; with *hidden*
+    (a list of n bools) only clauses that the hidden assignment satisfies
+    are kept, so the formula is satisfiable."""
+    out = []
+    while len(out) < m:
+        clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+        if hidden is None or any((lit > 0) == hidden[abs(lit) - 1] for lit in clause):
+            out.append(clause)
+    return CnfFormula.from_ints(n, out)
+
+
+def planted_3sat(rng, n):
+    """Threshold-ratio (4.26) 3-SAT kept satisfiable by a hidden assignment
+    drawn first from *rng*."""
+    hidden = [rng.random() < 0.5 for _ in range(n)]
+    return random_3sat(rng, n, round(4.26 * n), hidden)
+
+
+def wide_clauses(rng, n, m):
+    """m clauses that each hold all n variables, with uniform signs: every
+    satisfied clause touches n occurrence counts."""
+    return CnfFormula.from_ints(
+        n, [[v if rng.random() < 0.5 else -v for v in range(1, n + 1)] for _ in range(m)]
+    )
+
+
 @given(formulas())
 @settings(max_examples=200)
 def test_serialize_parse_round_trip(f):

@@ -31,7 +31,17 @@ from wittsat.geometry import (
 )
 from wittsat.oracle import brute_force
 
-from test_cnf import formulas, implication_chain, independent_pairs, pigeonhole
+from test_cnf import (
+    formulas,
+    implication_chain,
+    independent_pairs,
+    model_bits,
+    pigeonhole,
+    planted_3sat,
+    random_3sat,
+    renamed_pigeonhole,
+    wide_clauses,
+)
 
 
 def test_sign_vector_text_round_trip():
@@ -174,8 +184,10 @@ def test_expansion_plane_intersection_recovers_clause_plane():
 
 def test_cover_verdict_on_deep_independent_pairs():
     f = independent_pairs(1200)  # n=2400: one decision per pair
-    covered, witness = cover_verdict(f)
-    assert not covered and witness.satisfies(f)
+    covered, witness = cover_verdict(f, decision_budget=1200)
+    assert not covered and model_bits(witness) == "01" * 1200
+    with pytest.raises(ResourceLimitError):
+        cover_verdict(f, decision_budget=1199)
 
 
 def test_cover_verdict_on_long_implication_chain():
@@ -207,6 +219,40 @@ def test_cover_verdict_decision_budget():
     with pytest.raises(ResourceLimitError):
         cover_verdict(php, decision_budget=1)
     assert cover_verdict(php) == (True, None)
+
+
+# (formula, witness as 1/0 per variable or None when covered, decisions):
+# exact results, which no change to how the search keeps its branching
+# weights may move
+COVER_GOLDEN = {
+    "php6-5-renamed": (lambda: renamed_pigeonhole(random.Random(6), 5), None, 124),
+    "threshold-26": (
+        lambda: random_3sat(random.Random(26), 26, round(4.26 * 26)),
+        "11101010101101100101000110", 11,
+    ),
+    "threshold-14": (
+        lambda: random_3sat(random.Random(14), 14, round(4.26 * 14)),
+        "01000010100000", 7,
+    ),
+    "planted-30": (
+        lambda: planted_3sat(random.Random(30), 30),
+        "011001100101011000010100000000", 9,
+    ),
+    "php7-6": (lambda: pigeonhole(6), None, 719),
+    "wide-60": (lambda: wide_clauses(random.Random(60), 60, 300), "0" * 60, 10),
+}
+
+
+@pytest.mark.parametrize("family", list(COVER_GOLDEN))
+def test_cover_witness_and_decisions_are_pinned_on_search_families(family):
+    # the decision count is the budget boundary: k decisions pass, k - 1 raise
+    make, witness, decisions = COVER_GOLDEN[family]
+    f = make()
+    covered, found = cover_verdict(f, decision_budget=decisions)
+    assert covered == (witness is None)
+    assert model_bits(found) == witness
+    with pytest.raises(ResourceLimitError):
+        cover_verdict(f, decision_budget=decisions - 1)
 
 
 @given(formulas())

@@ -35,7 +35,17 @@ from wittsat.oracle import (
 )
 
 from dpll_reference import reference_dpll
-from test_cnf import formulas, implication_chain, independent_pairs, pigeonhole
+from test_cnf import (
+    formulas,
+    implication_chain,
+    independent_pairs,
+    model_bits,
+    pigeonhole,
+    planted_3sat,
+    random_3sat,
+    renamed_pigeonhole,
+    wide_clauses,
+)
 
 
 def test_brute_force_known_model_set():
@@ -76,7 +86,7 @@ def test_dpll_on_deep_independent_pairs():
     f = independent_pairs(1200)  # n=2400: one decision per pair
     stats = {}
     res = dpll(f, stats=stats)
-    assert res.verdict == SAT and res.model.satisfies(f)
+    assert res.verdict == SAT and model_bits(res.model) == "10" * 1200
     assert stats == {"decisions": 1200, "propagations": 1200}
 
 
@@ -143,24 +153,6 @@ def test_trail_dpll_matches_reference_on_seeded_corpus():
         _assert_matches_reference(_corpus_formula(rng))
 
 
-def _random_3sat(rng, n, m, hidden=None):
-    out = []
-    while len(out) < m:
-        clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
-        if hidden is None or any((lit > 0) == hidden[abs(lit) - 1] for lit in clause):
-            out.append(clause)
-    return CnfFormula.from_ints(n, out)
-
-
-def _renamed_pigeonhole(rng, holes):
-    f = pigeonhole(holes)
-    name = list(range(1, f.n + 1))
-    rng.shuffle(name)
-    clauses = [[name[abs(l) - 1] * (1 if l > 0 else -1) for l in c] for c in f.clauses]
-    rng.shuffle(clauses)
-    return CnfFormula.from_ints(f.n, clauses)
-
-
 @pytest.mark.parametrize(
     "family, copies", [("php7-6-renamed", 1), ("threshold-45", 6), ("planted-50", 3)]
 )
@@ -168,13 +160,44 @@ def test_trail_dpll_matches_reference_on_search_families(family, copies):
     rng = random.Random(1962)
     for _ in range(copies):
         if family == "php7-6-renamed":
-            f = _renamed_pigeonhole(rng, 6)
+            f = renamed_pigeonhole(rng, 6)
         elif family == "threshold-45":
-            f = _random_3sat(rng, 45, round(4.26 * 45))
+            f = random_3sat(rng, 45, round(4.26 * 45))
         else:
-            hidden = [rng.random() < 0.5 for _ in range(50)]
-            f = _random_3sat(rng, 50, round(4.26 * 50), hidden)
+            f = planted_3sat(rng, 50)
         _assert_matches_reference(f)
+
+
+# (formula, verdict, model as 1/0 per variable, decisions, propagations):
+# exact counters, which no change to how the search keeps its pure-literal
+# counts may move
+DPLL_GOLDEN = {
+    "php7-6-renamed": (
+        lambda: renamed_pigeonhole(random.Random(7), 6), UNSAT, None, 1137, 9621
+    ),
+    "threshold-45": (
+        lambda: random_3sat(random.Random(45), 45, round(4.26 * 45)),
+        UNSAT, None, 236, 3864,
+    ),
+    "planted-50": (
+        lambda: planted_3sat(random.Random(50), 50),
+        SAT, "11111011011001000000000100111101000111010010111010", 15, 148,
+    ),
+    "php7-6": (lambda: pigeonhole(6), UNSAT, None, 719, 5503),
+    "wide-60": (
+        lambda: wide_clauses(random.Random(60), 60, 300),
+        SAT, "111111111011111111111111111111111111111111111111111111111111", 5, 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(DPLL_GOLDEN))
+def test_dpll_counters_are_pinned_on_search_families(family):
+    make, verdict, model, decisions, propagations = DPLL_GOLDEN[family]
+    stats = {}
+    res = dpll(make(), stats=stats)
+    assert (res.verdict, model_bits(res.model)) == (verdict, model)
+    assert stats == {"decisions": decisions, "propagations": propagations}
 
 
 def _clause_over(draw, variables):

@@ -3,6 +3,7 @@ rebasing, and the sampling report."""
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from wittsat.ortho import (
     OrthogonalMatrix,
     WittBasis,
     eigenvalue_one_multiplicity,
+    haar_samples,
     intersect_dim,
     matrices_from_text,
     matrix_to_text,
@@ -47,6 +49,25 @@ def test_orthogonal_matrix_validation():
         OrthogonalMatrix(2, [[1, 0, 0], [0, 1, 0]])
     flip = OrthogonalMatrix.diagonal([1, -1])
     assert flip.n == 2 and np.array_equal(flip.entries, np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_orthogonal_matrix_rejects_non_finite_entries(bad):
+    # a NaN residual fails every comparison, so a tolerance test alone
+    # must be written `not residual <= tol`; the error names the entry,
+    # and no RuntimeWarning from the residual's matmul gets out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonOrthogonalMatrixError, match=r"row 2, column 2"):
+            OrthogonalMatrix.from_array([[1, 0], [0, bad]])
+
+
+def test_haar_samples_reject_a_nan_residual(monkeypatch):
+    monkeypatch.setattr(
+        np.linalg, "qr", lambda a: (np.full(a.shape, np.nan), np.ones(a.shape))
+    )
+    with pytest.raises(NonOrthogonalMatrixError):
+        haar_samples(3, 2, np.random.default_rng(0))
 
 
 def test_neutral_form_signs():
