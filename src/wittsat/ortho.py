@@ -63,7 +63,14 @@ class OrthogonalMatrix:
                 f"row {i + 1}, column {j + 1} is {m[i, j]}; "
                 "an orthogonal matrix has finite entries"
             )
-        residual = np.abs(m.T @ m - np.eye(self.n)).max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = np.abs(m.T @ m - np.eye(self.n)).max()
+        if not np.isfinite(residual):
+            i, j = np.unravel_index(np.abs(m).argmax(), m.shape)
+            raise NonOrthogonalMatrixError(
+                f"orthogonality residual overflows: row {i + 1}, column {j + 1} "
+                f"is {m[i, j]}; an orthogonal matrix has entries in [-1, 1]"
+            )
         if not residual <= self.tol:
             raise NonOrthogonalMatrixError(
                 f"orthogonality residual {residual:.3e} exceeds {self.tol:.1e}"
@@ -213,9 +220,13 @@ def sample_orthogonal(n: int, seed: int) -> OrthogonalMatrix:
 
 
 def eigenvalue_one_multiplicity(m: np.ndarray, tol: float = VERIFY_TOL):
-    """Eigenvalues within tol of 1: an int for one matrix, an array of
-    counts for a stack."""
-    counts = (np.abs(np.linalg.eigvals(m) - 1.0) <= tol).sum(axis=-1)
+    """Eigenvalues within tol of 1, counted as the singular values of m - I
+    that are at most tol: an int for one matrix, an array of counts for a
+    stack.  For a normal m these singular values are exactly |lambda - 1|;
+    a matrix orthogonal only within a small residual moves them by about
+    that residual."""
+    sv = np.linalg.svd(m - np.eye(m.shape[-1]), compute_uv=False)
+    counts = (sv <= tol).sum(axis=-1)
     return int(counts) if counts.ndim == 0 else counts
 
 
@@ -304,10 +315,12 @@ def witt_rebase(
     graph plane of t2 as its q side.
 
     The planes are transversal exactly when t1^T t2 has no eigenvalue 1;
-    otherwise the eigenvalue's multiplicity is the intersection dimension and
-    the pair is rejected.  The q side is the unique basis of the second plane
-    dual to the rows of the first under twice the neutral form.  This is
-    the stacked rebasing of the sampling report, on a stack of one.
+    otherwise the eigenvalue's multiplicity, read from the singular values
+    of t1^T t2 - I (eigenvalue_one_multiplicity), is the intersection
+    dimension and the pair is rejected.  The q side is the unique basis of
+    the second plane dual to the rows of the first under twice the neutral
+    form.  This is the stacked rebasing of the sampling report, on a stack
+    of one.
     """
     if t1.n != t2.n:
         raise ValueError("matrix sizes differ")
@@ -387,6 +400,11 @@ def orthogonal_cover_report(
     of the two, fixed by its determinant, and generically not the other, so
     the fraction is ~1; at even n a det -1 sample has both, so the fraction
     is ~1/2, the share of SO(n).  The p-only number is reported separately.
+    A Haar sample is orthogonal to rounding, so its spectrum is read from
+    the symmetric part (t + t^T)/2, whose eigenvalues are cos(theta) for t's
+    eigenvalues exp(+-i theta): |lambda - 1| = 2 sin(theta/2) <= tol is
+    cos(theta) >= 1 - tol^2/2, and |lambda + 1| <= tol is
+    cos(theta) <= tol^2/2 - 1.
 
     Samples are drawn, tested and rebased in stacks, which gives the same
     report as taking them one by one.
@@ -405,9 +423,9 @@ def orthogonal_cover_report(
         # t meets the all-p plane at eigenvalue 1 and the all-q plane at
         # eigenvalue -1 (the spectrum of -t); the q side is tried only for
         # samples that meet the p side
-        lam = np.linalg.eigvals(t)
-        meets_p = (np.abs(lam - 1.0) <= tol).any(axis=-1)
-        meets_q = (np.abs(lam + 1.0) <= tol).any(axis=-1)
+        cos = np.linalg.eigvalsh(0.5 * (t + np.swapaxes(t, -1, -2)))
+        meets_p = cos[:, -1] >= 1.0 - 0.5 * tol * tol
+        meets_q = cos[:, 0] <= 0.5 * tol * tol - 1.0
         p_ok = _rebased(1.0, t[~meets_p])
         p_side += p_ok
         rebasable += p_ok + _rebased(-1.0, t[meets_p & ~meets_q])
@@ -453,10 +471,10 @@ def matrices_from_text(text: str) -> list[np.ndarray]:
         if pos + need > len(tokens):
             raise ValueError(f"matrix of size {n} is truncated")
         try:
-            vals = [float(tok) for tok in tokens[pos : pos + need]]
+            vals = np.fromiter(map(float, tokens[pos : pos + need]), float, need)
         except ValueError as e:
             raise ValueError(f"bad matrix entry: {e}") from None
-        out.append(np.array(vals, dtype=float).reshape(n, n))
+        out.append(vals.reshape(n, n))
         pos += need
     if not out:
         raise ValueError("no matrices found")

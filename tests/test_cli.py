@@ -484,6 +484,24 @@ def test_rebase_names_a_non_finite_entry(tmp_path, capsys, bad):
     assert f"row 2, column 2 is {bad}" in err
 
 
+@pytest.mark.parametrize("rows, named", [
+    ("1e200 1e200\n1e200 -1e200", "row 1, column 1 is 1e+200"),
+    ("1e-3 0.0\n0.0 -3e200", "row 2, column 2 is -3e+200"),
+])
+def test_rebase_names_the_entry_that_overflows_the_residual(tmp_path, capsys,
+                                                             rows, named):
+    ident = tmp_path / "i.mat"
+    ident.write_text(matrix_to_text(np.eye(2)))
+    huge = tmp_path / "huge.mat"
+    huge.write_text(f"2\n{rows}\n")
+    with warnings.catch_warnings():
+        # an overflow warning raised here would reach main's defect branch
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["rebase", str(huge), str(ident)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+
+
 def test_selftest_wiring(monkeypatch, capsys):
     import wittsat.selftest as selftest
     from wittsat.selftest import Check

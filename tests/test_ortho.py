@@ -256,7 +256,9 @@ def test_a_singular_pair_does_not_fail_the_stack():
 def _reference_report(f: CnfFormula, samples: int, seed: int) -> dict:
     """The report by its definition: one Gaussian draw, one QR, one
     strict_membership per clause and one witt_rebase per reference plane at a
-    time, and the discrete cover over every diagonal sign matrix."""
+    time, and the discrete cover over every diagonal sign matrix.  Whether a
+    sample meets a reference plane is decided here by a frozen eigvals test,
+    not by witt_rebase, so the reference does not follow the code it checks."""
     n = f.n
     usable = [c for c in f.clauses if not c.is_tautological]
     discrete = f.has_empty_clause or all(
@@ -273,10 +275,13 @@ def _reference_report(f: CnfFormula, samples: int, seed: int) -> dict:
         t = OrthogonalMatrix(n, q * d)
         strict += any(strict_membership(t, c) for c in usable)
         for side, reference in enumerate(references):
+            m = reference.entries.T @ t.entries
+            if (np.abs(np.linalg.eigvals(m) - 1.0) <= 1e-6).any():
+                continue  # the q side is tried only after the p side meets
             try:
                 witt_rebase(reference, t)
-            except NonTransversalError:
-                continue  # the q side is tried only after the p side meets
+            except NonTransversalError as e:
+                pytest.fail(f"witt_rebase rejects a sample found transversal: {e}")
             except ValueError:
                 break
             rebased += 1
@@ -424,3 +429,93 @@ def test_rebase_json_is_unchanged_by_the_stacked_core(tmp_path, capsys, n):
         assert (code, out.out, out.err) == _pre_stack_rebase(a1, a2)
         codes.append(code)
     assert codes == [1, 1, 0, 0]
+
+
+def _rotation(angle: float) -> np.ndarray:
+    return np.array([[np.cos(angle), -np.sin(angle)],
+                     [np.sin(angle), np.cos(angle)]])
+
+
+def _boundary_matrix(rng: np.random.Generator, n: int, side: float,
+                     factors: tuple[float, ...]) -> np.ndarray:
+    """A Haar conjugate of a block-diagonal orthogonal matrix with one block
+    side * R(theta) per factor f, where |lambda - side| = 2 sin(theta/2) is
+    f * 1e-6 (VERIFY_TOL); rotations far from +-1 fill the rest, and at odd n a
+    last entry -side."""
+    d = np.zeros((n, n))
+    i = 0
+    for f in factors:
+        d[i:i + 2, i:i + 2] = side * _rotation(2.0 * np.arcsin(f * 1e-6 / 2.0))
+        i += 2
+    for i in range(i, n - 1, 2):
+        d[i:i + 2, i:i + 2] = _rotation(rng.uniform(0.5, np.pi - 0.5))
+    if n % 2:
+        d[n - 1, n - 1] = -side
+    u = haar_samples(n, 1, rng)[0]
+    return u @ d @ u.T
+
+
+@pytest.mark.parametrize("n", [3, 7, 10, 14])
+def test_eigenvalues_at_the_tolerance_boundary(monkeypatch, n):
+    # eigenvalues at 0.99 and 1.01 tol from +1 or -1: the report's p/q flags
+    # and eigenvalue_one_multiplicity follow a frozen eigvals classification
+    import wittsat.ortho as ortho
+
+    rng = np.random.default_rng(4400 + n)
+    shapes = [(0.99,), (1.01,)] + ([(0.99, 1.01)] if n >= 4 else [])
+    cases = [(side, factors) for side in (1.0, -1.0) for factors in shapes]
+    stack = np.stack([_boundary_matrix(rng, n, *case) for case in cases])
+    meets_p, meets_q = [], []
+    for (side, factors), m in zip(cases, stack):
+        lam = np.linalg.eigvals(m)
+        plus = int((np.abs(lam - 1.0) <= 1e-6).sum())
+        minus = int((np.abs(lam + 1.0) <= 1e-6).sum())
+        near = 2 * factors.count(0.99)
+        assert (plus, minus) == ((near, n % 2) if side > 0 else (n % 2, near))
+        assert eigenvalue_one_multiplicity(m) == plus
+        assert eigenvalue_one_multiplicity(-m) == minus
+        meets_p.append(plus > 0)
+        meets_q.append(minus > 0)
+    meets_p, meets_q = np.array(meets_p), np.array(meets_q)
+
+    tried = []
+    rebased = ortho._rebased
+    monkeypatch.setattr(ortho, "haar_samples", lambda n, count, rng: stack[:count])
+    monkeypatch.setattr(ortho, "_rebased",
+                        lambda sign, t: tried.append((sign, t)) or rebased(sign, t))
+    orthogonal_cover_report(CnfFormula.from_ints(n, [(1,)]), len(stack), 0)
+    (p_sign, p_tried), (q_sign, q_tried) = tried
+    assert (p_sign, q_sign) == (1.0, -1.0)
+    assert np.array_equal(p_tried, stack[~meets_p])
+    assert np.array_equal(q_tried, stack[meets_p & ~meets_q])
+
+
+def _meeting_pair(rng: np.random.Generator, n: int, r: int):
+    """(t1, t2) whose graph planes meet in dimension r, with t2 moved off
+    O(n) to an orthogonality residual of about 3e-11."""
+    t1, u = haar_samples(n, 2, rng)
+    core = np.eye(n)
+    for i in range(r, n - 1, 2):
+        core[i:i + 2, i:i + 2] = _rotation(rng.uniform(0.3, np.pi))
+    if (n - r) % 2:
+        core[n - 1, n - 1] = -1.0
+    t2 = t1 @ u @ core @ u.T
+    g = 1e-12 * rng.standard_normal((n, n))
+    scale = 3e-11 / np.abs((t2 + g).T @ (t2 + g) - np.eye(n)).max()
+    return t1, t2 + scale * g
+
+
+@pytest.mark.parametrize("n", [9, 129])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_rebase_counts_a_meeting_within_the_input_tolerance(tmp_path, capsys, n, r):
+    # user matrices need only be orthogonal within --tol (1e-9): a residual
+    # of ~3e-11 moves the spectrum's symmetric part by more than tol^2 / 2
+    t1, t2 = _meeting_pair(np.random.default_rng(5500 + 10 * n + r), n, r)
+    residual = np.abs(t2.T @ t2 - np.eye(n)).max()
+    assert 2e-11 <= residual <= 5e-11
+    path = tmp_path / "pair.txt"
+    path.write_text(matrix_to_text(t1) + matrix_to_text(t2))
+    assert main(["rebase", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"not transversal: planes meet in dimension {r}\n"
+    )
