@@ -100,8 +100,8 @@ def _cmd_check(args) -> int:
             zero, splits = zero_test_splits(element)
             stats["patterns"] = element.term_count
         else:
-            zero, splits = not table.any(), 0
             stats["patterns"] = int(np.bitwise_count(table).sum())
+            zero, splits = stats["patterns"] == 0, 0
         timings["algebra"] = (time.perf_counter() - start) * 1000.0
         verdicts["algebra"] = zero
         stats["splits"] = splits

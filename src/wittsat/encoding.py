@@ -6,15 +6,15 @@ that falsifier).  The product evaluates to 1 exactly on satisfying
 assignments, so the formula is unsatisfiable precisely when the product is
 the zero element.
 
-The product takes one of two forms, chosen by the input's size alone.
-While 2^n fits the cell budget it is its table of values on all 2^n
-assignments (:func:`encode_table`), one bit per assignment, which is zero
-when no bit is set.  Past the budget it is a sparse sum of patterns, which
-the cofactor zero test decides.
+The product takes one of two forms, chosen by the input's size alone:
+while 2^n fits the cell budget, its table of values on all 2^n assignments
+(:func:`encode_table`), one bit each and zero when no bit is set; past the
+budget, a sparse sum of patterns, which the cofactor zero test decides.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 
@@ -89,6 +89,45 @@ _LANE_FALSIFIERS = tuple(
     (ones, _WORD ^ ones)
     for ones in (sum(1 << b for b in range(64) if b >> s & 1) for s in range(_LANES))
 )
+# The last _ROW_AXES word axes (all of them below n = 15) make one row of
+# contiguous words; the axes before them are leading axes.  Clauses are
+# combined _CHUNK at a time, so no more than _CHUNK rows are held at once.
+_ROW_AXES = 8
+_CHUNK = 256
+
+
+@functools.cache
+def _literal_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each literal's falsifier over one row of an n-variable value table,
+    and the leading cells it fixes, both indexed by literal + n.
+
+    A literal on a lane fails at its lane mask in every word of the row, a
+    literal on a row axis at every bit of the words whose index reads its
+    falsifying value, and a literal on a leading axis everywhere, since its
+    value picks the rows instead: column k of the second array is the
+    (mask, value) bits it sets over the leading axes, variable 1 at bit 0.
+    Index n, the literal 0, fixes nothing and pads clauses to one width.
+    """
+    lanes = min(n, _LANES)
+    axes = n - lanes
+    row_axes = min(axes, _ROW_AXES)
+    lead = axes - row_axes
+    word = np.arange(1 << row_axes)
+    rows = np.full((2 * n + 1, 1 << row_axes), _WORD, dtype=np.uint64)
+    keys = np.zeros((2, 2 * n + 1), dtype=np.int64)
+    for lit in itertools.chain(range(-n, 0), range(1, n + 1)):
+        var = abs(lit)
+        if var > axes:
+            rows[lit + n] = _LANE_FALSIFIERS[n - var][lit < 0]
+        elif var > lead:
+            # a positive literal fails where its axis reads 1 (false)
+            rows[lit + n, (word >> (axes - var) & 1) != (lit > 0)] = 0
+        else:
+            bit = 1 << (var - 1)
+            keys[:, lit + n] = bit, bit if lit > 0 else 0
+    rows.flags.writeable = False
+    keys.flags.writeable = False
+    return rows, keys
 
 
 def encode_table(
@@ -105,10 +144,18 @@ def encode_table(
     holds the cell whose last w variables read b the same way (variable n
     is bit 0).  So word * 64 + bit is the assignment's primitive index
     (:func:`table_cells`).  The table starts as the identity, every cell
-    set, and each clause clears its falsifier's cells with one in-place AND
-    on the subcube its word-axis literals fix, masked by its lane literals;
-    an empty clause clears everything.  The cell budget is 2^22 when
-    *term_budget* is None and *term_budget* otherwise.
+    set, and each clause clears its falsifier's cells; an empty clause
+    clears everything.  The cell budget is 2^22 when *term_budget* is None
+    and *term_budget* otherwise.
+
+    The word axes split into the row axes, the last 8 of them (a
+    contiguous run of up to 256 words), and the leading axes before them.
+    A clause's falsifier over one row is the AND of its literals' rows
+    (:func:`_literal_rows`), gathered for a chunk of clauses at once.
+    Clauses that fix the same leading axes to the same values clear the
+    union of their falsifiers with one in-place AND, broadcast over the
+    rows those values select.  Below n = 15 there are no leading axes, so
+    every clause shares that one AND.
     """
     cell_budget = DEFAULT_CELL_BUDGET if term_budget is None else int(term_budget)
     if cell_budget < 1:
@@ -126,18 +173,41 @@ def encode_table(
     if f.has_empty_clause:
         table[...] = 0
         return table
-    for clause in _live_clauses(f):
-        index: list = [slice(None)] * axes
-        falsifier = _WORD
-        for lit in clause:
-            var = abs(lit)
-            if var <= axes:
-                index[var - 1] = 1 if lit > 0 else 0
-            else:
-                falsifier &= _LANE_FALSIFIERS[n - var][lit < 0]
-        # the trailing ... keeps a view even when every axis is fixed
-        view = table[(*index, ...)]
-        np.bitwise_and(view, _WORD ^ falsifier, out=view)
+    live = _live_clauses(f)
+    lead = axes - min(axes, _ROW_AXES)
+    rows = table.reshape((2,) * lead + (-1,))
+    literal_rows, literal_keys = _literal_rows(n)
+    for start in range(0, len(live), _CHUNK):
+        chunk = live[start : start + _CHUNK]
+        widths = np.fromiter(map(len, chunk), np.intp, len(chunk))
+        codes = np.full((len(chunk), widths.max()), n)
+        codes[np.arange(codes.shape[1]) < widths[:, None]] = n + np.fromiter(
+            itertools.chain.from_iterable(chunk), np.intp, widths.sum()
+        )
+        # sort the clauses so those fixing the same leading cells are adjacent
+        # (a clause names each variable once, so the sums are ORs)
+        mask, value = (np.add.reduce(k[codes], axis=1) for k in literal_keys)
+        order = np.lexsort((value, mask))
+        codes, mask, value = codes[order], mask[order], value[order]
+        falsifiers = literal_rows[codes[:, 0]]
+        for column in codes.T[1:]:
+            np.bitwise_and(falsifiers, literal_rows[column], out=falsifiers)
+        keeps = np.invert(falsifiers, out=falsifiers)
+        changes = (mask[1:] != mask[:-1]) | (value[1:] != value[:-1])
+        starts = [0, *(np.flatnonzero(changes) + 1).tolist()]
+        for lo, hi, fixed, falsified in zip(
+            starts,
+            starts[1:] + [len(chunk)],
+            mask[starts].tolist(),
+            value[starts].tolist(),
+        ):
+            index = [
+                falsified >> a & 1 if fixed >> a & 1 else slice(None)
+                for a in range(lead)
+            ]
+            # the trailing ... keeps a view even when every leading axis is fixed
+            view = rows[(*index, ...)]
+            np.bitwise_and(view, np.bitwise_and.reduce(keeps[lo:hi]), out=view)
     return table
 
 

@@ -2,14 +2,17 @@
 
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wittsat
 from wittsat.cli import main
 from wittsat.cnf import Assignment, CnfFormula, serialize_dimacs
 from wittsat.oracle import brute_force, dpll
@@ -520,7 +523,15 @@ def test_selftest_wiring(monkeypatch, capsys):
 def test_console_entry_point_version():
     exe = shutil.which("wittsat")
     cmd = [exe] if exe else [sys.executable, "-m", "wittsat.cli"]
+    # the subprocess imports the package this process imported, installed
+    # or not
+    source = str(Path(wittsat.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     got = subprocess.run(
-        cmd + ["--version"], capture_output=True, text=True, check=True
+        cmd + ["--version"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert got.stdout.strip() == "0.1.0"

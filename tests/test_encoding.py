@@ -6,6 +6,8 @@ wittsat.oracle and is tested independently against DPLL).
 
 import random
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from wittsat.algebra import (
 )
 from wittsat.cnf import Assignment, Clause, CnfFormula, TautologyError
 from wittsat.encoding import (
+    _CHUNK,
+    _ROW_AXES,
     DroppedClauseWarning,
     TermBudgetError,
     count_models,
@@ -37,6 +41,7 @@ from wittsat.encoding import (
 from wittsat.oracle import brute_force
 from wittsat.selftest import _random_clause, _random_formula
 
+from table_reference import reference_table
 from test_algebra import _point_values
 from test_cnf import formulas, pigeonhole, two_wide_clauses
 
@@ -228,6 +233,111 @@ def test_packed_table_at_n20_matches_satisfies():
     for i in np.concatenate([models_, others]).tolist():
         a = Assignment.from_primitive_index(i, n)
         assert a.satisfies(f) == got[i]
+
+
+def _assert_table_matches_reference(f):
+    """The table equals the frozen per-clause kernel's bit for bit, and both
+    warn about the same dropped tautologies."""
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always")
+        want = reference_table(f)
+    with warnings.catch_warnings(record=True) as got_warned:
+        warnings.simplefilter("always")
+        got = encode_table(f)
+    assert [str(w.message) for w in got_warned] == [
+        str(w.message) for w in want_warned
+    ]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def _layout(n):
+    """(leading, row-axis, lane) variables of an n-variable table."""
+    axes = max(n - 6, 0)
+    lead = axes - min(axes, _ROW_AXES)
+    return (
+        list(range(1, lead + 1)),
+        list(range(lead + 1, axes + 1)),
+        list(range(axes + 1, n + 1)),
+    )
+
+
+def _signed(rng, variables):
+    return tuple(v if rng.integers(2) else -v for v in variables)
+
+
+# widths 1 to n, unit clauses, repeated clauses, a repeated literal (which
+# Clause.from_ints drops), tautologies and the empty clause, at every n up
+# to the cell budget
+@pytest.mark.parametrize("n", range(1, 23))
+@pytest.mark.parametrize("seed", range(2))
+def test_table_equals_the_reference_at_every_n(n, seed):
+    rng = np.random.default_rng(17000 + 100 * seed + n)
+    for m in (0, n, 3 * n, 5 * n):
+        clauses = [
+            _random_clause(rng, n, int(rng.integers(1, n + 1))) for _ in range(m)
+        ]
+        clauses.append(_random_clause(rng, n, n))
+        clauses.append(_random_clause(rng, n, 1))
+        clauses.append(clauses[0])
+        clauses.append(clauses[-2] + clauses[-2][:1])
+        if n > 1:
+            v = int(rng.integers(1, n + 1))
+            clauses.append((v, -v, *_random_clause(rng, n, 1)))
+        f = CnfFormula.from_ints(n, clauses)
+        _assert_table_matches_reference(f)
+    _assert_table_matches_reference(CnfFormula(n, f.clauses, empty_clause_count=1))
+
+
+# clauses confined to one part of the layout: the lanes, the row axes or the
+# leading axes (one fixing every leading axis), and mixed; n = 14 is the
+# last n with no leading axis
+@pytest.mark.parametrize("n", [7, 13, 14, 15, 16, 20, 22])
+@pytest.mark.parametrize("seed", range(3))
+def test_table_equals_the_reference_per_layout_part(n, seed):
+    rng = np.random.default_rng(1000 * n + seed)
+    lead, row, lane = _layout(n)
+    clauses = []
+    for part in (lead, row, lane):
+        for width in range(1, min(len(part), 4) + 1):
+            chosen = rng.choice(part, size=width, replace=False)
+            clauses.append(_signed(rng, (int(v) for v in chosen)))
+    if lead:
+        clauses.append(_signed(rng, lead))
+        clauses.append(_signed(rng, lead + row[:1] + lane[:1]))
+    clauses += [_random_clause(rng, n, 3) for _ in range(2 * n)]
+    _assert_table_matches_reference(CnfFormula.from_ints(n, clauses))
+
+
+def test_table_equals_the_reference_across_clause_chunks():
+    rng = np.random.default_rng(17200)
+    for n in (9, 16):
+        m = 2 * _CHUNK + 37
+        clauses = [
+            _random_clause(rng, n, int(rng.integers(1, 5))) for _ in range(m)
+        ]
+        _assert_table_matches_reference(CnfFormula.from_ints(n, clauses))
+
+
+def test_table_working_memory_does_not_grow_with_the_clauses():
+    """Clause rows are made a chunk at a time: the peak allocation stays
+    within a small multiple of the table and one chunk's rows, far below
+    one row per clause."""
+    n, m = 16, 20_000
+    rng = np.random.default_rng(17400)
+    f = CnfFormula.from_ints(n, [_random_clause(rng, n, 3) for _ in range(m)])
+    table_bytes = 8 << (n - 6)
+    chunk_bytes = 8 * _CHUNK << _ROW_AXES
+    encode_table(f)  # the per-n literal rows are made once, not per call
+    tracemalloc.start()
+    try:
+        table = encode_table(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == table_bytes
+    clause_rows_bytes = 8 * m << _ROW_AXES  # one row per clause: 41 MB
+    assert peak <= 4 * (table_bytes + chunk_bytes) < clause_rows_bytes // 10
 
 
 @pytest.mark.parametrize("seed", range(6))
