@@ -15,6 +15,7 @@ import os
 import sys
 import time
 import traceback
+import warnings
 
 import numpy as np
 
@@ -107,14 +108,16 @@ def _cmd_check(args) -> int:
         stats["splits"] = splits
     if route in ("cover", "all"):
         start = time.perf_counter()
-        covered, witness = cover_verdict(f, decision_budget=budget)
+        counters: dict[str, int] = {}
+        covered, witness = cover_verdict(f, decision_budget=budget, stats=counters)
         timings["cover"] = (time.perf_counter() - start) * 1000.0
+        stats.update((f"cover_{k}", v) for k, v in counters.items())
         verdicts["cover"] = covered
         if witness is not None:
             found["cover"] = witness
     if route in ("dpll", "all"):
         start = time.perf_counter()
-        counters: dict[str, int] = {}
+        counters = {}
         result = dpll(f, decision_budget=budget, stats=counters)
         timings["dpll"] = (time.perf_counter() - start) * 1000.0
         stats.update((f"dpll_{k}", v) for k, v in counters.items())
@@ -428,27 +431,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one ``warning: <message>`` line on stderr, without the
+    source file, line and code that Python's own format adds."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (DimacsError, NonOrthogonalMatrixError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ResourceLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_LIMIT
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except Exception as e:
-        # a defect, never a verdict: exit 1 would read as UNSAT
-        traceback.print_exc()
-        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+    # the warning filters in force stay as they are; only the format changes
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (DimacsError, NonOrthogonalMatrixError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_INPUT
+        except ResourceLimitError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_LIMIT
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_INPUT
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_INPUT
+        except Exception as e:
+            # a defect, never a verdict: exit 1 would read as UNSAT
+            traceback.print_exc()
+            print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

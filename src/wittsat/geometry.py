@@ -198,8 +198,16 @@ def induced_pattern(clause: Clause, n: int) -> TernaryPattern:
     return TernaryPattern(tuple(slots))
 
 
+# Positions per block of the branching weights: a branching reads one maximum
+# per block and recomputes only the blocks whose weights changed.
+_BLOCK = 64
+
+
 def _first_uncovered(
-    patterns: list[dict[int, int]], n: int, decision_budget: int | None = None
+    patterns: list[dict[int, int]],
+    n: int,
+    decision_budget: int | None = None,
+    stats: dict | None = None,
 ) -> tuple[int, ...] | None:
     """Search for a sign vector that no pattern matches.
 
@@ -210,14 +218,28 @@ def _first_uncovered(
     opposite sign there (unit propagation read on covers).  Branching takes
     the position fixed by the most live patterns, lowest index on ties, +1
     first.  Positions left unassigned read +1 in the witness.  More than
-    ``decision_budget`` branchings raise ResourceLimitError.
+    ``decision_budget`` branchings raise ResourceLimitError.  If *stats* is
+    a dict, ``stats["decisions"]`` (branchings) and ``stats["propagations"]``
+    (forced signs that got assigned) are set, also when the budget runs out.
 
-    A pattern goes on ``killed`` when its first slot is contradicted and
-    comes off when the undo frees that slot, so the list holds exactly the
-    dead patterns.  The branching weights are lowered only for
-    ``killed[:applied]``: the rest are applied just before a branching reads
-    the weights, so a branch that ends in a cover never touches them.
+    An assignment updates only ``agree``, the assigned slots that match each
+    pattern.  That alone finds covers and forced signs: a pattern with no
+    slot left outside ``agree`` has none contradicted, and one with a single
+    slot left forces it only if it is unassigned.  Dead patterns are found
+    by a sweep over ``trail[swept:]`` after a propagation ends without a
+    cover, so a branch that ends in a cover never touches them.  The sweep
+    marks a pattern ``dead``, puts it on ``killed`` and lowers the branching
+    weights of its slots when it meets a contradicted slot, and the undo
+    reverses that for the patterns killed since the branching, so at a
+    decision point the list holds exactly the dead patterns.  ``top`` holds
+    the weights' maxima over blocks of ``_BLOCK`` positions, and a block is
+    recomputed only once one of its weights changed since the last
+    branching: at a position swept or unswept, or at a slot of a pattern
+    killed or revived.  The first block holding the top value, and the first
+    position in it, give the lowest position of the heaviest weight.
     """
+    stats = {} if stats is None else stats
+    stats["decisions"] = stats["propagations"] = 0
     slots = [tuple(p.items()) for p in patterns]
     if not all(slots):
         return None  # a pattern without fixed slots matches everything
@@ -227,21 +249,24 @@ def _first_uncovered(
             occurs[sign][pos].append(j)
     size = [len(pattern) for pattern in slots]
     agree = [0] * len(slots)  # assigned slots that match
-    contradicted = [0] * len(slots)  # assigned slots that contradict
+    dead = [False] * len(slots)  # a swept slot contradicts the pattern
     killed: list[int] = []
-    applied = 0
-    # live patterns fixing each position, once applied; an assigned position
-    # is lowered by `assigned_mark` so that max() picks only unassigned ones
+    # live patterns fixing each position as of the last sweep; an assigned
+    # position is lowered by `assigned_mark` so that max() picks only
+    # unassigned ones
     assigned_mark = len(slots) + 1
     weight = [0] * n
     for pattern in slots:
         for pos, _ in pattern:
             weight[pos] += 1
+    top = [max(weight[b : b + _BLOCK]) for b in range(0, n, _BLOCK)]
+    stale: set[int] = set()  # blocks whose `top` entry is out of date
     value = [0] * n
     trail: list[int] = []
+    swept = 0
     # (trail mark, killed mark, position) tried at +1
     branches: list[tuple[int, int, int]] = []
-    decisions = 0
+    branch_sign = 0  # 1 when the queue starts with a branching's own sign
     queue = [(p[0][0], -p[0][1]) for p in slots if len(p) == 1]
 
     def propagate(queue: list[tuple[int, int]]) -> bool:
@@ -255,25 +280,26 @@ def _first_uncovered(
             value[pos] = sign
             trail.append(pos)
             weight[pos] -= assigned_mark
-            for j in occurs[-sign][pos]:
-                contradicted[j] += 1
-                if contradicted[j] == 1:
-                    killed.append(j)
             agreeing = occurs[sign][pos]
             for j in agreeing:
                 agree[j] += 1
             for j in agreeing:
-                if contradicted[j]:
-                    continue
                 left = size[j] - agree[j]
                 if left == 0:
                     return False
                 if left == 1:
-                    q, s = next((q, s) for q, s in slots[j] if not value[q])
-                    queue.append((q, -s))
+                    # none unassigned if the last slot is contradicted
+                    for q, s in slots[j]:
+                        if not value[q]:
+                            queue.append((q, -s))
+                            break
         return True
 
     def undo(mark: int, killed_mark: int) -> None:
+        # an unswept position's weight is back where the last branching read
+        # it once it is unassigned
+        for pos in trail[mark:swept]:
+            stale.add(pos // _BLOCK)
         while len(trail) > mark:
             pos = trail.pop()
             sign = value[pos]
@@ -281,35 +307,50 @@ def _first_uncovered(
             weight[pos] += assigned_mark
             for j in occurs[sign][pos]:
                 agree[j] -= 1
-            for j in occurs[-sign][pos]:
-                contradicted[j] -= 1
-        for j in killed[killed_mark:applied]:
+        for j in killed[killed_mark:]:
+            dead[j] = False
             for q, _ in slots[j]:
                 weight[q] += 1
+                stale.add(q // _BLOCK)
         del killed[killed_mark:]
 
     while True:
-        if propagate(queue):
+        start = len(trail)
+        ok = propagate(queue)
+        stats["propagations"] += len(trail) - start - branch_sign
+        if ok:
+            for pos in trail[swept:]:
+                stale.add(pos // _BLOCK)
+                for j in occurs[-value[pos]][pos]:
+                    if not dead[j]:
+                        dead[j] = True
+                        killed.append(j)
+                        for q, _ in slots[j]:
+                            weight[q] -= 1
+                            stale.add(q // _BLOCK)
+            swept = len(trail)
             if len(killed) == len(slots):
                 return tuple(v or 1 for v in value)
-            decisions += 1
-            if decision_budget is not None and decisions > decision_budget:
+            stats["decisions"] += 1
+            if decision_budget is not None and stats["decisions"] > decision_budget:
                 raise ResourceLimitError(
                     f"cover search exceeded {decision_budget} decisions"
                 )
-            for j in killed[applied:]:
-                for q, _ in slots[j]:
-                    weight[q] -= 1
-            applied = len(killed)
-            pos = weight.index(max(weight))
-            branches.append((len(trail), applied, pos))
+            for b in stale:
+                top[b] = max(weight[b * _BLOCK : (b + 1) * _BLOCK])
+            stale.clear()
+            heaviest = max(top)
+            first = top.index(heaviest) * _BLOCK
+            pos = weight.index(heaviest, first, first + _BLOCK)
+            branches.append((swept, len(killed), pos))
             queue = [(pos, 1)]
+            branch_sign = 1
             continue
         if not branches:
             return None
-        mark, applied_mark, pos = branches.pop()
-        undo(mark, applied_mark)
-        applied = applied_mark
+        mark, killed_mark, pos = branches.pop()
+        undo(mark, killed_mark)
+        swept = mark
         queue = [(pos, -1)]
 
 
@@ -327,17 +368,20 @@ def formula_patterns(f: CnfFormula) -> list[TernaryPattern]:
 
 
 def cover_verdict(
-    f: CnfFormula, *, decision_budget: int | None = None
+    f: CnfFormula, *, decision_budget: int | None = None, stats: dict | None = None
 ) -> tuple[bool, Assignment | None]:
     """(covered, satisfying assignment built from the uncovered witness).
 
     Covered means unsatisfiable; an uncovered sign vector translates back to
     an assignment falsifying no clause.  More than ``decision_budget``
-    branchings raise ResourceLimitError; None means unbounded.
+    branchings raise ResourceLimitError; None means unbounded.  If *stats*
+    is a dict, ``stats["decisions"]`` (branchings) and
+    ``stats["propagations"]`` (signs forced by a pattern with one unassigned
+    slot left) are set, also when the budget runs out.
     """
     fixed = [{}] if f.has_empty_clause else []
     fixed += [clause_slots(c, f.n) for c in f.clauses if not c.is_tautological]
-    found = _first_uncovered(fixed, f.n, decision_budget)
+    found = _first_uncovered(fixed, f.n, decision_budget, stats)
     if found is None:
         return True, None
     return False, assignment_of_sign_vector(SignVector(found))

@@ -108,24 +108,23 @@ class _TrailSearch:
     Per-literal lists are indexed by the signed literal itself (``-v`` lands
     in the upper half of a list of 2n+1 slots).  ``value[l]`` is 1, -1 or 0
     (unset); a literal is set when it goes on the trail, and its clauses are
-    updated when the propagation reaches it (``head``).  Per clause, ``sat``
-    counts its reached true literals and ``free`` its literals not reached
-    false, so a clause with ``sat`` 0 is a conflict at ``free`` 0 and may be
-    unit at ``free`` 1.
+    updated when the propagation reaches it (``head``).  Per clause, ``free``
+    counts its literals not reached false.  That alone finds conflicts and
+    units: a clause at ``free`` 0 has no true literal, and one at ``free`` 1
+    is unit only if its last literal is unset.
 
-    A clause goes on ``satisfied`` when its first true literal is reached,
-    and comes off when the undo unsets it, so the list holds exactly the
-    satisfied clauses.  ``count[l]`` is the number of unsatisfied clauses
-    containing l, but it is lowered only for the clauses
-    ``satisfied[:applied]``: the pure-literal rule applies the rest when it
-    is asked, at a propagation that ended without conflict, so a branch that
-    ends in a conflict never touches the counts.  Where the counts are read
-    they are exact: a variable still occurs while either polarity's count is
-    positive and is pure while exactly one is.  Every variable that turns
-    pure is pushed on ``pure``, a heap whose entries are checked when popped.
-    A decision is taken only when no variable is pure and every satisfied
-    clause is applied, and backtracking restores that state, so it clears
-    the heap.
+    ``sat`` marks the clauses with a true literal in ``trail[:swept]``, and
+    ``count[l]`` is the number of unmarked clauses containing l.  Both are
+    updated by a sweep over the rest of the trail, which runs after a
+    propagation ends without conflict, so a branch that ends in a conflict
+    never touches them.  The sweep puts a clause on ``satisfied`` when it
+    marks it, and the undo unmarks and takes off the clauses added since the
+    branching, so at a decision point the list holds exactly the satisfied
+    clauses and the counts are exact: a variable still occurs while either
+    polarity's count is positive and is pure while exactly one is.  Every
+    variable that turns pure is pushed on ``pure``, a heap whose entries are
+    checked when popped.  A decision is taken only when no variable is pure,
+    and backtracking restores that state, so it clears the heap.
     """
 
     def __init__(self, n: int, clauses: Sequence[tuple[int, ...]]):
@@ -137,12 +136,12 @@ class _TrailSearch:
                 self.occurs[lit].append(i)
                 self.count[lit] += 1
         self.value = [0] * (2 * n + 1)
-        self.sat = [0] * len(clauses)
+        self.sat = [False] * len(clauses)
         self.free = [len(c) for c in clauses]
         self.satisfied: list[int] = []
-        self.applied = 0
         self.trail: list[int] = []
         self.head = 0
+        self.swept = 0
         self.pure = [
             v for v in range(1, n + 1) if (self.count[v] > 0) != (self.count[-v] > 0)
         ]
@@ -156,8 +155,7 @@ class _TrailSearch:
         value = self.value
         if value[lit]:
             return value[lit] > 0
-        trail, sat, free = self.trail, self.sat, self.free
-        clauses, occurs, satisfied = self.clauses, self.occurs, self.satisfied
+        trail, free, clauses, occurs = self.trail, self.free, self.clauses, self.occurs
         value[lit] = 1
         value[-lit] = -1
         trail.append(lit)
@@ -165,19 +163,12 @@ class _TrailSearch:
         while ok and head < len(trail):
             lit = trail[head]
             head += 1
-            for c in occurs[lit]:
-                sat[c] += 1
-                if sat[c] == 1:
-                    satisfied.append(c)
             for c in occurs[-lit]:
-                free[c] -= 1
-                if sat[c]:
-                    continue
-                if not free[c]:
-                    ok = False
-                elif free[c] == 1:
+                left = free[c] - 1
+                free[c] = left
+                if left == 1:
                     # at most one literal is unset; none if the last one
-                    # is already on the trail, unreached
+                    # is already on the trail, true or unreached
                     for x in clauses[c]:
                         if not value[x]:
                             value[x] = 1
@@ -185,44 +176,54 @@ class _TrailSearch:
                             trail.append(x)
                             self.propagations += 1
                             break
+                elif not left:
+                    ok = False
         self.head = head
         return ok
 
     def _undo(self, mark: int, satisfied_mark: int) -> None:
         """Pop the trail back to ``mark`` and ``satisfied`` back to
         ``satisfied_mark``, the lengths both had at a branching, reversing
-        the counters of the literals the propagation reached and the counts
-        of the clauses already applied."""
-        trail, value, count = self.trail, self.value, self.count
-        sat, free, clauses, occurs = self.sat, self.free, self.clauses, self.occurs
+        the counters of the literals the propagation reached and the marks
+        and counts of the clauses satisfied since."""
+        trail, value, count, free = self.trail, self.value, self.count, self.free
+        sat, clauses, occurs = self.sat, self.clauses, self.occurs
+        satisfied = self.satisfied
         for lit in trail[self.head:]:
             value[lit] = value[-lit] = 0
-        for lit in reversed(trail[mark : self.head]):
+        for lit in trail[mark : self.head]:
             value[lit] = value[-lit] = 0
             for c in occurs[-lit]:
                 free[c] += 1
-            for c in occurs[lit]:
-                sat[c] -= 1
-        for c in self.satisfied[satisfied_mark : self.applied]:
+        for c in satisfied[satisfied_mark:]:
+            sat[c] = False
             for x in clauses[c]:
                 count[x] += 1
         del trail[mark:]
-        del self.satisfied[satisfied_mark:]
-        self.head = mark
-        self.applied = satisfied_mark
+        del satisfied[satisfied_mark:]
+        self.head = self.swept = mark
         self.pure.clear()
 
+    def _sweep(self) -> None:
+        """Mark the clauses that ``trail[swept:]`` satisfies and lower the
+        counts of their literals, pushing each variable that turns pure."""
+        sat, count, value, clauses = self.sat, self.count, self.value, self.clauses
+        occurs, satisfied, pure = self.occurs, self.satisfied, self.pure
+        trail = self.trail
+        for lit in trail[self.swept:]:
+            for c in occurs[lit]:
+                if not sat[c]:
+                    sat[c] = True
+                    satisfied.append(c)
+                    for x in clauses[c]:
+                        count[x] -= 1
+                        if not count[x] and count[-x] and not value[x]:
+                            heappush(pure, abs(x))
+        self.swept = len(trail)
+
     def _lowest_pure(self) -> int:
-        """Apply the satisfied clauses to the counts, then return the pure
-        literal of the lowest pure variable, or 0."""
-        pure, count, value, clauses = self.pure, self.count, self.value, self.clauses
-        satisfied = self.satisfied
-        for c in satisfied[self.applied:]:
-            for x in clauses[c]:
-                count[x] -= 1
-                if not count[x] and count[-x] and not value[x]:
-                    heappush(pure, abs(x))
-        self.applied = len(satisfied)
+        """The pure literal of the lowest pure variable, or 0."""
+        pure, count, value = self.pure, self.count, self.value
         while pure:
             v = heappop(pure)
             if not value[v] and (count[v] > 0) != (count[-v] > 0):
@@ -258,6 +259,7 @@ class _TrailSearch:
                 low = v + 1
                 ok = self._set(-v)
                 continue
+            self._sweep()  # the propagation ended without conflict
             if len(satisfied) == clause_count:
                 return True
             pure = self._lowest_pure()

@@ -64,7 +64,8 @@ def test_check_json_payload(unsat_file, sat_file, capsys):
     assert "model" not in payload
     assert set(payload["timings"]) == {"algebra", "cover", "dpll"}
     assert set(payload["stats"]) == {
-        "patterns", "splits", "dpll_decisions", "dpll_propagations"
+        "patterns", "splits", "cover_decisions", "cover_propagations",
+        "dpll_decisions", "dpll_propagations",
     }
     assert main(["check", "--json", sat_file]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -97,6 +98,36 @@ def test_check_dpll_route_reports_search_counters(tmp_path, sat_file, capsys):
     assert main(["check", str(path), "--route", "dpll", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["stats"] == {"dpll_decisions": 3, "dpll_propagations": 3}
+
+
+def test_check_cover_route_reports_search_counters(tmp_path, capsys):
+    path = tmp_path / "pairs.cnf"
+    path.write_text(serialize_dimacs(independent_pairs(3)))
+    assert main(["check", str(path), "--route", "cover", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stats"] == {"cover_decisions": 3, "cover_propagations": 3}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 2 2\n1 -1 0\n2 0\n", "dropping tautological clause 1 -1 0"),
+        ("p cnf 2 3\n1 2 0\n-1 0\n", "header declares 3 clauses, found 2"),
+        ("p cnf 2 2\n1 2 0\n-1", "unterminated final clause (missing trailing 0)"),
+    ],
+)
+def test_warnings_print_their_message_only(tmp_path, capsys, text, message):
+    path = tmp_path / "warn.cnf"
+    path.write_text(text)
+    for _ in range(2):  # every call prints its own warnings
+        assert main(["check", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert err == f"warning: {message}\n"
+        assert ".py:" not in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the filters in force still apply
+        assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_consecutive_calls_share_no_state(tmp_path, sat_file, capsys):

@@ -31,6 +31,7 @@ from wittsat.geometry import (
 )
 from wittsat.oracle import brute_force
 
+from cover_reference import reference_cover
 from test_cnf import (
     formulas,
     implication_chain,
@@ -42,6 +43,7 @@ from test_cnf import (
     renamed_pigeonhole,
     wide_clauses,
 )
+from test_oracle import _corpus_formula
 
 
 def test_sign_vector_text_round_trip():
@@ -253,6 +255,144 @@ def test_cover_witness_and_decisions_are_pinned_on_search_families(family):
     assert model_bits(found) == witness
     with pytest.raises(ResourceLimitError):
         cover_verdict(f, decision_budget=decisions - 1)
+
+
+def test_cover_counters():
+    stats = {}
+    assert cover_verdict(independent_pairs(1200), stats=stats)[0] is False
+    assert stats == {"decisions": 1200, "propagations": 1200}
+    # the unit x1 forces x2..x5, and x5 meets the unit -x5
+    stats = {}
+    assert cover_verdict(implication_chain(5), stats=stats) == (True, None)
+    assert stats == {"decisions": 0, "propagations": 5}
+    stats = {}
+    assert cover_verdict(CnfFormula(2, (), empty_clause_count=1), stats=stats)[0]
+    assert stats == {"decisions": 0, "propagations": 0}
+    stats = {}
+    with pytest.raises(ResourceLimitError):
+        cover_verdict(pigeonhole(6), decision_budget=1, stats=stats)
+    assert stats["decisions"] == 2  # counted up to the one that overran
+
+
+def _assert_cover_matches_reference(f):
+    """Same witness, decisions and propagations as the frozen reference."""
+    witness, decisions, propagations = reference_cover(f)
+    stats = {}
+    covered, found = cover_verdict(f, stats=stats)
+    assert covered == (witness is None)
+    assert (found and mtnp_of_assignment(found).eps) == witness
+    assert stats == {"decisions": decisions, "propagations": propagations}
+
+
+def _block_edge_formula(rng, n):
+    """Random 3-SAT over the variables within four places of each block edge
+    of the cover search's weights (every multiple of 64 below n, and n),
+    plus pairs (a b)(-a -b) that straddle each edge, so that the heaviest
+    weights often tie on both sides of an edge.  About a third of the core
+    variables keep one sign, so one side of a branching there kills no
+    pattern."""
+    edges = list(range(64, n, 64)) + [n]
+    core = sorted({v for e in edges for v in range(e - 3, e + 5) if 1 <= v <= n})
+    keep = {v: rng.choice((v, -v)) for v in core if rng.random() < 0.3}
+    ratio = rng.choice((2.0, 3.5, 4.26, 5.0))
+    clauses = [
+        [keep.get(v, v if rng.random() < 0.5 else -v) for v in rng.sample(core, 3)]
+        for _ in range(round(ratio * len(core)))
+    ]
+    for e in edges[:-1]:
+        clauses += [(e, e + 1), (-e, -(e + 1))]
+    rng.shuffle(clauses)
+    return CnfFormula.from_ints(n, clauses)
+
+
+def _star_formula(rng, n):
+    """Clauses that all hold the hub variable, with one or two spokes: the
+    hub outweighs every other position until it is set.  In half of them
+    the hub and each spoke keep one sign, so a branching may kill no
+    pattern."""
+    hub = rng.randint(1, n)
+    spokes = [v for v in range(1, n + 1) if v != hub]
+    bias = rng.choice((0.5, 1.0))
+    keep = {v: rng.choice((1, -1)) for v in range(1, n + 1)}
+    clauses = []
+    for _ in range(rng.randint(n, 3 * n)):
+        lits = [v if rng.random() < 0.5 else -v
+                for v in [hub] + rng.sample(spokes, rng.randint(1, 2))]
+        if bias == 1.0:
+            lits = [keep[abs(l)] * abs(l) for l in lits]
+        clauses.append(lits)
+    return CnfFormula.from_ints(n, clauses)
+
+
+def _renamed_pairs(rng, k):
+    f = independent_pairs(k)
+    name = list(range(1, f.n + 1))
+    rng.shuffle(name)
+    return CnfFormula.from_ints(
+        f.n, [[name[abs(l) - 1] * (1 if l > 0 else -1) for l in c] for c in f.clauses]
+    )
+
+
+def _reference_corpus(rng):
+    """1,063 seeded formulas for the cover reference test."""
+    for i in range(400):
+        yield _block_edge_formula(rng, (63, 64, 65, 128, 129)[i % 5])
+    for _ in range(200):
+        yield _corpus_formula(rng)
+    for _ in range(100):
+        yield _star_formula(rng, rng.choice((8, 40, 63, 64, 65, 129)))
+    for _ in range(100):
+        n = rng.randint(2, 40)
+        yield wide_clauses(rng, n, rng.randint(1, 2 * n))
+    for _ in range(100):
+        yield random_3sat(rng, 26, round(4.26 * 26))
+    for _ in range(100):
+        yield planted_3sat(rng, rng.randint(20, 40))
+    for holes in (2, 3, 4) * 15 + (5,) * 5:
+        yield renamed_pigeonhole(rng, holes)
+    for _ in range(10):
+        yield _renamed_pairs(rng, 40)
+    for k in (40, 100, 1200):
+        yield independent_pairs(k)
+
+
+def _backtrack_block_formula(n, extra):
+    """Position 0 is the first branching.  At +1 it leaves all four patterns
+    over positions 1 and 2, which cover every branch below; at -1 it kills
+    them.  *extra* adds patterns as ``{position: sign}``."""
+    core = [{0: 1, 1: s1, 2: s2} for s1 in (1, -1) for s2 in (1, -1)]
+    return CnfFormula.from_ints(
+        n, [[(q + 1) * s for q, s in p.items()] for p in core + extra]
+    )
+
+
+# Once the +1 side of position 0 is covered, the heaviest position sits alone
+# in the last block, and only the backtrack changed its weight.  "restored":
+# five patterns through position 128 that the +1 side killed come back.
+# "unassigned": position 64 was assigned on the +1 side by a flip that
+# killed no pattern.
+BACKTRACK_BLOCKS = {
+    "restored": (129, [{0: -1, 128: 1, 3 + i: 1} for i in range(5)]),
+    "unassigned": (
+        65,
+        [{0: -1, 3 + 2 * i: 1, 4 + 2 * i: 1} for i in range(2)]
+        + [{64: -1, 7 + 2 * i: 1, 8 + 2 * i: 1} for i in range(5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BACKTRACK_BLOCKS))
+def test_cover_branching_reads_blocks_a_backtrack_changed(case):
+    n, extra = BACKTRACK_BLOCKS[case]
+    _assert_cover_matches_reference(_backtrack_block_formula(n, extra))
+
+
+def test_cover_matches_reference_on_seeded_corpus():
+    count = 0
+    for f in _reference_corpus(random.Random(1801)):
+        _assert_cover_matches_reference(f)
+        count += 1
+    assert count == 1063
 
 
 @given(formulas())
