@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .cnf import ResourceLimitError
+from .cnf import Assignment, ResourceLimitError
 
 # Diagonal pattern fields, two bits per position.  AND implements the
 # positionwise product: the identity factor keeps anything, equal idempotents
@@ -449,15 +449,25 @@ def cofactor_leaves(
         stack.append((terms, best, D_QP, path))
 
 
-def zero_test_splits(a: DiagonalElement) -> tuple[bool, int]:
-    """Semantic zero test; also reports how many cofactor splits were taken.
+def zero_test_splits(a: DiagonalElement) -> tuple[bool, int, Assignment | None]:
+    """Semantic zero test; also reports how many cofactor splits were taken
+    and, when *a* is nonzero, a point where it is.
 
     The element is zero exactly when the cofactor walk has no nonzero leaf,
-    so the test stops at the first leaf.
+    so the test stops at the first leaf.  Its coefficients share one sign,
+    so a is nonzero on the whole subcube of any leaf pattern with the path
+    fixed: the point is that of the leaf's first pattern, with identity
+    fields read as true.
     """
     stats: dict[str, int] = {}
-    zero = next(cofactor_leaves(a, stats), None) is None
-    return zero, stats["splits"]
+    leaf = next(cofactor_leaves(a, stats), None)
+    if leaf is None:
+        return True, stats["splits"], None
+    path, terms = leaf
+    point = next(iter(terms)) & path
+    # D_QP (true) and D_ID both have the low bit of their field set
+    values = tuple(bool(point >> 2 * i & 1) for i in range(a.n))
+    return False, stats["splits"], Assignment(values)
 
 
 def _cofactor(terms: Mapping[int, int], pos: int, keep: int) -> dict[int, int]:

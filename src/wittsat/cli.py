@@ -1,9 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 satisfiable (or report/rebase success), 1 unsatisfiable (or
-planes not transversal), 2 bad input, 3 resource limit exceeded, 4 internal
-error (route divergence or a crash).  With --solver-codes the check command
-uses the solver convention instead: 10 satisfiable, 20 unsatisfiable.
+planes not transversal), 2 bad input (an InputError or an OSError, nothing
+else), 3 resource limit exceeded, 4 internal error (route divergence, a
+model that fails verification, or any other exception).  With
+--solver-codes the check command uses the solver convention instead: 10
+satisfiable, 20 unsatisfiable.
 """
 
 from __future__ import annotations
@@ -21,13 +23,15 @@ import numpy as np
 
 from . import __version__
 from .algebra import ResourceLimitError, zero_test_splits
-from .cnf import Assignment, CnfFormula, DimacsError, TautologyError, parse_dimacs
+from .cnf import Assignment, CnfFormula, InputError, TautologyError, parse_dimacs
 from .encoding import (
     count_models,
     encode_formula,
     encode_table,
+    first_set_cell,
     models,
     table_cells,
+    table_slabs,
 )
 from .geometry import (
     cover_verdict,
@@ -37,7 +41,6 @@ from .geometry import (
 )
 from .oracle import SAT, UNSAT, dpll
 from .ortho import (
-    NonOrthogonalMatrixError,
     NonTransversalError,
     OrthogonalMatrix,
     matrices_from_text,
@@ -55,10 +58,13 @@ EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(str(e)) from None
 
 
 def _load_formula(path: str) -> CnfFormula:
@@ -75,9 +81,9 @@ def _budget(args) -> int | None:
         try:
             budget = int(raw)
         except ValueError:
-            raise ValueError(f"WITTSAT_LIMIT must be an integer, got {raw!r}") from None
+            raise InputError(f"WITTSAT_LIMIT must be an integer, got {raw!r}") from None
     if budget < 1:
-        raise ValueError(f"{source} must be positive, got {budget}")
+        raise InputError(f"{source} must be positive, got {budget}")
     return budget
 
 
@@ -95,17 +101,20 @@ def _cmd_check(args) -> int:
     found: dict[str, Assignment] = {}
     if route in ("algebra", "all"):
         start = time.perf_counter()
-        table = encode_table(f, term_budget=budget)
-        if table is None:
+        walk = table_slabs(f, term_budget=budget)
+        if walk is None:
             element = encode_formula(f, term_budget=budget)
-            zero, splits = zero_test_splits(element)
-            stats["patterns"] = element.term_count
+            zero, splits, point = zero_test_splits(element)
+            stats["patterns"], stats["slabs"] = element.term_count, 0
         else:
-            stats["patterns"] = int(np.bitwise_count(table).sum())
-            zero, splits = stats["patterns"] == 0, 0
+            cell, stats["slabs"], stats["patterns"] = first_set_cell(walk[1])
+            zero, splits = cell is None, 0
+            point = None if zero else Assignment.from_primitive_index(cell, f.n)
         timings["algebra"] = (time.perf_counter() - start) * 1000.0
         verdicts["algebra"] = zero
         stats["splits"] = splits
+        if point is not None:
+            found["algebra"] = point
     if route in ("cover", "all"):
         start = time.perf_counter()
         counters: dict[str, int] = {}
@@ -135,7 +144,7 @@ def _cmd_check(args) -> int:
         if not candidate.satisfies(f):
             print(f"error: {name} model failed verification", file=sys.stderr)
             return EXIT_INTERNAL
-    model = found.get("dpll", found.get("cover"))
+    model = found.get("dpll", found.get("cover", found.get("algebra")))
     if args.solver_codes:
         print(f"s {'UNSATISFIABLE' if unsat else 'SATISFIABLE'}")
         if model is not None:
@@ -162,7 +171,10 @@ def _cmd_check(args) -> int:
         if model is not None:
             print(f"model: {model}")
         if "patterns" in stats:
-            print(f"patterns: {stats['patterns']}  splits: {stats['splits']}")
+            print(
+                f"patterns: {stats['patterns']}  slabs: {stats['slabs']}  "
+                f"splits: {stats['splits']}"
+            )
     return EXIT_UNSAT if unsat else EXIT_SAT
 
 
@@ -288,7 +300,7 @@ def _cmd_rebase(args) -> int:
     if args.file2 is not None:
         arrays += matrices_from_text(_read_text(args.file2))
     if len(arrays) != 2:
-        raise ValueError(f"need exactly two matrices, got {len(arrays)}")
+        raise InputError(f"need exactly two matrices, got {len(arrays)}")
     t1 = OrthogonalMatrix.from_array(arrays[0], tol=args.tol)
     t2 = OrthogonalMatrix.from_array(arrays[1], tol=args.tol)
     try:
@@ -444,20 +456,15 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.func(args)
-        except (DimacsError, NonOrthogonalMatrixError) as e:
+        except (InputError, OSError) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_INPUT
         except ResourceLimitError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_LIMIT
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_INPUT
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_INPUT
         except Exception as e:
-            # a defect, never a verdict: exit 1 would read as UNSAT
+            # a defect, never a verdict: exit 1 would read as UNSAT, and
+            # exit 2 as bad input
             traceback.print_exc()
             print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
             return EXIT_INTERNAL

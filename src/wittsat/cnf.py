@@ -9,7 +9,13 @@ from itertools import chain
 from typing import Iterable
 
 
-class DimacsError(ValueError):
+class InputError(ValueError):
+    """A value the user supplied (a file, an option or an environment
+    variable) is malformed or out of range.  The command line exits 2 on
+    it, and on nothing else."""
+
+
+class DimacsError(InputError):
     """Malformed DIMACS CNF input."""
 
 
@@ -103,11 +109,7 @@ class Assignment:
 
     @classmethod
     def from_primitive_index(cls, idx: int, n: int) -> "Assignment":
-        vals = []
-        for i in range(n):
-            bit = (idx >> (n - 1 - i)) & 1
-            vals.append(bit == 0)
-        return cls(tuple(vals))
+        return cls(tuple(not idx >> (n - 1 - i) & 1 for i in range(n)))
 
     def satisfies(self, formula: "CnfFormula") -> bool:
         """Every clause shares a literal with the assignment's true literals."""
@@ -185,7 +187,10 @@ def parse_dimacs(text: str) -> CnfFormula:
         m = _HEADER.fullmatch(s)
         if not m:
             raise DimacsError(f"line {ln}: malformed header {s!r}")
-        header = (int(m.group(1)), int(m.group(2)))
+        try:
+            header = (int(m.group(1)), int(m.group(2)))
+        except ValueError as e:  # past the interpreter's limit on digits
+            raise DimacsError(str(e)) from None
         if header[0] < 1:
             raise DimacsError("at least one variable is required")
         break

@@ -7,9 +7,14 @@ assignments, so the formula is unsatisfiable precisely when the product is
 the zero element.
 
 The product takes one of two forms, chosen by the input's size alone:
-while 2^n fits the cell budget, its table of values on all 2^n assignments
-(:func:`encode_table`), one bit each and zero when no bit is set; past the
-budget, a sparse sum of patterns, which the cofactor zero test decides.
+while 2^n fits the cell budget, its table of values on all 2^n assignments,
+one bit each and zero when no bit is set; past the budget, a sparse sum of
+patterns, which the cofactor zero test decides.  The table is built as a
+walk over slabs, the Shannon cofactors at each setting of its leading
+variables, in the order of their assignments' primitive indices
+(:func:`table_slabs`): a verdict stops at the first slab with a set cell,
+which is then the lowest-indexed model (:func:`first_set_cell`), and a
+count takes every slab (:func:`encode_table`).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -90,8 +96,9 @@ _LANE_FALSIFIERS = tuple(
     for ones in (sum(1 << b for b in range(64) if b >> s & 1) for s in range(_LANES))
 )
 # The last _ROW_AXES word axes (all of them below n = 15) make one row of
-# contiguous words; the axes before them are leading axes.  Clauses are
-# combined _CHUNK at a time, so no more than _CHUNK rows are held at once.
+# contiguous words, a slab; the axes before them are leading axes.  Clauses
+# are combined _CHUNK at a time, so no more than _CHUNK rows are gathered at
+# once.
 _ROW_AXES = 8
 _CHUNK = 256
 
@@ -99,14 +106,18 @@ _CHUNK = 256
 @functools.cache
 def _literal_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Each literal's falsifier over one row of an n-variable value table,
-    and the leading cells it fixes, both indexed by literal + n.
+    and the key of the leading cells it fixes, both indexed by literal + n.
 
     A literal on a lane fails at its lane mask in every word of the row, a
     literal on a row axis at every bit of the words whose index reads its
     falsifying value, and a literal on a leading axis everywhere, since its
-    value picks the rows instead: column k of the second array is the
-    (mask, value) bits it sets over the leading axes, variable 1 at bit 0.
-    Index n, the literal 0, fixes nothing and pads clauses to one width.
+    value picks the rows instead.  With L leading axes, a key's low L bits
+    are the leading axes fixed and its high L bits the index each reads
+    (variable 1 at bit 0 of both halves); a literal sets its variable's bit
+    in the low half, and a positive literal, false at index 1, in the high
+    half too.  So the keys below 2^L are those that index 0 on every
+    leading axis falsifies.  Index n, the literal 0, fixes nothing and pads
+    clauses to one width.
     """
     lanes = min(n, _LANES)
     axes = n - lanes
@@ -114,7 +125,7 @@ def _literal_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     lead = axes - row_axes
     word = np.arange(1 << row_axes)
     rows = np.full((2 * n + 1, 1 << row_axes), _WORD, dtype=np.uint64)
-    keys = np.zeros((2, 2 * n + 1), dtype=np.int64)
+    keys = np.zeros(2 * n + 1, dtype=np.int64)
     for lit in itertools.chain(range(-n, 0), range(1, n + 1)):
         var = abs(lit)
         if var > axes:
@@ -124,16 +135,75 @@ def _literal_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
             rows[lit + n, (word >> (axes - var) & 1) != (lit > 0)] = 0
         else:
             bit = 1 << (var - 1)
-            keys[:, lit + n] = bit, bit if lit > 0 else 0
+            keys[lit + n] = (bit << lead if lit > 0 else 0) | bit
     rows.flags.writeable = False
     keys.flags.writeable = False
     return rows, keys
 
 
-def encode_table(
+def _clause_keeps(live: list[Clause], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys (:func:`_literal_rows`) in ascending order, each with a keep row:
+    the complement of a falsifier over one row.
+
+    A clause's falsifier is the AND of its literals' rows, and its key the
+    OR of their keys (a clause names each variable once, so the sum).  The
+    falsifiers of a chunk are gathered in key order.  When the clauses fill
+    one chunk, each clause gives its own key and row.  Past one chunk, the
+    rows of each key are ORed into one, the union of those clauses'
+    falsifiers, so at most one row per key (3^L with L leading axes) and one
+    chunk are held at once.
+    """
+    literal_rows, literal_keys = _literal_rows(n)
+    keys = np.zeros(0, dtype=np.int64)
+    falsifiers = np.zeros((0, literal_rows.shape[1]), dtype=np.uint64)
+    # the gathers reuse two buffers; numpy would allocate each afresh
+    gathered = np.empty((min(len(live), _CHUNK), literal_rows.shape[1]), np.uint64)
+    column_rows = np.empty_like(gathered)
+    for start in range(0, len(live), _CHUNK):
+        chunk = live[start : start + _CHUNK]
+        widths = np.fromiter(map(len, chunk), np.intp, len(chunk))
+        codes = np.full((len(chunk), widths.max()), n)
+        codes[np.arange(codes.shape[1]) < widths[:, None]] = n + np.fromiter(
+            itertools.chain.from_iterable(chunk), np.intp, widths.sum()
+        )
+        chunk_keys = np.add.reduce(literal_keys[codes], axis=1)
+        order = np.argsort(chunk_keys)
+        codes, chunk_keys = codes[order], chunk_keys[order]
+        rows = gathered[: len(chunk)]
+        np.take(literal_rows, codes[:, 0], axis=0, out=rows, mode="clip")
+        for column in codes.T[1:]:
+            part = np.take(
+                literal_rows, column, axis=0, out=column_rows[: len(chunk)], mode="clip"
+            )
+            np.bitwise_and(rows, part, out=rows)
+        if len(live) <= _CHUNK:  # the only chunk: a row per clause
+            return chunk_keys, np.invert(rows, out=rows)
+        runs = _key_runs(chunk_keys)
+        union = np.empty((len(runs), rows.shape[1]), dtype=np.uint64)
+        for i, (_, lo, hi) in enumerate(runs):
+            np.bitwise_or.reduce(rows[lo:hi], axis=0, out=union[i])
+        chunk_keys = np.array([key for key, _, _ in runs], dtype=np.int64)
+        merged = np.union1d(keys, chunk_keys)
+        held = np.zeros((len(merged), rows.shape[1]), dtype=np.uint64)
+        held[np.searchsorted(merged, keys)] = falsifiers
+        held[np.searchsorted(merged, chunk_keys)] |= union
+        keys, falsifiers = merged, held
+    return keys, np.invert(falsifiers, out=falsifiers)
+
+
+def _key_runs(keys: np.ndarray) -> list[tuple[int, int, int]]:
+    """(key, start, stop) of each run of equal keys in sorted *keys*."""
+    if not len(keys):
+        return []
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    bounds = starts.tolist() + [len(keys)]
+    return list(zip(keys[starts].tolist(), bounds[:-1], bounds[1:]))
+
+
+def table_slabs(
     f: CnfFormula, *, term_budget: int | None = None
-) -> np.ndarray | None:
-    """The product's values on all 2^n assignments, packed 64 to a word, or
+) -> tuple[np.ndarray, Iterator[np.ndarray]] | None:
+    """The product's value table, and the walk that fills it slab by slab;
     None when 2^n exceeds the cell budget or a table that size cannot be
     made.
 
@@ -143,19 +213,27 @@ def encode_table(
     variables, with index 0 for true and 1 for false, and bit b of a word
     holds the cell whose last w variables read b the same way (variable n
     is bit 0).  So word * 64 + bit is the assignment's primitive index
-    (:func:`table_cells`).  The table starts as the identity, every cell
-    set, and each clause clears its falsifier's cells; an empty clause
-    clears everything.  The cell budget is 2^22 when *term_budget* is None
-    and *term_budget* otherwise.
+    (:func:`table_cells`).  The cell budget is 2^22 when *term_budget* is
+    None and *term_budget* otherwise.
 
-    The word axes split into the row axes, the last 8 of them (a
-    contiguous run of up to 256 words), and the leading axes before them.
-    A clause's falsifier over one row is the AND of its literals' rows
-    (:func:`_literal_rows`), gathered for a chunk of clauses at once.
-    Clauses that fix the same leading axes to the same values clear the
-    union of their falsifiers with one in-place AND, broadcast over the
-    rows those values select.  Below n = 15 there are no leading axes, so
-    every clause shares that one AND.
+    A slab is one row of the table: the last 8 word axes, up to 256
+    contiguous words or 2^14 cells, under one setting of the leading axes
+    before them, so slab s holds the primitive indices from s * 2^14.  Below
+    n = 15 there are no leading axes and the table is one slab.  A slab is
+    the Shannon cofactor of the product at its leading setting: the AND of
+    the keep rows (:func:`_clause_keeps`) of the clauses whose leading
+    literals that setting falsifies, since a clause it satisfies drops out.
+
+    The walk yields blocks of consecutive slabs in primitive-index order, as
+    2-d views (slabs, words) of the table, each filled before it is yielded:
+    the first slab alone, with one AND over the keep rows of the clauses
+    with no positive leading literal, then every other slab at once.  That
+    second block starts from every cell set, and the clauses of each key
+    clear their falsifiers with one in-place AND, broadcast over the slabs
+    that key's leading cells select (the first slab again among them, which
+    the AND leaves as it is).  An empty clause empties every slab, yielded as one
+    block.  The table is complete once the walk is exhausted; cells of
+    slabs not yet yielded are undefined.
     """
     cell_budget = DEFAULT_CELL_BUDGET if term_budget is None else int(term_budget)
     if cell_budget < 1:
@@ -163,52 +241,82 @@ def encode_table(
     n = f.n
     if 1 << n > cell_budget:
         return None
-    lanes = min(n, _LANES)
-    axes = n - lanes
     try:
-        # below n = 6 one word holds all 2^n cells in its low bits
-        table = np.full((2,) * axes, _WORD >> (64 - (1 << lanes)), dtype=np.uint64)
+        table = np.empty((2,) * (n - min(n, _LANES)), dtype=np.uint64)
     except (ValueError, MemoryError):
         return None  # past numpy's 64 axes, or past the memory
+    return table, _slab_blocks(f, table)
+
+
+def _slab_blocks(f: CnfFormula, table: np.ndarray) -> Iterator[np.ndarray]:
+    """The walk of :func:`table_slabs` over *table*."""
+    n = f.n
+    lead = table.ndim - min(table.ndim, _ROW_AXES)
+    slabs = table.reshape(1 << lead, -1)
     if f.has_empty_clause:
-        table[...] = 0
-        return table
-    live = _live_clauses(f)
-    lead = axes - min(axes, _ROW_AXES)
-    rows = table.reshape((2,) * lead + (-1,))
-    literal_rows, literal_keys = _literal_rows(n)
-    for start in range(0, len(live), _CHUNK):
-        chunk = live[start : start + _CHUNK]
-        widths = np.fromiter(map(len, chunk), np.intp, len(chunk))
-        codes = np.full((len(chunk), widths.max()), n)
-        codes[np.arange(codes.shape[1]) < widths[:, None]] = n + np.fromiter(
-            itertools.chain.from_iterable(chunk), np.intp, widths.sum()
-        )
-        # sort the clauses so those fixing the same leading cells are adjacent
-        # (a clause names each variable once, so the sums are ORs)
-        mask, value = (np.add.reduce(k[codes], axis=1) for k in literal_keys)
-        order = np.lexsort((value, mask))
-        codes, mask, value = codes[order], mask[order], value[order]
-        falsifiers = literal_rows[codes[:, 0]]
-        for column in codes.T[1:]:
-            np.bitwise_and(falsifiers, literal_rows[column], out=falsifiers)
-        keeps = np.invert(falsifiers, out=falsifiers)
-        changes = (mask[1:] != mask[:-1]) | (value[1:] != value[:-1])
-        starts = [0, *(np.flatnonzero(changes) + 1).tolist()]
-        for lo, hi, fixed, falsified in zip(
-            starts,
-            starts[1:] + [len(chunk)],
-            mask[starts].tolist(),
-            value[starts].tolist(),
-        ):
-            index = [
-                falsified >> a & 1 if fixed >> a & 1 else slice(None)
-                for a in range(lead)
-            ]
-            # the trailing ... keeps a view even when every leading axis is fixed
-            view = rows[(*index, ...)]
-            np.bitwise_and(view, np.bitwise_and.reduce(keeps[lo:hi]), out=view)
+        slabs[...] = 0
+        yield slabs
+        return
+    keys, keeps = _clause_keeps(_live_clauses(f), n)
+    # the first slab reads index 0 (true) on every leading axis, which
+    # falsifies a leading literal exactly when it is negated; below n = 6
+    # one word holds all 2^n cells in its low bits
+    np.bitwise_and.reduce(
+        keeps[: np.searchsorted(keys, 1 << lead)],
+        axis=0,
+        initial=_WORD >> (64 - (1 << min(n, _LANES))),
+        out=slabs[0],
+    )
+    yield slabs[:1]
+    if lead == 0:
+        return
+    rest = slabs[1:]
+    rest[...] = _WORD
+    leading = table.reshape((2,) * lead + (-1,))
+    for key, lo, hi in _key_runs(keys):
+        falsified = key >> lead
+        index = [
+            falsified >> a & 1 if key >> a & 1 else slice(None) for a in range(lead)
+        ]
+        # the trailing ... keeps a view even when every leading axis is fixed
+        view = leading[(*index, ...)]
+        keep = keeps[lo] if hi - lo == 1 else np.bitwise_and.reduce(keeps[lo:hi])
+        np.bitwise_and(view, keep, out=view)
+    yield rest
+
+
+def encode_table(
+    f: CnfFormula, *, term_budget: int | None = None
+) -> np.ndarray | None:
+    """The value table of :func:`table_slabs` with every slab filled, or
+    None where that gives None."""
+    walk = table_slabs(f, term_budget=term_budget)
+    if walk is None:
+        return None
+    table, blocks = walk
+    for _ in blocks:
+        pass
     return table
+
+
+def first_set_cell(blocks: Iterable[np.ndarray]) -> tuple[int | None, int, int]:
+    """Walk slab blocks (:func:`table_slabs`) up to the first slab with a set
+    cell: that cell's primitive index, the number of slabs read and the set
+    cells among them.  With no cell set, the index is None and every slab
+    has been read."""
+    read = 0
+    for block in blocks:
+        counts = np.bitwise_count(block).sum(axis=1)
+        if counts.any():
+            slab = int((counts != 0).argmax())
+            words = block[slab]
+            w = int((words != 0).argmax())
+            word = int(words[w])
+            bit = (word & -word).bit_length() - 1
+            cell = ((read + slab) * words.size + w) * 64 + bit
+            return cell, read + slab + 1, int(counts[slab])
+        read += len(block)
+    return None, read, 0
 
 
 def table_cells(table: np.ndarray, n: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, ResourceLimitError, TautologyError
+from .cnf import Clause, CnfFormula, InputError, ResourceLimitError, TautologyError
 
 CONSTRUCTION_TOL = 1e-9
 VERIFY_TOL = 1e-6
@@ -32,7 +32,7 @@ _CLAUSE_CHUNK = 64
 _STACK_CELLS = 1 << 18
 
 
-class NonOrthogonalMatrixError(ValueError):
+class NonOrthogonalMatrixError(InputError):
     """The candidate matrix fails t^T t = I at the requested tolerance."""
 
 
@@ -201,15 +201,17 @@ def haar_samples(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     matrices with R's diagonal signs absorbed into Q's columns (Mezzadri,
     Notices AMS 2007).  The stack equals count draws of one matrix each from
     the same generator.  Every draw must pass t^T t = I within
-    CONSTRUCTION_TOL, as OrthogonalMatrix requires."""
+    CONSTRUCTION_TOL, as OrthogonalMatrix requires; a draw that fails is a
+    numerical defect, not bad input, and raises RuntimeError."""
     q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
     q = q * d[:, None, :]
     residual = np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n)).max(initial=0.0)
     if not residual <= CONSTRUCTION_TOL:
-        raise NonOrthogonalMatrixError(
-            f"orthogonality residual {residual:.3e} exceeds {CONSTRUCTION_TOL:.1e}"
+        raise RuntimeError(
+            f"sampled orthogonality residual {residual:.3e} exceeds "
+            f"{CONSTRUCTION_TOL:.1e}"
         )
     return q
 
@@ -323,7 +325,7 @@ def witt_rebase(
     of one.
     """
     if t1.n != t2.n:
-        raise ValueError("matrix sizes differ")
+        raise InputError("matrix sizes differ")
     m = t1.entries.T @ t2.entries
     r = eigenvalue_one_multiplicity(m, tol)
     if r:
@@ -410,7 +412,9 @@ def orthogonal_cover_report(
     report as taking them one by one.
     """
     if samples < 0:
-        raise ValueError("sample count must be nonnegative")
+        raise InputError("sample count must be nonnegative")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     n = f.n
     want = _clause_columns([c for c in f.clauses if not c.is_tautological], n)
     discrete = f.has_empty_clause or _discrete_cover(n, want, scan_budget)
@@ -463,19 +467,19 @@ def matrices_from_text(text: str) -> list[np.ndarray]:
         try:
             n = int(tokens[pos])
         except ValueError:
-            raise ValueError(f"expected a matrix size, got {tokens[pos]!r}") from None
+            raise InputError(f"expected a matrix size, got {tokens[pos]!r}") from None
         if n < 1:
-            raise ValueError(f"bad matrix size {n}")
+            raise InputError(f"bad matrix size {n}")
         pos += 1
         need = n * n
         if pos + need > len(tokens):
-            raise ValueError(f"matrix of size {n} is truncated")
+            raise InputError(f"matrix of size {n} is truncated")
         try:
             vals = np.fromiter(map(float, tokens[pos : pos + need]), float, need)
         except ValueError as e:
-            raise ValueError(f"bad matrix entry: {e}") from None
+            raise InputError(f"bad matrix entry: {e}") from None
         out.append(vals.reshape(n, n))
         pos += need
     if not out:
-        raise ValueError("no matrices found")
+        raise InputError("no matrices found")
     return out

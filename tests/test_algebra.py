@@ -218,8 +218,8 @@ def test_zero_test_on_telescoping_sum():
     for mask in range(4):
         total = total - assignment_element(Assignment.from_mask(mask, 2))
     assert total.is_zero()
-    zero, splits = zero_test_splits(total)
-    assert zero and splits >= 1
+    zero, splits, point = zero_test_splits(total)
+    assert zero and splits >= 1 and point is None
 
 
 # ------------------------------------------------------------ properties
@@ -279,8 +279,17 @@ def test_cofactor_leaves_sum_to_the_point_values(data):
         assert len({c > 0 for c in terms.values()}) == 1
         total = total + DiagonalElement(a.n, {p & path: c for p, c in terms.items()})
     assert _point_values(total) == _point_values(a)
-    assert zero_test_splits(a)[0] == (not leaves)
-    assert zero_test_splits(a)[1] <= stats["splits"]
+    zero, splits, point = zero_test_splits(a)
+    assert zero == (not leaves) == (point is None)
+    assert splits <= stats["splits"]
+    if point is not None:
+        # the first leaf's first pattern, identity fields read as true
+        path, terms = leaves[0]
+        fixed = next(iter(terms)) & path
+        assert point.values == tuple(
+            pattern_field(fixed, i) != D_PQ for i in range(a.n)
+        )
+        assert eval_at(a, point) != 0
 
 
 @given(st.data())

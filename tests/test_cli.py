@@ -64,7 +64,7 @@ def test_check_json_payload(unsat_file, sat_file, capsys):
     assert "model" not in payload
     assert set(payload["timings"]) == {"algebra", "cover", "dpll"}
     assert set(payload["stats"]) == {
-        "patterns", "splits", "cover_decisions", "cover_propagations",
+        "patterns", "slabs", "splits", "cover_decisions", "cover_propagations",
         "dpll_decisions", "dpll_propagations",
     }
     assert main(["check", "--json", sat_file]) == 0
@@ -215,7 +215,7 @@ def test_algebra_route_answers_two_wide_clauses(tmp_path, capsys):
     assert main(["check", str(path), "--route", "algebra", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "SAT"
-    assert payload["stats"] == {"patterns": 3, "splits": 3000}
+    assert payload["stats"] == {"patterns": 3, "slabs": 0, "splits": 3000}
 
 
 def _algebra_json(capsys, path, *extra):
@@ -231,7 +231,7 @@ def test_a_limit_past_what_a_table_can_hold_stays_sparse(tmp_path, capsys, n):
     path.write_text(serialize_dimacs(two_wide_clauses(n)))
     code, payload = _algebra_json(capsys, str(path), "--limit", str(1 << (n + 1)))
     assert code == 0
-    assert payload["stats"] == {"patterns": 3, "splits": n}
+    assert payload["stats"] == {"patterns": 3, "slabs": 0, "splits": n}
 
 
 def test_decision_budget_exit_code(tmp_path, capsys):
@@ -254,15 +254,33 @@ def _random_file(tmp_path, n, ratio, seed):
     return f, str(path)
 
 
+def _expected_slab_walk(f):
+    """(slabs, patterns, model) that the table's slab walk must report, from
+    brute_force: the slabs up to the one holding the lowest-primitive-index
+    model, that slab's models and that model; every slab, 0 and None when
+    unsatisfiable."""
+    indices = sorted(a.primitive_index() for a in brute_force(f).models)
+    if not indices:
+        return 1 << max(f.n - 14, 0), 0, None
+    slab = indices[0] >> 14
+    in_slab = sum(1 for i in indices if i >> 14 == slab)
+    return slab + 1, in_slab, Assignment.from_primitive_index(indices[0], f.n)
+
+
 @pytest.mark.parametrize("seed", range(12))  # seeds 8 and 9 are unsatisfiable
 def test_check_reports_an_early_cost_switch(tmp_path, capsys, seed):
+    # n = 13 and 14 are one slab; n = 15 and 16 have two and four
     f, path = _random_file(tmp_path, 13 + seed % 4, 4.26, seed)
     expected = brute_force(f)
     code = main(["check", path, "--route", "algebra", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == expected.verdict
     assert code == (1 if expected.verdict == "UNSAT" else 0)
-    assert payload["stats"]["patterns"] == len(expected.models)
+    slabs, patterns, model = _expected_slab_walk(f)
+    assert (payload["stats"]["slabs"], payload["stats"]["patterns"]) == (
+        slabs, patterns
+    )
+    assert payload.get("model") == (None if model is None else list(model.to_ints()))
 
 
 @pytest.mark.parametrize("seed", [1, 2])  # unsatisfiable, satisfiable
@@ -293,7 +311,9 @@ def test_sparse_route_below_the_cell_budget(tmp_path, capsys, case):
     table_code, table = _algebra_json(capsys, path)
     assert sparse_code == table_code == code
     assert sparse["status"] == table["status"] == expected.verdict
-    assert table["stats"] == {"patterns": len(expected.models), "splits": 0}
+    assert table["stats"] == {
+        "patterns": len(expected.models), "slabs": 1, "splits": 0
+    }
 
 
 @pytest.mark.parametrize(
@@ -307,6 +327,123 @@ def test_algebra_route_answers_mid_ratio_formulas(tmp_path, capsys, n, ratio, se
     code, payload = _algebra_json(capsys, path)
     assert payload["status"] == expected
     assert code == (1 if expected == "UNSAT" else 0)
+
+
+def _slab_corpus():
+    """Seeded formulas over 2 to 256 slabs (n = 15-22): random 3-SAT at
+    ratios 1-5, and on top of that unit clauses, tautologies, an empty
+    clause, and a formula whose clauses are all tautologies."""
+    cases = []
+    for n, ratio in ((15, 1.0), (16, 5.0), (17, 2.0), (18, 4.0), (19, 3.0),
+                     (20, 4.26), (21, 2.0), (22, 1.0), (22, 4.26)):
+        rng = np.random.default_rng(19000 + 10 * n + int(ratio))
+        clauses = [_random_clause(rng, n, 3) for _ in range(round(ratio * n))]
+        cases.append((f"n{n}-r{ratio}", CnfFormula.from_ints(n, clauses)))
+    rng = np.random.default_rng(19100)
+    base = [_random_clause(rng, 16, 3) for _ in range(32)]
+    units = [(-1,), (5,), (-15,)]  # a leading, a row and a lane variable
+    cases.append(("units", CnfFormula.from_ints(16, base + units)))
+    tautologies = [(1, -1, 5), (-3, 9, 3)]
+    cases.append(("tautologies", CnfFormula.from_ints(16, base + tautologies)))
+    with_empty = CnfFormula(17, CnfFormula.from_ints(17, base).clauses, 1)
+    cases.append(("empty-clause", with_empty))
+    cases.append(("no-live-clause", CnfFormula.from_ints(15, tautologies)))
+    return cases
+
+
+SLAB_CORPUS = _slab_corpus()
+
+
+@pytest.mark.parametrize(
+    "label, f", SLAB_CORPUS, ids=[label for label, _ in SLAB_CORPUS]
+)
+def test_the_slab_walk_on_a_seeded_corpus(tmp_path, capsys, label, f):
+    path = tmp_path / f"{label}.cnf"
+    path.write_text(serialize_dimacs(f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the tautologies' warnings
+        code, payload = _algebra_json(capsys, str(path))
+        models_code = main(["models", str(path), "--json"])
+    listing = json.loads(capsys.readouterr().out)
+    verdict = dpll(f).verdict
+    assert payload["status"] == verdict
+    assert code == models_code == (1 if verdict == "UNSAT" else 0)
+    stats = payload["stats"]
+    if f.n <= 20:
+        slabs, patterns, model = _expected_slab_walk(f)
+        assert (stats["slabs"], stats["patterns"]) == (slabs, patterns)
+        assert payload.get("model") == (
+            None if model is None else list(model.to_ints())
+        )
+        expected = sorted(brute_force(f).models, key=Assignment.primitive_index)
+        assert listing["count"] == len(expected)
+        if len(expected) <= 1024:
+            assert listing["models"] == (
+                [list(a.to_ints()) for a in expected] if expected else None
+            )
+    elif verdict == "UNSAT":
+        assert (stats["slabs"], stats["patterns"]) == (1 << (f.n - 14), 0)
+    else:
+        model = Assignment(tuple(v > 0 for v in payload["model"]))
+        assert model.satisfies(f)
+        assert stats["slabs"] == (model.primitive_index() >> 14) + 1
+        assert 0 < stats["patterns"] <= listing["count"]
+
+
+@pytest.mark.parametrize("limit", [None, "sparse"])
+def test_the_algebra_route_prints_a_verified_model(tmp_path, capsys, limit):
+    # from the table's first set cell, and from the first leaf of the
+    # cofactor walk when a --limit one cell short of 2^n keeps it sparse
+    # (which the products of ratios past 3 outgrow)
+    cases = [
+        _random_file(tmp_path, 10 + seed % 3, ratio, 19200 + seed)
+        for seed, ratio in enumerate((1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 6.0))
+        if limit is None or ratio <= 3.0
+    ]
+    php = tmp_path / "php4-3.cnf"
+    php.write_text(serialize_dimacs(pigeonhole(3)))
+    cases.append((pigeonhole(3), str(php)))
+    for f, path in cases:
+        extra = [] if limit is None else ["--limit", str((1 << f.n) - 1)]
+        code, payload = _algebra_json(capsys, path, *extra)
+        assert code == (0 if dpll(f).verdict == "SAT" else 1)
+        if code == 0:
+            model = Assignment(tuple(v > 0 for v in payload["model"]))
+            assert model.satisfies(f)
+            assert payload["stats"]["slabs"] == (0 if limit else 1)
+        else:
+            assert "model" not in payload
+    # the text form prints the model too, and the slabs with the patterns
+    f, path = cases[0]
+    extra = [] if limit is None else ["--limit", str((1 << f.n) - 1)]
+    assert main(["check", path, "--route", "algebra", *extra]) == 0
+    out = capsys.readouterr().out
+    assert "model: " in out and f"slabs: {0 if limit else 1}" in out
+
+
+def test_route_all_prints_the_dpll_model(tmp_path, capsys):
+    f, path = _random_file(tmp_path, 12, 2.0, 19300)
+    models_ = {}
+    for route in ("all", "dpll", "algebra"):
+        assert main(["check", path, "--route", route, "--json"]) == 0
+        models_[route] = json.loads(capsys.readouterr().out)["model"]
+    assert models_["all"] == models_["dpll"] != models_["algebra"]
+
+
+@pytest.mark.parametrize("form", ["table", "sparse"])
+def test_a_wrong_algebra_model_exits_4(sat_file, monkeypatch, capsys, form):
+    # SAT_TEXT's only model is -1 2; primitive index 0 is 1 2
+    if form == "table":
+        monkeypatch.setattr("wittsat.cli.first_set_cell", lambda blocks: (0, 1, 1))
+        argv = ["check", sat_file, "--route", "algebra"]
+    else:
+        monkeypatch.setattr(
+            "wittsat.cli.zero_test_splits",
+            lambda element: (False, 1, Assignment((True, True))),
+        )
+        argv = ["check", sat_file, "--route", "algebra", "--limit", "3"]
+    assert main(argv) == 4
+    assert "error: algebra model failed verification" in capsys.readouterr().err
 
 
 def test_models_counts_a_ratio_one_formula_at_n20(tmp_path, capsys):
@@ -409,6 +546,55 @@ def test_internal_error_is_not_unsat(sat_file, monkeypatch, capsys):
     monkeypatch.setattr("wittsat.cli.dpll", crash)
     assert main(["check", "--route", "dpll", sat_file]) == 4
     assert "error: internal: RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_a_value_error_inside_a_route_is_internal(sat_file, monkeypatch, capsys):
+    # a defect that raises ValueError (numpy's shape mismatch) is no bad input
+    def mismatched(f, **kwargs):
+        return np.zeros(3) + np.zeros(2)
+
+    monkeypatch.setattr("wittsat.cli.dpll", mismatched)
+    assert main(["check", "--route", "dpll", sat_file]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "error: internal: ValueError: operands could not be broadcast" in err
+
+
+def test_a_failed_orthogonal_sample_is_internal(sat_file, monkeypatch, capsys):
+    monkeypatch.setattr(
+        np.linalg, "qr", lambda a: (np.full(a.shape, np.nan), np.ones(a.shape))
+    )
+    assert main(["geometry", sat_file, "--samples", "4"]) == 4
+    assert "error: internal: RuntimeError: sampled orthogonality" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["check"], b"p cnf 2 1\n1 \xff 0\n", "can't decode byte 0xff"),
+        (["check"], b"p cnf " + b"9" * 5000 + b" 1\n1 0\n", "4300 digits"),
+        (["geometry", "--samples", "2", "--seed", "-3"], b"p cnf 2 1\n1 0\n",
+         "seed must be nonnegative"),
+        (["rebase"], b"2\n1 0\n0 1\n3\n1 0 0\n0 1 0\n0 0 1\n",
+         "matrix sizes differ"),
+        (["rebase"], b"2\n1 0\n0 x\n", "bad matrix entry"),
+        (["rebase"], b"2\n1 0\n0\n", "truncated"),
+        (["rebase"], b"c\n", "expected a matrix size"),
+        (["rebase"], b"0\n", "bad matrix size"),
+        (["rebase"], b"", "no matrices found"),
+    ],
+    ids=["utf8", "long-header", "seed", "sizes", "entry",
+         "truncated", "size-token", "size-zero", "empty"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_models_listing_and_json(sat_file, unsat_file, capsys):

@@ -34,9 +34,11 @@ from wittsat.encoding import (
     encode_clause,
     encode_formula,
     encode_table,
+    first_set_cell,
     is_unsatisfiable,
     models,
     table_cells,
+    table_slabs,
 )
 from wittsat.oracle import brute_force
 from wittsat.selftest import _random_clause, _random_formula
@@ -319,6 +321,42 @@ def test_table_equals_the_reference_across_clause_chunks():
         _assert_table_matches_reference(CnfFormula.from_ints(n, clauses))
 
 
+@pytest.mark.parametrize("n", [9, 16, 18])
+def test_clauses_only_the_first_chunk_holds_are_kept(n):
+    # one row per key is held between chunks; a clause whose key recurs
+    # in the first chunk only must still clear its cells
+    rng = np.random.default_rng(17300 + n)
+    clauses = [_random_clause(rng, n, 4) for _ in range(_CHUNK)]
+    clauses += [clauses[-1]] * (_CHUNK + 37)
+    _assert_table_matches_reference(CnfFormula.from_ints(n, clauses))
+
+
+@pytest.mark.parametrize("n, ratio", [(3, 2.0), (6, 3.0), (14, 4.26), (15, 1.0),
+                                      (16, 4.26), (19, 3.0), (21, 4.26)])
+def test_the_slab_walk_yields_the_table_in_order(n, ratio):
+    # the first slab alone, then the others at once, each a row of the
+    # assembled table; the first set cell and the slabs up to it match the
+    # table's cells
+    rng = np.random.default_rng(17500 + n)
+    m = round(ratio * n)
+    f = CnfFormula.from_ints(n, [_random_clause(rng, n, 3) for _ in range(m)])
+    want = reference_table(f)
+    rows = want.reshape(1 << max(n - 14, 0), -1)
+    table, blocks = table_slabs(f)
+    got = [block.copy() for block in blocks]
+    assert [len(block) for block in got] == [1] + ([len(rows) - 1] if n > 14 else [])
+    assert np.array_equal(np.concatenate(got), rows)
+    assert np.array_equal(table, want)
+    cells = table_cells(want, n)
+    cell, slabs, patterns = first_set_cell(table_slabs(f)[1])
+    if len(cells):
+        slab = int(cells[0]) >> 14
+        assert (cell, slabs) == (int(cells[0]), slab + 1)
+        assert patterns == int(np.count_nonzero(cells >> 14 == slab))
+    else:
+        assert (cell, slabs, patterns) == (None, len(rows), 0)
+
+
 def test_table_working_memory_does_not_grow_with_the_clauses():
     """Clause rows are made a chunk at a time: the peak allocation stays
     within a small multiple of the table and one chunk's rows, far below
@@ -367,7 +405,9 @@ def test_zero_test_depth_does_not_grow_with_n():
     assert sys.getrecursionlimit() < 3000
     e = encode_formula(two_wide_clauses(3000))
     assert e.term_count == 3
-    assert zero_test_splits(e) == (False, 3000)
+    zero, splits, point = zero_test_splits(e)
+    assert (zero, splits) == (False, 3000)
+    assert point.satisfies(two_wide_clauses(3000))
 
 
 def _clause_product(f):
@@ -430,8 +470,11 @@ def test_zero_test_split_counts_are_pinned():
     cases = _split_corpus()
     assert [zero for _, zero in cases].count(True) >= 10
     got = [zero_test_splits(e) for e, _ in cases]
-    assert [zero for zero, _ in got] == [zero for _, zero in cases]
-    assert got == PINNED_SPLITS
+    assert [zero for zero, _, _ in got] == [zero for _, zero in cases]
+    assert [(zero, splits) for zero, splits, _ in got] == PINNED_SPLITS
+    for (e, _), (zero, _, point) in zip(cases, got):
+        assert (point is None) == zero
+        assert point is None or eval_at(e, point) != 0
 
 
 @given(formulas())

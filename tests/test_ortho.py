@@ -63,10 +63,11 @@ def test_orthogonal_matrix_rejects_non_finite_entries(bad):
 
 
 def test_haar_samples_reject_a_nan_residual(monkeypatch):
+    # a sample the program drew is no user input: a defect, not bad input
     monkeypatch.setattr(
         np.linalg, "qr", lambda a: (np.full(a.shape, np.nan), np.ones(a.shape))
     )
-    with pytest.raises(NonOrthogonalMatrixError):
+    with pytest.raises(RuntimeError, match="orthogonality residual nan"):
         haar_samples(3, 2, np.random.default_rng(0))
 
 
