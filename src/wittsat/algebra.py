@@ -7,11 +7,10 @@ factors avoid the bare vectors form a commutative subalgebra of idempotent
 patterns; that subalgebra is where Boolean structure lives and is what
 :class:`DiagonalElement` implements, with exact integer coefficients.
 
-Both term kinds pack their symbol strings into an int, two bits per
-position, so products, parity prefixes and cofactor splits are cheap bit
-work.  Diagonal patterns use a code with a deliberate property: the
-positionwise product is bitwise AND, and a dead position (two opposite
-idempotents multiplied) shows up as a 00 field.
+A pattern packs its symbol string into an int, two bits per position, so
+products and cofactor splits are cheap bit work.  The code has a deliberate
+property: the positionwise product is bitwise AND, and a dead position (two
+opposite idempotents multiplied) shows up as a 00 field.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -31,17 +30,6 @@ from .cnf import Assignment, ResourceLimitError
 D_QP = 0b01  # q_i p_i   (variable i true)
 D_PQ = 0b10  # p_i q_i   (variable i false)
 D_ID = 0b11  # {q_i, p_i}, the identity factor
-
-# Full-term symbols, two bits per position; the high bit marks odd grade.
-S_QP = 0b00  # q_i p_i
-S_PQ = 0b01  # p_i q_i
-S_P = 0b10   # p_i
-S_Q = 0b11   # q_i
-
-_TERM_TEXT = {S_QP: "qp", S_PQ: "pq", S_P: "p", S_Q: "q"}
-_TERM_CODE = {text: code for code, text in _TERM_TEXT.items()}
-_DIAG_TEXT = {D_QP: "qp", D_PQ: "pq", D_ID: "1"}
-_DIAG_CODE = {text: code for code, text in _DIAG_TEXT.items()}
 
 # Cap on n for omega_element, which holds one pattern per assignment.
 EXPAND_LIMIT = 24
@@ -115,93 +103,6 @@ class WittVector:
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"
-
-
-@dataclass(frozen=True)
-class EFBTerm:
-    """A single basis term with an integer coefficient.
-
-    ``bits`` packs the n symbols two bits per position using the S_* codes;
-    position i sits at bits [2(i-1), 2i).
-    """
-
-    n: int
-    bits: int
-    coeff: int = 1
-
-    def __post_init__(self):
-        _check_n(self.n)
-        if self.coeff == 0:
-            raise ValueError("terms carry nonzero coefficients; use None for zero")
-        if not 0 <= self.bits < (1 << (2 * self.n)):
-            raise ValueError("symbol bits out of range")
-
-    @classmethod
-    def from_symbols(cls, symbols: Iterable[str], coeff: int = 1) -> "EFBTerm":
-        syms = list(symbols)
-        bits = 0
-        for i, s in enumerate(syms):
-            try:
-                bits |= _TERM_CODE[s] << (2 * i)
-            except KeyError:
-                raise ValueError(f"unknown symbol {s!r}") from None
-        return cls(len(syms), bits, coeff)
-
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(_TERM_TEXT[pattern_field(self.bits, i)] for i in range(self.n))
-
-    def odd_before(self, i: int) -> int:
-        """Count of odd-grade symbols strictly left of 1-based position *i*."""
-        prefix = self.bits & ((1 << (2 * (i - 1))) - 1)
-        return ((prefix >> 1) & _low_field_bits(self.n)).bit_count()
-
-    def __str__(self) -> str:
-        return f"{self.coeff} * " + " ".join(self.symbols())
-
-    @classmethod
-    def from_text(cls, line: str) -> "EFBTerm":
-        coeff_text, _, sym_text = line.partition("*")
-        return cls.from_symbols(sym_text.split(), int(coeff_text.strip()))
-
-
-# Left action of a bare null vector on the symbol at its own position.
-# Missing entries annihilate: p (p q) = p p = 0 and q (q p) = q q = 0.
-_LEFT_ACTION = {
-    "p": {S_QP: S_P, S_Q: S_PQ},
-    "q": {S_PQ: S_Q, S_P: S_QP},
-}
-
-
-def vector_action(v: WittVector, t: EFBTerm) -> EFBTerm | None:
-    """Left Clifford product v t, or None when the product vanishes.
-
-    The vector anticommutes past every odd symbol left of its position,
-    hence the (-1)^(odd prefix) sign on the surviving term.
-    """
-    if v.index > t.n:
-        raise ValueError(f"vector index {v.index} exceeds term size {t.n}")
-    pos = v.index - 1
-    new = _LEFT_ACTION[v.kind].get(pattern_field(t.bits, pos))
-    if new is None:
-        return None
-    sign = -1 if t.odd_before(v.index) & 1 else 1
-    bits = (t.bits & ~(0b11 << (2 * pos))) | (new << (2 * pos))
-    return EFBTerm(t.n, bits, sign * t.coeff)
-
-
-_FIRST_FACTOR = {S_QP: "q", S_PQ: "p", S_P: "p", S_Q: "q"}
-
-
-def mtnp_of_spinor(t: EFBTerm) -> tuple[WittVector, ...]:
-    """The annihilating null plane of a basis term: one generator per position.
-
-    Each symbol is killed from the left exactly by its own first factor
-    (q_ip_i by q_i, p_iq_i by p_i, bare vectors by themselves), so the
-    generators can be read off positionwise.
-    """
-    return tuple(
-        WittVector(i + 1, _FIRST_FACTOR[pattern_field(t.bits, i)]) for i in range(t.n)
-    )
 
 
 class DiagonalElement:
@@ -286,39 +187,6 @@ class DiagonalElement:
     def __repr__(self) -> str:
         return f"DiagonalElement(n={self.n}, terms={self.term_count})"
 
-    def to_text(self) -> str:
-        """One term per line, ``coeff * s_1 s_2 ... s_n`` with s in qp/pq/1."""
-        lines = []
-        for pat in sorted(self.terms):
-            syms = " ".join(_DIAG_TEXT[pattern_field(pat, i)] for i in range(self.n))
-            lines.append(f"{self.terms[pat]} * {syms}")
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str, n: int | None = None) -> "DiagonalElement":
-        terms: dict[int, int] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            coeff_text, _, sym_text = line.partition("*")
-            syms = sym_text.split()
-            if n is None:
-                n = len(syms)
-            elif len(syms) != n:
-                raise ValueError("inconsistent symbol counts across lines")
-            pat = 0
-            for i, s in enumerate(syms):
-                try:
-                    pat |= _DIAG_CODE[s] << (2 * i)
-                except KeyError:
-                    raise ValueError(f"unknown symbol {s!r}") from None
-            terms[pat] = terms.get(pat, 0) + int(coeff_text.strip())
-        if n is None:
-            raise ValueError("cannot infer dimension from empty text")
-        return cls(n, terms)
-
-
 def diag_mul(a: DiagonalElement, b: DiagonalElement) -> DiagonalElement:
     """Product in the idempotent subalgebra (positionwise AND of patterns)."""
     if a.n != b.n:
@@ -336,31 +204,6 @@ def diag_mul(a: DiagonalElement, b: DiagonalElement) -> DiagonalElement:
             elif r in out:
                 del out[r]
     return DiagonalElement(n, out)
-
-
-def _values_of(assignment) -> tuple[bool, ...]:
-    vals = getattr(assignment, "values", assignment)
-    return tuple(bool(v) for v in vals)
-
-
-def _sigma_pattern(values: Sequence[bool]) -> int:
-    bits = 0
-    for i, v in enumerate(values):
-        bits |= (D_QP if v else D_PQ) << (2 * i)
-    return bits
-
-
-def eval_at(a: DiagonalElement, assignment) -> int:
-    """Value of the element on one assignment (its primitive-idempotent slot).
-
-    A pattern contributes its coefficient when every fixed position agrees
-    with the assignment; identity positions match either truth value.
-    """
-    values = _values_of(assignment)
-    if len(values) != a.n:
-        raise ValueError(f"assignment has {len(values)} values, element has {a.n}")
-    sig = _sigma_pattern(values)
-    return sum(c for pat, c in a.terms.items() if sig & pat == sig)
 
 
 def identity_element(n: int) -> DiagonalElement:
@@ -386,12 +229,6 @@ def omega_element(n: int, limit: int = EXPAND_LIMIT) -> DiagonalElement:
             nxt[pat | (D_PQ << (2 * i))] = -c
         terms = nxt
     return DiagonalElement(n, terms)
-
-
-def assignment_element(assignment) -> DiagonalElement:
-    """The primitive idempotent selecting exactly one assignment."""
-    values = _values_of(assignment)
-    return DiagonalElement(len(values), {_sigma_pattern(values): 1})
 
 
 def cofactor_leaves(

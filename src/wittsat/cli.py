@@ -48,7 +48,6 @@ from .ortho import (
     rebase_residuals,
     witt_rebase,
 )
-from .selftest import run_all
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -85,6 +84,12 @@ def _budget(args) -> int | None:
     if budget < 1:
         raise InputError(f"{source} must be positive, got {budget}")
     return budget
+
+
+def _nonnegative(value: int, name: str) -> int:
+    if value < 0:
+        raise InputError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 def _verdict_name(unsat: bool) -> str:
@@ -181,6 +186,7 @@ def _cmd_check(args) -> int:
 def _cmd_models(args) -> int:
     f = _load_formula(args.file)
     budget = _budget(args)
+    max_enum = _nonnegative(args.max_enum, "--max-enum")
     table = encode_table(f, term_budget=budget)
     if table is None:
         element = encode_formula(f, term_budget=budget)
@@ -188,7 +194,7 @@ def _cmd_models(args) -> int:
     else:
         total = int(np.bitwise_count(table).sum())
     listing = None
-    if 0 < total <= args.max_enum:
+    if 0 < total <= max_enum:
         if table is None:
             listing = sorted(models(element), key=lambda a: a.primitive_index())
             if len(listing) != total:
@@ -213,7 +219,7 @@ def _cmd_models(args) -> int:
             for a in listing:
                 print(a)
         elif total:
-            print(f"(more than --max-enum {args.max_enum}, not listed)")
+            print(f"(more than --max-enum {max_enum}, not listed)")
     return EXIT_SAT if total else EXIT_UNSAT
 
 
@@ -245,6 +251,8 @@ _SIGN_DUMP_MAX_N = 6
 def _cmd_geometry(args) -> int:
     f = _load_formula(args.file)
     budget = _budget(args)
+    samples = _nonnegative(args.samples, "--samples")
+    seed = _nonnegative(args.seed, "seed")
     clause_rows: list[tuple[str, list[str] | None]] = []
     for clause in f.clauses:
         try:
@@ -259,10 +267,8 @@ def _cmd_geometry(args) -> int:
             for a in (Assignment.from_mask(m, f.n) for m in range(1 << f.n))
         ]
     report = None
-    if args.samples > 0:
-        report = orthogonal_cover_report(
-            f, args.samples, args.seed, scan_budget=budget
-        )
+    if samples:
+        report = orthogonal_cover_report(f, samples, seed, scan_budget=budget)
     if args.json:
         payload = {
             "n": f.n,
@@ -327,10 +333,6 @@ def _cmd_rebase(args) -> int:
         for i, row in enumerate(basis.q_vectors):
             print(f"q{i + 1}: " + " ".join(f"{x: .6f}" for x in row))
     return EXIT_SAT
-
-
-def _cmd_selftest(args) -> int:
-    return EXIT_SAT if run_all(quick=args.quick) else EXIT_UNSAT
 
 
 @functools.cache
@@ -435,10 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     reb.add_argument("--json", action="store_true")
     reb.set_defaults(func=_cmd_rebase)
-
-    st = sub.add_parser("selftest", help="run the built-in acceptance checks")
-    st.add_argument("--quick", action="store_true", help="reduced sample sizes")
-    st.set_defaults(func=_cmd_selftest)
 
     return parser
 

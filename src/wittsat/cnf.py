@@ -61,9 +61,6 @@ class Clause(tuple):
                 return tuple.__new__(_TautologicalClause, lits)
         return tuple.__new__(Clause, lits)
 
-    def falsified_by(self, assignment: "Assignment") -> bool:
-        return set(assignment.to_ints()).isdisjoint(self)
-
     def __str__(self) -> str:
         return " ".join(map(str, self)) + " 0"
 

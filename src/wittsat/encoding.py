@@ -9,12 +9,13 @@ the zero element.
 The product takes one of two forms, chosen by the input's size alone:
 while 2^n fits the cell budget, its table of values on all 2^n assignments,
 one bit each and zero when no bit is set; past the budget, a sparse sum of
-patterns, which the cofactor zero test decides.  The table is built as a
-walk over slabs, the Shannon cofactors at each setting of its leading
-variables, in the order of their assignments' primitive indices
-(:func:`table_slabs`): a verdict stops at the first slab with a set cell,
-which is then the lowest-indexed model (:func:`first_set_cell`), and a
-count takes every slab (:func:`encode_table`).
+patterns (:func:`encode_formula`), which the cofactor zero test decides.
+The table is built as a walk over slabs, the Shannon cofactors at each
+setting of its leading variables, in the order of their assignments'
+primitive indices (:func:`table_slabs`): a verdict stops at the first slab
+with a set cell, which is then the lowest-indexed model
+(:func:`first_set_cell`), and a count takes every slab
+(:func:`encode_table`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .algebra import (
     pattern_bits,
     pattern_field,
 )
-from .cnf import Assignment, Clause, CnfFormula, TautologyError
+from .cnf import Assignment, Clause, CnfFormula
 
 DEFAULT_TERM_BUDGET = 1 << 20
 DEFAULT_CELL_BUDGET = 1 << 22
@@ -56,19 +57,6 @@ class DroppedClauseWarning(UserWarning):
 def _clause_pattern(clause: Clause, n: int) -> int:
     fixed = {abs(lit): (D_PQ if lit > 0 else D_QP) for lit in clause}
     return pattern_bits(n, fixed)
-
-
-def encode_clause(clause: Clause, n: int) -> DiagonalElement:
-    """The idempotent selecting the clause's unique falsifying pattern.
-
-    A positive literal contributes the variable-false factor p_iq_i, a
-    negated literal the variable-true factor q_ip_i; untouched positions keep
-    the identity factor.  Tautological clauses have no falsifier and are
-    rejected.
-    """
-    if clause.is_tautological:
-        raise TautologyError(f"tautological clause {clause} has no falsifier")
-    return DiagonalElement(n, {_clause_pattern(clause, n): 1})
 
 
 def _live_clauses(f: CnfFormula) -> list[Clause]:
@@ -328,30 +316,15 @@ def table_cells(table: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(bits[: 1 << n])
 
 
-def _table_terms(table: np.ndarray, n: int) -> dict[int, int]:
-    """The set cells of a value table as full patterns."""
-    cells = table_cells(table, n)
-    packed = np.zeros_like(cells)
-    for i in range(n):
-        # variable 1 is the most significant bit of the primitive index
-        packed |= (((cells >> (n - 1 - i)) & 1) + 1) << (2 * i)
-    return dict.fromkeys(packed.tolist(), 1)
-
-
 def encode_formula(
     f: CnfFormula, *, term_budget: int | None = None
 ) -> DiagonalElement:
-    """Product over clauses of (identity - falsifier).
-
-    When :func:`encode_table` fits the cell budget, the product is that
-    table, returned as its nonzero cells: one full pattern per model.
-    Otherwise the product is built sparse, merging like patterns after
-    every factor, under the pattern budget (*term_budget*, default 2^20);
-    exceeding it raises :class:`TermBudgetError`.
+    """Product over clauses of (identity - falsifier) as a sparse sum of
+    patterns, merging like patterns after every factor, under the pattern
+    budget (*term_budget*, default 2^20); exceeding it raises
+    :class:`TermBudgetError`.  This is the product's form past the cell
+    budget of :func:`table_slabs`.
     """
-    table = encode_table(f, term_budget=term_budget)
-    if table is not None:
-        return DiagonalElement(f.n, _table_terms(table, f.n))
     n = f.n
     budget = DEFAULT_TERM_BUDGET if term_budget is None else int(term_budget)
     if f.has_empty_clause:
@@ -387,11 +360,6 @@ def encode_formula(
                 f"{len(terms)} patterns exceed the budget of {budget}"
             )
     return DiagonalElement(n, terms)
-
-
-def is_unsatisfiable(f: CnfFormula, *, term_budget: int | None = None) -> bool:
-    """Algebraic route: the encoded product is the zero element."""
-    return encode_formula(f, term_budget=term_budget).is_zero()
 
 
 # The truth values an assignment may take at each field code.

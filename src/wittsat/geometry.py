@@ -8,21 +8,10 @@ plain solver) by the differential suites.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .algebra import (
-    EFBTerm,
-    ResourceLimitError,
-    S_PQ,
-    S_QP,
-    WittVector,
-    assignment_element,
-    diag_mul,
-    mtnp_of_spinor,
-)
+from .algebra import ResourceLimitError, WittVector
 from .cnf import Assignment, Clause, CnfFormula, TautologyError
-from .encoding import encode_clause
 
 FREE = 0
 
@@ -47,17 +36,8 @@ class SignVector:
     def n(self) -> int:
         return len(self.eps)
 
-    def matches(self, pattern: "TernaryPattern") -> bool:
-        if pattern.n != self.n:
-            raise ValueError("dimension mismatch")
-        return all(s == FREE or s == e for s, e in zip(pattern.slots, self.eps))
-
     def to_text(self) -> str:
         return "".join("+" if e == 1 else "-" for e in self.eps)
-
-    @classmethod
-    def from_text(cls, text: str) -> "SignVector":
-        return cls(tuple(1 if ch == "+" else -1 for ch in text.strip()))
 
 
 @dataclass(frozen=True)
@@ -79,14 +59,6 @@ class TernaryPattern:
     def to_text(self) -> str:
         return "".join("+" if s == 1 else "-" if s == -1 else "*" for s in self.slots)
 
-    @classmethod
-    def from_text(cls, text: str) -> "TernaryPattern":
-        table = {"+": 1, "-": -1, "*": FREE}
-        try:
-            return cls(tuple(table[ch] for ch in text.strip()))
-        except KeyError as e:
-            raise ValueError(f"bad pattern character {e.args[0]!r}") from None
-
 
 @dataclass(frozen=True)
 class TotallyNullPlane:
@@ -102,13 +74,6 @@ class TotallyNullPlane:
                 "lie in a totally null plane"
             )
 
-    @property
-    def generator_set(self) -> frozenset[tuple[int, str]]:
-        return frozenset((v.index, v.kind) for v in self.generators)
-
-    def contains(self, other: "TotallyNullPlane") -> bool:
-        return other.generator_set <= self.generator_set
-
 
 def mtnp_of_assignment(a: Assignment) -> SignVector:
     """Sign vector of the assignment's annihilating plane: -1 where true.
@@ -123,15 +88,6 @@ def assignment_of_sign_vector(s: SignVector) -> Assignment:
     return Assignment(tuple(e == -1 for e in s.eps))
 
 
-def plane_of_sign_vector(s: SignVector) -> TotallyNullPlane:
-    """The maximal plane the sign vector stands for: p_i at +1, q_i at -1."""
-    return TotallyNullPlane(
-        tuple(
-            WittVector(i + 1, "p" if e == 1 else "q") for i, e in enumerate(s.eps)
-        )
-    )
-
-
 def tnp_of_clause(clause: Clause, n: int) -> TotallyNullPlane:
     """The clause's falsifier plane: p_i for a positive literal, q_i for a
     negated one, nothing at untouched positions."""
@@ -143,31 +99,6 @@ def tnp_of_clause(clause: Clause, n: int) -> TotallyNullPlane:
             raise ValueError(f"variable {abs(lit)} exceeds n={n}")
         gens.append(WittVector(abs(lit), "p" if lit > 0 else "q"))
     return TotallyNullPlane(tuple(gens))
-
-
-def compatible(clause: Clause, assignment: Assignment, *, verify: bool = False) -> bool:
-    """True when the assignment falsifies the clause.
-
-    Three equivalent readings exist: literal containment of the falsifier in
-    the assignment, absorption of the clause idempotent by the assignment
-    idempotent, and inclusion of the clause plane in the assignment plane.
-    With ``verify=True`` all three are computed and must agree.
-    """
-    containment = clause.falsified_by(assignment)
-    if verify:
-        z = encode_clause(clause, assignment.n)
-        sigma = assignment_element(assignment)
-        absorption = diag_mul(sigma, z) == sigma
-        inclusion = plane_of_sign_vector(mtnp_of_assignment(assignment)).contains(
-            tnp_of_clause(clause, assignment.n)
-        )
-        if not (containment == absorption == inclusion):
-            raise RuntimeError(
-                f"compatibility definitions diverge on {clause} / {assignment}: "
-                f"containment={containment} absorption={absorption} "
-                f"inclusion={inclusion}"
-            )
-    return containment
 
 
 def clause_slots(clause: Clause, n: int) -> dict[int, int]:
@@ -386,39 +317,3 @@ def cover_verdict(
         return True, None
     return False, assignment_of_sign_vector(SignVector(found))
 
-
-def psi_z_expansion(clause: Clause, n: int) -> list[EFBTerm]:
-    """All simple basis terms whose planes contain the clause plane.
-
-    The clause's own positions stay pinned to the falsifier's factors while
-    every free position ranges over both even factors, giving 2^(n - width)
-    terms; a width-n clause yields the single assignment term.
-    """
-    if clause.is_tautological:
-        raise TautologyError(f"tautological clause {clause} has no expansion")
-    fixed: dict[int, int] = {}
-    for lit in clause:
-        if abs(lit) > n:
-            raise ValueError(f"variable {abs(lit)} exceeds n={n}")
-        fixed[abs(lit) - 1] = S_PQ if lit > 0 else S_QP
-    free = [i for i in range(n) if i not in fixed]
-    base = 0
-    for pos, code in fixed.items():
-        base |= code << (2 * pos)
-    out = []
-    for combo in itertools.product((S_QP, S_PQ), repeat=len(free)):
-        bits = base
-        for pos, code in zip(free, combo):
-            bits |= code << (2 * pos)
-        out.append(EFBTerm(n, bits, 1))
-    return out
-
-
-def check_intersection(clause: Clause, n: int) -> bool:
-    """The expansion terms' planes intersect exactly in the clause plane."""
-    planes = [
-        frozenset((v.index, v.kind) for v in mtnp_of_spinor(t))
-        for t in psi_z_expansion(clause, n)
-    ]
-    common = frozenset.intersection(*planes)
-    return common == tnp_of_clause(clause, n).generator_set

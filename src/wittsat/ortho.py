@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, InputError, ResourceLimitError, TautologyError
+from .cnf import Clause, CnfFormula, InputError, ResourceLimitError
 
 CONSTRUCTION_TOL = 1e-9
 VERIFY_TOL = 1e-6
-SV_RELATIVE_CUTOFF = 1e-8
 
 # The report draws and tests Haar samples this many at a time, scans
 # diagonal isometries this many at a time, and matches clauses against a
@@ -102,14 +101,6 @@ class NullFrame:
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def ambient_n(self) -> int:
-        return self.vectors.shape[1] // 2
-
 
 def neutral_gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pairwise B values between the rows of u and v in R^(2n), or between
@@ -122,21 +113,6 @@ def neutral_gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def mtnp_from_isometry(t: OrthogonalMatrix) -> NullFrame:
     """The graph plane of t: row i is (e_i, t e_i)."""
     return NullFrame(np.hstack([np.eye(t.n), t.entries.T]))
-
-
-def intersect_dim(
-    f1: NullFrame, f2: NullFrame, rel_cutoff: float = SV_RELATIVE_CUTOFF
-) -> int:
-    """dim(span1) + dim(span2) - rank of the stacked rows."""
-    if f1.ambient_n != f2.ambient_n:
-        raise ValueError("frames live in different ambient spaces")
-    stacked = np.vstack([f1.vectors, f2.vectors])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        rank = 0
-    else:
-        rank = int((sv > rel_cutoff * sv[0]).sum())
-    return f1.dim + f2.dim - rank
 
 
 def _column_signs(m: np.ndarray, tol: float) -> np.ndarray:
@@ -176,24 +152,6 @@ def _holds_some(signs: np.ndarray, want: np.ndarray) -> np.ndarray:
         block = want[:, lo:lo + _CLAUSE_CHUNK]
         held |= (s @ block == np.abs(block).sum(axis=0)).any(axis=1)
     return held
-
-
-def strict_membership(
-    t: OrthogonalMatrix, clause: Clause, tol: float = VERIFY_TOL
-) -> bool:
-    """The clause plane lies inside the graph plane of t: every involved axis
-    must be held with the required sign, + for a positive literal (p side)
-    and - for a negated one (q side).  On diagonal sign matrices this is
-    exactly the induced-pattern match."""
-    if clause.is_tautological:
-        raise TautologyError(f"tautological clause {clause} has no plane")
-    signs = _column_signs(t.entries, tol)
-    for lit in clause:
-        if abs(lit) > t.n:
-            raise ValueError(f"variable {abs(lit)} exceeds n={t.n}")
-        if signs[abs(lit) - 1] != (1 if lit > 0 else -1):
-            return False
-    return True
 
 
 def haar_samples(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -413,8 +371,6 @@ def orthogonal_cover_report(
     """
     if samples < 0:
         raise InputError("sample count must be nonnegative")
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
     n = f.n
     want = _clause_columns([c for c in f.clauses if not c.is_tautological], n)
     discrete = f.has_empty_clause or _discrete_cover(n, want, scan_budget)

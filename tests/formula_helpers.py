@@ -1,0 +1,37 @@
+"""Seeded clauses and formulas drawn from a numpy Generator, and every
+clause over a few variables."""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from wittsat.cnf import CnfFormula
+
+
+def clause_universe(n: int) -> list[tuple[int, ...]]:
+    """All non-tautological clauses over variables 1..n, as literal tuples."""
+    out = []
+    for width in range(1, n + 1):
+        for vars_ in itertools.combinations(range(1, n + 1), width):
+            for signs in itertools.product((1, -1), repeat=width):
+                out.append(tuple(v * s for v, s in zip(vars_, signs)))
+    return out
+
+
+def random_clause(rng: np.random.Generator, n: int, width: int) -> tuple[int, ...]:
+    vars_ = rng.choice(n, size=width, replace=False) + 1
+    signs = rng.integers(0, 2, size=width)
+    return tuple(int(v) if s else -int(v) for v, s in zip(vars_, signs))
+
+
+def random_formula(
+    rng: np.random.Generator, n: int, m: int, max_width: int | None = None
+) -> CnfFormula:
+    top = min(n, 3 if max_width is None else max_width)
+    clauses = []
+    for _ in range(m):
+        width = int(rng.integers(1, top + 1))
+        clauses.append(random_clause(rng, n, width))
+    return CnfFormula.from_ints(n, clauses)

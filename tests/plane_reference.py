@@ -1,0 +1,178 @@
+"""Null-plane constructions of the paper that the tests check the routes
+and the orthogonal-group layer against: the three readings of "the
+assignment falsifies the clause", the expansion of a clause into basis
+terms, strict membership of a clause plane in an isometry's graph plane,
+and the intersection dimension of two graph planes.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from wittsat.algebra import (
+    D_PQ,
+    D_QP,
+    DiagonalElement,
+    WittVector,
+    diag_mul,
+    pattern_bits,
+)
+from wittsat.cnf import Assignment, Clause, TautologyError
+from wittsat.geometry import (
+    FREE,
+    SignVector,
+    TernaryPattern,
+    TotallyNullPlane,
+    mtnp_of_assignment,
+    tnp_of_clause,
+)
+from wittsat.ortho import VERIFY_TOL, NullFrame, OrthogonalMatrix, _column_signs
+
+from algebra_reference import (
+    S_PQ,
+    S_QP,
+    EFBTerm,
+    assignment_element,
+    mtnp_of_spinor,
+)
+
+SV_RELATIVE_CUTOFF = 1e-8
+
+
+def falsified_by(clause: Clause, assignment: Assignment) -> bool:
+    return set(assignment.to_ints()).isdisjoint(clause)
+
+
+def encode_clause(clause: Clause, n: int) -> DiagonalElement:
+    """The idempotent selecting the clause's unique falsifying pattern.
+
+    A positive literal contributes the variable-false factor p_iq_i, a
+    negated literal the variable-true factor q_ip_i; untouched positions keep
+    the identity factor.  Tautological clauses have no falsifier and are
+    rejected.
+    """
+    if clause.is_tautological:
+        raise TautologyError(f"tautological clause {clause} has no falsifier")
+    fixed = {abs(lit): (D_PQ if lit > 0 else D_QP) for lit in clause}
+    return DiagonalElement(n, {pattern_bits(n, fixed): 1})
+
+
+def matches(signs: SignVector, pattern: TernaryPattern) -> bool:
+    if pattern.n != signs.n:
+        raise ValueError("dimension mismatch")
+    return all(s == FREE or s == e for s, e in zip(pattern.slots, signs.eps))
+
+
+def generator_set(plane: TotallyNullPlane) -> frozenset[tuple[int, str]]:
+    return frozenset((v.index, v.kind) for v in plane.generators)
+
+
+def plane_contains(plane: TotallyNullPlane, other: TotallyNullPlane) -> bool:
+    return generator_set(other) <= generator_set(plane)
+
+
+def plane_of_sign_vector(s: SignVector) -> TotallyNullPlane:
+    """The maximal plane the sign vector stands for: p_i at +1, q_i at -1."""
+    return TotallyNullPlane(
+        tuple(
+            WittVector(i + 1, "p" if e == 1 else "q") for i, e in enumerate(s.eps)
+        )
+    )
+
+
+def compatible(clause: Clause, assignment: Assignment, *, verify: bool = False) -> bool:
+    """True when the assignment falsifies the clause.
+
+    Three equivalent readings exist: literal containment of the falsifier in
+    the assignment, absorption of the clause idempotent by the assignment
+    idempotent, and inclusion of the clause plane in the assignment plane.
+    With ``verify=True`` all three are computed and must agree.
+    """
+    containment = falsified_by(clause, assignment)
+    if verify:
+        z = encode_clause(clause, assignment.n)
+        sigma = assignment_element(assignment)
+        absorption = diag_mul(sigma, z) == sigma
+        inclusion = plane_contains(
+            plane_of_sign_vector(mtnp_of_assignment(assignment)),
+            tnp_of_clause(clause, assignment.n),
+        )
+        if not (containment == absorption == inclusion):
+            raise RuntimeError(
+                f"compatibility definitions diverge on {clause} / {assignment}: "
+                f"containment={containment} absorption={absorption} "
+                f"inclusion={inclusion}"
+            )
+    return containment
+
+
+def psi_z_expansion(clause: Clause, n: int) -> list[EFBTerm]:
+    """All simple basis terms whose planes contain the clause plane.
+
+    The clause's own positions stay pinned to the falsifier's factors while
+    every free position ranges over both even factors, giving 2^(n - width)
+    terms; a width-n clause yields the single assignment term.
+    """
+    if clause.is_tautological:
+        raise TautologyError(f"tautological clause {clause} has no expansion")
+    fixed: dict[int, int] = {}
+    for lit in clause:
+        if abs(lit) > n:
+            raise ValueError(f"variable {abs(lit)} exceeds n={n}")
+        fixed[abs(lit) - 1] = S_PQ if lit > 0 else S_QP
+    free = [i for i in range(n) if i not in fixed]
+    base = 0
+    for pos, code in fixed.items():
+        base |= code << (2 * pos)
+    out = []
+    for combo in itertools.product((S_QP, S_PQ), repeat=len(free)):
+        bits = base
+        for pos, code in zip(free, combo):
+            bits |= code << (2 * pos)
+        out.append(EFBTerm(n, bits, 1))
+    return out
+
+
+def check_intersection(clause: Clause, n: int) -> bool:
+    """The expansion terms' planes intersect exactly in the clause plane."""
+    planes = [
+        frozenset((v.index, v.kind) for v in mtnp_of_spinor(t))
+        for t in psi_z_expansion(clause, n)
+    ]
+    common = frozenset.intersection(*planes)
+    return common == generator_set(tnp_of_clause(clause, n))
+
+
+def strict_membership(
+    t: OrthogonalMatrix, clause: Clause, tol: float = VERIFY_TOL
+) -> bool:
+    """The clause plane lies inside the graph plane of t: every involved axis
+    must be held with the required sign, + for a positive literal (p side)
+    and - for a negated one (q side).  On diagonal sign matrices this is
+    exactly the induced-pattern match."""
+    if clause.is_tautological:
+        raise TautologyError(f"tautological clause {clause} has no plane")
+    signs = _column_signs(t.entries, tol)
+    for lit in clause:
+        if abs(lit) > t.n:
+            raise ValueError(f"variable {abs(lit)} exceeds n={t.n}")
+        if signs[abs(lit) - 1] != (1 if lit > 0 else -1):
+            return False
+    return True
+
+
+def intersect_dim(
+    f1: NullFrame, f2: NullFrame, rel_cutoff: float = SV_RELATIVE_CUTOFF
+) -> int:
+    """dim(span1) + dim(span2) - rank of the stacked rows."""
+    if f1.vectors.shape[1] != f2.vectors.shape[1]:
+        raise ValueError("frames live in different ambient spaces")
+    stacked = np.vstack([f1.vectors, f2.vectors])
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        rank = 0
+    else:
+        rank = int((sv > rel_cutoff * sv[0]).sum())
+    return len(f1.vectors) + len(f2.vectors) - rank

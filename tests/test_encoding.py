@@ -1,7 +1,9 @@
 """Formula encoding: the clause product, its verdicts, and model reads.
 
 Reference values come from truth tables (the brute-force oracle lives in
-wittsat.oracle and is tested independently against DPLL).
+tests/oracle_reference.py and is tested independently against DPLL).  Tests
+that read the product's value table go through encode_table and
+table_cells; encode_formula is the sparse product.
 """
 
 import random
@@ -19,9 +21,8 @@ from wittsat.algebra import (
     D_PQ,
     D_QP,
     DiagonalElement,
-    eval_at,
-    identity_count,
     identity_element,
+    pattern_bits,
     zero_test_splits,
 )
 from wittsat.cnf import Assignment, Clause, CnfFormula, TautologyError
@@ -31,18 +32,18 @@ from wittsat.encoding import (
     DroppedClauseWarning,
     TermBudgetError,
     count_models,
-    encode_clause,
     encode_formula,
     encode_table,
     first_set_cell,
-    is_unsatisfiable,
     models,
     table_cells,
     table_slabs,
 )
-from wittsat.oracle import brute_force
-from wittsat.selftest import _random_clause, _random_formula
 
+from algebra_reference import eval_at
+from formula_helpers import random_clause, random_formula
+from oracle_reference import brute_force
+from plane_reference import encode_clause, falsified_by
 from table_reference import reference_table
 from test_algebra import _point_values
 from test_cnf import formulas, pigeonhole, two_wide_clauses
@@ -51,7 +52,7 @@ from test_cnf import formulas, pigeonhole, two_wide_clauses
 def test_encode_clause_marks_falsifying_fields():
     e = encode_clause(Clause.from_ints((1, -2)), 2)
     # the falsifier: a positive literal fails on pq, a negated one on qp
-    assert e.to_text().splitlines() == ["1 * pq qp"]
+    assert e.terms == {pattern_bits(2, {1: D_PQ, 2: D_QP}): 1}
 
 
 def test_encode_clause_rejects_tautologies():
@@ -64,13 +65,18 @@ def test_encode_clause_is_the_falsification_indicator():
     e = encode_clause(c, 3)
     for mask in range(8):
         a = Assignment.from_mask(mask, 3)
-        assert eval_at(e, a) == int(c.falsified_by(a))
+        assert eval_at(e, a) == int(falsified_by(c, a))
+
+
+def _table_unsat(f):
+    return not encode_table(f).any()
 
 
 def test_single_model_formula_collapses_to_its_point():
     f = CnfFormula.from_ints(2, [(1, 2), (-1, 2), (1, -2)])
-    e = encode_formula(f)  # the table: one full pattern per model
-    assert e.to_text().splitlines() == ["1 * qp qp"]
+    # the table's one set cell is the model's primitive index, 0
+    assert table_cells(encode_table(f), 2).tolist() == [0]
+    e = encode_formula(f)
     assert models(e) == {Assignment((True, True))}
     assert count_models(e) == 1
 
@@ -80,20 +86,20 @@ def test_full_clause_universe_encodes_to_zero():
     f = CnfFormula.from_ints(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
     e = encode_formula(f)
     assert e.is_zero()
-    assert is_unsatisfiable(f)
+    assert _table_unsat(f)
     assert count_models(e) == 0 and models(e) == set()
 
 
 def test_empty_formula_is_the_identity():
     f = CnfFormula.from_ints(3, [])
     assert count_models(encode_formula(f)) == 8
-    assert not is_unsatisfiable(f)
+    assert not _table_unsat(f)
 
 
 def test_empty_clause_encodes_to_zero():
     f = CnfFormula(2, (Clause.from_ints((1, 2)),), empty_clause_count=1)
     assert encode_formula(f).is_zero()
-    assert is_unsatisfiable(f)
+    assert _table_unsat(f)
 
 
 def test_tautological_clause_is_dropped_with_warning():
@@ -113,10 +119,11 @@ def test_term_budget_is_enforced():
 
 def test_explicit_budget_caps_the_table_cells():
     rng = np.random.default_rng(0)
-    f = CnfFormula.from_ints(13, [_random_clause(rng, 13, 3) for _ in range(55)])
-    e = encode_formula(f, term_budget=1 << 13)
-    assert e == encode_formula(f)
+    f = CnfFormula.from_ints(13, [random_clause(rng, 13, 3) for _ in range(55)])
+    table = encode_table(f, term_budget=1 << 13)
+    assert np.array_equal(table, encode_table(f))
     # one cell fewer refuses the table, and the sparse product outgrows it
+    assert encode_table(f, term_budget=(1 << 13) - 1) is None
     with pytest.raises(TermBudgetError):
         encode_formula(f, term_budget=(1 << 13) - 1)
 
@@ -124,36 +131,37 @@ def test_explicit_budget_caps_the_table_cells():
 @pytest.mark.parametrize("seed", [0, 4])  # 7 models, unsatisfiable
 def test_threshold_3sat_at_n15_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
-    f = CnfFormula.from_ints(15, [_random_clause(rng, 15, 3) for _ in range(64)])
+    f = CnfFormula.from_ints(15, [random_clause(rng, 15, 3) for _ in range(64)])
     expected = set(brute_force(f).models)
-    e = encode_formula(f)  # the table: one full pattern per model
-    assert e.term_count == len(expected)
-    assert all(identity_count(p, f.n) == 0 for p in e.terms)
-    assert is_unsatisfiable(f) == (not expected)
-    assert count_models(e) == len(expected) and models(e) == expected
+    table = encode_table(f)
+    cells = table_cells(table, f.n).tolist()
+    assert {Assignment.from_primitive_index(i, f.n) for i in cells} == expected
+    assert int(np.bitwise_count(table).sum()) == len(expected)
+    assert _table_unsat(f) == (not expected)
 
 
 def test_switched_product_is_zeroed_by_later_clauses():
     # the table holds the product; the unit clauses zero all its cells
     prefix = [(1, 2), (3, 4), (5, 6)]
-    assert encode_formula(CnfFormula.from_ints(6, prefix)).term_count == 27
+    assert len(table_cells(encode_table(CnfFormula.from_ints(6, prefix)), 6)) == 27
     f = CnfFormula.from_ints(6, prefix + [(-1,), (-2,)])
     e = encode_formula(f)
-    assert brute_force(f).models == () and e.term_count == 0
-    assert is_unsatisfiable(f) and count_models(e) == 0 and models(e) == set()
+    assert brute_force(f).models == () and _table_unsat(f)
+    assert count_models(e) == 0 and models(e) == set()
 
 
 def test_tautology_is_dropped_from_both_product_forms():
-    # the table holds 2^6 cells by default; a budget one cell short keeps
-    # the product sparse
-    pairs = [(1, 2), (3, 4), (5, 6)]
-    tautology = CnfFormula.from_ints(6, [(1, -1)] + pairs)
+    pairs = CnfFormula.from_ints(6, [(1, 2), (3, 4), (5, 6)])
+    tautology = CnfFormula.from_ints(6, [(1, -1)] + list(pairs.clauses))
     with pytest.warns(DroppedClauseWarning):
-        table = encode_formula(tautology)
+        table = encode_table(tautology)
     with pytest.warns(DroppedClauseWarning):
-        sparse = encode_formula(tautology, term_budget=(1 << 6) - 1)
-    assert table.term_count == 27 and sparse.term_count < 27
-    assert table == sparse == encode_formula(CnfFormula.from_ints(6, pairs))
+        sparse = encode_formula(tautology)
+    cells = table_cells(table, 6).tolist()
+    assert len(cells) == 27 and sparse.term_count < 27
+    assert {Assignment.from_primitive_index(i, 6) for i in cells} == models(sparse)
+    assert np.array_equal(table, encode_table(pairs))
+    assert sparse == encode_formula(pairs)
 
 
 def _table_set(f):
@@ -183,7 +191,7 @@ def _assert_table_matches_satisfies(f):
 @pytest.mark.parametrize("seed", range(4))
 def test_packed_table_matches_satisfies(n, seed):
     rng = np.random.default_rng(100 * n + seed)
-    _assert_table_matches_satisfies(_random_formula(rng, n, 2 * n))
+    _assert_table_matches_satisfies(random_formula(rng, n, 2 * n))
 
 
 # at n = 8 variables 1-2 are word axes and 3-8 lanes; n = 7 has one axis
@@ -216,7 +224,7 @@ def test_packed_table_drops_a_tautology_with_warning():
 def test_packed_table_at_n20_matches_satisfies():
     n = 20
     rng = np.random.default_rng(20001)
-    f = CnfFormula.from_ints(n, [_random_clause(rng, n, 3) for _ in range(80)])
+    f = CnfFormula.from_ints(n, [random_clause(rng, n, 3) for _ in range(80)])
     got = _table_set(f)
     # every cell against a clause-by-clause evaluation of its index ...
     index = np.arange(1 << n)
@@ -277,15 +285,15 @@ def test_table_equals_the_reference_at_every_n(n, seed):
     rng = np.random.default_rng(17000 + 100 * seed + n)
     for m in (0, n, 3 * n, 5 * n):
         clauses = [
-            _random_clause(rng, n, int(rng.integers(1, n + 1))) for _ in range(m)
+            random_clause(rng, n, int(rng.integers(1, n + 1))) for _ in range(m)
         ]
-        clauses.append(_random_clause(rng, n, n))
-        clauses.append(_random_clause(rng, n, 1))
+        clauses.append(random_clause(rng, n, n))
+        clauses.append(random_clause(rng, n, 1))
         clauses.append(clauses[0])
         clauses.append(clauses[-2] + clauses[-2][:1])
         if n > 1:
             v = int(rng.integers(1, n + 1))
-            clauses.append((v, -v, *_random_clause(rng, n, 1)))
+            clauses.append((v, -v, *random_clause(rng, n, 1)))
         f = CnfFormula.from_ints(n, clauses)
         _assert_table_matches_reference(f)
     _assert_table_matches_reference(CnfFormula(n, f.clauses, empty_clause_count=1))
@@ -307,7 +315,7 @@ def test_table_equals_the_reference_per_layout_part(n, seed):
     if lead:
         clauses.append(_signed(rng, lead))
         clauses.append(_signed(rng, lead + row[:1] + lane[:1]))
-    clauses += [_random_clause(rng, n, 3) for _ in range(2 * n)]
+    clauses += [random_clause(rng, n, 3) for _ in range(2 * n)]
     _assert_table_matches_reference(CnfFormula.from_ints(n, clauses))
 
 
@@ -316,7 +324,7 @@ def test_table_equals_the_reference_across_clause_chunks():
     for n in (9, 16):
         m = 2 * _CHUNK + 37
         clauses = [
-            _random_clause(rng, n, int(rng.integers(1, 5))) for _ in range(m)
+            random_clause(rng, n, int(rng.integers(1, 5))) for _ in range(m)
         ]
         _assert_table_matches_reference(CnfFormula.from_ints(n, clauses))
 
@@ -326,7 +334,7 @@ def test_clauses_only_the_first_chunk_holds_are_kept(n):
     # one row per key is held between chunks; a clause whose key recurs
     # in the first chunk only must still clear its cells
     rng = np.random.default_rng(17300 + n)
-    clauses = [_random_clause(rng, n, 4) for _ in range(_CHUNK)]
+    clauses = [random_clause(rng, n, 4) for _ in range(_CHUNK)]
     clauses += [clauses[-1]] * (_CHUNK + 37)
     _assert_table_matches_reference(CnfFormula.from_ints(n, clauses))
 
@@ -339,7 +347,7 @@ def test_the_slab_walk_yields_the_table_in_order(n, ratio):
     # table's cells
     rng = np.random.default_rng(17500 + n)
     m = round(ratio * n)
-    f = CnfFormula.from_ints(n, [_random_clause(rng, n, 3) for _ in range(m)])
+    f = CnfFormula.from_ints(n, [random_clause(rng, n, 3) for _ in range(m)])
     want = reference_table(f)
     rows = want.reshape(1 << max(n - 14, 0), -1)
     table, blocks = table_slabs(f)
@@ -363,7 +371,7 @@ def test_table_working_memory_does_not_grow_with_the_clauses():
     one row per clause."""
     n, m = 16, 20_000
     rng = np.random.default_rng(17400)
-    f = CnfFormula.from_ints(n, [_random_clause(rng, n, 3) for _ in range(m)])
+    f = CnfFormula.from_ints(n, [random_clause(rng, n, 3) for _ in range(m)])
     table_bytes = 8 << (n - 6)
     chunk_bytes = 8 * _CHUNK << _ROW_AXES
     encode_table(f)  # the per-n literal rows are made once, not per call
@@ -380,24 +388,23 @@ def test_table_working_memory_does_not_grow_with_the_clauses():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_unit_clauses_fold_into_the_sparse_product(seed):
-    # a unit clause multiplies in as one pattern: the sparse product
-    # (forced by a budget one cell short of the table) equals the product
-    # built factor by factor and lists the same models
+    # a unit clause multiplies in as one pattern: the sparse product equals
+    # the product built factor by factor and lists the same models
     rng = np.random.default_rng(seed)
     n = 8
-    clauses = [_random_clause(rng, n, 3) for _ in range(10)]
-    clauses += [_random_clause(rng, n, 1) for _ in range(3)]
+    clauses = [random_clause(rng, n, 3) for _ in range(10)]
+    clauses += [random_clause(rng, n, 1) for _ in range(3)]
     rng.shuffle(clauses)
     f = CnfFormula.from_ints(n, clauses)
-    sparse = encode_formula(f, term_budget=(1 << n) - 1)
+    sparse = encode_formula(f)
     assert sparse == _clause_product(f)
     assert models(sparse) == set(brute_force(f).models)
 
 
 def test_unit_clauses_alone_are_one_pattern():
     f = CnfFormula.from_ints(5, [(1,), (-3,), (5,)])
-    sparse = encode_formula(f, term_budget=(1 << 5) - 1)
-    assert sparse.to_text().splitlines() == ["1 * qp 1 pq 1 qp"]
+    sparse = encode_formula(f)
+    assert sparse.terms == {pattern_bits(5, {1: D_QP, 3: D_PQ, 5: D_QP}): 1}
 
 
 def test_zero_test_depth_does_not_grow_with_n():
@@ -426,7 +433,7 @@ def _split_corpus():
         rng = np.random.default_rng(seed)
         n, ratio = 12 + seed % 5, (1.0, 1.25, 1.5)[seed % 3]
         f = CnfFormula.from_ints(
-            n, [_random_clause(rng, n, 3) for _ in range(round(ratio * n))]
+            n, [random_clause(rng, n, 3) for _ in range(round(ratio * n))]
         )
         cases.append((_clause_product(f), brute_force(f).verdict == "UNSAT"))
     php = pigeonhole(3)

@@ -1,4 +1,5 @@
-"""Sign vectors, ternary patterns, null planes, and the cover test."""
+"""Sign vectors, ternary patterns, null planes, and the cover test; the
+null-plane constructions of tests/plane_reference.py against each other."""
 
 import itertools
 import random
@@ -7,31 +8,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittsat.algebra import (
-    EFBTerm,
-    ResourceLimitError,
-    WittVector,
-    mtnp_of_spinor,
-)
+from wittsat.algebra import ResourceLimitError, WittVector
 from wittsat.cnf import Assignment, Clause, CnfFormula, TautologyError
 from wittsat.geometry import (
     SignVector,
     TernaryPattern,
     TotallyNullPlane,
     assignment_of_sign_vector,
-    check_intersection,
-    compatible,
     cover_verdict,
     formula_patterns,
     induced_pattern,
     mtnp_of_assignment,
-    plane_of_sign_vector,
-    psi_z_expansion,
     tnp_of_clause,
 )
-from wittsat.oracle import brute_force
 
+from algebra_reference import EFBTerm, mtnp_of_spinor
 from cover_reference import reference_cover
+from oracle_reference import brute_force
+from plane_reference import (
+    check_intersection,
+    compatible,
+    falsified_by,
+    generator_set,
+    matches,
+    plane_of_sign_vector,
+    psi_z_expansion,
+)
 from test_cnf import (
     formulas,
     implication_chain,
@@ -46,24 +48,20 @@ from test_cnf import (
 from test_oracle import _corpus_formula
 
 
-def test_sign_vector_text_round_trip():
-    s = SignVector((1, -1, 1))
-    assert s.to_text() == "+-+"
-    assert SignVector.from_text("+-+") == s
-    with pytest.raises(ValueError):
-        SignVector((1, 0))
-
-
 def _sign_vectors(n):
     return [SignVector(eps) for eps in itertools.product((1, -1), repeat=n)]
 
 
 def test_pattern_matching_and_members():
-    p = TernaryPattern.from_text("+*-")
-    assert SignVector.from_text("++-").matches(p)
-    assert SignVector.from_text("+--").matches(p)
-    assert not SignVector.from_text("-+-").matches(p)
-    members = {s.to_text() for s in _sign_vectors(3) if s.matches(p)}
+    p = TernaryPattern((1, 0, -1))
+    assert p.to_text() == "+*-"
+    assert SignVector((1, -1, 1)).to_text() == "+-+"
+    with pytest.raises(ValueError):
+        SignVector((1, 0))
+    assert matches(SignVector((1, 1, -1)), p)
+    assert matches(SignVector((1, -1, -1)), p)
+    assert not matches(SignVector((-1, 1, -1)), p)
+    members = {s.to_text() for s in _sign_vectors(3) if matches(s, p)}
     assert members == {"++-", "+--"}
 
 
@@ -82,7 +80,7 @@ def test_null_span_criterion():
             with pytest.raises(ValueError):
                 TotallyNullPlane((u, v))
         else:
-            assert TotallyNullPlane((u, v)).generator_set == {
+            assert generator_set(TotallyNullPlane((u, v))) == {
                 (u.index, u.kind),
                 (v.index, v.kind),
             }
@@ -94,7 +92,7 @@ def test_assignment_sign_vector_bijection():
     assert s.to_text() == "-+"  # true sits on the q side
     assert assignment_of_sign_vector(s) == a
     plane = plane_of_sign_vector(s)
-    assert plane.generator_set == {(1, "q"), (2, "p")}
+    assert generator_set(plane) == {(1, "q"), (2, "p")}
 
 
 def test_spinor_route_matches_sign_vector_route():
@@ -137,12 +135,12 @@ def test_pattern_members_are_exactly_the_falsifying_assignments():
             matched = {
                 assignment_of_sign_vector(s)
                 for s in _sign_vectors(n)
-                if s.matches(p)
+                if matches(s, p)
             }
             falsified = {
                 a
                 for m in range(1 << n)
-                if c.falsified_by(a := Assignment.from_mask(m, n))
+                if falsified_by(c, a := Assignment.from_mask(m, n))
             }
             assert matched == falsified
 

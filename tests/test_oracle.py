@@ -1,6 +1,6 @@
-"""Oracle layer: the two solvers against each other, the trail DPLL
-against its frozen clause-copying predecessor, and the exact matrix backend
-against hand-computed blocks."""
+"""The DPLL route against the truth table and against its frozen
+clause-copying predecessor, and the references of tests/oracle_reference.py
+(the truth table, the exact matrix backend) against hand-computed cases."""
 
 import random
 
@@ -14,27 +14,19 @@ from wittsat.algebra import (
     D_PQ,
     D_QP,
     DiagonalElement,
-    EFBTerm,
     ResourceLimitError,
     WittVector,
-    eval_at,
     identity_element,
     omega_element,
     pattern_bits,
 )
 from wittsat.cnf import Assignment, Clause, CnfFormula
 from wittsat.geometry import cover_verdict
-from wittsat.oracle import (
-    GAMMA_LIMIT,
-    SAT,
-    UNSAT,
-    DpllResult,
-    GammaRep,
-    brute_force,
-    dpll,
-)
+from wittsat.oracle import SAT, UNSAT, DpllResult, dpll
 
+from algebra_reference import EFBTerm, eval_at
 from dpll_reference import reference_dpll
+from oracle_reference import GAMMA_LIMIT, GammaRep, brute_force
 from test_cnf import (
     formulas,
     implication_chain,
@@ -329,7 +321,7 @@ def test_element_matrix_is_exact_past_int64():
 
 def test_term_matrix_respects_position_order():
     rep = GammaRep(2)
-    t = EFBTerm.from_text("1 * p q")
+    t = EFBTerm.from_symbols(("p", "q"))
     direct = np.dot(rep.p(1), rep.q(2))
     assert np.array_equal(rep.matrix_of(t), direct)
     assert np.array_equal(rep.matrix_of(WittVector(2, "q")), rep.q(2))

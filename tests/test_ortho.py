@@ -17,7 +17,7 @@ from wittsat.cnf import (
     TautologyError,
 )
 from wittsat.geometry import induced_pattern, mtnp_of_assignment
-from wittsat.oracle import UNSAT, brute_force
+from wittsat.oracle import UNSAT
 from wittsat.ortho import (
     NonOrthogonalMatrixError,
     NonTransversalError,
@@ -26,7 +26,6 @@ from wittsat.ortho import (
     WittBasis,
     eigenvalue_one_multiplicity,
     haar_samples,
-    intersect_dim,
     matrices_from_text,
     matrix_to_text,
     mtnp_from_isometry,
@@ -34,11 +33,13 @@ from wittsat.ortho import (
     orthogonal_cover_report,
     rebase_residuals,
     sample_orthogonal,
-    strict_membership,
     witt_rebase,
     _solve_each,
 )
-from wittsat.selftest import _random_clause, clause_universe
+
+from formula_helpers import clause_universe, random_clause
+from oracle_reference import brute_force
+from plane_reference import intersect_dim, matches, strict_membership
 
 
 def test_orthogonal_matrix_validation():
@@ -84,7 +85,7 @@ def test_graph_planes_are_null_of_full_dimension():
     for n in (1, 2, 4):
         t = sample_orthogonal(n, seed=5 + n)
         frame = mtnp_from_isometry(t)
-        assert frame.dim == n and frame.ambient_n == n
+        assert frame.vectors.shape == (n, 2 * n)
         v = frame.vectors
         assert np.abs(neutral_gram(v, v)).max() <= 1e-6
     # a frame mixing the two blocks unevenly is not null
@@ -111,7 +112,7 @@ def test_strict_membership_on_diagonals_is_pattern_match():
                 a = Assignment.from_mask(mask, n)
                 s = mtnp_of_assignment(a)
                 t = OrthogonalMatrix.diagonal([float(e) for e in s.eps])
-                assert strict_membership(t, clause) == s.matches(pattern)
+                assert strict_membership(t, clause) == matches(s, pattern)
 
 
 def test_strict_membership_fails_off_axis():
@@ -302,7 +303,7 @@ def _reference_report(f: CnfFormula, samples: int, seed: int) -> dict:
 
 def _seeded_formula(rng: np.random.Generator, n: int, kind: int) -> CnfFormula:
     m = int(rng.integers(1, 4 * n + 2))
-    clauses = [_random_clause(rng, n, int(rng.integers(1, min(n, 3) + 1)))
+    clauses = [random_clause(rng, n, int(rng.integers(1, min(n, 3) + 1)))
                for _ in range(m)]
     if kind == 1 and n >= 2:
         clauses.append((1, -1, 2))  # tautological: ignored by the report

@@ -14,19 +14,14 @@ import wittsat.cli
 
 PACKAGE = Path(wittsat.__file__).parent
 
-_TEXT_FORMATS = "README text formats, ROADMAP item 5 decides"
-
 EXEMPT = {
     "identity_element": "the algebra's unit, the reference element of tests",
     "omega_element": "the volume element, for the models-by-component count",
     "serialize_dimacs": "writes the DIMACS format that parse_dimacs reads",
     "matrix_to_text": "writes the matrix format that the rebase command reads",
     "sample_orthogonal": "makes the orthogonal matrices that rebase takes",
-    "EFBTerm.from_text": _TEXT_FORMATS,
-    "DiagonalElement.from_text": _TEXT_FORMATS,
-    "DiagonalElement.to_text": _TEXT_FORMATS,
-    "SignVector.from_text": _TEXT_FORMATS,
-    "TernaryPattern.from_text": _TEXT_FORMATS,
+    "CnfFormula.from_ints": "builds a formula from literal tuples, as about "
+    "100 test call sites do; the program builds formulas by parsing DIMACS",
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
