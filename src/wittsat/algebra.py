@@ -16,7 +16,6 @@ opposite idempotents multiplied) shows up as a 00 field.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
 
@@ -86,23 +85,6 @@ def pattern_bits(n: int, fixed: Mapping[int, int]) -> int:
 def identity_count(pattern: int, n: int) -> int:
     """Number of identity fields in a packed diagonal pattern."""
     return (pattern & (pattern >> 1) & _low_field_bits(n)).bit_count()
-
-
-@dataclass(frozen=True, order=True)
-class WittVector:
-    """One basis null vector, p_i or q_i; the index is the 1-based position."""
-
-    index: int
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("p", "q"):
-            raise ValueError(f"kind must be 'p' or 'q', got {self.kind!r}")
-        if self.index < 1:
-            raise ValueError("positions are numbered from 1")
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.index}"
 
 
 class DiagonalElement:

@@ -19,19 +19,26 @@ import time
 import traceback
 import warnings
 
-import numpy as np
-
 from . import __version__
-from .algebra import ResourceLimitError, zero_test_splits
-from .cnf import Assignment, CnfFormula, InputError, TautologyError, parse_dimacs
+
+# zero_test_splits, count_models, encode_formula and models are not called
+# here: the benchmark's tracer (wittbench/worker.py) wraps them by name on
+# this module, and stops at the first one missing.
+from .algebra import zero_test_splits
+from .cnf import (
+    Assignment,
+    CnfFormula,
+    InputError,
+    ResourceLimitError,
+    TautologyError,
+    parse_dimacs,
+)
 from .encoding import (
+    algebra_models,
+    algebra_verdict,
     count_models,
     encode_formula,
-    encode_table,
-    first_set_cell,
     models,
-    table_cells,
-    table_slabs,
 )
 from .geometry import (
     cover_verdict,
@@ -39,7 +46,7 @@ from .geometry import (
     mtnp_of_assignment,
     tnp_of_clause,
 )
-from .oracle import SAT, UNSAT, dpll
+from .oracle import dpll
 from .ortho import (
     NonTransversalError,
     OrthogonalMatrix,
@@ -93,51 +100,29 @@ def _nonnegative(value: int, name: str) -> int:
 
 
 def _verdict_name(unsat: bool) -> str:
-    return UNSAT if unsat else SAT
+    return "UNSAT" if unsat else "SAT"
 
 
 def _cmd_check(args) -> int:
     f = _load_formula(args.file)
     route = args.route or ("all" if f.n <= 16 else "dpll")
     budget = _budget(args)
+    # looked up on every call, so that a wrapper set on this module is used
+    routes = {"algebra": algebra_verdict, "cover": cover_verdict, "dpll": dpll}
     verdicts: dict[str, bool] = {}
     timings: dict[str, float] = {}
     stats: dict[str, int] = {}
     found: dict[str, Assignment] = {}
-    if route in ("algebra", "all"):
+    for name in routes if route == "all" else (route,):
         start = time.perf_counter()
-        walk = table_slabs(f, term_budget=budget)
-        if walk is None:
-            element = encode_formula(f, term_budget=budget)
-            zero, splits, point = zero_test_splits(element)
-            stats["patterns"], stats["slabs"] = element.term_count, 0
-        else:
-            cell, stats["slabs"], stats["patterns"] = first_set_cell(walk[1])
-            zero, splits = cell is None, 0
-            point = None if zero else Assignment.from_primitive_index(cell, f.n)
-        timings["algebra"] = (time.perf_counter() - start) * 1000.0
-        verdicts["algebra"] = zero
-        stats["splits"] = splits
-        if point is not None:
-            found["algebra"] = point
-    if route in ("cover", "all"):
-        start = time.perf_counter()
-        counters: dict[str, int] = {}
-        covered, witness = cover_verdict(f, decision_budget=budget, stats=counters)
-        timings["cover"] = (time.perf_counter() - start) * 1000.0
-        stats.update((f"cover_{k}", v) for k, v in counters.items())
-        verdicts["cover"] = covered
-        if witness is not None:
-            found["cover"] = witness
-    if route in ("dpll", "all"):
-        start = time.perf_counter()
-        counters = {}
-        result = dpll(f, decision_budget=budget, stats=counters)
-        timings["dpll"] = (time.perf_counter() - start) * 1000.0
-        stats.update((f"dpll_{k}", v) for k, v in counters.items())
-        verdicts["dpll"] = result.verdict == UNSAT
-        if result.model is not None:
-            found["dpll"] = result.model
+        unsat, model, counters = routes[name](f, budget)
+        timings[name] = (time.perf_counter() - start) * 1000.0
+        verdicts[name] = unsat
+        # the algebra's counters print unprefixed
+        prefix = "" if name == "algebra" else f"{name}_"
+        stats.update((prefix + k, v) for k, v in counters.items())
+        if model is not None:
+            found[name] = model
     if len(set(verdicts.values())) > 1:
         detail = ", ".join(
             f"{k}={_verdict_name(v)}" for k, v in sorted(verdicts.items())
@@ -187,24 +172,10 @@ def _cmd_models(args) -> int:
     f = _load_formula(args.file)
     budget = _budget(args)
     max_enum = _nonnegative(args.max_enum, "--max-enum")
-    table = encode_table(f, term_budget=budget)
-    if table is None:
-        element = encode_formula(f, term_budget=budget)
-        total = count_models(element)
-    else:
-        total = int(np.bitwise_count(table).sum())
-    listing = None
-    if 0 < total <= max_enum:
-        if table is None:
-            listing = sorted(models(element), key=lambda a: a.primitive_index())
-            if len(listing) != total:
-                print("error: enumeration disagrees with the count", file=sys.stderr)
-                return EXIT_INTERNAL
-        else:
-            listing = [
-                Assignment.from_primitive_index(i, f.n)
-                for i in table_cells(table, f.n).tolist()
-            ]
+    total, listing = algebra_models(f, budget, max_enum)
+    if listing is not None and len(listing) != total:
+        print("error: enumeration disagrees with the count", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.json:
         payload = {
             "n": f.n,
@@ -226,7 +197,7 @@ def _cmd_models(args) -> int:
 def _cmd_cover(args) -> int:
     f = _load_formula(args.file)
     patterns = [p.to_text() for p in formula_patterns(f)]
-    covered, witness = cover_verdict(f, decision_budget=_budget(args))
+    covered, witness, _ = cover_verdict(f, _budget(args))
     if args.json:
         payload = {
             "n": f.n,

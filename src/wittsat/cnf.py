@@ -84,10 +84,6 @@ class Assignment:
         if not all(isinstance(v, bool) for v in self.values):
             raise TypeError("assignment values must be bools")
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
     @classmethod
     def from_mask(cls, mask: int, n: int) -> "Assignment":
         """Bit i-1 of the mask is the value of variable i."""

@@ -15,7 +15,9 @@ setting of its leading variables, in the order of their assignments'
 primitive indices (:func:`table_slabs`): a verdict stops at the first slab
 with a set cell, which is then the lowest-indexed model
 (:func:`first_set_cell`), and a count takes every slab
-(:func:`encode_table`).
+(:func:`encode_table`).  :func:`algebra_verdict` and
+:func:`algebra_models`, what ``check`` and ``models`` call, make the choice
+between the two forms.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .algebra import (
     pattern_alive,
     pattern_bits,
     pattern_field,
+    zero_test_splits,
 )
 from .cnf import Assignment, Clause, CnfFormula
 
@@ -401,3 +404,43 @@ def count_models(element: DiagonalElement) -> int:
     for pat, c in element.terms.items():
         total += c << identity_count(pat, element.n)
     return total
+
+
+def algebra_verdict(
+    f: CnfFormula, term_budget: int | None = None
+) -> tuple[bool, Assignment | None, dict[str, int]]:
+    """(unsatisfiable, model, counters) from the product in the form the
+    input's size picks: the table walk up to its first set cell, or the
+    cofactor zero test of the sparse product.  The counters are
+    ``patterns`` (the sparse product's patterns, or the set cells of the
+    slab holding the model), ``slabs`` (table slabs read) and ``splits``
+    (cofactor splits taken); the form not taken reads 0 in its own."""
+    walk = table_slabs(f, term_budget=term_budget)
+    if walk is None:
+        element = encode_formula(f, term_budget=term_budget)
+        zero, splits, point = zero_test_splits(element)
+        counters = {"patterns": element.term_count, "slabs": 0, "splits": splits}
+        return zero, point, counters
+    cell, slabs, patterns = first_set_cell(walk[1])
+    model = None if cell is None else Assignment.from_primitive_index(cell, f.n)
+    return cell is None, model, {"patterns": patterns, "slabs": slabs, "splits": 0}
+
+
+def algebra_models(
+    f: CnfFormula, term_budget: int | None, max_enum: int
+) -> tuple[int, list[Assignment] | None]:
+    """(model count, the models in primitive-index order when the count is
+    from 1 to *max_enum*, else None), from the product in the form the
+    input's size picks."""
+    table = encode_table(f, term_budget=term_budget)
+    if table is None:
+        element = encode_formula(f, term_budget=term_budget)
+        total = count_models(element)
+        if not 0 < total <= max_enum:
+            return total, None
+        return total, sorted(models(element), key=Assignment.primitive_index)
+    total = int(np.bitwise_count(table).sum())
+    if not 0 < total <= max_enum:
+        return total, None
+    cells = table_cells(table, f.n).tolist()
+    return total, [Assignment.from_primitive_index(i, f.n) for i in cells]

@@ -10,10 +10,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ResourceLimitError, WittVector
-from .cnf import Assignment, Clause, CnfFormula, TautologyError
+from .cnf import Assignment, Clause, CnfFormula, ResourceLimitError, TautologyError
 
 FREE = 0
+
+
+@dataclass(frozen=True, order=True)
+class WittVector:
+    """One basis null vector, p_i or q_i; the index is the 1-based position."""
+
+    index: int
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in ("p", "q"):
+            raise ValueError(f"kind must be 'p' or 'q', got {self.kind!r}")
+        if self.index < 1:
+            raise ValueError("positions are numbered from 1")
+
+    def __str__(self) -> str:
+        return f"{self.kind}{self.index}"
 
 
 @dataclass(frozen=True)
@@ -32,10 +48,6 @@ class SignVector:
         if any(e not in (1, -1) for e in self.eps):
             raise ValueError("sign entries must be +1 or -1")
 
-    @property
-    def n(self) -> int:
-        return len(self.eps)
-
     def to_text(self) -> str:
         return "".join("+" if e == 1 else "-" for e in self.eps)
 
@@ -51,10 +63,6 @@ class TernaryPattern:
             raise ValueError("patterns need at least one position")
         if any(s not in (1, -1, FREE) for s in self.slots):
             raise ValueError("slots must be +1, -1 or free (0)")
-
-    @property
-    def n(self) -> int:
-        return len(self.slots)
 
     def to_text(self) -> str:
         return "".join("+" if s == 1 else "-" if s == -1 else "*" for s in self.slots)
@@ -135,12 +143,10 @@ _BLOCK = 64
 
 
 def _first_uncovered(
-    patterns: list[dict[int, int]],
-    n: int,
-    decision_budget: int | None = None,
-    stats: dict | None = None,
-) -> tuple[int, ...] | None:
-    """Search for a sign vector that no pattern matches.
+    patterns: list[dict[int, int]], n: int, decision_budget: int | None
+) -> tuple[tuple[int, ...] | None, int, int]:
+    """Search for a sign vector that no pattern matches; also return the
+    number of branchings and of forced signs that got assigned.
 
     Positions are assigned along a trail and unassigned by popping it.  A
     pattern is live while none of its fixed slots is contradicted.  A live
@@ -149,9 +155,7 @@ def _first_uncovered(
     opposite sign there (unit propagation read on covers).  Branching takes
     the position fixed by the most live patterns, lowest index on ties, +1
     first.  Positions left unassigned read +1 in the witness.  More than
-    ``decision_budget`` branchings raise ResourceLimitError.  If *stats* is
-    a dict, ``stats["decisions"]`` (branchings) and ``stats["propagations"]``
-    (forced signs that got assigned) are set, also when the budget runs out.
+    ``decision_budget`` branchings raise ResourceLimitError.
 
     An assignment updates only ``agree``, the assigned slots that match each
     pattern.  That alone finds covers and forced signs: a pattern with no
@@ -169,11 +173,10 @@ def _first_uncovered(
     killed or revived.  The first block holding the top value, and the first
     position in it, give the lowest position of the heaviest weight.
     """
-    stats = {} if stats is None else stats
-    stats["decisions"] = stats["propagations"] = 0
+    decisions = propagations = 0
     slots = [tuple(p.items()) for p in patterns]
     if not all(slots):
-        return None  # a pattern without fixed slots matches everything
+        return None, 0, 0  # a pattern without fixed slots matches everything
     occurs = {1: [[] for _ in range(n)], -1: [[] for _ in range(n)]}
     for j, pattern in enumerate(slots):
         for pos, sign in pattern:
@@ -248,7 +251,7 @@ def _first_uncovered(
     while True:
         start = len(trail)
         ok = propagate(queue)
-        stats["propagations"] += len(trail) - start - branch_sign
+        propagations += len(trail) - start - branch_sign
         if ok:
             for pos in trail[swept:]:
                 stale.add(pos // _BLOCK)
@@ -261,9 +264,9 @@ def _first_uncovered(
                             stale.add(q // _BLOCK)
             swept = len(trail)
             if len(killed) == len(slots):
-                return tuple(v or 1 for v in value)
-            stats["decisions"] += 1
-            if decision_budget is not None and stats["decisions"] > decision_budget:
+                return tuple(v or 1 for v in value), decisions, propagations
+            decisions += 1
+            if decision_budget is not None and decisions > decision_budget:
                 raise ResourceLimitError(
                     f"cover search exceeded {decision_budget} decisions"
                 )
@@ -278,7 +281,7 @@ def _first_uncovered(
             branch_sign = 1
             continue
         if not branches:
-            return None
+            return None, decisions, propagations
         mark, killed_mark, pos = branches.pop()
         undo(mark, killed_mark)
         swept = mark
@@ -299,21 +302,22 @@ def formula_patterns(f: CnfFormula) -> list[TernaryPattern]:
 
 
 def cover_verdict(
-    f: CnfFormula, *, decision_budget: int | None = None, stats: dict | None = None
-) -> tuple[bool, Assignment | None]:
-    """(covered, satisfying assignment built from the uncovered witness).
+    f: CnfFormula, decision_budget: int | None = None
+) -> tuple[bool, Assignment | None, dict[str, int]]:
+    """(covered, satisfying assignment built from the uncovered witness,
+    counters).
 
     Covered means unsatisfiable; an uncovered sign vector translates back to
-    an assignment falsifying no clause.  More than ``decision_budget``
-    branchings raise ResourceLimitError; None means unbounded.  If *stats*
-    is a dict, ``stats["decisions"]`` (branchings) and
-    ``stats["propagations"]`` (signs forced by a pattern with one unassigned
-    slot left) are set, also when the budget runs out.
+    an assignment falsifying no clause.  The counters are ``decisions``
+    (branchings) and ``propagations`` (signs forced by a pattern with one
+    unassigned slot left).  More than ``decision_budget`` branchings raise
+    ResourceLimitError; None means unbounded.
     """
     fixed = [{}] if f.has_empty_clause else []
     fixed += [clause_slots(c, f.n) for c in f.clauses if not c.is_tautological]
-    found = _first_uncovered(fixed, f.n, decision_budget, stats)
+    found, decisions, propagations = _first_uncovered(fixed, f.n, decision_budget)
+    counters = {"decisions": decisions, "propagations": propagations}
     if found is None:
-        return True, None
-    return False, assignment_of_sign_vector(SignVector(found))
+        return True, None, counters
+    return False, assignment_of_sign_vector(SignVector(found)), counters
 

@@ -9,48 +9,32 @@ live in tests/oracle_reference.py.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .algebra import ResourceLimitError
-from .cnf import Assignment, CnfFormula
-
-SAT = "SAT"
-UNSAT = "UNSAT"
-
-
-@dataclass(frozen=True)
-class DpllResult:
-    verdict: str
-    model: Assignment | None
+from .cnf import Assignment, CnfFormula, ResourceLimitError
 
 
 def dpll(
-    f: CnfFormula, *, decision_budget: int | None = None, stats: dict | None = None
-) -> DpllResult:
-    """Unit propagation, pure-literal elimination, then branching on the
-    lowest still-occurring variable trying True first.  A returned model is
-    re-verified by direct evaluation.  More than ``decision_budget``
-    branchings raise ResourceLimitError; None means unbounded.  If *stats* is
-    a dict, ``stats["decisions"]`` and ``stats["propagations"]`` (literals
-    set by unit clauses) are set, also when the budget runs out."""
-    stats = {} if stats is None else stats
-    stats["decisions"] = stats["propagations"] = 0
+    f: CnfFormula, decision_budget: int | None = None
+) -> tuple[bool, Assignment | None, dict[str, int]]:
+    """(unsatisfiable, model, counters) by unit propagation, pure-literal
+    elimination, then branching on the lowest still-occurring variable
+    trying True first.  A returned model is re-verified by direct
+    evaluation.  The counters are ``decisions`` and ``propagations``
+    (literals set by unit clauses).  More than ``decision_budget``
+    branchings raise ResourceLimitError; None means unbounded."""
     if f.has_empty_clause:
-        return DpllResult(UNSAT, None)
+        return True, None, {"decisions": 0, "propagations": 0}
     search = _TrailSearch(f.n, f.clauses)
-    try:
-        found = search.solve(decision_budget)
-    finally:
-        stats["decisions"] = search.decisions
-        stats["propagations"] = search.propagations
+    found = search.solve(decision_budget)
+    counters = {"decisions": search.decisions, "propagations": search.propagations}
     if not found:
-        return DpllResult(UNSAT, None)
+        return True, None, counters
     # a variable the search never set reads True
     model = Assignment(tuple(search.value[v] >= 0 for v in range(1, f.n + 1)))
     if not model.satisfies(f):
         raise RuntimeError("solver produced a non-model; this is a defect")
-    return DpllResult(SAT, model)
+    return False, model, counters
 
 
 class _TrailSearch:

@@ -82,11 +82,6 @@ class OrthogonalMatrix:
         a = np.asarray(arr, dtype=float)
         return cls(a.shape[0], a, tol)
 
-    @classmethod
-    def diagonal(cls, signs) -> "OrthogonalMatrix":
-        signs = np.asarray(signs, dtype=float)
-        return cls(len(signs), np.diag(signs))
-
 
 @dataclass(frozen=True, eq=False)
 class NullFrame:
@@ -179,14 +174,14 @@ def sample_orthogonal(n: int, seed: int) -> OrthogonalMatrix:
     return OrthogonalMatrix(n, haar_samples(n, 1, np.random.default_rng(seed))[0])
 
 
-def eigenvalue_one_multiplicity(m: np.ndarray, tol: float = VERIFY_TOL):
-    """Eigenvalues within tol of 1, counted as the singular values of m - I
-    that are at most tol: an int for one matrix, an array of counts for a
-    stack.  For a normal m these singular values are exactly |lambda - 1|;
+def eigenvalue_one_multiplicity(m: np.ndarray):
+    """Eigenvalues within VERIFY_TOL of 1, counted as the singular values of
+    m - I that are at most VERIFY_TOL: an int for one matrix, an array of
+    counts for a stack.  For a normal m these singular values are exactly |lambda - 1|;
     a matrix orthogonal only within a small residual moves them by about
     that residual."""
     sv = np.linalg.svd(m - np.eye(m.shape[-1]), compute_uv=False)
-    counts = (sv <= tol).sum(axis=-1)
+    counts = (sv <= VERIFY_TOL).sum(axis=-1)
     return int(counts) if counts.ndim == 0 else counts
 
 
@@ -222,10 +217,6 @@ class WittBasis:
         q.setflags(write=False)
         object.__setattr__(self, "p_vectors", p)
         object.__setattr__(self, "q_vectors", q)
-
-    @property
-    def n(self) -> int:
-        return self.p_vectors.shape[0]
 
     def pairing_residual(self) -> float:
         return float(_witt_residual(self.p_vectors, self.q_vectors))
@@ -268,9 +259,7 @@ def _rebase_stack(t1: np.ndarray, t2: np.ndarray, m: np.ndarray):
     return p_rows, q_rows
 
 
-def witt_rebase(
-    t1: OrthogonalMatrix, t2: OrthogonalMatrix, tol: float = VERIFY_TOL
-) -> WittBasis:
+def witt_rebase(t1: OrthogonalMatrix, t2: OrthogonalMatrix) -> WittBasis:
     """A joint Witt basis with the graph plane of t1 as its p side and the
     graph plane of t2 as its q side.
 
@@ -285,7 +274,7 @@ def witt_rebase(
     if t1.n != t2.n:
         raise InputError("matrix sizes differ")
     m = t1.entries.T @ t2.entries
-    r = eigenvalue_one_multiplicity(m, tol)
+    r = eigenvalue_one_multiplicity(m)
     if r:
         raise NonTransversalError(r)
     p_rows, q_rows = _rebase_stack(t1.entries, t2.entries[None], m[None])
@@ -339,12 +328,7 @@ def _rebased(sign: float, t: np.ndarray) -> int:
 
 
 def orthogonal_cover_report(
-    f: CnfFormula,
-    samples: int,
-    seed: int,
-    *,
-    tol: float = VERIFY_TOL,
-    scan_budget: int | None = None,
+    f: CnfFormula, samples: int, seed: int, *, scan_budget: int | None = None
 ) -> dict:
     """Sampling report over the isometry group for a formula's clause family.
 
@@ -362,9 +346,9 @@ def orthogonal_cover_report(
     is ~1/2, the share of SO(n).  The p-only number is reported separately.
     A Haar sample is orthogonal to rounding, so its spectrum is read from
     the symmetric part (t + t^T)/2, whose eigenvalues are cos(theta) for t's
-    eigenvalues exp(+-i theta): |lambda - 1| = 2 sin(theta/2) <= tol is
-    cos(theta) >= 1 - tol^2/2, and |lambda + 1| <= tol is
-    cos(theta) <= tol^2/2 - 1.
+    eigenvalues exp(+-i theta): |lambda - 1| = 2 sin(theta/2) <= VERIFY_TOL
+    is cos(theta) >= 1 - VERIFY_TOL^2/2, and |lambda + 1| <= VERIFY_TOL is
+    cos(theta) <= VERIFY_TOL^2/2 - 1.
 
     Samples are drawn, tested and rebased in stacks, which gives the same
     report as taking them one by one.
@@ -379,13 +363,13 @@ def orthogonal_cover_report(
     step = max(1, min(_SAMPLE_CHUNK, _STACK_CELLS // (n * n)))
     for start in range(0, samples, step):
         t = haar_samples(n, min(step, samples - start), rng)
-        strict_hits += int(_holds_some(_column_signs(t, tol), want).sum())
+        strict_hits += int(_holds_some(_column_signs(t, VERIFY_TOL), want).sum())
         # t meets the all-p plane at eigenvalue 1 and the all-q plane at
         # eigenvalue -1 (the spectrum of -t); the q side is tried only for
         # samples that meet the p side
         cos = np.linalg.eigvalsh(0.5 * (t + np.swapaxes(t, -1, -2)))
-        meets_p = cos[:, -1] >= 1.0 - 0.5 * tol * tol
-        meets_q = cos[:, 0] <= 0.5 * tol * tol - 1.0
+        meets_p = cos[:, -1] >= 1.0 - 0.5 * VERIFY_TOL * VERIFY_TOL
+        meets_q = cos[:, 0] <= 0.5 * VERIFY_TOL * VERIFY_TOL - 1.0
         p_ok = _rebased(1.0, t[~meets_p])
         p_side += p_ok
         rebasable += p_ok + _rebased(-1.0, t[meets_p & ~meets_q])

@@ -13,13 +13,12 @@ so), because the matrix backend in tests/oracle_reference.py builds on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from wittsat.algebra import (
     D_PQ,
     D_QP,
     DiagonalElement,
-    WittVector,
     _check_n,
     _low_field_bits,
     pattern_field,
@@ -30,6 +29,16 @@ S_QP = 0b00  # q_i p_i
 S_PQ = 0b01  # p_i q_i
 S_P = 0b10   # p_i
 S_Q = 0b11   # q_i
+
+
+class NullVector(NamedTuple):
+    """One basis null vector, p_i or q_i; the index is the 1-based position.
+    The program's own vector type belongs to the cover route
+    (wittsat.geometry.WittVector), which this module may not import."""
+
+    index: int
+    kind: str
+
 
 _TERM_TEXT = {S_QP: "qp", S_PQ: "pq", S_P: "p", S_Q: "q"}
 _TERM_CODE = {text: code for code, text in _TERM_TEXT.items()}
@@ -85,7 +94,7 @@ _LEFT_ACTION = {
 }
 
 
-def vector_action(v: WittVector, t: EFBTerm) -> EFBTerm | None:
+def vector_action(v: NullVector, t: EFBTerm) -> EFBTerm | None:
     """Left Clifford product v t, or None when the product vanishes.
 
     The vector anticommutes past every odd symbol left of its position,
@@ -105,7 +114,7 @@ def vector_action(v: WittVector, t: EFBTerm) -> EFBTerm | None:
 _FIRST_FACTOR = {S_QP: "q", S_PQ: "p", S_P: "p", S_Q: "q"}
 
 
-def mtnp_of_spinor(t: EFBTerm) -> tuple[WittVector, ...]:
+def mtnp_of_spinor(t: EFBTerm) -> tuple[NullVector, ...]:
     """The annihilating null plane of a basis term: one generator per position.
 
     Each symbol is killed from the left exactly by its own first factor
@@ -113,7 +122,7 @@ def mtnp_of_spinor(t: EFBTerm) -> tuple[WittVector, ...]:
     generators can be read off positionwise.
     """
     return tuple(
-        WittVector(i + 1, _FIRST_FACTOR[pattern_field(t.bits, i)]) for i in range(t.n)
+        NullVector(i + 1, _FIRST_FACTOR[pattern_field(t.bits, i)]) for i in range(t.n)
     )
 
 

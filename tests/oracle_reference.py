@@ -18,13 +18,14 @@ from wittsat.algebra import (
     D_ID,
     DiagonalElement,
     ResourceLimitError,
-    WittVector,
     pattern_field,
 )
 from wittsat.cnf import Assignment, CnfFormula
-from wittsat.oracle import SAT, UNSAT
 
-from algebra_reference import EFBTerm
+from algebra_reference import EFBTerm, NullVector
+
+SAT = "SAT"
+UNSAT = "UNSAT"
 
 BRUTE_FORCE_LIMIT = 24
 GAMMA_LIMIT = 5
@@ -129,7 +130,7 @@ class GammaRep:
     def q(self, i: int) -> np.ndarray:
         return self._q[i - 1]
 
-    def vector_matrix(self, v: WittVector) -> np.ndarray:
+    def vector_matrix(self, v: NullVector) -> np.ndarray:
         if v.index > self.n:
             raise ValueError(f"vector index {v.index} exceeds n={self.n}")
         return self.p(v.index) if v.kind == "p" else self.q(v.index)
@@ -184,7 +185,7 @@ class GammaRep:
             return self.element_matrix(x)
         if isinstance(x, EFBTerm):
             return self.term_matrix(x)
-        if isinstance(x, WittVector):
+        if isinstance(x, NullVector):
             return self.vector_matrix(x)
         raise TypeError(f"cannot map {type(x).__name__} to a matrix")
 

@@ -15,7 +15,6 @@ from wittsat.algebra import (
     D_PQ,
     D_QP,
     DiagonalElement,
-    WittVector,
     diag_mul,
     pattern_bits,
 )
@@ -25,6 +24,7 @@ from wittsat.geometry import (
     SignVector,
     TernaryPattern,
     TotallyNullPlane,
+    WittVector,
     mtnp_of_assignment,
     tnp_of_clause,
 )
@@ -60,7 +60,7 @@ def encode_clause(clause: Clause, n: int) -> DiagonalElement:
 
 
 def matches(signs: SignVector, pattern: TernaryPattern) -> bool:
-    if pattern.n != signs.n:
+    if len(pattern.slots) != len(signs.eps):
         raise ValueError("dimension mismatch")
     return all(s == FREE or s == e for s, e in zip(pattern.slots, signs.eps))
 
@@ -92,12 +92,12 @@ def compatible(clause: Clause, assignment: Assignment, *, verify: bool = False) 
     """
     containment = falsified_by(clause, assignment)
     if verify:
-        z = encode_clause(clause, assignment.n)
+        z = encode_clause(clause, len(assignment.values))
         sigma = assignment_element(assignment)
         absorption = diag_mul(sigma, z) == sigma
         inclusion = plane_contains(
             plane_of_sign_vector(mtnp_of_assignment(assignment)),
-            tnp_of_clause(clause, assignment.n),
+            tnp_of_clause(clause, len(assignment.values)),
         )
         if not (containment == absorption == inclusion):
             raise RuntimeError(

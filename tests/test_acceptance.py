@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from wittsat.algebra import D_ID, D_PQ, D_QP, DiagonalElement, WittVector, diag_mul
+from wittsat.algebra import D_ID, D_PQ, D_QP, DiagonalElement, diag_mul
 from wittsat.cnf import Assignment, Clause, CnfFormula
 from wittsat.encoding import (
     TermBudgetError,
@@ -22,7 +22,7 @@ from wittsat.encoding import (
     table_cells,
 )
 from wittsat.geometry import cover_verdict, induced_pattern, mtnp_of_assignment
-from wittsat.oracle import UNSAT, dpll
+from wittsat.oracle import dpll
 from wittsat.ortho import (
     NonTransversalError,
     OrthogonalMatrix,
@@ -34,9 +34,15 @@ from wittsat.ortho import (
     witt_rebase,
 )
 
-from algebra_reference import EFBTerm, eval_at, mtnp_of_spinor, vector_action
+from algebra_reference import (
+    EFBTerm,
+    NullVector,
+    eval_at,
+    mtnp_of_spinor,
+    vector_action,
+)
 from formula_helpers import clause_universe, random_clause, random_formula
-from oracle_reference import GammaRep, brute_force
+from oracle_reference import UNSAT, GammaRep, brute_force
 from plane_reference import (
     check_intersection,
     compatible,
@@ -80,8 +86,8 @@ def check_route_agreement(cases: int = 500, seed: int = 102) -> str:
         m = int(rng.integers(12, 61))
         f = random_formula(rng, 12, m, max_width=3)
         algebraic = _table_unsat(f)
-        covered, witness = cover_verdict(f)
-        solver = dpll(f).verdict == UNSAT
+        covered, witness, _ = cover_verdict(f)
+        solver = dpll(f)[0]
         assert algebraic == covered == solver, f"routes diverge on {f}"
         if witness is not None:
             assert witness.satisfies(f)
@@ -152,7 +158,7 @@ def check_annihilation_planes() -> str:
     the matrix backend, and surviving actions match matrices exactly."""
     n = 3
     rep = GammaRep(n)
-    vectors = [WittVector(i, k) for i in range(1, n + 1) for k in ("p", "q")]
+    vectors = [NullVector(i, k) for i in range(1, n + 1) for k in ("p", "q")]
     checked = 0
     for bits in range(1 << (2 * n)):
         term = EFBTerm(n, bits, 1)
@@ -204,7 +210,7 @@ def check_cover_equivalence(
 
 
 def _assert_cover_matches(f: CnfFormula) -> int:
-    covered, witness = cover_verdict(f)
+    covered, witness, _ = cover_verdict(f)
     assert covered == (brute_force(f).verdict == UNSAT)
     if not covered:
         assert witness.satisfies(f)
@@ -281,7 +287,7 @@ def check_compatibility_triangle(max_n: int = 4) -> str:
                 assert agreed == falsified_by(clause, a)
                 signs = mtnp_of_assignment(a)
                 assert agreed == matches(signs, pattern)
-                t = OrthogonalMatrix.diagonal([float(e) for e in signs.eps])
+                t = OrthogonalMatrix.from_array(np.diag([float(e) for e in signs.eps]))
                 assert agreed == strict_membership(t, clause)
                 pairs += 1
     return (f"{pairs} clause/assignment pairs, three definitions + patterns "

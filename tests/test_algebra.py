@@ -19,7 +19,6 @@ from wittsat.algebra import (
     D_QP,
     DiagonalElement,
     ExpansionLimitError,
-    WittVector,
     cofactor_leaves,
     diag_mul,
     identity_count,
@@ -34,6 +33,7 @@ from wittsat.cnf import Assignment
 
 from algebra_reference import (
     EFBTerm,
+    NullVector,
     assignment_element,
     eval_at,
     mtnp_of_spinor,
@@ -93,7 +93,7 @@ def test_vector_action_base_cases():
     }
     for (kind, sym), result in cases.items():
         t = EFBTerm.from_symbols((sym,))
-        acted = vector_action(WittVector(1, kind), t)
+        acted = vector_action(NullVector(1, kind), t)
         assert acted is not None and acted.symbols() == (result,)
         assert acted.coeff == 1
 
@@ -101,18 +101,18 @@ def test_vector_action_base_cases():
 def test_vector_action_annihilation_cases():
     for kind, sym in (("p", "pq"), ("p", "p"), ("q", "qp"), ("q", "q")):
         t = EFBTerm.from_symbols((sym,))
-        assert vector_action(WittVector(1, kind), t) is None
+        assert vector_action(NullVector(1, kind), t) is None
 
 
 def test_vector_action_sign_from_odd_factors_to_the_left():
     # q_2 acting on p x pq: one odd factor (p) sits left of position 2
     t = EFBTerm.from_symbols(("p", "pq"))
-    acted = vector_action(WittVector(2, "q"), t)
+    acted = vector_action(NullVector(2, "q"), t)
     assert acted.symbols() == ("p", "q")
     assert acted.coeff == -1
     # with an even factor at position 1 the sign stays positive
     t2 = EFBTerm.from_symbols(("qp", "pq"))
-    acted2 = vector_action(WittVector(2, "q"), t2)
+    acted2 = vector_action(NullVector(2, "q"), t2)
     assert acted2.symbols() == ("qp", "q")
     assert acted2.coeff == 1
 
@@ -120,9 +120,9 @@ def test_vector_action_sign_from_odd_factors_to_the_left():
 def test_mtnp_of_spinor_reads_first_factors():
     t = EFBTerm.from_symbols(("qp", "pq", "p"))
     assert mtnp_of_spinor(t) == (
-        WittVector(1, "q"),
-        WittVector(2, "p"),
-        WittVector(3, "p"),
+        NullVector(1, "q"),
+        NullVector(2, "p"),
+        NullVector(3, "p"),
     )
 
 
@@ -130,7 +130,7 @@ def test_mtnp_of_spinor_members_annihilate_their_term():
     for syms in itertools.product(("qp", "pq", "p", "q"), repeat=2):
         t = EFBTerm.from_symbols(syms)
         plane = set(mtnp_of_spinor(t))
-        for v in (WittVector(i, k) for i in (1, 2) for k in ("p", "q")):
+        for v in (NullVector(i, k) for i in (1, 2) for k in ("p", "q")):
             assert (vector_action(v, t) is None) == (v in plane)
 
 

@@ -8,12 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittsat.algebra import ResourceLimitError, WittVector
-from wittsat.cnf import Assignment, Clause, CnfFormula, TautologyError
+from wittsat.cnf import (
+    Assignment,
+    Clause,
+    CnfFormula,
+    ResourceLimitError,
+    TautologyError,
+)
 from wittsat.geometry import (
     SignVector,
     TernaryPattern,
     TotallyNullPlane,
+    WittVector,
     assignment_of_sign_vector,
     cover_verdict,
     formula_patterns,
@@ -101,7 +107,7 @@ def test_spinor_route_matches_sign_vector_route():
         a = Assignment(values)
         term = EFBTerm.from_symbols("qp" if v else "pq" for v in values)
         via_term = set(mtnp_of_spinor(term))
-        via_signs = set(plane_of_sign_vector(mtnp_of_assignment(a)).generators)
+        via_signs = generator_set(plane_of_sign_vector(mtnp_of_assignment(a)))
         assert via_term == via_signs
 
 
@@ -148,13 +154,13 @@ def test_pattern_members_are_exactly_the_falsifying_assignments():
 def test_full_width_universe_covers_and_loses_cover_without_one():
     # the clauses of the patterns ++, +-, -+ and --
     all_four = [(1, 2), (1, -2), (-1, 2), (-1, -2)]
-    assert cover_verdict(CnfFormula.from_ints(2, all_four)) == (True, None)
-    covered, w = cover_verdict(CnfFormula.from_ints(2, all_four[:3]))
+    assert cover_verdict(CnfFormula.from_ints(2, all_four))[:2] == (True, None)
+    covered, w, _ = cover_verdict(CnfFormula.from_ints(2, all_four[:3]))
     assert not covered and mtnp_of_assignment(w).to_text() == "--"
 
 
 def test_witness_prefers_plus_on_free_positions():
-    covered, w = cover_verdict(CnfFormula.from_ints(3, [(-1,)]))  # -**
+    covered, w, _ = cover_verdict(CnfFormula.from_ints(3, [(-1,)]))  # -**
     assert mtnp_of_assignment(w).to_text() == "+++"
 
 
@@ -163,7 +169,7 @@ def test_formula_patterns_skip_tautologies_and_honor_empty_clause():
     assert [p.to_text() for p in formula_patterns(f)] == ["++"]
     g = CnfFormula(2, (), empty_clause_count=1)
     assert [p.to_text() for p in formula_patterns(g)] == ["**"]
-    assert cover_verdict(g) == (True, None)
+    assert cover_verdict(g)[:2] == (True, None)
 
 
 def test_psi_z_expansion_enumerates_even_completions():
@@ -184,14 +190,14 @@ def test_expansion_plane_intersection_recovers_clause_plane():
 
 def test_cover_verdict_on_deep_independent_pairs():
     f = independent_pairs(1200)  # n=2400: one decision per pair
-    covered, witness = cover_verdict(f, decision_budget=1200)
+    covered, witness, _ = cover_verdict(f, decision_budget=1200)
     assert not covered and model_bits(witness) == "01" * 1200
     with pytest.raises(ResourceLimitError):
         cover_verdict(f, decision_budget=1199)
 
 
 def test_cover_verdict_on_long_implication_chain():
-    assert cover_verdict(implication_chain(3000)) == (True, None)
+    assert cover_verdict(implication_chain(3000))[:2] == (True, None)
 
 
 def test_cover_verdict_on_duplicate_tautological_and_empty_clauses():
@@ -209,7 +215,7 @@ def test_cover_verdict_on_duplicate_tautological_and_empty_clauses():
             if rng.random() < 0.3:
                 clauses.append(clauses[-1])  # duplicate
         f = CnfFormula(n, tuple(clauses), empty_clause_count=int(rng.random() < 0.1))
-        covered, witness = cover_verdict(f)
+        covered, witness, _ = cover_verdict(f)
         assert covered == (brute_force(f).verdict == "UNSAT")
         assert covered or witness.satisfies(f)
 
@@ -218,7 +224,7 @@ def test_cover_verdict_decision_budget():
     php = pigeonhole(6)
     with pytest.raises(ResourceLimitError):
         cover_verdict(php, decision_budget=1)
-    assert cover_verdict(php) == (True, None)
+    assert cover_verdict(php)[:2] == (True, None)
 
 
 # (formula, witness as 1/0 per variable or None when covered, decisions):
@@ -248,7 +254,7 @@ def test_cover_witness_and_decisions_are_pinned_on_search_families(family):
     # the decision count is the budget boundary: k decisions pass, k - 1 raise
     make, witness, decisions = COVER_GOLDEN[family]
     f = make()
-    covered, found = cover_verdict(f, decision_budget=decisions)
+    covered, found, _ = cover_verdict(f, decision_budget=decisions)
     assert covered == (witness is None)
     assert model_bits(found) == witness
     with pytest.raises(ResourceLimitError):
@@ -256,27 +262,24 @@ def test_cover_witness_and_decisions_are_pinned_on_search_families(family):
 
 
 def test_cover_counters():
-    stats = {}
-    assert cover_verdict(independent_pairs(1200), stats=stats)[0] is False
+    covered, _, stats = cover_verdict(independent_pairs(1200))
+    assert covered is False
     assert stats == {"decisions": 1200, "propagations": 1200}
     # the unit x1 forces x2..x5, and x5 meets the unit -x5
-    stats = {}
-    assert cover_verdict(implication_chain(5), stats=stats) == (True, None)
-    assert stats == {"decisions": 0, "propagations": 5}
-    stats = {}
-    assert cover_verdict(CnfFormula(2, (), empty_clause_count=1), stats=stats)[0]
+    assert cover_verdict(implication_chain(5)) == (
+        True, None, {"decisions": 0, "propagations": 5}
+    )
+    covered, _, stats = cover_verdict(CnfFormula(2, (), empty_clause_count=1))
+    assert covered
     assert stats == {"decisions": 0, "propagations": 0}
-    stats = {}
     with pytest.raises(ResourceLimitError):
-        cover_verdict(pigeonhole(6), decision_budget=1, stats=stats)
-    assert stats["decisions"] == 2  # counted up to the one that overran
+        cover_verdict(pigeonhole(6), decision_budget=1)
 
 
 def _assert_cover_matches_reference(f):
     """Same witness, decisions and propagations as the frozen reference."""
     witness, decisions, propagations = reference_cover(f)
-    stats = {}
-    covered, found = cover_verdict(f, stats=stats)
+    covered, found, stats = cover_verdict(f)
     assert covered == (witness is None)
     assert (found and mtnp_of_assignment(found).eps) == witness
     assert stats == {"decisions": decisions, "propagations": propagations}
@@ -396,7 +399,7 @@ def test_cover_matches_reference_on_seeded_corpus():
 @given(formulas())
 @settings(max_examples=200)
 def test_cover_verdict_matches_brute_force(f):
-    covered, witness = cover_verdict(f)
+    covered, witness, _ = cover_verdict(f)
     assert covered == (len(brute_force(f).models) == 0)
     if witness is not None:
         assert witness.satisfies(f)

@@ -16,8 +16,8 @@ PACKAGE = Path(wittsat.__file__).parent
 TESTS = Path(__file__).parent
 
 FORBIDDEN = {
-    PACKAGE / "geometry.py": {"oracle"},
-    PACKAGE / "oracle.py": {"encoding", "geometry"},
+    PACKAGE / "geometry.py": {"oracle", "algebra", "encoding"},
+    PACKAGE / "oracle.py": {"algebra", "encoding", "geometry"},
     PACKAGE / "algebra.py": {"geometry", "oracle"},
     PACKAGE / "encoding.py": {"geometry", "oracle"},
     PACKAGE / "ortho.py": {"geometry", "oracle", "algebra", "encoding"},

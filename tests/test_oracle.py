@@ -15,18 +15,17 @@ from wittsat.algebra import (
     D_QP,
     DiagonalElement,
     ResourceLimitError,
-    WittVector,
     identity_element,
     omega_element,
     pattern_bits,
 )
 from wittsat.cnf import Assignment, Clause, CnfFormula
 from wittsat.geometry import cover_verdict
-from wittsat.oracle import SAT, UNSAT, DpllResult, dpll
+from wittsat.oracle import dpll
 
-from algebra_reference import EFBTerm, eval_at
+from algebra_reference import EFBTerm, NullVector, eval_at
 from dpll_reference import reference_dpll
-from oracle_reference import GAMMA_LIMIT, GammaRep, brute_force
+from oracle_reference import GAMMA_LIMIT, SAT, UNSAT, GammaRep, brute_force
 from test_cnf import (
     formulas,
     implication_chain,
@@ -59,40 +58,37 @@ def test_brute_force_unsat_and_guard():
 
 
 def test_dpll_known_cases():
-    sat = dpll(CnfFormula.from_ints(3, [(1, 2), (-1, 3), (-2, -3)]))
-    assert sat.verdict == SAT and sat.model.satisfies(
+    unsat, model, _ = dpll(CnfFormula.from_ints(3, [(1, 2), (-1, 3), (-2, -3)]))
+    assert not unsat and model.satisfies(
         CnfFormula.from_ints(3, [(1, 2), (-1, 3), (-2, -3)])
     )
-    unsat = dpll(CnfFormula.from_ints(2, [(1,), (-1, 2), (-2,)]))
-    assert unsat.verdict == UNSAT and unsat.model is None
+    unsat, model, _ = dpll(CnfFormula.from_ints(2, [(1,), (-1, 2), (-2,)]))
+    assert unsat and model is None
 
 
 def test_dpll_model_after_backtracking():
     # x1 = True fails after setting x3 and x2 false; nothing set on that
     # branch may leak into the model, where the unset x2 reads True
     f = CnfFormula.from_ints(3, [(-1, -2, 3), (-3, -1), (1, 3), (-1, 2)])
-    assert dpll(f).model.to_ints() == (-1, 2, 3)
+    assert dpll(f)[1].to_ints() == (-1, 2, 3)
 
 
 def test_dpll_on_deep_independent_pairs():
     f = independent_pairs(1200)  # n=2400: one decision per pair
-    stats = {}
-    res = dpll(f, stats=stats)
-    assert res.verdict == SAT and model_bits(res.model) == "10" * 1200
+    unsat, model, stats = dpll(f)
+    assert not unsat and model_bits(model) == "10" * 1200
     assert stats == {"decisions": 1200, "propagations": 1200}
 
 
 def test_dpll_on_long_implication_chain():
-    assert dpll(implication_chain(3000)) == DpllResult(UNSAT, None)
+    assert dpll(implication_chain(3000))[:2] == (True, None)
 
 
 def test_dpll_decision_budget():
     php = pigeonhole(6)
-    stats = {}
     with pytest.raises(ResourceLimitError):
-        dpll(php, decision_budget=1, stats=stats)
-    assert stats["decisions"] == 2  # counted up to the one that overran
-    assert dpll(php).verdict == UNSAT
+        dpll(php, decision_budget=1)
+    assert dpll(php)[0]
 
 
 def test_dpll_stats_on_trivial_formulas():
@@ -100,22 +96,19 @@ def test_dpll_stats_on_trivial_formulas():
         CnfFormula(2, (), empty_clause_count=1),
         CnfFormula.from_ints(2, []),
     ):
-        stats = {}
-        dpll(f, stats=stats)
-        assert stats == {"decisions": 0, "propagations": 0}
+        assert dpll(f)[2] == {"decisions": 0, "propagations": 0}
     # the unit x1 forces x2..x5, and x5 meets the unit -x5
-    stats = {}
-    assert dpll(implication_chain(5), stats=stats).verdict == UNSAT
-    assert stats == {"decisions": 0, "propagations": 5}
+    assert dpll(implication_chain(5)) == (
+        True, None, {"decisions": 0, "propagations": 5}
+    )
 
 
 def _assert_matches_reference(f):
     """Same verdict, model and decision count as the frozen reference, and
     a decision budget that runs out exactly below that count."""
     model, decisions = reference_dpll(f)
-    stats = {}
-    res = dpll(f, decision_budget=decisions, stats=stats)
-    assert res == DpllResult(UNSAT if model is None else SAT, model)
+    unsat, got, stats = dpll(f, decision_budget=decisions)
+    assert (unsat, got) == (model is None, model)
     assert stats["decisions"] == decisions
     if decisions:
         with pytest.raises(ResourceLimitError):
@@ -186,9 +179,8 @@ DPLL_GOLDEN = {
 @pytest.mark.parametrize("family", list(DPLL_GOLDEN))
 def test_dpll_counters_are_pinned_on_search_families(family):
     make, verdict, model, decisions, propagations = DPLL_GOLDEN[family]
-    stats = {}
-    res = dpll(make(), stats=stats)
-    assert (res.verdict, model_bits(res.model)) == (verdict, model)
+    unsat, got, stats = dpll(make())
+    assert (unsat, model_bits(got)) == (verdict == UNSAT, model)
     assert stats == {"decisions": decisions, "propagations": propagations}
 
 
@@ -238,12 +230,12 @@ def chain_formulas(draw):
 
 def _search_routes_agree_with_brute_force(f):
     truth = brute_force(f).verdict
-    covered, witness = cover_verdict(f)
+    covered, witness, _ = cover_verdict(f)
     assert covered == (truth == UNSAT)
     assert witness is None or witness.satisfies(f)
-    res = dpll(f)
-    assert res.verdict == truth
-    assert res.model is None or res.model.satisfies(f)
+    unsat, model, _ = dpll(f)
+    assert unsat == (truth == UNSAT)
+    assert model is None or model.satisfies(f)
 
 
 @given(component_formulas())
@@ -261,7 +253,7 @@ def test_search_routes_on_implication_chains(f):
 @given(formulas())
 @settings(max_examples=300)
 def test_dpll_agrees_with_brute_force(f):
-    assert dpll(f).verdict == brute_force(f).verdict
+    assert dpll(f)[0] == (brute_force(f).verdict == UNSAT)
 
 
 def test_gamma_blocks_at_n1_are_the_standard_ladder():
@@ -324,7 +316,7 @@ def test_term_matrix_respects_position_order():
     t = EFBTerm.from_symbols(("p", "q"))
     direct = np.dot(rep.p(1), rep.q(2))
     assert np.array_equal(rep.matrix_of(t), direct)
-    assert np.array_equal(rep.matrix_of(WittVector(2, "q")), rep.q(2))
+    assert np.array_equal(rep.matrix_of(NullVector(2, "q")), rep.q(2))
 
 
 def test_gamma_rejects_out_of_range():
@@ -334,6 +326,6 @@ def test_gamma_rejects_out_of_range():
         GammaRep(0)
     rep = GammaRep(2)
     with pytest.raises(ValueError):
-        rep.matrix_of(WittVector(3, "p"))
+        rep.matrix_of(NullVector(3, "p"))
     with pytest.raises(TypeError):
         rep.matrix_of("qp")

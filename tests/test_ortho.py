@@ -17,7 +17,6 @@ from wittsat.cnf import (
     TautologyError,
 )
 from wittsat.geometry import induced_pattern, mtnp_of_assignment
-from wittsat.oracle import UNSAT
 from wittsat.ortho import (
     NonOrthogonalMatrixError,
     NonTransversalError,
@@ -38,7 +37,7 @@ from wittsat.ortho import (
 )
 
 from formula_helpers import clause_universe, random_clause
-from oracle_reference import brute_force
+from oracle_reference import UNSAT, brute_force
 from plane_reference import intersect_dim, matches, strict_membership
 
 
@@ -48,7 +47,7 @@ def test_orthogonal_matrix_validation():
         OrthogonalMatrix(2, [[1, 1], [0, 1]])
     with pytest.raises(ValueError):
         OrthogonalMatrix(2, [[1, 0, 0], [0, 1, 0]])
-    flip = OrthogonalMatrix.diagonal([1, -1])
+    flip = OrthogonalMatrix.from_array(np.diag([1, -1]))
     assert flip.n == 2 and np.array_equal(flip.entries, np.diag([1.0, -1.0]))
 
 
@@ -111,7 +110,7 @@ def test_strict_membership_on_diagonals_is_pattern_match():
             for mask in range(1 << n):
                 a = Assignment.from_mask(mask, n)
                 s = mtnp_of_assignment(a)
-                t = OrthogonalMatrix.diagonal([float(e) for e in s.eps])
+                t = OrthogonalMatrix.from_array(np.diag([float(e) for e in s.eps]))
                 assert strict_membership(t, clause) == matches(s, pattern)
 
 
@@ -234,7 +233,7 @@ def test_strict_membership_error_cases():
     with pytest.raises(ValueError):
         strict_membership(t, Clause.from_ints((1,)), tol=1.0)
     # diag(1, -1) holds x1 and -x2, so (x1 -x2) but not (x2)
-    flip = OrthogonalMatrix.diagonal([1.0, -1.0])
+    flip = OrthogonalMatrix.from_array(np.diag([1.0, -1.0]))
     assert strict_membership(flip, Clause.from_ints((1, -2)))
     assert not strict_membership(flip, Clause.from_ints((2,)))
     # a small rotation keeps its diagonal within tol of 1, but not its columns
@@ -264,7 +263,7 @@ def _reference_report(f: CnfFormula, samples: int, seed: int) -> dict:
     n = f.n
     usable = [c for c in f.clauses if not c.is_tautological]
     discrete = f.has_empty_clause or all(
-        any(strict_membership(OrthogonalMatrix.diagonal(signs), c) for c in usable)
+        any(strict_membership(OrthogonalMatrix.from_array(np.diag(signs)), c) for c in usable)
         for signs in itertools.product((1.0, -1.0), repeat=n)
     )
     rng = np.random.default_rng(seed)
