@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numbers
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Generator, Mapping
 
 import numpy as np
 
@@ -214,8 +214,8 @@ def omega_element(n: int, limit: int = EXPAND_LIMIT) -> DiagonalElement:
 
 
 def cofactor_leaves(
-    a: DiagonalElement, stats: dict | None = None
-) -> Iterator[tuple[int, dict[int, int]]]:
+    a: DiagonalElement,
+) -> Generator[tuple[int, int, dict[int, int]], None, int]:
     """The nonzero leaves of the cofactor walk over *a*.
 
     The walk splits on one position at a time over an explicit stack of
@@ -227,17 +227,17 @@ def cofactor_leaves(
 
     A leaf is a cofactor whose coefficients all have one sign (a single
     pattern is one), so it cannot cancel to zero; zero cofactors are
-    dropped.  Each leaf is yielded as (path, terms): *path* is the
-    all-identity pattern with the fields kept along the way, so a leaf
-    pattern ``pat`` stands for the assignments of ``pat & path``.  Leaves
-    cover disjoint sets of assignments.  When *stats* is a dict,
-    ``stats["splits"]`` counts the splits taken so far.
+    dropped.  Each leaf is yielded as (splits, path, terms): *splits* is
+    the number of splits taken so far, and *path* is the all-identity
+    pattern with the fields kept along the way, so a leaf pattern ``pat``
+    stands for the assignments of ``pat & path``.  Leaves cover disjoint
+    sets of assignments.  The generator returns the total number of
+    splits.
     """
     n = a.n
     low = _low_field_bits(n)
     width = (n + 3) // 4  # bytes per identity mask, four fields to a byte
-    stats = {} if stats is None else stats
-    stats["splits"] = 0
+    splits = 0
     stack: list[tuple[dict[int, int], int, int, int]] = [
         (a.terms, -1, D_ID, _all_identity(n))
     ]
@@ -249,7 +249,7 @@ def cofactor_leaves(
         if not terms:
             continue
         if len({c > 0 for c in terms.values()}) == 1:
-            yield path, terms
+            yield splits, path, terms
             continue
         # Split on the most constrained position: fewest identity fields,
         # lowest index on ties, never one that is identity in every term.
@@ -263,9 +263,10 @@ def cofactor_leaves(
         counts = counts.reshape(-1)[:n]
         counts[counts == len(terms)] = len(terms) + 1
         best = int(np.argmin(counts))
-        stats["splits"] += 1
+        splits += 1
         stack.append((terms, best, D_PQ, path))
         stack.append((terms, best, D_QP, path))
+    return splits
 
 
 def zero_test_splits(a: DiagonalElement) -> tuple[bool, int, Assignment | None]:
@@ -278,15 +279,14 @@ def zero_test_splits(a: DiagonalElement) -> tuple[bool, int, Assignment | None]:
     fixed: the point is that of the leaf's first pattern, with identity
     fields read as true.
     """
-    stats: dict[str, int] = {}
-    leaf = next(cofactor_leaves(a, stats), None)
-    if leaf is None:
-        return True, stats["splits"], None
-    path, terms = leaf
+    try:
+        splits, path, terms = next(cofactor_leaves(a))
+    except StopIteration as done:
+        return True, done.value, None
     point = next(iter(terms)) & path
     # D_QP (true) and D_ID both have the low bit of their field set
     values = tuple(bool(point >> 2 * i & 1) for i in range(a.n))
-    return False, stats["splits"], Assignment(values)
+    return False, splits, Assignment(values)
 
 
 def _cofactor(terms: Mapping[int, int], pos: int, keep: int) -> dict[int, int]:

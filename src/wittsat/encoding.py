@@ -379,7 +379,7 @@ def models(element: DiagonalElement) -> set[Assignment]:
     """
     n = element.n
     out: set[Assignment] = set()
-    for path, terms in cofactor_leaves(element):
+    for _, path, terms in cofactor_leaves(element):
         for pat, c in terms.items():
             if c != 1:
                 raise RuntimeError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from heapq import heappop, heappush
+from itertools import repeat
 
 from .cnf import Assignment, CnfFormula, ResourceLimitError
 
@@ -31,7 +32,7 @@ def dpll(
     if not found:
         return True, None, counters
     # a variable the search never set reads True
-    model = Assignment(tuple(search.value[v] >= 0 for v in range(1, f.n + 1)))
+    model = Assignment(tuple([x >= 0 for x in search.value[1 : f.n + 1]]))
     if not model.satisfies(f):
         raise RuntimeError("solver produced a non-model; this is a defect")
     return False, model, counters
@@ -42,43 +43,79 @@ class _TrailSearch:
 
     Per-literal lists are indexed by the signed literal itself (``-v`` lands
     in the upper half of a list of 2n+1 slots).  ``value[l]`` is 1, -1 or 0
-    (unset); a literal is set when it goes on the trail, and its clauses are
-    updated when the propagation reaches it (``head``).  Per clause, ``free``
-    counts its literals not reached false.  That alone finds conflicts and
-    units: a clause at ``free`` 0 has no true literal, and one at ``free`` 1
-    is unit only if its last literal is unset.
+    (unset); a literal is set when it goes on the trail, and the clauses it
+    falsifies are visited when the propagation reaches it (``head``).
 
-    ``sat`` marks the clauses with a true literal in ``trail[:swept]``, and
-    ``count[l]`` is the number of unmarked clauses containing l.  Both are
-    updated by a sweep over the rest of the trail, which runs after a
-    propagation ends without conflict, so a branch that ends in a conflict
-    never touches them.  The sweep puts a clause on ``satisfied`` when it
-    marks it, and the undo unmarks and takes off the clauses added since the
-    branching, so at a decision point the list holds exactly the satisfied
-    clauses and the counts are exact: a variable still occurs while either
-    polarity's count is positive and is pure while exactly one is.  Every
-    variable that turns pure is pushed on ``pure``, a heap whose entries are
-    checked when popped.  A decision is taken only when no variable is pure,
-    and backtracking restores that state, so it clears the heap.
+    Two-literal clauses propagate through implication lists: a clause
+    (a b) puts b on ``implied[-a]`` and a on ``implied[-b]``, and reaching
+    a literal sets each literal it implies that is still unset.  An implied
+    literal already false is a conflict, which ends the propagation there.
+    A tautology (x -x) can be neither unit nor empty and implies nothing.
+    Every other clause keeps a counter: ``counted[l]`` lists the clauses of
+    other widths that contain l, and ``free`` counts a clause's literals not
+    reached false.  A clause at ``free`` 0 has no true literal, and one at
+    ``free`` 1 is unit only if its last literal is unset.  Propagation
+    reaches the same fixpoint in any order, so no decision depends on which
+    clauses imply and which count.  ``propagations`` counts the literals
+    set by unit clauses; only on a branch that ends in a conflict can it be
+    lower than with a counter on every clause, since the propagation stops
+    at the first false implied literal.
+
+    ``occurs[l]`` lists every clause that contains l.  ``sat`` marks the
+    clauses with a true literal in ``trail[:swept]``, and ``count[l]`` is
+    the number of unmarked clauses containing l.  Both are updated by a
+    sweep over the rest of the trail, which runs after a propagation ends
+    without conflict, so a branch that ends in a conflict never touches
+    them.  The sweep puts a clause on ``satisfied`` when it marks it, and
+    the undo unmarks and takes off the clauses added since the branching,
+    so at a decision point the list holds exactly the satisfied clauses and
+    the counts are exact: a variable still occurs while either polarity's
+    count is positive and is pure while exactly one is.  Every variable
+    that turns pure is pushed on ``pure``, a heap whose entries are checked
+    when popped.  A decision is taken only when no variable is pure, and
+    backtracking restores that state, so it clears the heap.
     """
 
     def __init__(self, n: int, clauses: Sequence[tuple[int, ...]]):
+        size = 2 * n + 1
         self.clauses = clauses
-        self.occurs: list[list[int]] = [[] for _ in range(2 * n + 1)]
-        self.count = [0] * (2 * n + 1)
-        for i, clause in enumerate(clauses):
-            for lit in clause:
-                self.occurs[lit].append(i)
-                self.count[lit] += 1
-        self.value = [0] * (2 * n + 1)
+        self.free = free = list(map(len, clauses))
+        binary = free.count(2)
+        self.occurs = occurs = _empty_lists(size)
+        if not binary:
+            # nothing to imply, and every clause is counted
+            self.implied = [()] * size
+            self.counted = occurs
+            for i, clause in enumerate(clauses):
+                for lit in clause:
+                    occurs[lit].append(i)
+        else:
+            self.implied = implied = _empty_lists(size)
+            self.counted = counted = (
+                _empty_lists(size) if binary < len(free) else [()] * size
+            )
+            for i, clause in enumerate(clauses):
+                if len(clause) == 2:
+                    a, b = clause
+                    occurs[a].append(i)
+                    occurs[b].append(i)
+                    if a != -b:
+                        implied[-a].append(b)
+                        implied[-b].append(a)
+                else:
+                    for lit in clause:
+                        occurs[lit].append(i)
+                        counted[lit].append(i)
+        self.count = count = list(map(len, occurs))
+        self.units = [c[0] for c in clauses if len(c) == 1] if 1 in free else []
+        self.value = [0] * size
         self.sat = [False] * len(clauses)
-        self.free = [len(c) for c in clauses]
         self.satisfied: list[int] = []
         self.trail: list[int] = []
         self.head = 0
         self.swept = 0
         self.pure = [
-            v for v in range(1, n + 1) if (self.count[v] > 0) != (self.count[-v] > 0)
+            v for v in range(1, n + 1) if (count[v] > 0) != (count[-v] > 0)
         ]
         self.decisions = 0
         self.propagations = 0
@@ -90,15 +127,27 @@ class _TrailSearch:
         value = self.value
         if value[lit]:
             return value[lit] > 0
-        trail, free, clauses, occurs = self.trail, self.free, self.clauses, self.occurs
+        trail, free, clauses = self.trail, self.free, self.clauses
+        implied, counted = self.implied, self.counted
         value[lit] = 1
         value[-lit] = -1
         trail.append(lit)
+        start = len(trail)
         head, ok = self.head, True
         while ok and head < len(trail):
             lit = trail[head]
+            for x in implied[lit]:
+                if not value[x]:
+                    value[x] = 1
+                    value[-x] = -1
+                    trail.append(x)
+                elif value[x] < 0:
+                    # lit's counters stay untouched, so head stays on it
+                    self.head = head
+                    self.propagations += len(trail) - start
+                    return False
             head += 1
-            for c in occurs[-lit]:
+            for c in counted[-lit]:
                 left = free[c] - 1
                 free[c] = left
                 if left == 1:
@@ -109,11 +158,11 @@ class _TrailSearch:
                             value[x] = 1
                             value[-x] = -1
                             trail.append(x)
-                            self.propagations += 1
                             break
                 elif not left:
                     ok = False
         self.head = head
+        self.propagations += len(trail) - start
         return ok
 
     def _undo(self, mark: int, satisfied_mark: int) -> None:
@@ -122,13 +171,13 @@ class _TrailSearch:
         the counters of the literals the propagation reached and the marks
         and counts of the clauses satisfied since."""
         trail, value, count, free = self.trail, self.value, self.count, self.free
-        sat, clauses, occurs = self.sat, self.clauses, self.occurs
+        sat, clauses, counted = self.sat, self.clauses, self.counted
         satisfied = self.satisfied
         for lit in trail[self.head:]:
             value[lit] = value[-lit] = 0
         for lit in trail[mark : self.head]:
             value[lit] = value[-lit] = 0
-            for c in occurs[-lit]:
+            for c in counted[-lit]:
                 free[c] += 1
         for c in satisfied[satisfied_mark:]:
             sat[c] = False
@@ -177,11 +226,10 @@ class _TrailSearch:
         """
         value, count, satisfied = self.value, self.count, self.satisfied
         clause_count = len(self.clauses)
-        for clause in self.clauses:
-            if len(clause) == 1:
-                self.propagations += not value[clause[0]]
-                if not self._set(clause[0]):
-                    return False
+        for lit in self.units:
+            self.propagations += not value[lit]
+            if not self._set(lit):
+                return False
         branches: list[tuple[int, int, int]] = []
         low = 1
         ok = True
@@ -197,7 +245,7 @@ class _TrailSearch:
             self._sweep()  # the propagation ended without conflict
             if len(satisfied) == clause_count:
                 return True
-            pure = self._lowest_pure()
+            pure = self._lowest_pure() if self.pure else 0
             if pure:
                 self._set(pure)  # satisfies clauses only: no conflict or unit
                 continue
@@ -213,3 +261,7 @@ class _TrailSearch:
             low = v + 1
             ok = self._set(v)
 
+
+def _empty_lists(size: int) -> list[list[int]]:
+    # repeat, unlike range, makes no int object per list
+    return [[] for _ in repeat(None, size)]

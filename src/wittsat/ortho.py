@@ -269,7 +269,9 @@ def witt_rebase(t1: OrthogonalMatrix, t2: OrthogonalMatrix) -> WittBasis:
     dimension and the pair is rejected.  The q side is the unique basis of
     the second plane dual to the rows of the first under twice the neutral
     form.  This is the stacked rebasing of the sampling report, on a stack
-    of one.
+    of one.  The basis is checked at the tolerance the inputs were admitted
+    at, the larger of theirs: a pair orthogonal only to within T pairs only
+    to within about T.
     """
     if t1.n != t2.n:
         raise InputError("matrix sizes differ")
@@ -278,7 +280,7 @@ def witt_rebase(t1: OrthogonalMatrix, t2: OrthogonalMatrix) -> WittBasis:
     if r:
         raise NonTransversalError(r)
     p_rows, q_rows = _rebase_stack(t1.entries, t2.entries[None], m[None])
-    return WittBasis(p_rows[0], q_rows[0])
+    return WittBasis(p_rows[0], q_rows[0], max(t1.tol, t2.tol))
 
 
 def rebase_residuals(

@@ -256,25 +256,36 @@ def _point_values(a):
     return {pat: value for pat, value in points.items() if value}
 
 
+def _walk(a):
+    """Every leaf the cofactor walk yields, and the split count it returns."""
+    leaves, walk = [], cofactor_leaves(a)
+    while True:
+        try:
+            leaves.append(next(walk))
+        except StopIteration as done:
+            return leaves, done.value
+
+
 @given(st.data())
 @settings(max_examples=200)
 def test_cofactor_leaves_sum_to_the_point_values(data):
     # leaves are disjoint and cannot cancel, so adding each leaf pattern
     # over its subcube gives every nonzero value of the element once
     a = data.draw(elements())
-    stats = {}
-    leaves = list(cofactor_leaves(a, stats))
+    leaves, total_splits = _walk(a)
     total = DiagonalElement(a.n, {})
-    for path, terms in leaves:
+    for _, path, terms in leaves:
         assert len({c > 0 for c in terms.values()}) == 1
         total = total + DiagonalElement(a.n, {p & path: c for p, c in terms.items()})
     assert _point_values(total) == _point_values(a)
+    counts = [splits for splits, _, _ in leaves] + [total_splits]
+    assert counts == sorted(counts)
     zero, splits, point = zero_test_splits(a)
     assert zero == (not leaves) == (point is None)
-    assert splits <= stats["splits"]
+    assert splits == counts[0]  # the walk stops at its first leaf
     if point is not None:
         # the first leaf's first pattern, identity fields read as true
-        path, terms = leaves[0]
+        _, path, terms = leaves[0]
         fixed = next(iter(terms)) & path
         assert point.values == tuple(
             pattern_field(fixed, i) != D_PQ for i in range(a.n)

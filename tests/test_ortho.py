@@ -520,3 +520,20 @@ def test_rebase_counts_a_meeting_within_the_input_tolerance(tmp_path, capsys, n,
     assert capsys.readouterr().err == (
         f"not transversal: planes meet in dimension {r}\n"
     )
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_rebase_checks_the_basis_at_the_input_tolerance(tmp_path, capsys, n):
+    # a transversal pair, its rotations at least 0.3 from the identity, with
+    # 1e-7 added to every entry of the second matrix: orthogonal within
+    # --tol 1e-5 but not within 1e-9, and so is its Witt basis.  It is
+    # rebased and its residuals reported, not an internal error.
+    t1, t2 = _meeting_pair(np.random.default_rng(6600 + n), n, 0)
+    t2 = t2 + 1e-7
+    path = tmp_path / "pair.txt"
+    path.write_text(matrix_to_text(t1) + matrix_to_text(t2))
+    assert main(["rebase", str(path), "--tol", "1e-5", "--json"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    residuals = json.loads(out.out)["residuals"]
+    assert 1e-9 < residuals["pairing"] <= 1e-5
