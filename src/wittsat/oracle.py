@@ -50,7 +50,8 @@ class _TrailSearch:
     (a b) puts b on ``implied[-a]`` and a on ``implied[-b]``, and reaching
     a literal sets each literal it implies that is still unset.  An implied
     literal already false is a conflict, which ends the propagation there.
-    A tautology (x -x) can be neither unit nor empty and implies nothing.
+    A tautology (x -x) puts x on ``implied[x]`` and -x on ``implied[-x]``:
+    each literal implies only itself, so it never sets or conflicts.
     Every other clause keeps a counter: ``counted[l]`` lists the clauses of
     other widths that contain l, and ``free`` counts a clause's literals not
     reached false.  A clause at ``free`` 0 has no true literal, and one at
@@ -99,9 +100,8 @@ class _TrailSearch:
                     a, b = clause
                     occurs[a].append(i)
                     occurs[b].append(i)
-                    if a != -b:
-                        implied[-a].append(b)
-                        implied[-b].append(a)
+                    implied[-a].append(b)
+                    implied[-b].append(a)
                 else:
                     for lit in clause:
                         occurs[lit].append(i)
@@ -114,9 +114,11 @@ class _TrailSearch:
         self.trail: list[int] = []
         self.head = 0
         self.swept = 0
-        self.pure = [
-            v for v in range(1, n + 1) if (count[v] > 0) != (count[-v] > 0)
-        ]
+        self.pure: list[int] = []
+        if 0 in count[1:]:  # else every literal occurs and none is pure
+            self.pure = [
+                v for v in range(1, n + 1) if (count[v] > 0) != (count[-v] > 0)
+            ]
         self.decisions = 0
         self.propagations = 0
 
