@@ -537,3 +537,117 @@ def test_rebase_checks_the_basis_at_the_input_tolerance(tmp_path, capsys, n):
     assert out.err == ""
     residuals = json.loads(out.out)["residuals"]
     assert 1e-9 < residuals["pairing"] <= 1e-5
+
+
+def _rebase_json(tmp_path, capsys, t1, t2, *extra):
+    """Exit code, stderr and the JSON payload (None unless it exits 0) of
+    rebase --json on the pair."""
+    path = tmp_path / "pair.txt"
+    path.write_text(matrix_to_text(t1) + matrix_to_text(t2))
+    code = main(["rebase", str(path), "--json", *extra])
+    out = capsys.readouterr()
+    return code, out.err, json.loads(out.out) if code == 0 else None
+
+
+@pytest.mark.parametrize("theta", [1e-4, 1e-3])
+def test_rebase_of_planes_that_nearly_meet(tmp_path, capsys, theta):
+    # t1^T t2 turns one plane by theta and another by 1 rad, so the graph
+    # planes are transversal with |lambda - 1| = 2 sin(theta/2); at 1e-4
+    # the Witt residual (about 1.1e-8) is past 1e-9 but within the bound
+    # the basis is checked at, 8 * 1e-9 / theta^2
+    q = haar_samples(4, 1, np.random.default_rng(7))[0]
+    r = np.zeros((4, 4))
+    r[:2, :2] = _rotation(theta)
+    r[2:, 2:] = _rotation(1.0)
+    code, err, payload = _rebase_json(tmp_path, capsys, q, q @ r)
+    assert (code, err) == (0, "")
+    assert payload["residuals"]["pairing"] <= 8e-9 / theta**2
+    if theta == 1e-4:
+        assert payload["residuals"]["pairing"] > 1e-9
+
+
+def test_rebase_of_a_nearly_meeting_pair_at_a_loose_tolerance(tmp_path, capsys):
+    # min |lambda - 1| = 0.00432: orthogonal within 1e-5 after the shift,
+    # the Witt residual is 5.8e-4, past the flat 1e-5 of the input check
+    t1, t2 = haar_samples(6, 2, np.random.default_rng(6606))
+    if np.linalg.det(t1.T @ t2) < 0:
+        t2[:, 0] *= -1.0
+    code, err, payload = _rebase_json(tmp_path, capsys, t1, t2 + 1e-7,
+                                      "--tol", "1e-5")
+    assert (code, err) == (0, "")
+    assert 1e-4 < payload["residuals"]["pairing"] < 1e-3
+
+
+def _perturbed_pair(rng: np.random.Generator):
+    """(t1, t2, residual): a Haar t1 and a t2 whose graph plane is turned
+    off t1's by a rotation angle between 1e-5 and 3 rad, moved off O(n) by
+    Gaussian noise of scale 1e-12 to 1e-7; residual is the larger of the
+    two orthogonality residuals."""
+    n = int(rng.integers(2, 9))
+    t1, u = haar_samples(n, 2, rng)
+    core = np.eye(n)
+    core[:2, :2] = _rotation(10 ** rng.uniform(-5.0, 0.5))
+    for i in range(2, n - 1, 2):
+        core[i:i + 2, i:i + 2] = _rotation(rng.uniform(0.3, np.pi))
+    if n % 2:
+        core[n - 1, n - 1] = -1.0
+    t2 = t1 @ u @ core @ u.T
+    t2 = t2 + 10 ** rng.uniform(-12.0, -7.0) * rng.standard_normal((n, n))
+    residual = max(np.abs(t.T @ t - np.eye(n)).max() for t in (t1, t2))
+    return t1, t2, residual
+
+
+def test_rebase_never_fails_a_pair_that_tol_admits(tmp_path, capsys):
+    # each pair at --tol equal to its own orthogonality residual, the
+    # tightest tolerance that admits it; the basis check then holds it to
+    # a bound in its conditioning, not to the flat tolerance
+    past_tol = 0
+    for seed in range(80):
+        t1, t2, residual = _perturbed_pair(np.random.default_rng(7700 + seed))
+        code, err, payload = _rebase_json(tmp_path, capsys, t1, t2,
+                                          "--tol", repr(float(residual)))
+        assert (code, err) == (0, ""), seed
+        past_tol += payload["residuals"]["pairing"] > residual
+    assert past_tol >= 40
+
+
+def test_rebase_bound_grows_with_n(tmp_path, capsys):
+    # at n = 129 a perturbation aligned with the nearly shared direction
+    # of the planes gives a Witt residual of about 10 * tol / sigma^2,
+    # past a factor 8; the q side's bound is n * tol / (4 sigma^2)
+    n = 129
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((n, n))
+    a[:, 0] = np.sqrt(0.5 / (n - 1))
+    a[0, 0] = np.sqrt(0.5)
+    u, _ = np.linalg.qr(a)
+    core = -np.eye(n)
+    core[:2, :2] = _rotation(1e-3)
+    t2 = u @ core @ u.T
+    w = np.sign(np.linalg.inv(np.eye(n) - t2)[:, 0])
+    t2 = t2 - 0.49e-9 * t2 @ np.outer(w, w)
+    assert np.abs(t2.T @ t2 - np.eye(n)).max() <= 1e-9
+    code, err, payload = _rebase_json(tmp_path, capsys, np.eye(n), t2)
+    assert (code, err) == (0, "")
+    assert payload["residuals"]["pairing"] > 8e-9 / 1e-3**2
+
+
+def test_the_basis_check_catches_doubled_q_rows(monkeypatch):
+    import wittsat.ortho as ortho
+
+    solve = ortho._rebase_stack
+
+    def doubled(*args):
+        p_rows, q_rows = solve(*args)
+        return p_rows, 2.0 * q_rows
+
+    near = haar_samples(4, 1, np.random.default_rng(7))[0]
+    turn = np.zeros((4, 4))
+    turn[:2, :2] = _rotation(1e-4)
+    turn[2:, 2:] = _rotation(1.0)
+    pairs = [(np.eye(2), -np.eye(2)), (near, near @ turn),
+             tuple(haar_samples(5, 2, np.random.default_rng(8)))]
+    monkeypatch.setattr(ortho, "_rebase_stack", doubled)
+    for a1, a2 in pairs:
+        with pytest.raises(ValueError, match="Witt pairing residual"):
+            witt_rebase(OrthogonalMatrix.from_array(a1), OrthogonalMatrix.from_array(a2))
