@@ -194,15 +194,17 @@ def identity_element(n: int) -> DiagonalElement:
     return DiagonalElement(n, {_all_identity(n): 1})
 
 
-def omega_element(n: int, limit: int = EXPAND_LIMIT) -> DiagonalElement:
+def omega_element(n: int) -> DiagonalElement:
     """The volume element gamma_1 ... gamma_2n as a product of commutators.
 
     Each position contributes q_ip_i - p_iq_i, so the expansion carries one
     full pattern per assignment with sign (-1)^(number of false positions).
     """
     _check_n(n)
-    if n > limit:
-        raise ExpansionLimitError(f"volume element over n={n} exceeds limit {limit}")
+    if n > EXPAND_LIMIT:
+        raise ExpansionLimitError(
+            f"volume element over n={n} exceeds limit {EXPAND_LIMIT}"
+        )
     terms = {0: 1}
     for i in range(n):
         nxt: dict[int, int] = {}

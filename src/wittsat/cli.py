@@ -278,8 +278,7 @@ def _cmd_rebase(args) -> int:
         arrays += matrices_from_text(_read_text(args.file2))
     if len(arrays) != 2:
         raise InputError(f"need exactly two matrices, got {len(arrays)}")
-    t1 = OrthogonalMatrix.from_array(arrays[0], tol=args.tol)
-    t2 = OrthogonalMatrix.from_array(arrays[1], tol=args.tol)
+    t1, t2 = (OrthogonalMatrix(a, args.tol) for a in arrays)
     try:
         basis = witt_rebase(t1, t2)
     except NonTransversalError as e:

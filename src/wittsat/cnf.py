@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
@@ -126,7 +126,6 @@ class CnfFormula:
     n: int
     clauses: tuple[Clause, ...]
     empty_clause_count: int = 0
-    source_meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -222,7 +221,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         warnings.warn(
             f"header declares {declared} clauses, found {found}", ParseWarning
         )
-    return CnfFormula(n, tuple(clauses), empties, {"declared_clauses": declared})
+    return CnfFormula(n, tuple(clauses), empties)
 
 
 def _first_token_error(lines: list[str], header_ln: int, n: int) -> DimacsError:

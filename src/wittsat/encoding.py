@@ -6,10 +6,12 @@ that falsifier).  The product evaluates to 1 exactly on satisfying
 assignments, so the formula is unsatisfiable precisely when the product is
 the zero element.
 
-The product takes one of two forms, chosen by the input's size alone:
-while 2^n fits the cell budget, its table of values on all 2^n assignments,
-one bit each and zero when no bit is set; past the budget, a sparse sum of
-patterns (:func:`encode_formula`), which the cofactor zero test decides.
+The product takes one of two forms, chosen by 2^n against the cell budget:
+2^22 cells by default, else the explicit budget (``--limit``), so a budget
+below 2^n forces the sparse form at any n.  While 2^n fits, the form is its
+table of values on all 2^n assignments, one bit each and zero when no bit
+is set; past the budget, a sparse sum of patterns (:func:`encode_formula`),
+which the cofactor zero test decides.
 The table is built as a walk over slabs, the Shannon cofactors at each
 setting of its leading variables, in the order of their assignments'
 primitive indices (:func:`table_slabs`): a verdict stops at the first slab
@@ -410,7 +412,7 @@ def algebra_verdict(
     f: CnfFormula, term_budget: int | None = None
 ) -> tuple[bool, Assignment | None, dict[str, int]]:
     """(unsatisfiable, model, counters) from the product in the form the
-    input's size picks: the table walk up to its first set cell, or the
+    cell budget picks: the table walk up to its first set cell, or the
     cofactor zero test of the sparse product.  The counters are
     ``patterns`` (the sparse product's patterns, or the set cells of the
     slab holding the model), ``slabs`` (table slabs read) and ``splits``
@@ -431,7 +433,7 @@ def algebra_models(
 ) -> tuple[int, list[Assignment] | None]:
     """(model count, the models in primitive-index order when the count is
     from 1 to *max_enum*, else None), from the product in the form the
-    input's size picks."""
+    cell budget picks."""
     table = encode_table(f, term_budget=term_budget)
     if table is None:
         element = encode_formula(f, term_budget=term_budget)

@@ -12,7 +12,7 @@ a whole stack and gives each matrix the same result as a call of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,14 +48,16 @@ class NonTransversalError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class OrthogonalMatrix:
-    n: int
+    """A square matrix t with t^T t = I within tol; its size n is read from
+    the entries."""
+
     entries: np.ndarray
     tol: float = CONSTRUCTION_TOL
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
-        if m.shape != (self.n, self.n):
-            raise ValueError(f"expected a {self.n}x{self.n} matrix, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             i, j = np.argwhere(~np.isfinite(m))[0]
             raise NonOrthogonalMatrixError(
@@ -63,7 +65,7 @@ class OrthogonalMatrix:
                 "an orthogonal matrix has finite entries"
             )
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = np.abs(m.T @ m - np.eye(self.n)).max()
+            residual = np.abs(m.T @ m - np.eye(len(m))).max()
         if not np.isfinite(residual):
             i, j = np.unravel_index(np.abs(m).argmax(), m.shape)
             raise NonOrthogonalMatrixError(
@@ -77,10 +79,9 @@ class OrthogonalMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    @classmethod
-    def from_array(cls, arr, tol: float = CONSTRUCTION_TOL) -> "OrthogonalMatrix":
-        a = np.asarray(arr, dtype=float)
-        return cls(a.shape[0], a, tol)
+    @property
+    def n(self) -> int:
+        return len(self.entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,18 +172,7 @@ def haar_samples(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_orthogonal(n: int, seed: int) -> OrthogonalMatrix:
     """One Haar draw, deterministic per seed."""
-    return OrthogonalMatrix(n, haar_samples(n, 1, np.random.default_rng(seed))[0])
-
-
-def eigenvalue_one_multiplicity(m: np.ndarray):
-    """Eigenvalues within VERIFY_TOL of 1, counted as the singular values of
-    m - I that are at most VERIFY_TOL: an int for one matrix, an array of
-    counts for a stack.  For a normal m these singular values are exactly |lambda - 1|;
-    a matrix orthogonal only within a small residual moves them by about
-    that residual."""
-    sv = np.linalg.svd(m - np.eye(m.shape[-1]), compute_uv=False)
-    counts = (sv <= VERIFY_TOL).sum(axis=-1)
-    return int(counts) if counts.ndim == 0 else counts
+    return OrthogonalMatrix(haar_samples(n, 1, np.random.default_rng(seed))[0])
 
 
 def _witt_residual(p: np.ndarray, q: np.ndarray):
@@ -197,18 +187,21 @@ def _witt_residual(p: np.ndarray, q: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class WittBasis:
-    """Dual null bases: 2 B(p_i, q_j) = delta_ij and each side totally null."""
+    """Dual null bases: 2 B(p_i, q_j) = delta_ij and each side totally null.
+    ``residual`` is the largest error of the three, as measured when the
+    basis is checked against tol."""
 
     p_vectors: np.ndarray
     q_vectors: np.ndarray
     tol: float = CONSTRUCTION_TOL
+    residual: float = field(init=False)
 
     def __post_init__(self):
         p = np.array(self.p_vectors, dtype=float)
         q = np.array(self.q_vectors, dtype=float)
         if p.shape != q.shape or p.ndim != 2 or p.shape[1] != 2 * p.shape[0]:
             raise ValueError("expected matching (n, 2n) row stacks")
-        residual = _witt_residual(p, q)
+        residual = float(_witt_residual(p, q))
         if not residual <= self.tol:
             raise ValueError(
                 f"Witt pairing residual {residual:.3e} exceeds {self.tol:.1e}"
@@ -217,15 +210,7 @@ class WittBasis:
         q.setflags(write=False)
         object.__setattr__(self, "p_vectors", p)
         object.__setattr__(self, "q_vectors", q)
-
-    def pairing_residual(self) -> float:
-        return float(_witt_residual(self.p_vectors, self.q_vectors))
-
-    def coordinates(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(alpha, beta) with row = sum alpha_i p_i + beta_i q_i."""
-        alpha = 2.0 * neutral_gram(rows, self.q_vectors)
-        beta = 2.0 * neutral_gram(rows, self.p_vectors)
-        return alpha, beta
+        object.__setattr__(self, "residual", residual)
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -243,18 +228,18 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def _rebase_stack(t1: np.ndarray, t2: np.ndarray, m: np.ndarray):
+def _rebase_stack(t1: np.ndarray, t2: np.ndarray, d: np.ndarray):
     """Witt rebasing of a stack of transversal pairs: t2 is (k, n, n), t1
-    the same or one matrix shared by every pair, and m = t1^T t2.  Returns
-    their p and q rows.  A singular solve leaves NaN q rows, which fail the
-    Witt check."""
+    the same or one matrix shared by every pair, and d = I - t1^T t2.
+    Returns their p and q rows.  A singular solve leaves NaN q rows, which
+    fail the Witt check."""
     n = t2.shape[-1]
     eye = np.broadcast_to(np.eye(n), t2.shape)
     p_rows = np.concatenate(
         [eye, np.swapaxes(np.broadcast_to(t1, t2.shape), -1, -2)], axis=-1
     )
     b_rows = np.concatenate([eye, np.swapaxes(t2, -1, -2)], axis=-1)
-    gram = 2.0 * (np.eye(n) - m)  # gram[i, j] = 2 B(p_rows_i, b_rows_j)
+    gram = 2.0 * d  # gram[i, j] = 2 B(p_rows_i, b_rows_j)
     q_rows = _solve_each(np.swapaxes(gram, -1, -2), b_rows)
     return p_rows, q_rows
 
@@ -263,38 +248,47 @@ def witt_rebase(t1: OrthogonalMatrix, t2: OrthogonalMatrix) -> WittBasis:
     """A joint Witt basis with the graph plane of t1 as its p side and the
     graph plane of t2 as its q side.
 
-    The planes are transversal exactly when t1^T t2 has no eigenvalue 1;
-    otherwise the eigenvalue's multiplicity, read from the singular values
-    of t1^T t2 - I (eigenvalue_one_multiplicity), is the intersection
-    dimension and the pair is rejected.  The q side is the unique basis of
-    the second plane dual to the rows of the first under twice the neutral
-    form.  This is the stacked rebasing of the sampling report, on a stack
-    of one.  The basis is checked at the tolerance the inputs were admitted
-    at, the larger of theirs: a pair orthogonal only to within T pairs only
-    to within about T.
+    One SVD of d = I - t1^T t2 serves two ends.  Its singular values at
+    most VERIFY_TOL count the eigenvalues 1 of t1^T t2 (for a normal
+    matrix they are exactly |lambda - 1|), and that count is the dimension
+    in which the planes meet: a pair with any is rejected.  The q side is
+    the unique basis of the second plane dual to the rows of the first
+    under twice the neutral form, the stacked rebasing of the sampling
+    report on a stack of one.
+
+    The smallest singular value sigma also bounds the basis check.  Inputs
+    admitted at tol (the larger of theirs) leave errors of at most tol in
+    t1^T t1 and t2^T t2: the p side is null within tol <= 4 tol / sigma^2,
+    since sigma <= 2, and the q side within n tol / (4 sigma^2), since its
+    Gram matrix is t2's error with (2 d)^-1 on both sides; the pairing
+    holds to rounding.  The basis is checked at twice the larger of the
+    two factors, max(8, n / 2) * tol / sigma^2.
     """
     if t1.n != t2.n:
         raise InputError("matrix sizes differ")
-    m = t1.entries.T @ t2.entries
-    r = eigenvalue_one_multiplicity(m)
+    n = t1.n
+    d = np.eye(n) - t1.entries.T @ t2.entries
+    sv = np.linalg.svd(d, compute_uv=False)
+    r = int((sv <= VERIFY_TOL).sum())
     if r:
         raise NonTransversalError(r)
-    p_rows, q_rows = _rebase_stack(t1.entries, t2.entries[None], m[None])
-    return WittBasis(p_rows[0], q_rows[0], max(t1.tol, t2.tol))
+    p_rows, q_rows = _rebase_stack(t1.entries, t2.entries[None], d[None])
+    bound = max(8.0, n / 2.0) * max(t1.tol, t2.tol) / sv[-1] ** 2
+    return WittBasis(p_rows[0], q_rows[0], bound)
 
 
 def rebase_residuals(
     basis: WittBasis, t1: OrthogonalMatrix, t2: OrthogonalMatrix
 ) -> dict[str, float]:
-    """How exactly the input planes take the p/q coordinate shape."""
+    """How exactly the input planes take the p/q coordinate shape: the
+    basis's measured Witt residual, and the largest q coordinate of t1's
+    plane and p coordinate of t2's, both of which should vanish."""
     a = mtnp_from_isometry(t1).vectors
     b = mtnp_from_isometry(t2).vectors
-    _, beta_a = basis.coordinates(a)  # the first plane has no q components
-    alpha_b, _ = basis.coordinates(b)  # the second has no p components
     return {
-        "pairing": basis.pairing_residual(),
-        "p_side": float(np.abs(beta_a).max()),
-        "q_side": float(np.abs(alpha_b).max()),
+        "pairing": basis.residual,
+        "p_side": float(np.abs(2.0 * neutral_gram(a, basis.p_vectors)).max()),
+        "q_side": float(np.abs(2.0 * neutral_gram(b, basis.q_vectors)).max()),
     }
 
 
@@ -325,7 +319,8 @@ def _discrete_cover(n: int, want: np.ndarray, budget: int | None) -> bool:
 
 def _rebased(sign: float, t: np.ndarray) -> int:
     """How many transversal samples rebase against the plane of sign * I."""
-    p_rows, q_rows = _rebase_stack(sign * np.eye(t.shape[-1]), t, sign * t)
+    eye = np.eye(t.shape[-1])
+    p_rows, q_rows = _rebase_stack(sign * eye, t, eye - sign * t)
     return int((_witt_residual(p_rows, q_rows) <= CONSTRUCTION_TOL).sum())
 
 

@@ -21,7 +21,6 @@ class ReferenceParse(NamedTuple):
     n: int
     clauses: tuple[tuple[int, ...], ...]
     empty_clause_count: int
-    source_meta: dict
 
 
 _HEADER = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)")
@@ -79,7 +78,7 @@ def reference_parse_dimacs(text: str) -> ReferenceParse:
         warnings.warn(
             f"header declares {declared} clauses, found {found}", ParseWarning
         )
-    return ReferenceParse(n, clauses, empties, {"declared_clauses": declared})
+    return ReferenceParse(n, clauses, empties)
 
 
 def _dedup(lits: list[int]) -> tuple[int, ...]:

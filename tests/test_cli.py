@@ -501,6 +501,15 @@ def test_check_verifies_every_route_model(sat_file, monkeypatch, capsys):
     assert "cover model failed verification" in capsys.readouterr().err
 
 
+def test_a_wrong_dpll_model_exits_4(sat_file, monkeypatch, capsys):
+    # dpll does not check its own model: check verifies it, as every route's
+    monkeypatch.setattr(
+        "wittsat.cli.dpll", lambda f, budget: (False, Assignment((True, True)), {})
+    )
+    assert main(["check", sat_file, "--route", "dpll"]) == 4
+    assert "error: dpll model failed verification" in capsys.readouterr().err
+
+
 def test_check_calls_the_search_routes_by_their_cli_names(
     sat_file, monkeypatch, capsys
 ):

@@ -100,7 +100,6 @@ def test_parse_basic_file():
     f = parse_dimacs("c comment\np cnf 3 2\n1 -2 0\n2 3 0\n")
     assert f.n == 3 and f.m == 2
     assert f.clauses[0] == (1, -2)
-    assert f.source_meta["declared_clauses"] == 2
 
 
 def test_parse_clause_spanning_lines_and_bare_zero():
@@ -156,8 +155,7 @@ def _reference_outcome(parse, text):
         except Exception as e:  # compared across the two parsers
             got = (type(e).__name__, str(e))
         else:
-            got = (got.n, tuple(map(tuple, got.clauses)), got.empty_clause_count,
-                   got.source_meta)
+            got = (got.n, tuple(map(tuple, got.clauses)), got.empty_clause_count)
     return got, [(w.category, str(w.message)) for w in caught]
 
 
