@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
@@ -20,11 +21,6 @@ import traceback
 import warnings
 
 from . import __version__
-
-# zero_test_splits, count_models, encode_formula and models are not called
-# here: the benchmark's tracer (wittbench/worker.py) wraps them by name on
-# this module, and stops at the first one missing.
-from .algebra import zero_test_splits
 from .cnf import (
     Assignment,
     CnfFormula,
@@ -33,13 +29,6 @@ from .cnf import (
     TautologyError,
     parse_dimacs,
 )
-from .encoding import (
-    algebra_models,
-    algebra_verdict,
-    count_models,
-    encode_formula,
-    models,
-)
 from .geometry import (
     cover_verdict,
     formula_patterns,
@@ -47,14 +36,36 @@ from .geometry import (
     tnp_of_clause,
 )
 from .oracle import dpll
-from .ortho import (
-    NonTransversalError,
-    OrthogonalMatrix,
-    matrices_from_text,
-    orthogonal_cover_report,
-    rebase_residuals,
-    witt_rebase,
-)
+
+# loaded on first use: cover, dpll and dump-only geometry never import numpy
+_LAZY = {
+    "algebra_models": "encoding",
+    "algebra_verdict": "encoding",
+    # count_models, encode_formula, models and zero_test_splits are not
+    # called here; the benchmark's tracer wraps them by name on this module
+    "count_models": "encoding",
+    "encode_formula": "encoding",
+    "models": "encoding",
+    "zero_test_splits": "algebra",
+    "NonTransversalError": "ortho",
+    "OrthogonalMatrix": "ortho",
+    "matrices_from_text": "ortho",
+    "orthogonal_cover_report": "ortho",
+    "rebase_residuals": "ortho",
+    "witt_rebase": "ortho",
+}
+# the commands read the lazy names off this module object, which loads them
+# on first use and returns any wrapper set on the module in their place
+_THIS = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -103,19 +114,26 @@ def _verdict_name(unsat: bool) -> str:
     return "UNSAT" if unsat else "SAT"
 
 
+# each route's verdict function, read off this module when the route runs
+_ROUTES = {
+    "algebra": lambda: _THIS.algebra_verdict,
+    "cover": lambda: _THIS.cover_verdict,
+    "dpll": lambda: _THIS.dpll,
+}
+
+
 def _cmd_check(args) -> int:
     f = _load_formula(args.file)
     route = args.route or ("all" if f.n <= 16 else "dpll")
     budget = _budget(args)
-    # looked up on every call, so that a wrapper set on this module is used
-    routes = {"algebra": algebra_verdict, "cover": cover_verdict, "dpll": dpll}
     verdicts: dict[str, bool] = {}
     timings: dict[str, float] = {}
     stats: dict[str, int] = {}
     found: dict[str, Assignment] = {}
-    for name in routes if route == "all" else (route,):
+    for name in _ROUTES if route == "all" else (route,):
+        verdict = _ROUTES[name]()
         start = time.perf_counter()
-        unsat, model, counters = routes[name](f, budget)
+        unsat, model, counters = verdict(f, budget)
         timings[name] = (time.perf_counter() - start) * 1000.0
         verdicts[name] = unsat
         # the algebra's counters print unprefixed
@@ -172,7 +190,7 @@ def _cmd_models(args) -> int:
     f = _load_formula(args.file)
     budget = _budget(args)
     max_enum = _nonnegative(args.max_enum, "--max-enum")
-    total, listing = algebra_models(f, budget, max_enum)
+    total, listing = _THIS.algebra_models(f, budget, max_enum)
     if listing is not None and len(listing) != total:
         print("error: enumeration disagrees with the count", file=sys.stderr)
         return EXIT_INTERNAL
@@ -239,7 +257,9 @@ def _cmd_geometry(args) -> int:
         ]
     report = None
     if samples:
-        report = orthogonal_cover_report(f, samples, seed, scan_budget=budget)
+        report = _THIS.orthogonal_cover_report(
+            f, samples, seed, scan_budget=budget
+        )
     if args.json:
         payload = {
             "n": f.n,
@@ -273,19 +293,22 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_rebase(args) -> int:
-    arrays = matrices_from_text(_read_text(args.file))
+    # at tol >= 1 even the zero matrix passes as orthogonal: |0^T 0 - I| = 1
+    if not 0.0 <= args.tol < 1.0:
+        raise InputError(f"--tol must be in [0, 1), got {args.tol}")
+    arrays = _THIS.matrices_from_text(_read_text(args.file))
     if args.file2 is not None:
-        arrays += matrices_from_text(_read_text(args.file2))
+        arrays += _THIS.matrices_from_text(_read_text(args.file2))
     if len(arrays) != 2:
         raise InputError(f"need exactly two matrices, got {len(arrays)}")
-    t1, t2 = (OrthogonalMatrix(a, args.tol) for a in arrays)
+    t1, t2 = (_THIS.OrthogonalMatrix(a, args.tol) for a in arrays)
     try:
-        basis = witt_rebase(t1, t2)
-    except NonTransversalError as e:
+        basis = _THIS.witt_rebase(t1, t2)
+    except _THIS.NonTransversalError as e:
         print(f"not transversal: planes meet in dimension {e.intersection_dim}",
               file=sys.stderr)
         return EXIT_UNSAT
-    res = rebase_residuals(basis, t1, t2)
+    res = _THIS.rebase_residuals(basis, t1, t2)
     if args.json:
         payload = {
             "n": t1.n,

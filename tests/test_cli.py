@@ -737,6 +737,30 @@ def test_rebase_error_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e300", "nan", "-1e-9", "1", "1.0"])
+def test_rebase_refuses_a_tolerance_that_admits_any_matrix(tmp_path, capsys,
+                                                           tol):
+    # at tol >= 1 the orthogonality test passes even the zero matrix, and
+    # the basis check passes any basis: [[1, 2], [3, 4]] used to exit 0
+    pair = tmp_path / "pair.mat"
+    pair.write_text("2\n1 2\n3 4\n" + matrix_to_text(np.eye(2)))
+    assert main(["rebase", f"--tol={tol}", str(pair)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tol must be in [0, 1), got ")
+    assert "Witt" not in err
+
+
+def test_rebase_takes_a_zero_tolerance(tmp_path, capsys):
+    pair = tmp_path / "pair.mat"
+    pair.write_text(matrix_to_text(np.eye(3)) + matrix_to_text(-np.eye(3)))
+    assert main(["rebase", "--tol", "0", "--json", str(pair)]) == 0
+    assert max(json.loads(capsys.readouterr().out)["residuals"].values()) == 0.0
+    skewed = tmp_path / "skew.mat"
+    skewed.write_text("2\n1 2\n3 4\n" + matrix_to_text(np.eye(2)))
+    assert main(["rebase", "--tol", "0", str(skewed)]) == 2
+    assert "orthogonality residual" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_rebase_names_a_non_finite_entry(tmp_path, capsys, bad):
     ident = tmp_path / "i.mat"

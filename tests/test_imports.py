@@ -63,3 +63,53 @@ def test_routes_do_not_import_each_other():
     for path, forbidden in FORBIDDEN.items():
         shared = package_imports(path) & forbidden
         assert not shared, f"{path.name} imports {sorted(shared)}"
+
+
+# cli loads these on first use (its module __getattr__), so that the search
+# commands start without numpy; an import of them at load time would undo it
+CLI_LAZY = {"numpy", "encoding", "algebra", "ortho"}
+
+
+def _short(module: str) -> str:
+    parts = module.split(".")
+    return parts[1] if parts[0] == "wittsat" and len(parts) > 1 else parts[0]
+
+
+def load_time_imports(path: Path) -> set[str]:
+    """The modules a source file imports while it loads: every import
+    outside a function body, as ``numpy`` or, for the package's own
+    modules, as ``encoding``."""
+    found = set()
+    pending = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(_short(alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in (None, "wittsat"):
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(_short(node.module))
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_load_time_imports_skips_function_bodies(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\nfrom . import cnf\nfrom .oracle import dpll\n"
+        "from wittsat.geometry import x\nimport wittsat.ortho\n"
+        "try:\n    import json\nexcept ImportError:\n    pass\n"
+        "class C:\n    from .algebra import y\n"
+        "def f():\n    from .encoding import z\n    import os\n"
+    )
+    assert load_time_imports(probe) == {
+        "numpy", "cnf", "oracle", "geometry", "ortho", "json", "algebra"
+    }
+
+
+def test_cli_loads_the_numpy_layers_only_on_use():
+    eager = load_time_imports(PACKAGE / "cli.py") & CLI_LAZY
+    assert not eager, f"cli.py imports {sorted(eager)} at load time"
