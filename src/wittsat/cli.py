@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-import traceback
 import warnings
 
 from . import __version__
@@ -356,8 +355,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "branching decisions for cover and dpll (default: WITTSAT_LIMIT env, "
         "else 2^20 terms, 2^22 cells and unbounded searches)",
     )
-    check.add_argument("--json", action="store_true")
-    check.add_argument(
+    output = check.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true")
+    output.add_argument(
         "--solver-codes",
         action="store_true",
         help="emit s/v lines and exit 10 or 20",
@@ -455,7 +455,9 @@ def main(argv=None) -> int:
             return EXIT_LIMIT
         except Exception as e:
             # a defect, never a verdict: exit 1 would read as UNSAT, and
-            # exit 2 as bad input
+            # exit 2 as bad input; traceback loads here, off the start-up path
+            import traceback
+
             traceback.print_exc()
             print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
             return EXIT_INTERNAL

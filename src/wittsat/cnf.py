@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
@@ -72,17 +71,47 @@ class _TautologicalClause(Clause):
     is_tautological = True
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Frozen:
+    """Base of the package's value objects.
+
+    A subclass names its fields in ``__slots__``.  Its ``__init__`` checks
+    them and sets each one once with ``object.__setattr__``, together with
+    ``_key``: the one field, or a tuple of them.  After that no field can be
+    assigned or deleted.  Two objects are equal, and hash alike, when they
+    are of one class and their keys are equal; objects of different classes
+    are never equal.  The classes that hold numpy arrays (ortho) set no key
+    and compare by identity instead.
+    """
+
+    __slots__ = ("_key",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+
+class Assignment(Frozen):
     """A total truth assignment; values[i] is the value of variable i+1."""
 
-    values: tuple[bool, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple[bool, ...]):
+        if not values:
             raise ValueError("assignments need at least one variable")
-        if not all(isinstance(v, bool) for v in self.values):
+        if not all(isinstance(v, bool) for v in values):
             raise TypeError("assignment values must be bools")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_key", values)
 
     @classmethod
     def from_mask(cls, mask: int, n: int) -> "Assignment":
@@ -118,24 +147,26 @@ class Assignment:
         return " ".join(str(x) for x in self.to_ints())
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Frozen):
     """A CNF over variables 1..n.  Empty clauses (immediate contradictions)
     are counted on the side so :class:`Clause` can stay nonempty."""
 
-    n: int
-    clauses: tuple[Clause, ...]
-    empty_clause_count: int = 0
+    __slots__ = ("n", "clauses", "empty_clause_count")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(
+        self, n: int, clauses: tuple[Clause, ...], empty_clause_count: int = 0
+    ):
+        if n < 1:
             raise ValueError("formulas need at least one variable")
-        if self.empty_clause_count < 0:
+        if empty_clause_count < 0:
             raise ValueError("negative empty-clause count")
-        n = self.n
-        if max(map(abs, chain.from_iterable(self.clauses)), default=0) > n:
-            var = next(v for v in map(abs, chain.from_iterable(self.clauses)) if v > n)
+        if max(map(abs, chain.from_iterable(clauses)), default=0) > n:
+            var = next(v for v in map(abs, chain.from_iterable(clauses)) if v > n)
             raise ValueError(f"variable {var} exceeds declared count {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "empty_clause_count", empty_clause_count)
+        object.__setattr__(self, "_key", (n, clauses, empty_clause_count))
 
     @property
     def m(self) -> int:

@@ -8,79 +8,94 @@ plain solver) by the differential suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cnf import Assignment, Clause, CnfFormula, ResourceLimitError, TautologyError
+from .cnf import (
+    Assignment,
+    Clause,
+    CnfFormula,
+    Frozen,
+    ResourceLimitError,
+    TautologyError,
+)
 
 FREE = 0
 
 
-@dataclass(frozen=True, order=True)
-class WittVector:
-    """One basis null vector, p_i or q_i; the index is the 1-based position."""
+class WittVector(Frozen):
+    """One basis null vector, p_i or q_i; the index is the 1-based position.
+    Vectors order by position, then p before q."""
 
-    index: int
-    kind: str
+    __slots__ = ("index", "kind")
 
-    def __post_init__(self):
-        if self.kind not in ("p", "q"):
-            raise ValueError(f"kind must be 'p' or 'q', got {self.kind!r}")
-        if self.index < 1:
+    def __init__(self, index: int, kind: str):
+        if kind not in ("p", "q"):
+            raise ValueError(f"kind must be 'p' or 'q', got {kind!r}")
+        if index < 1:
             raise ValueError("positions are numbered from 1")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_key", (index, kind))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key < other._key
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"
 
 
-@dataclass(frozen=True)
-class SignVector:
+class SignVector(Frozen):
     """A diagonal isometry, one sign per axis.
 
     +1 keeps p_i inside the mapped reference plane, -1 swaps in q_i; the
     all-plus vector is the reference plane itself.
     """
 
-    eps: tuple[int, ...]
+    __slots__ = ("eps",)
 
-    def __post_init__(self):
-        if not self.eps:
+    def __init__(self, eps: tuple[int, ...]):
+        if not eps:
             raise ValueError("sign vectors need at least one position")
-        if any(e not in (1, -1) for e in self.eps):
+        if any(e not in (1, -1) for e in eps):
             raise ValueError("sign entries must be +1 or -1")
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "_key", eps)
 
     def to_text(self) -> str:
         return "".join("+" if e == 1 else "-" for e in self.eps)
 
 
-@dataclass(frozen=True)
-class TernaryPattern:
+class TernaryPattern(Frozen):
     """Sign constraints with free slots; stands for 2^(free) sign vectors."""
 
-    slots: tuple[int, ...]
+    __slots__ = ("slots",)
 
-    def __post_init__(self):
-        if not self.slots:
+    def __init__(self, slots: tuple[int, ...]):
+        if not slots:
             raise ValueError("patterns need at least one position")
-        if any(s not in (1, -1, FREE) for s in self.slots):
+        if any(s not in (1, -1, FREE) for s in slots):
             raise ValueError("slots must be +1, -1 or free (0)")
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "_key", slots)
 
     def to_text(self) -> str:
         return "".join("+" if s == 1 else "-" if s == -1 else "*" for s in self.slots)
 
 
-@dataclass(frozen=True)
-class TotallyNullPlane:
+class TotallyNullPlane(Frozen):
     """A plane spanned by basis null vectors, at most one per position."""
 
-    generators: tuple[WittVector, ...]
+    __slots__ = ("generators",)
 
-    def __post_init__(self):
-        positions = [v.index for v in self.generators]
+    def __init__(self, generators: tuple[WittVector, ...]):
+        positions = [v.index for v in generators]
         if len(set(positions)) != len(positions):
             raise ValueError(
                 "generators clash: two vectors at one position cannot both "
                 "lie in a totally null plane"
             )
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_key", generators)
 
 
 def mtnp_of_assignment(a: Assignment) -> SignVector:

@@ -12,11 +12,9 @@ a whole stack and gives each matrix the same result as a call of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .cnf import Clause, CnfFormula, InputError, ResourceLimitError
+from .cnf import Clause, CnfFormula, Frozen, InputError, ResourceLimitError
 
 CONSTRUCTION_TOL = 1e-9
 VERIFY_TOL = 1e-6
@@ -46,16 +44,17 @@ class NonTransversalError(ValueError):
         self.intersection_dim = intersection_dim
 
 
-@dataclass(frozen=True, eq=False)
-class OrthogonalMatrix:
+class OrthogonalMatrix(Frozen):
     """A square matrix t with t^T t = I within tol; its size n is read from
     the entries."""
 
-    entries: np.ndarray
-    tol: float = CONSTRUCTION_TOL
+    __slots__ = ("entries", "tol")
+    # arrays have no single truth value: objects are equal only to themselves
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
+    def __init__(self, entries: np.ndarray, tol: float = CONSTRUCTION_TOL):
+        m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
@@ -72,26 +71,28 @@ class OrthogonalMatrix:
                 f"orthogonality residual overflows: row {i + 1}, column {j + 1} "
                 f"is {m[i, j]}; an orthogonal matrix has entries in [-1, 1]"
             )
-        if not residual <= self.tol:
+        if not residual <= tol:
             raise NonOrthogonalMatrixError(
-                f"orthogonality residual {residual:.3e} exceeds {self.tol:.1e}"
+                f"orthogonality residual {residual:.3e} exceeds {tol:.1e}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "tol", tol)
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True, eq=False)
-class NullFrame:
+class NullFrame(Frozen):
     """A basis of a totally null plane: rows of shape (dim, 2n)."""
 
-    vectors: np.ndarray
+    __slots__ = ("vectors",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        v = np.array(self.vectors, dtype=float)
+    def __init__(self, vectors: np.ndarray):
+        v = np.array(vectors, dtype=float)
         if v.ndim != 2 or v.shape[1] % 2 != 0:
             raise ValueError("frame rows must live in R^(2n)")
         v.setflags(write=False)
@@ -185,31 +186,33 @@ def _witt_residual(p: np.ndarray, q: np.ndarray):
     ])
 
 
-@dataclass(frozen=True, eq=False)
-class WittBasis:
+class WittBasis(Frozen):
     """Dual null bases: 2 B(p_i, q_j) = delta_ij and each side totally null.
     ``residual`` is the largest error of the three, as measured when the
     basis is checked against tol."""
 
-    p_vectors: np.ndarray
-    q_vectors: np.ndarray
-    tol: float = CONSTRUCTION_TOL
-    residual: float = field(init=False)
+    __slots__ = ("p_vectors", "q_vectors", "tol", "residual")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        p = np.array(self.p_vectors, dtype=float)
-        q = np.array(self.q_vectors, dtype=float)
+    def __init__(
+        self, p_vectors: np.ndarray, q_vectors: np.ndarray,
+        tol: float = CONSTRUCTION_TOL,
+    ):
+        p = np.array(p_vectors, dtype=float)
+        q = np.array(q_vectors, dtype=float)
         if p.shape != q.shape or p.ndim != 2 or p.shape[1] != 2 * p.shape[0]:
             raise ValueError("expected matching (n, 2n) row stacks")
         residual = float(_witt_residual(p, q))
-        if not residual <= self.tol:
+        if not residual <= tol:
             raise ValueError(
-                f"Witt pairing residual {residual:.3e} exceeds {self.tol:.1e}"
+                f"Witt pairing residual {residual:.3e} exceeds {tol:.1e}"
             )
         p.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "p_vectors", p)
         object.__setattr__(self, "q_vectors", q)
+        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "residual", residual)
 
 

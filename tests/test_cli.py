@@ -86,6 +86,19 @@ def test_check_solver_codes(sat_file, unsat_file, capsys):
     assert "s UNSATISFIABLE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags", [["--json", "--solver-codes"], ["--solver-codes", "--json"]]
+)
+def test_json_and_solver_codes_exclude_each_other(sat_file, capsys, flags):
+    # asked for both, check used to print s/v lines and drop the JSON
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", *flags, sat_file])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_check_single_route(sat_file, capsys):
     assert main(["check", "--route", "dpll", sat_file]) == 0
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,14 @@ from wittsat.cnf import (
     ParseWarning,
     parse_dimacs,
     serialize_dimacs,
+)
+from wittsat.geometry import SignVector, TernaryPattern, TotallyNullPlane, WittVector
+from wittsat.ortho import (
+    CONSTRUCTION_TOL,
+    NonOrthogonalMatrixError,
+    NullFrame,
+    OrthogonalMatrix,
+    WittBasis,
 )
 
 from dimacs_reference import reference_parse_dimacs
@@ -94,6 +103,113 @@ def test_satisfies_respects_empty_clause():
     f = CnfFormula(2, (Clause.from_ints((1, 2)),), empty_clause_count=1)
     assert not Assignment((True, True)).satisfies(f)
     assert f.has_empty_clause and f.m == 2
+
+
+P1 = WittVector(1, "p")
+# a Witt basis at n = 1: 2 B(p, q) = 1 and both sides null, exactly
+P_ROW, Q_ROW = np.array([[0.5, 0.5]]), np.array([[0.5, -0.5]])
+
+# Per value class: the fields of one object, in constructor order (as small
+# as possible, so that keys of different classes collide: (True,), (1,) and
+# (1,) below are equal tuples); the fields a constructor may leave out and
+# their defaults; and field overrides with the error and message each gives.
+VALUE_CLASSES = [
+    (Assignment, {"values": (True,)}, {}, [
+        ({"values": ()}, ValueError, "assignments need at least one variable"),
+        ({"values": (1,)}, TypeError, "assignment values must be bools"),
+    ]),
+    (CnfFormula,
+     {"n": 1, "clauses": (Clause((1,)),), "empty_clause_count": 0},
+     {"empty_clause_count": 0}, [
+        ({"n": 0}, ValueError, "formulas need at least one variable"),
+        ({"empty_clause_count": -1}, ValueError, "negative empty-clause count"),
+        ({"clauses": (Clause((2,)),)}, ValueError,
+         "variable 2 exceeds declared count 1"),
+    ]),
+    (WittVector, {"index": 1, "kind": "p"}, {}, [
+        ({"kind": "r"}, ValueError, "kind must be 'p' or 'q', got 'r'"),
+        ({"index": 0}, ValueError, "positions are numbered from 1"),
+    ]),
+    (SignVector, {"eps": (1,)}, {}, [
+        ({"eps": ()}, ValueError, "sign vectors need at least one position"),
+        ({"eps": (0,)}, ValueError, "sign entries must be +1 or -1"),
+    ]),
+    (TernaryPattern, {"slots": (1,)}, {}, [
+        ({"slots": ()}, ValueError, "patterns need at least one position"),
+        ({"slots": (2,)}, ValueError, "slots must be +1, -1 or free (0)"),
+    ]),
+    (TotallyNullPlane, {"generators": (P1,)}, {}, [
+        ({"generators": (P1, WittVector(1, "q"))}, ValueError,
+         "generators clash: two vectors at one position cannot both lie in a "
+         "totally null plane"),
+    ]),
+    (OrthogonalMatrix, {"entries": np.eye(1), "tol": CONSTRUCTION_TOL},
+     {"tol": CONSTRUCTION_TOL}, [
+        ({"entries": np.ones((1, 2))}, ValueError,
+         "expected a square matrix, got shape (1, 2)"),
+        ({"entries": [[np.nan]]}, NonOrthogonalMatrixError,
+         "row 1, column 1 is nan; an orthogonal matrix has finite entries"),
+        ({"entries": [[1e200]]}, NonOrthogonalMatrixError,
+         "orthogonality residual overflows: row 1, column 1 is 1e+200; an "
+         "orthogonal matrix has entries in [-1, 1]"),
+        ({"entries": [[2.0]]}, NonOrthogonalMatrixError,
+         "orthogonality residual 3.000e+00 exceeds 1.0e-09"),
+    ]),
+    (NullFrame, {"vectors": P_ROW}, {}, [
+        ({"vectors": np.ones((1, 3))}, ValueError,
+         "frame rows must live in R^(2n)"),
+    ]),
+    (WittBasis, {"p_vectors": P_ROW, "q_vectors": Q_ROW, "tol": CONSTRUCTION_TOL},
+     {"tol": CONSTRUCTION_TOL}, [
+        ({"q_vectors": np.ones((1, 3))}, ValueError,
+         "expected matching (n, 2n) row stacks"),
+        ({"q_vectors": P_ROW}, ValueError,
+         "Witt pairing residual 1.000e+00 exceeds 1.0e-09"),
+    ]),
+]
+# the numpy-backed classes: an object equals only itself
+BY_IDENTITY = (OrthogonalMatrix, NullFrame, WittBasis)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, defaults, rejected",
+    VALUE_CLASSES,
+    ids=[row[0].__name__ for row in VALUE_CLASSES],
+)
+def test_value_classes_keep_their_contract(cls, fields, defaults, rejected):
+    a, b = cls(**fields), cls(*fields.values())
+    # every field, a derived one such as WittBasis.residual too, is set by
+    # the constructor and cannot be assigned or deleted afterwards
+    for name in cls.__slots__:
+        value = getattr(a, name)
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    if cls in BY_IDENTITY:
+        assert a == a and a != b and hash(a) == hash(a)
+    else:
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert {a, b} == {a}
+    shortened = cls(**{k: v for k, v in fields.items() if k not in defaults})
+    for name, value in defaults.items():
+        assert getattr(shortened, name) == value
+    # objects of different classes, or a tuple of the fields, never compare
+    # equal, even where the keys do
+    for other, other_fields, *_ in VALUE_CLASSES:
+        if other is not cls:
+            assert a != other(**other_fields), other.__name__
+    assert a != tuple(fields.values())
+    for override, error, message in rejected:
+        with pytest.raises(error) as info:
+            cls(**{**fields, **override})
+        assert str(info.value) == message
+
+
+def test_witt_vectors_sort_by_position_then_kind():
+    vectors = [WittVector(i, k) for i in (3, 1, 2) for k in "qp"]
+    assert [str(v) for v in sorted(vectors)] == ["p1", "q1", "p2", "q2", "p3", "q3"]
+    assert sorted(vectors) == sorted(vectors, key=lambda v: (v.index, v.kind))
 
 
 def test_parse_basic_file():

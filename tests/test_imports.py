@@ -113,3 +113,14 @@ def test_load_time_imports_skips_function_bodies(tmp_path):
 def test_cli_loads_the_numpy_layers_only_on_use():
     eager = load_time_imports(PACKAGE / "cli.py") & CLI_LAZY
     assert not eager, f"cli.py imports {sorted(eager)} at load time"
+
+
+def test_no_module_imports_dataclasses():
+    # the value classes derive from cnf.Frozen: dataclasses would load
+    # inspect, ast and dis into every fresh process
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "dataclasses" not in load_time_imports(path), path.name
+
+
+def test_cli_imports_traceback_only_to_print_a_defect():
+    assert "traceback" not in load_time_imports(PACKAGE / "cli.py")

@@ -1,7 +1,9 @@
 """What a fresh ``wittsat`` process loads: the cover search, DPLL and the
 plane dump run without numpy, and the numpy-backed layers (encoding,
-algebra, ortho) load on the first call that needs them.  Every test that
-counts modules runs in an interpreter of its own, since this one has
+algebra, ortho) load on the first call that needs them.  Neither the
+import nor the numpy-free commands load ``dataclasses``, ``inspect`` or
+``traceback``; a defect loads ``traceback`` to print itself.  Every test
+that counts modules runs in an interpreter of its own, since this one has
 imported them all."""
 
 import json
@@ -20,10 +22,13 @@ from wittsat.ortho import matrix_to_text, sample_orthogonal
 from test_surface import TRACED_CLI_NAMES
 
 HEAVY = ("numpy", "wittsat.encoding", "wittsat.algebra", "wittsat.ortho")
+# standard library modules that the import and the numpy-free commands
+# leave unloaded (numpy itself loads inspect)
+UNUSED = ("dataclasses", "inspect", "traceback")
 
 # Runs main on each argv of argv[1] (a JSON list) and prints one JSON
-# object: the heavy modules loaded by the import, and per call the exit
-# code, the standard output and the heavy modules loaded after it.
+# object: the heavy and unused modules loaded by the import, and per call
+# the exit code, the standard output and those modules loaded after it.
 CALLS = """
 import contextlib, io, json, sys
 import wittsat.cli
@@ -39,7 +44,7 @@ for argv in json.loads(sys.argv[1]):
         {"code": code, "stdout": out.getvalue(), "loaded": loaded()}
     )
 print(json.dumps(result))
-""" % (HEAVY,)
+""" % (HEAVY + UNUSED,)
 
 
 def fresh_python(script: str, *args: str) -> dict:
@@ -83,6 +88,7 @@ def files(tmp_path):
 
 
 def test_the_search_commands_never_load_numpy(files, capsys):
+    # nor dataclasses, inspect or traceback
     argvs = [
         ["check", "--route", "dpll", files["sat"]],
         ["check", "--route", "cover", files["unsat"]],
@@ -167,3 +173,23 @@ def test_commands_call_the_lazy_names_by_their_cli_names(
     assert main(["models", files["sat"]]) == 0
     capsys.readouterr()
     assert calls == set(names)
+
+
+def test_a_defect_loads_traceback_to_print_itself(files):
+    script = """
+import contextlib, io, json, sys
+import wittsat.cli
+def crash(f, budget):
+    raise RuntimeError("boom")
+wittsat.cli.dpll = crash
+before = "traceback" in sys.modules
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = wittsat.cli.main(["check", "--route", "dpll", sys.argv[1]])
+print(json.dumps({"before": before, "code": code, "stderr": err.getvalue()}))
+"""
+    got = fresh_python(script, files["sat"])
+    assert not got["before"]
+    assert got["code"] == 4
+    assert "Traceback" in got["stderr"]
+    assert "error: internal: RuntimeError: boom" in got["stderr"]
