@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import json
 import os
 import sys
 import time
@@ -109,6 +108,12 @@ def _nonnegative(value: int, name: str) -> int:
     return value
 
 
+def _print_json(payload: dict) -> None:
+    import json  # only --json output loads it
+
+    print(json.dumps(payload, sort_keys=True))
+
+
 def _verdict_name(unsat: bool) -> str:
     return "UNSAT" if unsat else "SAT"
 
@@ -170,7 +175,7 @@ def _cmd_check(args) -> int:
         }
         if model is not None:
             payload["model"] = list(model.to_ints())
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         for name in sorted(verdicts):
             print(f"{name}: {_verdict_name(verdicts[name])}")
@@ -200,7 +205,7 @@ def _cmd_models(args) -> int:
             "count": total,
             "models": None if listing is None else [list(a.to_ints()) for a in listing],
         }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         print(f"models: {total}")
         if listing is not None:
@@ -222,7 +227,7 @@ def _cmd_cover(args) -> int:
             "patterns": patterns,
             "witness": None if witness is None else list(witness.to_ints()),
         }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         for pattern in patterns:
             print(pattern)
@@ -273,7 +278,7 @@ def _cmd_geometry(args) -> int:
         }
         if report is not None:
             payload.update(report)
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         for text, gens in clause_rows:
             if gens is None:
@@ -315,7 +320,7 @@ def _cmd_rebase(args) -> int:
             "p_rows": basis.p_vectors.tolist(),
             "q_rows": basis.q_vectors.tolist(),
         }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         print(f"n: {t1.n}")
         for key in sorted(res):

@@ -19,13 +19,13 @@ def dpll(
     f: CnfFormula, decision_budget: int | None = None
 ) -> tuple[bool, Assignment | None, dict[str, int]]:
     """(unsatisfiable, model, counters) by unit propagation, pure-literal
-    elimination, then branching on the lowest still-occurring variable
-    trying True first.  The model is the search's trail, with True for a
-    variable it never set; the caller verifies it (``check`` does so for
-    every route).  The counters are ``decisions`` and ``propagations``
-    (literals set by unit clauses, binary ones through implication lists).
-    More than ``decision_budget`` branchings raise ResourceLimitError;
-    None means unbounded."""
+    elimination, then branching on the literal in the most unsatisfied
+    clauses (DLIS), trying it True first.  The model is the search's
+    trail, with True for a variable it never set; the caller verifies it
+    (``check`` does so for every route).  The counters are ``decisions``
+    and ``propagations`` (literals set by unit clauses, binary ones through
+    implication lists).  More than ``decision_budget`` branchings raise
+    ResourceLimitError; None means unbounded."""
     if f.has_empty_clause:
         return True, None, {"decisions": 0, "propagations": 0}
     search = _TrailSearch(f.n, f.clauses)
@@ -70,10 +70,11 @@ class _TrailSearch:
     the undo unmarks and takes off the clauses added since the branching,
     so at a decision point the list holds exactly the satisfied clauses and
     the counts are exact: a variable still occurs while either polarity's
-    count is positive and is pure while exactly one is.  Every variable
-    that turns pure is pushed on ``pure``, a heap whose entries are checked
-    when popped.  A decision is taken only when no variable is pure, and
-    backtracking restores that state, so it clears the heap.
+    count is positive and is pure while exactly one is, and a decision
+    branches on the largest count.  Every variable that turns pure is
+    pushed on ``pure``, a heap whose entries are checked when popped.  A
+    decision is taken only when no variable is pure, and backtracking
+    restores that state, so it clears the heap.
     """
 
     def __init__(self, n: int, clauses: Sequence[tuple[int, ...]]):
@@ -218,30 +219,35 @@ class _TrailSearch:
     def solve(self, decision_budget: int | None) -> bool:
         """Search to a satisfying ``value`` (True) or exhaust it (False).
 
-        Each branching pushes the trail length, the ``satisfied`` length and
-        the variable it started from, so a conflict resumes the newest
-        branching whose False side is still untried.  At a branching every
-        variable below the chosen one is set or gone from the unsatisfied
-        clauses, and stays so beneath it, so the next variable is looked for
-        only above it.
+        Each decision sets true the unset literal in the most unsatisfied
+        clauses (DLIS): the largest ``count``, ties to the first slot of
+        ``count``, so 1..n before -n..-1.  Two values make the pick cheap.
+        ``top`` bounds every unset literal's count from above, and no unset
+        literal below slot ``start`` has count ``top``; the next candidate
+        is ``count.index(top, start)``, and ``top`` drops when there is
+        none.  Counts only fall beneath a branching, so both stay valid
+        there.  Each branching pushes the trail length, the ``satisfied``
+        length, its literal and these two values, so a conflict resumes the
+        newest branching whose False side is still untried.
         """
         value, count, satisfied = self.value, self.count, self.satisfied
+        size = len(count)
+        n = size // 2
         clause_count = len(self.clauses)
         for lit in self.units:
             self.propagations += not value[lit]
             if not self._set(lit):
                 return False
-        branches: list[tuple[int, int, int]] = []
-        low = 1
+        branches: list[tuple[int, int, int, int, int]] = []
+        top, start = max(count), 1
         ok = True
         while True:
             if not ok:
                 if not branches:
                     return False
-                mark, satisfied_mark, v = branches.pop()
+                mark, satisfied_mark, lit, top, start = branches.pop()
                 self._undo(mark, satisfied_mark)
-                low = v + 1
-                ok = self._set(-v)
+                ok = self._set(-lit)
                 continue
             self._sweep()  # the propagation ended without conflict
             if len(satisfied) == clause_count:
@@ -255,12 +261,20 @@ class _TrailSearch:
                 raise ResourceLimitError(
                     f"DPLL search exceeded {decision_budget} decisions"
                 )
-            v = low
-            while value[v] or not (count[v] or count[-v]):
-                v += 1
-            branches.append((len(self.trail), len(satisfied), v))
-            low = v + 1
-            ok = self._set(v)
+            # an unsatisfied clause has two unset literals, so top stays >= 1
+            while True:
+                try:
+                    slot = count.index(top, start)
+                except ValueError:
+                    top -= 1
+                    start = 1
+                    continue
+                start = slot + 1
+                if not value[slot]:
+                    break
+            lit = slot if slot <= n else slot - size
+            branches.append((len(self.trail), len(satisfied), lit, top, start))
+            ok = self._set(lit)
 
 
 def _empty_lists(size: int) -> list[list[int]]:

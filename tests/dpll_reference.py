@@ -2,14 +2,18 @@
 trail search, kept only as the reference the trail search is compared
 against (``test_oracle.py``).  It is not part of the package.
 
-Each assignment copies the clause list, and each step rebuilds the set of
-occurring literals, so a step costs O(m); the rules are the oracle's: unit
-propagation to fixpoint, then the lowest pure literal, then the lowest
-still-occurring variable, True first.  The only change from the original is
-that the decision count is returned with the trail.
+Each assignment copies the clause list, and each step recounts the
+literals' occurrences in the clauses left, so a step costs O(m); the rules
+are the oracle's: unit propagation to fixpoint, then the lowest pure
+literal, then the literal in the most clauses left (DLIS), set True, with
+ties to 1..n before -n..-1.  The changes from the original are that the
+decision count is returned with the trail and that the branching rule
+follows the oracle's.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from wittsat.algebra import ResourceLimitError
 from wittsat.cnf import Assignment, CnfFormula
@@ -48,11 +52,11 @@ def _dpll_solve(clauses: list[frozenset[int]], decision_budget: int | None):
         if clauses is None:
             if not branches:
                 return None, decisions
-            saved, mark, v = branches.pop()
+            saved, mark, lit = branches.pop()
             del trail[mark:]
-            clauses = _dpll_assign(saved, -v)
+            clauses = _dpll_assign(saved, -lit)
             if clauses is not None:
-                trail.append(-v)
+                trail.append(-lit)
             continue
         if not clauses:
             return trail, decisions
@@ -61,8 +65,10 @@ def _dpll_solve(clauses: list[frozenset[int]], decision_budget: int | None):
             clauses = _dpll_assign(clauses, unit)
             trail.append(unit)
             continue
-        lits = set().union(*clauses)
-        pure = next((l for l in sorted(lits, key=abs) if -l not in lits), None)
+        occurrences = Counter(lit for c in clauses for lit in c)
+        pure = next(
+            (l for l in sorted(occurrences, key=abs) if -l not in occurrences), None
+        )
         if pure is not None:
             clauses = _dpll_assign(clauses, pure)
             trail.append(pure)
@@ -72,7 +78,8 @@ def _dpll_solve(clauses: list[frozenset[int]], decision_budget: int | None):
             raise ResourceLimitError(
                 f"DPLL search exceeded {decision_budget} decisions"
             )
-        v = min(abs(l) for l in lits)
-        branches.append((clauses, len(trail), v))
-        clauses = _dpll_assign(clauses, v)
-        trail.append(v)
+        # the most occurrences, ties to 1..n before -n..-1
+        lit = min(occurrences, key=lambda l: (-occurrences[l], l < 0, l))
+        branches.append((clauses, len(trail), lit))
+        clauses = _dpll_assign(clauses, lit)
+        trail.append(lit)

@@ -2,9 +2,9 @@
 plane dump run without numpy, and the numpy-backed layers (encoding,
 algebra, ortho) load on the first call that needs them.  Neither the
 import nor the numpy-free commands load ``dataclasses``, ``inspect`` or
-``traceback``; a defect loads ``traceback`` to print itself.  Every test
-that counts modules runs in an interpreter of its own, since this one has
-imported them all."""
+``traceback``; a defect loads ``traceback`` to print itself, and only
+``--json`` output loads ``json``.  Every test that counts modules runs in
+an interpreter of its own, since this one has imported them all."""
 
 import json
 import os
@@ -173,6 +173,21 @@ def test_commands_call_the_lazy_names_by_their_cli_names(
     assert main(["models", files["sat"]]) == 0
     capsys.readouterr()
     assert calls == set(names)
+
+
+def test_only_json_output_loads_json(files):
+    # the script itself must not import json, so it prints its result by hand
+    script = """
+import contextlib, io, sys
+import wittsat.cli
+loaded = ["json" in sys.modules]
+for flags in ([], ["--json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        wittsat.cli.main(["check", "--route", "dpll", sys.argv[1], *flags])
+    loaded.append("json" in sys.modules)
+print(str(loaded).lower())
+"""
+    assert fresh_python(script, files["sat"]) == [False, False, True]
 
 
 def test_a_defect_loads_traceback_to_print_itself(files):
