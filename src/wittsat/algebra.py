@@ -15,13 +15,12 @@ opposite idempotents multiplied) shows up as a 00 field.
 
 from __future__ import annotations
 
-import numbers
 from functools import lru_cache
 from typing import Generator, Mapping
 
 import numpy as np
 
-from .cnf import Assignment, ResourceLimitError
+from .cnf import Assignment
 
 # Diagonal pattern fields, two bits per position.  AND implements the
 # positionwise product: the identity factor keeps anything, equal idempotents
@@ -29,13 +28,6 @@ from .cnf import Assignment, ResourceLimitError
 D_QP = 0b01  # q_i p_i   (variable i true)
 D_PQ = 0b10  # p_i q_i   (variable i false)
 D_ID = 0b11  # {q_i, p_i}, the identity factor
-
-# Cap on n for omega_element, which holds one pattern per assignment.
-EXPAND_LIMIT = 24
-
-
-class ExpansionLimitError(ResourceLimitError):
-    """The volume element would span more positions than allowed."""
 
 
 def _check_n(n) -> None:
@@ -90,129 +82,21 @@ def identity_count(pattern: int, n: int) -> int:
 class DiagonalElement:
     """Sparse integer combination of commuting idempotent patterns.
 
-    ``terms`` maps packed patterns to nonzero integer coefficients.  Instances
-    are not mutated after construction.  Equality is semantic: two elements
-    are equal when they evaluate to the same integer on every one of the 2^n
-    assignments, whatever sparse form each is stored in.
+    ``terms`` maps packed patterns to nonzero integer coefficients.  The
+    element holds the dict it is given, unchecked: the encoder builds it
+    from clauses the parser has already validated.  Instances are not
+    mutated after construction.
     """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[int, int] | None = None):
-        _check_n(n)
-        clean: dict[int, int] = {}
-        if terms:
-            top = 1 << (2 * n)
-            for pat, c in terms.items():
-                if not 0 <= pat < top or not pattern_alive(pat, n):
-                    raise ValueError(f"invalid pattern {pat:#x} for n={n}")
-                if not isinstance(c, numbers.Integral):
-                    raise TypeError(f"coefficients are integers, got {c!r}")
-                if c:
-                    clean[pat] = int(c)
+    def __init__(self, n: int, terms: dict[int, int]):
         self.n = n
-        self.terms = clean
+        self.terms = terms
 
     @property
     def term_count(self) -> int:
         return len(self.terms)
-
-    def is_zero(self) -> bool:
-        return zero_test_splits(self)[0]
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, DiagonalElement):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __add__(self, other: "DiagonalElement") -> "DiagonalElement":
-        if not isinstance(other, DiagonalElement):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
-        merged = dict(self.terms)
-        for pat, c in other.terms.items():
-            nc = merged.get(pat, 0) + c
-            if nc:
-                merged[pat] = nc
-            elif pat in merged:
-                del merged[pat]
-        return DiagonalElement(self.n, merged)
-
-    def __neg__(self) -> "DiagonalElement":
-        return DiagonalElement(self.n, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other: "DiagonalElement") -> "DiagonalElement":
-        if not isinstance(other, DiagonalElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, DiagonalElement):
-            return diag_mul(self, other)
-        if isinstance(other, numbers.Integral):
-            k = int(other)
-            if k == 0:
-                return DiagonalElement(self.n, {})
-            return DiagonalElement(self.n, {p: c * k for p, c in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"DiagonalElement(n={self.n}, terms={self.term_count})"
-
-def diag_mul(a: DiagonalElement, b: DiagonalElement) -> DiagonalElement:
-    """Product in the idempotent subalgebra (positionwise AND of patterns)."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} != {b.n}")
-    out: dict[int, int] = {}
-    n = a.n
-    for p1, c1 in a.terms.items():
-        for p2, c2 in b.terms.items():
-            r = p1 & p2
-            if not pattern_alive(r, n):
-                continue
-            nc = out.get(r, 0) + c1 * c2
-            if nc:
-                out[r] = nc
-            elif r in out:
-                del out[r]
-    return DiagonalElement(n, out)
-
-
-def identity_element(n: int) -> DiagonalElement:
-    """The multiplicative unit: the all-identity pattern."""
-    _check_n(n)
-    return DiagonalElement(n, {_all_identity(n): 1})
-
-
-def omega_element(n: int) -> DiagonalElement:
-    """The volume element gamma_1 ... gamma_2n as a product of commutators.
-
-    Each position contributes q_ip_i - p_iq_i, so the expansion carries one
-    full pattern per assignment with sign (-1)^(number of false positions).
-    """
-    _check_n(n)
-    if n > EXPAND_LIMIT:
-        raise ExpansionLimitError(
-            f"volume element over n={n} exceeds limit {EXPAND_LIMIT}"
-        )
-    terms = {0: 1}
-    for i in range(n):
-        nxt: dict[int, int] = {}
-        for pat, c in terms.items():
-            nxt[pat | (D_QP << (2 * i))] = c
-            nxt[pat | (D_PQ << (2 * i))] = -c
-        terms = nxt
-    return DiagonalElement(n, terms)
 
 
 def cofactor_leaves(

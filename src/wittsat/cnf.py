@@ -1,4 +1,4 @@
-"""DIMACS CNF input, clause and assignment structures, serialization."""
+"""DIMACS CNF input, clause and assignment structures."""
 
 from __future__ import annotations
 
@@ -32,23 +32,16 @@ class ParseWarning(UserWarning):
 
 class Clause(tuple):
     """A disjunction of literals, as a tuple of nonzero signed ints: ``v``
-    is variable v and ``-v`` its negation.  Never empty; duplicates are
-    rejected here and silently dropped by :meth:`from_ints`.  A clause
-    containing both polarities of a variable is kept but flagged
-    tautological: it is made a :class:`_TautologicalClause`, so the flag
-    is worked out once, when the clause is made."""
+    is variable v and ``-v`` its negation.  Never empty; a repeated literal
+    is dropped, keeping the first occurrence's order.  A clause containing
+    both polarities of a variable is kept but flagged tautological: it is
+    made a :class:`_TautologicalClause`, so the flag is worked out once,
+    when the clause is made."""
 
     __slots__ = ()
     is_tautological = False
 
     def __new__(cls, lits: Iterable[int]):
-        lits = tuple(lits)
-        if len(set(lits)) != len(lits):
-            raise ValueError("duplicate literals; use Clause.from_ints to deduplicate")
-        return cls.from_ints(lits)
-
-    @classmethod
-    def from_ints(cls, lits: Iterable[int]) -> "Clause":
         lits = tuple(lits)
         if not lits:
             raise ValueError("empty clause; track it on the formula instead")
@@ -176,10 +169,6 @@ class CnfFormula(Frozen):
     def has_empty_clause(self) -> bool:
         return self.empty_clause_count > 0
 
-    @classmethod
-    def from_ints(cls, n: int, clause_ints: Iterable[Iterable[int]]) -> "CnfFormula":
-        return cls(n, tuple(Clause.from_ints(c) for c in clause_ints))
-
 
 _HEADER = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)")
 
@@ -230,7 +219,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         body.append(line)
     toks = " ".join(body).split()
     try:
-        lits = list(map(int, toks))
+        lits = tuple(map(int, toks))
     except ValueError:
         lits = None
     if lits is None or "-0" in toks or max(map(abs, lits), default=0) > n:
@@ -240,13 +229,13 @@ def parse_dimacs(text: str) -> CnfFormula:
     for _ in range(lits.count(0)):
         end = lits.index(0, start)
         if end > start:
-            clauses.append(Clause.from_ints(lits[start:end]))
+            clauses.append(Clause(lits[start:end]))
         else:
             empties += 1
         start = end + 1
     if start < len(lits):
         warnings.warn("unterminated final clause (missing trailing 0)", ParseWarning)
-        clauses.append(Clause.from_ints(lits[start:]))
+        clauses.append(Clause(lits[start:]))
     found = len(clauses) + empties
     if found != declared:
         warnings.warn(
@@ -276,10 +265,3 @@ def _first_token_error(lines: list[str], header_ln: int, n: int) -> DimacsError:
                     f"line {ln}: variable {abs(lit)} exceeds declared {n}"
                 )
     raise RuntimeError("no bad token after the header; this is a defect")
-
-
-def serialize_dimacs(f: CnfFormula) -> str:
-    lines = [f"p cnf {f.n} {f.m}"]
-    lines.extend(str(c) for c in f.clauses)
-    lines.extend("0" for _ in range(f.empty_clause_count))
-    return "\n".join(lines) + "\n"

@@ -36,7 +36,6 @@ from .algebra import (
     D_PQ,
     D_QP,
     DiagonalElement,
-    ResourceLimitError,
     _all_identity,
     cofactor_leaves,
     identity_count,
@@ -45,7 +44,7 @@ from .algebra import (
     pattern_field,
     zero_test_splits,
 )
-from .cnf import Assignment, Clause, CnfFormula
+from .cnf import Assignment, Clause, CnfFormula, ResourceLimitError
 
 DEFAULT_TERM_BUDGET = 1 << 20
 DEFAULT_CELL_BUDGET = 1 << 22

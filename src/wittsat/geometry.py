@@ -21,8 +21,7 @@ FREE = 0
 
 
 class WittVector(Frozen):
-    """One basis null vector, p_i or q_i; the index is the 1-based position.
-    Vectors order by position, then p before q."""
+    """One basis null vector, p_i or q_i; the index is the 1-based position."""
 
     __slots__ = ("index", "kind")
 
@@ -34,11 +33,6 @@ class WittVector(Frozen):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "_key", (index, kind))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key < other._key
-        return NotImplemented
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"

@@ -84,21 +84,6 @@ class OrthogonalMatrix(Frozen):
         return len(self.entries)
 
 
-class NullFrame(Frozen):
-    """A basis of a totally null plane: rows of shape (dim, 2n)."""
-
-    __slots__ = ("vectors",)
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, vectors: np.ndarray):
-        v = np.array(vectors, dtype=float)
-        if v.ndim != 2 or v.shape[1] % 2 != 0:
-            raise ValueError("frame rows must live in R^(2n)")
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
-
-
 def neutral_gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pairwise B values between the rows of u and v in R^(2n), or between
     matching row blocks of two stacks of them."""
@@ -107,9 +92,9 @@ def neutral_gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             - u[..., n:] @ np.swapaxes(v[..., n:], -1, -2))
 
 
-def mtnp_from_isometry(t: OrthogonalMatrix) -> NullFrame:
-    """The graph plane of t: row i is (e_i, t e_i)."""
-    return NullFrame(np.hstack([np.eye(t.n), t.entries.T]))
+def mtnp_from_isometry(t: OrthogonalMatrix) -> np.ndarray:
+    """The graph plane of t as an (n, 2n) array: row i is (e_i, t e_i)."""
+    return np.hstack([np.eye(t.n), t.entries.T])
 
 
 def _column_signs(m: np.ndarray, tol: float) -> np.ndarray:
@@ -171,11 +156,6 @@ def haar_samples(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def sample_orthogonal(n: int, seed: int) -> OrthogonalMatrix:
-    """One Haar draw, deterministic per seed."""
-    return OrthogonalMatrix(haar_samples(n, 1, np.random.default_rng(seed))[0])
-
-
 def _witt_residual(p: np.ndarray, q: np.ndarray):
     """The largest error of 2 B(p_i, q_j) = delta_ij and of both sides being
     null, for one basis or for each basis of a stack (NaN if any entry is)."""
@@ -191,7 +171,7 @@ class WittBasis(Frozen):
     ``residual`` is the largest error of the three, as measured when the
     basis is checked against tol."""
 
-    __slots__ = ("p_vectors", "q_vectors", "tol", "residual")
+    __slots__ = ("p_vectors", "q_vectors", "residual")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -212,7 +192,6 @@ class WittBasis(Frozen):
         q.setflags(write=False)
         object.__setattr__(self, "p_vectors", p)
         object.__setattr__(self, "q_vectors", q)
-        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "residual", residual)
 
 
@@ -286,8 +265,8 @@ def rebase_residuals(
     """How exactly the input planes take the p/q coordinate shape: the
     basis's measured Witt residual, and the largest q coordinate of t1's
     plane and p coordinate of t2's, both of which should vanish."""
-    a = mtnp_from_isometry(t1).vectors
-    b = mtnp_from_isometry(t2).vectors
+    a = mtnp_from_isometry(t1)
+    b = mtnp_from_isometry(t2)
     return {
         "pairing": basis.residual,
         "p_side": float(np.abs(2.0 * neutral_gram(a, basis.p_vectors)).max()),
@@ -386,16 +365,6 @@ def orthogonal_cover_report(
         "seed": seed,
         "n": n,
     }
-
-
-def matrix_to_text(m) -> str:
-    """Plain-text form: first line n, then n rows of n entries."""
-    a = np.asarray(getattr(m, "entries", m), dtype=float)
-    n = a.shape[0]
-    lines = [str(n)]
-    for row in a:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def matrices_from_text(text: str) -> list[np.ndarray]:

@@ -1,5 +1,6 @@
 """Paper constructions on single basis terms and point values that the tests
-check the term engine and the null planes against.
+check the term engine and the null planes against, and the arithmetic of
+diagonal elements that the program itself never runs.
 
 Full basis terms s_1 ... s_n take one factor per position from q_ip_i,
 p_iq_i, p_i and q_i, packed two bits per position like the diagonal
@@ -12,17 +13,151 @@ so), because the matrix backend in tests/oracle_reference.py builds on it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from wittsat.algebra import (
     D_PQ,
     D_QP,
     DiagonalElement,
+    _all_identity,
     _check_n,
     _low_field_bits,
+    pattern_alive,
     pattern_field,
+    zero_test_splits,
 )
+
+
+class CheckedElement(DiagonalElement):
+    """The program's sparse element, validated on construction and given
+    the ring operations.
+
+    The constructor checks that every pattern is in range and alive and
+    that every coefficient is an integer, and drops zero coefficients;
+    ``CheckedElement.of(a)`` puts an element the program built through
+    those checks.  Equality is semantic: two elements are equal when they
+    evaluate to the same integer on every one of the 2^n assignments,
+    whatever sparse form each is stored in, and an element of the program's
+    own class compares through its terms the same way.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n: int, terms: Mapping[int, int] | None = None):
+        _check_n(n)
+        clean: dict[int, int] = {}
+        if terms:
+            top = 1 << (2 * n)
+            for pat, c in terms.items():
+                if not 0 <= pat < top or not pattern_alive(pat, n):
+                    raise ValueError(f"invalid pattern {pat:#x} for n={n}")
+                if not isinstance(c, numbers.Integral):
+                    raise TypeError(f"coefficients are integers, got {c!r}")
+                if c:
+                    clean[pat] = int(c)
+        super().__init__(n, clean)
+
+    @classmethod
+    def of(cls, a: DiagonalElement) -> "CheckedElement":
+        return cls(a.n, a.terms)
+
+    def is_zero(self) -> bool:
+        return zero_test_splits(self)[0]
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __eq__(self, other):
+        if not isinstance(other, DiagonalElement):
+            return NotImplemented
+        if self.n != other.n:
+            return False
+        return (self - CheckedElement.of(other)).is_zero()
+
+    __hash__ = None
+
+    def __add__(self, other: "CheckedElement") -> "CheckedElement":
+        if not isinstance(other, CheckedElement):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
+        merged = dict(self.terms)
+        for pat, c in other.terms.items():
+            nc = merged.get(pat, 0) + c
+            if nc:
+                merged[pat] = nc
+            elif pat in merged:
+                del merged[pat]
+        return CheckedElement(self.n, merged)
+
+    def __neg__(self) -> "CheckedElement":
+        return CheckedElement(self.n, {p: -c for p, c in self.terms.items()})
+
+    def __sub__(self, other: "CheckedElement") -> "CheckedElement":
+        if not isinstance(other, CheckedElement):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, CheckedElement):
+            return diag_mul(self, other)
+        if isinstance(other, numbers.Integral):
+            k = int(other)
+            if k == 0:
+                return CheckedElement(self.n, {})
+            return CheckedElement(self.n, {p: c * k for p, c in self.terms.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        return f"CheckedElement(n={self.n}, terms={self.term_count})"
+
+
+def diag_mul(a: DiagonalElement, b: DiagonalElement) -> CheckedElement:
+    """Product in the idempotent subalgebra (positionwise AND of patterns)."""
+    if a.n != b.n:
+        raise ValueError(f"dimension mismatch: {a.n} != {b.n}")
+    out: dict[int, int] = {}
+    n = a.n
+    for p1, c1 in a.terms.items():
+        for p2, c2 in b.terms.items():
+            r = p1 & p2
+            if not pattern_alive(r, n):
+                continue
+            nc = out.get(r, 0) + c1 * c2
+            if nc:
+                out[r] = nc
+            elif r in out:
+                del out[r]
+    return CheckedElement(n, out)
+
+
+def identity_element(n: int) -> CheckedElement:
+    """The multiplicative unit: the all-identity pattern."""
+    _check_n(n)
+    return CheckedElement(n, {_all_identity(n): 1})
+
+
+def omega_element(n: int) -> CheckedElement:
+    """The volume element gamma_1 ... gamma_2n as a product of commutators.
+
+    Each position contributes q_ip_i - p_iq_i, so the expansion carries one
+    full pattern per assignment with sign (-1)^(number of false positions):
+    2^n patterns, so keep n small.
+    """
+    _check_n(n)
+    terms = {0: 1}
+    for i in range(n):
+        nxt: dict[int, int] = {}
+        for pat, c in terms.items():
+            nxt[pat | (D_QP << (2 * i))] = c
+            nxt[pat | (D_PQ << (2 * i))] = -c
+        terms = nxt
+    return CheckedElement(n, terms)
+
 
 # Full-term symbols, two bits per position; the high bit marks odd grade.
 S_QP = 0b00  # q_i p_i
@@ -151,7 +286,7 @@ def eval_at(a: DiagonalElement, assignment) -> int:
     return sum(c for pat, c in a.terms.items() if sig & pat == sig)
 
 
-def assignment_element(assignment) -> DiagonalElement:
+def assignment_element(assignment) -> CheckedElement:
     """The primitive idempotent selecting exactly one assignment."""
     values = _values_of(assignment)
-    return DiagonalElement(len(values), {_sigma_pattern(values): 1})
+    return CheckedElement(len(values), {_sigma_pattern(values): 1})

@@ -13,8 +13,7 @@ assigned: every assignment that is not a branching's own sign).
 
 from __future__ import annotations
 
-from wittsat.algebra import ResourceLimitError
-from wittsat.cnf import CnfFormula
+from wittsat.cnf import CnfFormula, ResourceLimitError
 
 
 def reference_cover(f: CnfFormula, decision_budget: int | None = None):

@@ -1,11 +1,12 @@
 """A frozen copy of the DIMACS parser the package used before its clauses
 became integer tuples, kept only as the reference the parser is compared
-against (``test_cnf.py``).  It is not part of the package.
+against (``test_cnf.py``), and the DIMACS writer the tests make input
+files with.  Neither is part of the package.
 
-It reads the text token by token, one ``int()`` and one check per token.
-The only changes from the original are that a clause is deduplicated in
-place, as ``Clause.from_ints`` did through its ``Literal`` objects, and
-that the result is a plain :class:`ReferenceParse` instead of a formula.
+The parser reads the text token by token, one ``int()`` and one check per
+token.  The only changes from the original are that a clause is
+deduplicated in place, as ``Clause`` does, and that the result is a plain
+:class:`ReferenceParse` instead of a formula.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 import warnings
 from typing import NamedTuple
 
-from wittsat.cnf import DimacsError, ParseWarning
+from wittsat.cnf import CnfFormula, DimacsError, ParseWarning
 
 
 class ReferenceParse(NamedTuple):
@@ -90,3 +91,11 @@ def _dedup(lits: list[int]) -> tuple[int, ...]:
         seen.add(lit)
         out.append(lit)
     return tuple(out)
+
+
+def serialize_dimacs(f: CnfFormula) -> str:
+    """The formula as DIMACS text that ``parse_dimacs`` reads back to it."""
+    lines = [f"p cnf {f.n} {f.m}"]
+    lines.extend(str(c) for c in f.clauses)
+    lines.extend("0" for _ in range(f.empty_clause_count))
+    return "\n".join(lines) + "\n"

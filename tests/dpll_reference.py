@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from wittsat.algebra import ResourceLimitError
-from wittsat.cnf import Assignment, CnfFormula
+from wittsat.cnf import Assignment, CnfFormula, ResourceLimitError
 
 
 def reference_dpll(f: CnfFormula, decision_budget: int | None = None):

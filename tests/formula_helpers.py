@@ -1,13 +1,19 @@
-"""Seeded clauses and formulas drawn from a numpy Generator, and every
-clause over a few variables."""
+"""Formulas built from literal tuples, seeded clauses and formulas drawn
+from a numpy Generator, and every clause over a few variables."""
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 import numpy as np
 
-from wittsat.cnf import CnfFormula
+from wittsat.cnf import Clause, CnfFormula
+
+
+def formula_from_ints(n: int, clause_ints: Iterable[Iterable[int]]) -> CnfFormula:
+    """The formula over variables 1..n with one clause per literal tuple."""
+    return CnfFormula(n, tuple(Clause(c) for c in clause_ints))
 
 
 def clause_universe(n: int) -> list[tuple[int, ...]]:
@@ -34,4 +40,4 @@ def random_formula(
     for _ in range(m):
         width = int(rng.integers(1, top + 1))
         clauses.append(random_clause(rng, n, width))
-    return CnfFormula.from_ints(n, clauses)
+    return formula_from_ints(n, clauses)

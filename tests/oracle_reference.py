@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wittsat.algebra import (
-    D_ID,
-    DiagonalElement,
-    ResourceLimitError,
-    pattern_field,
-)
-from wittsat.cnf import Assignment, CnfFormula
+from wittsat.algebra import D_ID, DiagonalElement, pattern_field
+from wittsat.cnf import Assignment, CnfFormula, ResourceLimitError
 
 from algebra_reference import EFBTerm, NullVector
 

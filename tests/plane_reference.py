@@ -2,7 +2,9 @@
 and the orthogonal-group layer against: the three readings of "the
 assignment falsifies the clause", the expansion of a clause into basis
 terms, strict membership of a clause plane in an isometry's graph plane,
-and the intersection dimension of two graph planes.
+and the intersection dimension of two graph planes.  It also holds the
+seeded orthogonal draws and the plain-text matrix writer that the tests
+feed ``rebase`` with.
 """
 
 from __future__ import annotations
@@ -11,13 +13,7 @@ import itertools
 
 import numpy as np
 
-from wittsat.algebra import (
-    D_PQ,
-    D_QP,
-    DiagonalElement,
-    diag_mul,
-    pattern_bits,
-)
+from wittsat.algebra import D_PQ, D_QP, pattern_bits
 from wittsat.cnf import Assignment, Clause, TautologyError
 from wittsat.geometry import (
     FREE,
@@ -28,13 +24,15 @@ from wittsat.geometry import (
     mtnp_of_assignment,
     tnp_of_clause,
 )
-from wittsat.ortho import VERIFY_TOL, NullFrame, OrthogonalMatrix, _column_signs
+from wittsat.ortho import VERIFY_TOL, OrthogonalMatrix, _column_signs, haar_samples
 
 from algebra_reference import (
     S_PQ,
     S_QP,
+    CheckedElement,
     EFBTerm,
     assignment_element,
+    diag_mul,
     mtnp_of_spinor,
 )
 
@@ -45,7 +43,7 @@ def falsified_by(clause: Clause, assignment: Assignment) -> bool:
     return set(assignment.to_ints()).isdisjoint(clause)
 
 
-def encode_clause(clause: Clause, n: int) -> DiagonalElement:
+def encode_clause(clause: Clause, n: int) -> CheckedElement:
     """The idempotent selecting the clause's unique falsifying pattern.
 
     A positive literal contributes the variable-false factor p_iq_i, a
@@ -56,7 +54,7 @@ def encode_clause(clause: Clause, n: int) -> DiagonalElement:
     if clause.is_tautological:
         raise TautologyError(f"tautological clause {clause} has no falsifier")
     fixed = {abs(lit): (D_PQ if lit > 0 else D_QP) for lit in clause}
-    return DiagonalElement(n, {pattern_bits(n, fixed): 1})
+    return CheckedElement(n, {pattern_bits(n, fixed): 1})
 
 
 def matches(signs: SignVector, pattern: TernaryPattern) -> bool:
@@ -164,15 +162,32 @@ def strict_membership(
 
 
 def intersect_dim(
-    f1: NullFrame, f2: NullFrame, rel_cutoff: float = SV_RELATIVE_CUTOFF
+    f1: np.ndarray, f2: np.ndarray, rel_cutoff: float = SV_RELATIVE_CUTOFF
 ) -> int:
-    """dim(span1) + dim(span2) - rank of the stacked rows."""
-    if f1.vectors.shape[1] != f2.vectors.shape[1]:
+    """dim(span1) + dim(span2) - rank of the stacked rows of two frames,
+    each a (dim, 2n) array."""
+    if f1.shape[1] != f2.shape[1]:
         raise ValueError("frames live in different ambient spaces")
-    stacked = np.vstack([f1.vectors, f2.vectors])
+    stacked = np.vstack([f1, f2])
     sv = np.linalg.svd(stacked, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         rank = 0
     else:
         rank = int((sv > rel_cutoff * sv[0]).sum())
-    return len(f1.vectors) + len(f2.vectors) - rank
+    return len(f1) + len(f2) - rank
+
+
+def sample_orthogonal(n: int, seed: int) -> OrthogonalMatrix:
+    """One Haar draw, deterministic per seed."""
+    return OrthogonalMatrix(haar_samples(n, 1, np.random.default_rng(seed))[0])
+
+
+def matrix_to_text(m) -> str:
+    """The plain-text form ``rebase`` reads: first line n, then n rows of n
+    entries."""
+    a = np.asarray(getattr(m, "entries", m), dtype=float)
+    n = a.shape[0]
+    lines = [str(n)]
+    for row in a:
+        lines.append(" ".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from wittsat.algebra import D_ID, D_PQ, D_QP, DiagonalElement, diag_mul
+from wittsat.algebra import D_ID, D_PQ, D_QP
 from wittsat.cnf import Assignment, Clause, CnfFormula
 from wittsat.encoding import (
     TermBudgetError,
@@ -34,13 +34,20 @@ from wittsat.ortho import (
 )
 
 from algebra_reference import (
+    CheckedElement,
     EFBTerm,
     NullVector,
+    diag_mul,
     eval_at,
     mtnp_of_spinor,
     vector_action,
 )
-from formula_helpers import clause_universe, random_clause, random_formula
+from formula_helpers import (
+    clause_universe,
+    formula_from_ints,
+    random_clause,
+    random_formula,
+)
 from oracle_reference import UNSAT, GammaRep, brute_force
 from plane_reference import (
     check_intersection,
@@ -65,7 +72,7 @@ def check_unsat_equivalence(n3_cases: int = 1000, seed: int = 101) -> str:
     assert len(universe) == 8
     for mask in range(1 << len(universe)):
         chosen = [c for i, c in enumerate(universe) if (mask >> i) & 1]
-        f = CnfFormula.from_ints(2, chosen)
+        f = formula_from_ints(2, chosen)
         assert _table_unsat(f) == (brute_force(f).verdict == UNSAT)
     rng = np.random.default_rng(seed)
     for _ in range(n3_cases):
@@ -119,7 +126,7 @@ def check_model_sets(cases: int = 200, seed: int = 103) -> str:
     return f"{cases} seeded instances, n <= 10, {walked} walked sparse"
 
 
-def _random_element(rng: np.random.Generator, n: int) -> DiagonalElement:
+def _random_element(rng: np.random.Generator, n: int) -> CheckedElement:
     terms: dict[int, int] = {}
     for _ in range(int(rng.integers(1, 5))):
         pat = 0
@@ -127,7 +134,7 @@ def _random_element(rng: np.random.Generator, n: int) -> DiagonalElement:
             pat |= int(rng.choice((D_QP, D_PQ, D_ID))) << (2 * i)
         c = int(rng.integers(1, 4)) * (1 if rng.integers(0, 2) else -1)
         terms[pat] = terms.get(pat, 0) + c
-    return DiagonalElement(n, terms)
+    return CheckedElement(n, terms)
 
 
 def check_matrix_backend(pairs: int = 1000, seed: int = 104) -> str:
@@ -181,7 +188,7 @@ def check_clause_plane_intersection(cases: int = 200, seed: int = 106) -> str:
     for _ in range(cases):
         n = int(rng.integers(4, 9))
         k = int(rng.integers(1, n - 2))
-        clause = Clause.from_ints(random_clause(rng, n, k))
+        clause = Clause(random_clause(rng, n, k))
         assert check_intersection(clause, n)
     return f"{cases} seeded clauses with width < n-2, n <= 8"
 
@@ -196,7 +203,7 @@ def check_cover_equivalence(
         universe = clause_universe(n)
         for mask in range(1 << len(universe)):
             chosen = [c for i, c in enumerate(universe) if (mask >> i) & 1]
-            f = CnfFormula.from_ints(n, chosen)
+            f = formula_from_ints(n, chosen)
             total += _assert_cover_matches(f)
     rng = np.random.default_rng(seed)
     for n in (3, 4):
@@ -254,7 +261,7 @@ def check_group_sampling(samples: int = 1000, seed: int = 109) -> str:
     continuous samples is the measure-zero control, and at this odd n almost
     every sample rebases against a coordinate plane."""
     clauses = list(itertools.product((1, -1), repeat=3))
-    f = CnfFormula.from_ints(3, [tuple(s * v for v, s in zip((1, 2, 3), signs))
+    f = formula_from_ints(3, [tuple(s * v for v, s in zip((1, 2, 3), signs))
                                  for signs in clauses])
     report = orthogonal_cover_report(f, samples, seed)
     again = orthogonal_cover_report(f, samples, seed)
@@ -276,7 +283,7 @@ def check_compatibility_triangle(max_n: int = 4) -> str:
     pairs = 0
     for n in range(1, max_n + 1):
         for ints in clause_universe(n):
-            clause = Clause.from_ints(ints)
+            clause = Clause(ints)
             pattern = induced_pattern(clause, n)
             for mask in range(1 << n):
                 a = Assignment.from_mask(mask, n)

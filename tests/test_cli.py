@@ -16,12 +16,13 @@ import pytest
 
 import wittsat
 from wittsat.cli import _build_parser, main
-from wittsat.cnf import Assignment, CnfFormula, serialize_dimacs
+from wittsat.cnf import Assignment, CnfFormula
 from wittsat.oracle import dpll
-from wittsat.ortho import matrix_to_text, sample_orthogonal
 
-from formula_helpers import random_clause
+from dimacs_reference import serialize_dimacs
+from formula_helpers import formula_from_ints, random_clause
 from oracle_reference import brute_force
+from plane_reference import matrix_to_text, sample_orthogonal
 from test_cnf import independent_pairs, pigeonhole, two_wide_clauses
 
 SAT_TEXT = "p cnf 2 2\n1 2 0\n-1 0\n"
@@ -262,7 +263,7 @@ def test_decision_budget_exit_code(tmp_path, capsys):
 
 def _random_file(tmp_path, n, ratio, seed):
     rng = np.random.default_rng(seed)
-    f = CnfFormula.from_ints(
+    f = formula_from_ints(
         n, [random_clause(rng, n, 3) for _ in range(round(ratio * n))]
     )
     path = tmp_path / f"random-{n}-{ratio}-{seed}.cnf"
@@ -354,16 +355,16 @@ def _slab_corpus():
                      (20, 4.26), (21, 2.0), (22, 1.0), (22, 4.26)):
         rng = np.random.default_rng(19000 + 10 * n + int(ratio))
         clauses = [random_clause(rng, n, 3) for _ in range(round(ratio * n))]
-        cases.append((f"n{n}-r{ratio}", CnfFormula.from_ints(n, clauses)))
+        cases.append((f"n{n}-r{ratio}", formula_from_ints(n, clauses)))
     rng = np.random.default_rng(19100)
     base = [random_clause(rng, 16, 3) for _ in range(32)]
     units = [(-1,), (5,), (-15,)]  # a leading, a row and a lane variable
-    cases.append(("units", CnfFormula.from_ints(16, base + units)))
+    cases.append(("units", formula_from_ints(16, base + units)))
     tautologies = [(1, -1, 5), (-3, 9, 3)]
-    cases.append(("tautologies", CnfFormula.from_ints(16, base + tautologies)))
-    with_empty = CnfFormula(17, CnfFormula.from_ints(17, base).clauses, 1)
+    cases.append(("tautologies", formula_from_ints(16, base + tautologies)))
+    with_empty = CnfFormula(17, formula_from_ints(17, base).clauses, 1)
     cases.append(("empty-clause", with_empty))
-    cases.append(("no-live-clause", CnfFormula.from_ints(15, tautologies)))
+    cases.append(("no-live-clause", formula_from_ints(15, tautologies)))
     return cases
 
 
@@ -492,7 +493,7 @@ def test_models_lists_past_the_cell_budget(tmp_path, capsys, n):
     rng = np.random.default_rng(n)
     units = [(v if rng.integers(2) else -v,) for v in range(1, n - 9)]
     wide = tuple(v if rng.integers(2) else -v for v in range(n - 9, n + 1))
-    f = CnfFormula.from_ints(n, units + [wide])
+    f = formula_from_ints(n, units + [wide])
     path = tmp_path / f"units-{n}.cnf"
     path.write_text(serialize_dimacs(f))
     assert main(["models", str(path), "--json"]) == 0
@@ -573,7 +574,7 @@ def _all_sign_file(tmp_path, n, seed):
     clauses = [(sa * a, sb * b, sc * c)
                for sa in (1, -1) for sb in (1, -1) for sc in (1, -1)]
     path = tmp_path / f"all-sign-{n}.cnf"
-    path.write_text(serialize_dimacs(CnfFormula.from_ints(n, clauses)))
+    path.write_text(serialize_dimacs(formula_from_ints(n, clauses)))
     return str(path)
 
 

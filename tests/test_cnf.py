@@ -15,57 +15,51 @@ from wittsat.cnf import (
     DimacsError,
     ParseWarning,
     parse_dimacs,
-    serialize_dimacs,
 )
 from wittsat.geometry import SignVector, TernaryPattern, TotallyNullPlane, WittVector
 from wittsat.ortho import (
     CONSTRUCTION_TOL,
     NonOrthogonalMatrixError,
-    NullFrame,
     OrthogonalMatrix,
     WittBasis,
 )
 
-from dimacs_reference import reference_parse_dimacs
+from dimacs_reference import reference_parse_dimacs, serialize_dimacs
+from formula_helpers import formula_from_ints
 from plane_reference import falsified_by
 
 
 def test_literal_int_round_trip():
     # a literal is its signed int: v is variable v, -v its negation
-    c = Clause.from_ints((3, -7))
+    c = Clause((3, -7))
     assert c == (3, -7) and type(c[0]) is int
     assert str(c) == "3 -7 0"
     assert parse_dimacs(f"p cnf 7 1\n{c}\n").clauses == (c,)
     for lits in [(0,), (2, 0), (0, -1)]:
         with pytest.raises(ValueError, match="0 is not a literal"):
-            Clause.from_ints(lits)
-        with pytest.raises(ValueError, match="0 is not a literal"):
             Clause(lits)
 
 
-def test_clause_rejects_empty_and_duplicates():
-    for make in (Clause, Clause.from_ints):
-        with pytest.raises(ValueError, match="empty clause"):
-            make(())
-    with pytest.raises(ValueError, match="duplicate literals"):
-        Clause((1, 1))
-    with pytest.raises(ValueError, match="duplicate literals"):
-        Clause((1, -2, 1))
+def test_clause_rejects_empty_and_drops_duplicates():
+    with pytest.raises(ValueError, match="empty clause"):
+        Clause(())
+    # a repeated literal is dropped, keeping the first occurrence's order
+    assert Clause((1, 1)) == (1,)
+    assert Clause((1, -2, 1)) == (1, -2)
     # the same variable with both signs is no duplicate
     assert Clause((1, -1)) == (1, -1)
-    # from_ints dedups instead, keeping the first occurrence's order
-    assert Clause.from_ints((1, 1, -2)) == (1, -2)
-    assert Clause.from_ints([-2, 3, -2, 3, 1]) == (-2, 3, 1)
-    assert type(Clause.from_ints((1, 1))) is Clause
+    assert Clause((1, 1, -2)) == (1, -2)
+    assert Clause([-2, 3, -2, 3, 1]) == (-2, 3, 1)
+    assert type(Clause((1, 1))) is Clause
 
 
 def test_clause_tautology_flag():
-    assert Clause.from_ints((1, -1)).is_tautological
-    assert not Clause.from_ints((1, -2)).is_tautological
+    assert Clause((1, -1)).is_tautological
+    assert not Clause((1, -2)).is_tautological
 
 
 def test_clause_satisfaction():
-    c = Clause.from_ints((1, -2))
+    c = Clause((1, -2))
     assert not falsified_by(c, Assignment((True, True)))
     assert not falsified_by(c, Assignment((False, False)))
     assert falsified_by(c, Assignment((False, True)))
@@ -94,13 +88,13 @@ def test_primitive_index_orders_variable_one_most_significant():
 
 def test_formula_validates_variable_range():
     with pytest.raises(ValueError):
-        CnfFormula.from_ints(2, [(1, 3)])
+        formula_from_ints(2, [(1, 3)])
     with pytest.raises(ValueError):
         CnfFormula(0, ())
 
 
 def test_satisfies_respects_empty_clause():
-    f = CnfFormula(2, (Clause.from_ints((1, 2)),), empty_clause_count=1)
+    f = CnfFormula(2, (Clause((1, 2)),), empty_clause_count=1)
     assert not Assignment((True, True)).satisfies(f)
     assert f.has_empty_clause and f.m == 2
 
@@ -155,12 +149,7 @@ VALUE_CLASSES = [
         ({"entries": [[2.0]]}, NonOrthogonalMatrixError,
          "orthogonality residual 3.000e+00 exceeds 1.0e-09"),
     ]),
-    (NullFrame, {"vectors": P_ROW}, {}, [
-        ({"vectors": np.ones((1, 3))}, ValueError,
-         "frame rows must live in R^(2n)"),
-    ]),
-    (WittBasis, {"p_vectors": P_ROW, "q_vectors": Q_ROW, "tol": CONSTRUCTION_TOL},
-     {"tol": CONSTRUCTION_TOL}, [
+    (WittBasis, {"p_vectors": P_ROW, "q_vectors": Q_ROW}, {}, [
         ({"q_vectors": np.ones((1, 3))}, ValueError,
          "expected matching (n, 2n) row stacks"),
         ({"q_vectors": P_ROW}, ValueError,
@@ -168,7 +157,7 @@ VALUE_CLASSES = [
     ]),
 ]
 # the numpy-backed classes: an object equals only itself
-BY_IDENTITY = (OrthogonalMatrix, NullFrame, WittBasis)
+BY_IDENTITY = (OrthogonalMatrix, WittBasis)
 
 
 @pytest.mark.parametrize(
@@ -204,12 +193,6 @@ def test_value_classes_keep_their_contract(cls, fields, defaults, rejected):
         with pytest.raises(error) as info:
             cls(**{**fields, **override})
         assert str(info.value) == message
-
-
-def test_witt_vectors_sort_by_position_then_kind():
-    vectors = [WittVector(i, k) for i in (3, 1, 2) for k in "qp"]
-    assert [str(v) for v in sorted(vectors)] == ["p1", "q1", "p2", "q2", "p3", "q3"]
-    assert sorted(vectors) == sorted(vectors, key=lambda v: (v.index, v.kind))
 
 
 def test_parse_basic_file():
@@ -323,10 +306,10 @@ def test_satisfies_matches_clause_by_clause_evaluation():
             for _ in range(rng.randint(0, 3 * n))
         ]
         f = CnfFormula(
-            n, tuple(Clause.from_ints(c) for c in raw), int(trial % 7 == 0)
+            n, tuple(Clause(c) for c in raw), int(trial % 7 == 0)
         )
         for c, lits in zip(f.clauses, raw):
-            # from_ints keeps the first of each literal, in order
+            # a clause keeps the first of each literal, in order
             assert c == tuple(dict.fromkeys(lits))
             assert c.is_tautological == any(-lit in lits for lit in lits)
         for mask in range(1 << n):
@@ -337,7 +320,7 @@ def test_satisfies_matches_clause_by_clause_evaluation():
 
 
 def test_serialize_round_trip_fixed():
-    f = CnfFormula.from_ints(3, [(1, -2), (2, 3)])
+    f = formula_from_ints(3, [(1, -2), (2, 3)])
     assert parse_dimacs(serialize_dimacs(f)) == f
 
 
@@ -361,7 +344,7 @@ def formulas(draw):
     empties = draw(st.integers(min_value=0, max_value=2))
     return CnfFormula(
         n,
-        tuple(Clause.from_ints(c) for c in clauses),
+        tuple(Clause(c) for c in clauses),
         empty_clause_count=empties,
     )
 
@@ -373,20 +356,20 @@ def independent_pairs(k):
     for i in range(k):
         a, b = 2 * i + 1, 2 * i + 2
         clauses += [(a, b), (-a, -b)]
-    return CnfFormula.from_ints(2 * k, clauses)
+    return formula_from_ints(2 * k, clauses)
 
 
 def implication_chain(n):
     """x1, x1 -> x2 -> ... -> xn, and not xn: unsatisfiable through n unit
     propagations in a row."""
     clauses = [(1,)] + [(-i, i + 1) for i in range(1, n)] + [(-n,)]
-    return CnfFormula.from_ints(n, clauses)
+    return formula_from_ints(n, clauses)
 
 
 def two_wide_clauses(n):
     """(x1 v ... v xn)(-x1 v ... v -xn): satisfiable, a 3-term product, and
     one cofactor split per variable for the algebraic zero test."""
-    return CnfFormula.from_ints(
+    return formula_from_ints(
         n, [tuple(range(1, n + 1)), tuple(-v for v in range(1, n + 1))]
     )
 
@@ -401,7 +384,7 @@ def pigeonhole(holes):
         for a in range(pigeons):
             for b in range(a + 1, pigeons):
                 clauses.append((-(a * holes + j + 1), -(b * holes + j + 1)))
-    return CnfFormula.from_ints(pigeons * holes, clauses)
+    return formula_from_ints(pigeons * holes, clauses)
 
 
 def model_bits(model):
@@ -418,7 +401,7 @@ def renamed_pigeonhole(rng, holes):
     rng.shuffle(name)
     clauses = [[name[abs(l) - 1] * (1 if l > 0 else -1) for l in c] for c in f.clauses]
     rng.shuffle(clauses)
-    return CnfFormula.from_ints(f.n, clauses)
+    return formula_from_ints(f.n, clauses)
 
 
 def random_3sat(rng, n, m, hidden=None):
@@ -430,7 +413,7 @@ def random_3sat(rng, n, m, hidden=None):
         clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
         if hidden is None or any((lit > 0) == hidden[abs(lit) - 1] for lit in clause):
             out.append(clause)
-    return CnfFormula.from_ints(n, out)
+    return formula_from_ints(n, out)
 
 
 def planted_3sat(rng, n):
@@ -443,7 +426,7 @@ def planted_3sat(rng, n):
 def wide_clauses(rng, n, m):
     """m clauses that each hold all n variables, with uniform signs: every
     satisfied clause touches n occurrence counts."""
-    return CnfFormula.from_ints(
+    return formula_from_ints(
         n, [[v if rng.random() < 0.5 else -v for v in range(1, n + 1)] for _ in range(m)]
     )
 

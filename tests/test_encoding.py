@@ -16,15 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittsat.algebra import (
-    D_ID,
-    D_PQ,
-    D_QP,
-    DiagonalElement,
-    identity_element,
-    pattern_bits,
-    zero_test_splits,
-)
+from wittsat.algebra import D_ID, D_PQ, D_QP, pattern_bits, zero_test_splits
 from wittsat.cnf import Assignment, Clause, CnfFormula, TautologyError
 from wittsat.encoding import (
     _CHUNK,
@@ -40,8 +32,8 @@ from wittsat.encoding import (
     table_slabs,
 )
 
-from algebra_reference import eval_at
-from formula_helpers import random_clause, random_formula
+from algebra_reference import CheckedElement, eval_at, identity_element
+from formula_helpers import formula_from_ints, random_clause, random_formula
 from oracle_reference import brute_force
 from plane_reference import encode_clause, falsified_by
 from table_reference import reference_table
@@ -50,18 +42,18 @@ from test_cnf import formulas, pigeonhole, two_wide_clauses
 
 
 def test_encode_clause_marks_falsifying_fields():
-    e = encode_clause(Clause.from_ints((1, -2)), 2)
+    e = encode_clause(Clause((1, -2)), 2)
     # the falsifier: a positive literal fails on pq, a negated one on qp
     assert e.terms == {pattern_bits(2, {1: D_PQ, 2: D_QP}): 1}
 
 
 def test_encode_clause_rejects_tautologies():
     with pytest.raises(TautologyError):
-        encode_clause(Clause.from_ints((1, -1)), 2)
+        encode_clause(Clause((1, -1)), 2)
 
 
 def test_encode_clause_is_the_falsification_indicator():
-    c = Clause.from_ints((1, -3))
+    c = Clause((1, -3))
     e = encode_clause(c, 3)
     for mask in range(8):
         a = Assignment.from_mask(mask, 3)
@@ -73,7 +65,7 @@ def _table_unsat(f):
 
 
 def test_single_model_formula_collapses_to_its_point():
-    f = CnfFormula.from_ints(2, [(1, 2), (-1, 2), (1, -2)])
+    f = formula_from_ints(2, [(1, 2), (-1, 2), (1, -2)])
     # the table's one set cell is the model's primitive index, 0
     assert table_cells(encode_table(f), 2).tolist() == [0]
     e = encode_formula(f)
@@ -83,34 +75,34 @@ def test_single_model_formula_collapses_to_its_point():
 
 def test_full_clause_universe_encodes_to_zero():
     # all four width-2 clauses over two variables leave nothing standing
-    f = CnfFormula.from_ints(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
+    f = formula_from_ints(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
     e = encode_formula(f)
-    assert e.is_zero()
+    assert CheckedElement.of(e).is_zero()
     assert _table_unsat(f)
     assert count_models(e) == 0 and models(e) == set()
 
 
 def test_empty_formula_is_the_identity():
-    f = CnfFormula.from_ints(3, [])
+    f = formula_from_ints(3, [])
     assert count_models(encode_formula(f)) == 8
     assert not _table_unsat(f)
 
 
 def test_empty_clause_encodes_to_zero():
-    f = CnfFormula(2, (Clause.from_ints((1, 2)),), empty_clause_count=1)
-    assert encode_formula(f).is_zero()
+    f = CnfFormula(2, (Clause((1, 2)),), empty_clause_count=1)
+    assert CheckedElement.of(encode_formula(f)).is_zero()
     assert _table_unsat(f)
 
 
 def test_tautological_clause_is_dropped_with_warning():
-    f = CnfFormula.from_ints(2, [(1, -1), (1, 2)])
+    f = formula_from_ints(2, [(1, -1), (1, 2)])
     with pytest.warns(DroppedClauseWarning):
         e = encode_formula(f)
-    assert e == encode_formula(CnfFormula.from_ints(2, [(1, 2)]))
+    assert CheckedElement.of(e) == encode_formula(formula_from_ints(2, [(1, 2)]))
 
 
 def test_term_budget_is_enforced():
-    f = CnfFormula.from_ints(
+    f = formula_from_ints(
         6, [(1, 2, 3), (4, 5, 6), (1, 4, 5), (2, 3, 6), (1, 2, 6)]
     )
     with pytest.raises(TermBudgetError):
@@ -119,7 +111,7 @@ def test_term_budget_is_enforced():
 
 def test_explicit_budget_caps_the_table_cells():
     rng = np.random.default_rng(0)
-    f = CnfFormula.from_ints(13, [random_clause(rng, 13, 3) for _ in range(55)])
+    f = formula_from_ints(13, [random_clause(rng, 13, 3) for _ in range(55)])
     table = encode_table(f, term_budget=1 << 13)
     assert np.array_equal(table, encode_table(f))
     # one cell fewer refuses the table, and the sparse product outgrows it
@@ -131,7 +123,7 @@ def test_explicit_budget_caps_the_table_cells():
 @pytest.mark.parametrize("seed", [0, 4])  # 7 models, unsatisfiable
 def test_threshold_3sat_at_n15_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
-    f = CnfFormula.from_ints(15, [random_clause(rng, 15, 3) for _ in range(64)])
+    f = formula_from_ints(15, [random_clause(rng, 15, 3) for _ in range(64)])
     expected = set(brute_force(f).models)
     table = encode_table(f)
     cells = table_cells(table, f.n).tolist()
@@ -143,16 +135,16 @@ def test_threshold_3sat_at_n15_matches_brute_force(seed):
 def test_switched_product_is_zeroed_by_later_clauses():
     # the table holds the product; the unit clauses zero all its cells
     prefix = [(1, 2), (3, 4), (5, 6)]
-    assert len(table_cells(encode_table(CnfFormula.from_ints(6, prefix)), 6)) == 27
-    f = CnfFormula.from_ints(6, prefix + [(-1,), (-2,)])
+    assert len(table_cells(encode_table(formula_from_ints(6, prefix)), 6)) == 27
+    f = formula_from_ints(6, prefix + [(-1,), (-2,)])
     e = encode_formula(f)
     assert brute_force(f).models == () and _table_unsat(f)
     assert count_models(e) == 0 and models(e) == set()
 
 
 def test_tautology_is_dropped_from_both_product_forms():
-    pairs = CnfFormula.from_ints(6, [(1, 2), (3, 4), (5, 6)])
-    tautology = CnfFormula.from_ints(6, [(1, -1)] + list(pairs.clauses))
+    pairs = formula_from_ints(6, [(1, 2), (3, 4), (5, 6)])
+    tautology = formula_from_ints(6, [(1, -1)] + list(pairs.clauses))
     with pytest.warns(DroppedClauseWarning):
         table = encode_table(tautology)
     with pytest.warns(DroppedClauseWarning):
@@ -161,7 +153,7 @@ def test_tautology_is_dropped_from_both_product_forms():
     assert len(cells) == 27 and sparse.term_count < 27
     assert {Assignment.from_primitive_index(i, 6) for i in cells} == models(sparse)
     assert np.array_equal(table, encode_table(pairs))
-    assert sparse == encode_formula(pairs)
+    assert CheckedElement.of(sparse) == encode_formula(pairs)
 
 
 def _table_set(f):
@@ -206,17 +198,17 @@ def test_packed_table_matches_satisfies(n, seed):
     ids=["lanes", "word-axes", "only-word-axis", "mixed"],
 )
 def test_packed_table_clause_placement(n, clauses):
-    _assert_table_matches_satisfies(CnfFormula.from_ints(n, clauses))
+    _assert_table_matches_satisfies(formula_from_ints(n, clauses))
 
 
 def test_packed_table_empty_clause_clears_every_cell():
     for n in (3, 6, 8):
-        f = CnfFormula(n, (Clause.from_ints((1, 2)),), empty_clause_count=1)
+        f = CnfFormula(n, (Clause((1, 2)),), empty_clause_count=1)
         assert not _table_set(f).any()
 
 
 def test_packed_table_drops_a_tautology_with_warning():
-    f = CnfFormula.from_ints(8, [(2, -2, 7), (1, -7), (3, 8)])
+    f = formula_from_ints(8, [(2, -2, 7), (1, -7), (3, 8)])
     with pytest.warns(DroppedClauseWarning):
         _assert_table_matches_satisfies(f)  # a tautology holds everywhere
 
@@ -224,7 +216,7 @@ def test_packed_table_drops_a_tautology_with_warning():
 def test_packed_table_at_n20_matches_satisfies():
     n = 20
     rng = np.random.default_rng(20001)
-    f = CnfFormula.from_ints(n, [random_clause(rng, n, 3) for _ in range(80)])
+    f = formula_from_ints(n, [random_clause(rng, n, 3) for _ in range(80)])
     got = _table_set(f)
     # every cell against a clause-by-clause evaluation of its index ...
     index = np.arange(1 << n)
@@ -277,8 +269,8 @@ def _signed(rng, variables):
 
 
 # widths 1 to n, unit clauses, repeated clauses, a repeated literal (which
-# Clause.from_ints drops), tautologies and the empty clause, at every n up
-# to the cell budget
+# Clause drops), tautologies and the empty clause, at every n up to the
+# cell budget
 @pytest.mark.parametrize("n", range(1, 23))
 @pytest.mark.parametrize("seed", range(2))
 def test_table_equals_the_reference_at_every_n(n, seed):
@@ -294,7 +286,7 @@ def test_table_equals_the_reference_at_every_n(n, seed):
         if n > 1:
             v = int(rng.integers(1, n + 1))
             clauses.append((v, -v, *random_clause(rng, n, 1)))
-        f = CnfFormula.from_ints(n, clauses)
+        f = formula_from_ints(n, clauses)
         _assert_table_matches_reference(f)
     _assert_table_matches_reference(CnfFormula(n, f.clauses, empty_clause_count=1))
 
@@ -316,7 +308,7 @@ def test_table_equals_the_reference_per_layout_part(n, seed):
         clauses.append(_signed(rng, lead))
         clauses.append(_signed(rng, lead + row[:1] + lane[:1]))
     clauses += [random_clause(rng, n, 3) for _ in range(2 * n)]
-    _assert_table_matches_reference(CnfFormula.from_ints(n, clauses))
+    _assert_table_matches_reference(formula_from_ints(n, clauses))
 
 
 def test_table_equals_the_reference_across_clause_chunks():
@@ -326,7 +318,7 @@ def test_table_equals_the_reference_across_clause_chunks():
         clauses = [
             random_clause(rng, n, int(rng.integers(1, 5))) for _ in range(m)
         ]
-        _assert_table_matches_reference(CnfFormula.from_ints(n, clauses))
+        _assert_table_matches_reference(formula_from_ints(n, clauses))
 
 
 @pytest.mark.parametrize("n", [9, 16, 18])
@@ -336,7 +328,7 @@ def test_clauses_only_the_first_chunk_holds_are_kept(n):
     rng = np.random.default_rng(17300 + n)
     clauses = [random_clause(rng, n, 4) for _ in range(_CHUNK)]
     clauses += [clauses[-1]] * (_CHUNK + 37)
-    _assert_table_matches_reference(CnfFormula.from_ints(n, clauses))
+    _assert_table_matches_reference(formula_from_ints(n, clauses))
 
 
 @pytest.mark.parametrize("n, ratio", [(3, 2.0), (6, 3.0), (14, 4.26), (15, 1.0),
@@ -347,7 +339,7 @@ def test_the_slab_walk_yields_the_table_in_order(n, ratio):
     # table's cells
     rng = np.random.default_rng(17500 + n)
     m = round(ratio * n)
-    f = CnfFormula.from_ints(n, [random_clause(rng, n, 3) for _ in range(m)])
+    f = formula_from_ints(n, [random_clause(rng, n, 3) for _ in range(m)])
     want = reference_table(f)
     rows = want.reshape(1 << max(n - 14, 0), -1)
     table, blocks = table_slabs(f)
@@ -371,7 +363,7 @@ def test_table_working_memory_does_not_grow_with_the_clauses():
     one row per clause."""
     n, m = 16, 20_000
     rng = np.random.default_rng(17400)
-    f = CnfFormula.from_ints(n, [random_clause(rng, n, 3) for _ in range(m)])
+    f = formula_from_ints(n, [random_clause(rng, n, 3) for _ in range(m)])
     table_bytes = 8 << (n - 6)
     chunk_bytes = 8 * _CHUNK << _ROW_AXES
     encode_table(f)  # the per-n literal rows are made once, not per call
@@ -386,23 +378,28 @@ def test_table_working_memory_does_not_grow_with_the_clauses():
     assert peak <= 4 * (table_bytes + chunk_bytes) < clause_rows_bytes // 10
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_unit_clauses_fold_into_the_sparse_product(seed):
-    # a unit clause multiplies in as one pattern: the sparse product equals
-    # the product built factor by factor and lists the same models
+def _units_formula(seed):
+    """Ten 3-clauses and three unit clauses over 8 variables, shuffled."""
     rng = np.random.default_rng(seed)
     n = 8
     clauses = [random_clause(rng, n, 3) for _ in range(10)]
     clauses += [random_clause(rng, n, 1) for _ in range(3)]
     rng.shuffle(clauses)
-    f = CnfFormula.from_ints(n, clauses)
+    return formula_from_ints(n, clauses)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unit_clauses_fold_into_the_sparse_product(seed):
+    # a unit clause multiplies in as one pattern: the sparse product equals
+    # the product built factor by factor and lists the same models
+    f = _units_formula(seed)
     sparse = encode_formula(f)
-    assert sparse == _clause_product(f)
+    assert CheckedElement.of(sparse) == _clause_product(f)
     assert models(sparse) == set(brute_force(f).models)
 
 
 def test_unit_clauses_alone_are_one_pattern():
-    f = CnfFormula.from_ints(5, [(1,), (-3,), (5,)])
+    f = formula_from_ints(5, [(1,), (-3,), (5,)])
     sparse = encode_formula(f)
     assert sparse.terms == {pattern_bits(5, {1: D_QP, 3: D_PQ, 5: D_QP}): 1}
 
@@ -426,15 +423,20 @@ def _clause_product(f):
     return product
 
 
-def _split_corpus():
-    """Seeded formulas and elements, each with its truth-table verdict."""
-    cases = []
+def _corpus_formulas():
+    """Seeded random 3-SAT at n = 12-16 and ratios 1-1.5."""
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n, ratio = 12 + seed % 5, (1.0, 1.25, 1.5)[seed % 3]
-        f = CnfFormula.from_ints(
+        yield formula_from_ints(
             n, [random_clause(rng, n, 3) for _ in range(round(ratio * n))]
         )
+
+
+def _split_corpus():
+    """Seeded formulas and elements, each with its truth-table verdict."""
+    cases = []
+    for f in _corpus_formulas():
         cases.append((_clause_product(f), brute_force(f).verdict == "UNSAT"))
     php = pigeonhole(3)
     cases.append((_clause_product(php), brute_force(php).verdict == "UNSAT"))
@@ -445,9 +447,9 @@ def _split_corpus():
         for _ in range(rnd.randint(2, 10)):
             pat = sum(rnd.choice((D_QP, D_PQ, D_ID)) << (2 * i) for i in range(n))
             terms[pat] = rnd.choice((-3, -2, -1, 1, 2, 3))
-        a = DiagonalElement(n, terms)
+        a = CheckedElement(n, terms)
         if k % 3 == 0:
-            a = a - DiagonalElement(n, _point_values(a))  # zero, sparse form
+            a = a - CheckedElement(n, _point_values(a))  # zero, sparse form
         zero = all(
             eval_at(a, Assignment.from_mask(m, n)) == 0 for m in range(1 << n)
         )
@@ -484,6 +486,18 @@ def test_zero_test_split_counts_are_pinned():
         assert point is None or eval_at(e, point) != 0
 
 
+def test_encoded_products_pass_the_validating_constructor():
+    # encode_formula hands its dict to the element unchecked; the reference
+    # constructor checks every pattern (in range, alive) and coefficient (an
+    # int), drops zeros, and so must keep every term as it is
+    formulas_ = [_units_formula(seed) for seed in range(6)]
+    formulas_ += list(_corpus_formulas())
+    formulas_.append(two_wide_clauses(3000))
+    for f in formulas_:
+        e = encode_formula(f)
+        assert CheckedElement.of(e).terms == e.terms
+
+
 @given(formulas())
 @settings(max_examples=150)
 def test_eval_at_matches_clause_semantics(f):
@@ -508,4 +522,4 @@ def test_encoding_is_invariant_under_clause_order(f, rnd):
     shuffled = list(f.clauses)
     rnd.shuffle(shuffled)
     g = CnfFormula(f.n, tuple(shuffled), f.empty_clause_count)
-    assert encode_formula(f) == encode_formula(g)
+    assert CheckedElement.of(encode_formula(f)) == encode_formula(g)

@@ -30,6 +30,7 @@ from wittsat.geometry import (
 
 from algebra_reference import EFBTerm, mtnp_of_spinor
 from cover_reference import reference_cover
+from formula_helpers import formula_from_ints
 from oracle_reference import brute_force
 from plane_reference import (
     check_intersection,
@@ -112,21 +113,21 @@ def test_spinor_route_matches_sign_vector_route():
 
 
 def test_clause_plane_generators():
-    plane = tnp_of_clause(Clause.from_ints((3, -1)), 4)
+    plane = tnp_of_clause(Clause((3, -1)), 4)
     assert plane.generators == (WittVector(1, "q"), WittVector(3, "p"))
     with pytest.raises(TautologyError):
-        tnp_of_clause(Clause.from_ints((1, -1)), 2)
+        tnp_of_clause(Clause((1, -1)), 2)
 
 
 def test_induced_pattern_pins_literal_slots():
-    p = induced_pattern(Clause.from_ints((1, -2)), 3)
+    p = induced_pattern(Clause((1, -2)), 3)
     assert p.to_text() == "+-*"
     with pytest.raises(TautologyError):
-        induced_pattern(Clause.from_ints((1, -1)), 2)
+        induced_pattern(Clause((1, -1)), 2)
 
 
 def test_compatible_is_falsification():
-    c = Clause.from_ints((1, -2))
+    c = Clause((1, -2))
     assert compatible(c, Assignment((False, True)), verify=True)
     assert not compatible(c, Assignment((True, True)), verify=True)
 
@@ -136,7 +137,7 @@ def test_pattern_members_are_exactly_the_falsifying_assignments():
         for ints in [(1,), (-2,), (1, -2), (-1, 2)]:
             if max(abs(i) for i in ints) > n:
                 continue
-            c = Clause.from_ints(ints)
+            c = Clause(ints)
             p = induced_pattern(c, n)
             matched = {
                 assignment_of_sign_vector(s)
@@ -154,18 +155,18 @@ def test_pattern_members_are_exactly_the_falsifying_assignments():
 def test_full_width_universe_covers_and_loses_cover_without_one():
     # the clauses of the patterns ++, +-, -+ and --
     all_four = [(1, 2), (1, -2), (-1, 2), (-1, -2)]
-    assert cover_verdict(CnfFormula.from_ints(2, all_four))[:2] == (True, None)
-    covered, w, _ = cover_verdict(CnfFormula.from_ints(2, all_four[:3]))
+    assert cover_verdict(formula_from_ints(2, all_four))[:2] == (True, None)
+    covered, w, _ = cover_verdict(formula_from_ints(2, all_four[:3]))
     assert not covered and mtnp_of_assignment(w).to_text() == "--"
 
 
 def test_witness_prefers_plus_on_free_positions():
-    covered, w, _ = cover_verdict(CnfFormula.from_ints(3, [(-1,)]))  # -**
+    covered, w, _ = cover_verdict(formula_from_ints(3, [(-1,)]))  # -**
     assert mtnp_of_assignment(w).to_text() == "+++"
 
 
 def test_formula_patterns_skip_tautologies_and_honor_empty_clause():
-    f = CnfFormula.from_ints(2, [(1, -1), (1, 2)])
+    f = formula_from_ints(2, [(1, -1), (1, 2)])
     assert [p.to_text() for p in formula_patterns(f)] == ["++"]
     g = CnfFormula(2, (), empty_clause_count=1)
     assert [p.to_text() for p in formula_patterns(g)] == ["**"]
@@ -173,19 +174,19 @@ def test_formula_patterns_skip_tautologies_and_honor_empty_clause():
 
 
 def test_psi_z_expansion_enumerates_even_completions():
-    c = Clause.from_ints((1, 2))
+    c = Clause((1, 2))
     terms = psi_z_expansion(c, 3)
     assert {str(t) for t in terms} == {"1 * pq pq qp", "1 * pq pq pq"}
     # a full-width clause pins everything: single term, no sign
-    full = psi_z_expansion(Clause.from_ints((1, -2, 3)), 3)
+    full = psi_z_expansion(Clause((1, -2, 3)), 3)
     assert [str(t) for t in full] == ["1 * pq qp pq"]
     with pytest.raises(TautologyError):
-        psi_z_expansion(Clause.from_ints((1, -1)), 2)
+        psi_z_expansion(Clause((1, -1)), 2)
 
 
 def test_expansion_plane_intersection_recovers_clause_plane():
-    assert check_intersection(Clause.from_ints((1, 2)), 6)
-    assert check_intersection(Clause.from_ints((-3,)), 5)
+    assert check_intersection(Clause((1, 2)), 6)
+    assert check_intersection(Clause((-3,)), 5)
 
 
 def test_cover_verdict_on_deep_independent_pairs():
@@ -211,7 +212,7 @@ def test_cover_verdict_on_duplicate_tautological_and_empty_clauses():
                     for v in rng.sample(range(1, n + 1), width)]
             if rng.random() < 0.2:
                 lits.append(-lits[0])  # tautology
-            clauses.append(Clause.from_ints(lits))
+            clauses.append(Clause(lits))
             if rng.random() < 0.3:
                 clauses.append(clauses[-1])  # duplicate
         f = CnfFormula(n, tuple(clauses), empty_clause_count=int(rng.random() < 0.1))
@@ -303,7 +304,7 @@ def _block_edge_formula(rng, n):
     for e in edges[:-1]:
         clauses += [(e, e + 1), (-e, -(e + 1))]
     rng.shuffle(clauses)
-    return CnfFormula.from_ints(n, clauses)
+    return formula_from_ints(n, clauses)
 
 
 def _star_formula(rng, n):
@@ -322,14 +323,14 @@ def _star_formula(rng, n):
         if bias == 1.0:
             lits = [keep[abs(l)] * abs(l) for l in lits]
         clauses.append(lits)
-    return CnfFormula.from_ints(n, clauses)
+    return formula_from_ints(n, clauses)
 
 
 def _renamed_pairs(rng, k):
     f = independent_pairs(k)
     name = list(range(1, f.n + 1))
     rng.shuffle(name)
-    return CnfFormula.from_ints(
+    return formula_from_ints(
         f.n, [[name[abs(l) - 1] * (1 if l > 0 else -1) for l in c] for c in f.clauses]
     )
 
@@ -362,7 +363,7 @@ def _backtrack_block_formula(n, extra):
     over positions 1 and 2, which cover every branch below; at -1 it kills
     them.  *extra* adds patterns as ``{position: sign}``."""
     core = [{0: 1, 1: s1, 2: s2} for s1 in (1, -1) for s2 in (1, -1)]
-    return CnfFormula.from_ints(
+    return formula_from_ints(
         n, [[(q + 1) * s for q, s in p.items()] for p in core + extra]
     )
 
@@ -419,7 +420,7 @@ def test_compatible_verify_mode_never_diverges(data):
         )
     )
     signs = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
-    clause = Clause.from_ints(tuple(v if s else -v for v, s in zip(vs, signs)))
+    clause = Clause(tuple(v if s else -v for v, s in zip(vs, signs)))
     mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     a = Assignment.from_mask(mask, n)
     compatible(clause, a, verify=True)  # raises on any divergence

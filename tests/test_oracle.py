@@ -10,21 +10,20 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittsat.algebra import (
-    D_PQ,
-    D_QP,
-    DiagonalElement,
-    ResourceLimitError,
-    identity_element,
-    omega_element,
-    pattern_bits,
-)
-from wittsat.cnf import Assignment, Clause, CnfFormula
+from wittsat.algebra import D_PQ, D_QP, DiagonalElement, pattern_bits
+from wittsat.cnf import Assignment, Clause, CnfFormula, ResourceLimitError
 from wittsat.geometry import cover_verdict
 from wittsat.oracle import dpll
 
-from algebra_reference import EFBTerm, NullVector, eval_at
+from algebra_reference import (
+    EFBTerm,
+    NullVector,
+    eval_at,
+    identity_element,
+    omega_element,
+)
 from dpll_reference import reference_dpll
+from formula_helpers import formula_from_ints
 from oracle_reference import GAMMA_LIMIT, SAT, UNSAT, GammaRep, brute_force
 from test_cnf import (
     formulas,
@@ -40,7 +39,7 @@ from test_cnf import (
 
 
 def test_brute_force_known_model_set():
-    f = CnfFormula.from_ints(2, [(1, 2)])
+    f = formula_from_ints(2, [(1, 2)])
     res = brute_force(f)
     assert res.verdict == SAT
     assert set(res.models) == {
@@ -51,25 +50,25 @@ def test_brute_force_known_model_set():
 
 
 def test_brute_force_unsat_and_guard():
-    assert brute_force(CnfFormula.from_ints(1, [(1,), (-1,)])).verdict == UNSAT
+    assert brute_force(formula_from_ints(1, [(1,), (-1,)])).verdict == UNSAT
     assert brute_force(CnfFormula(1, (), empty_clause_count=1)).verdict == UNSAT
     with pytest.raises(ResourceLimitError):
-        brute_force(CnfFormula.from_ints(25, []))
+        brute_force(formula_from_ints(25, []))
 
 
 def test_dpll_known_cases():
-    unsat, model, _ = dpll(CnfFormula.from_ints(3, [(1, 2), (-1, 3), (-2, -3)]))
+    unsat, model, _ = dpll(formula_from_ints(3, [(1, 2), (-1, 3), (-2, -3)]))
     assert not unsat and model.satisfies(
-        CnfFormula.from_ints(3, [(1, 2), (-1, 3), (-2, -3)])
+        formula_from_ints(3, [(1, 2), (-1, 3), (-2, -3)])
     )
-    unsat, model, _ = dpll(CnfFormula.from_ints(2, [(1,), (-1, 2), (-2,)]))
+    unsat, model, _ = dpll(formula_from_ints(2, [(1,), (-1, 2), (-2,)]))
     assert unsat and model is None
 
 
 def test_dpll_model_after_backtracking():
     # x1 = True fails after setting x3 and x2 false; nothing set on that
     # branch may leak into the model, where the unset x2 reads True
-    f = CnfFormula.from_ints(3, [(-1, -2, 3), (-3, -1), (1, 3), (-1, 2)])
+    f = formula_from_ints(3, [(-1, -2, 3), (-3, -1), (1, 3), (-1, 2)])
     assert dpll(f)[1].to_ints() == (-1, 2, 3)
 
 
@@ -94,7 +93,7 @@ def test_dpll_decision_budget():
 def test_dpll_stats_on_trivial_formulas():
     for f in (
         CnfFormula(2, (), empty_clause_count=1),
-        CnfFormula.from_ints(2, []),
+        formula_from_ints(2, []),
     ):
         assert dpll(f)[2] == {"decisions": 0, "propagations": 0}
     # the unit x1 forces x2..x5, and x5 meets the unit -x5
@@ -127,7 +126,7 @@ def _corpus_formula(rng):
     clauses += rng.sample(clauses, min(len(clauses), rng.randint(0, 2)))
     return CnfFormula(
         n,
-        tuple(Clause.from_ints(c) for c in clauses),
+        tuple(Clause(c) for c in clauses),
         empty_clause_count=int(rng.random() < 0.02),
     )
 
@@ -156,7 +155,7 @@ def _binary_corpus_formula(rng):
             clauses.append([rng.choice((1, -1)) * v
                             for v in rng.sample(range(1, n + 1), width)])
     clauses += rng.sample(clauses, min(len(clauses), rng.randint(0, 3)))
-    return CnfFormula(n, tuple(Clause.from_ints(c) for c in clauses))
+    return CnfFormula(n, tuple(Clause(c) for c in clauses))
 
 
 def test_trail_dpll_matches_reference_on_binary_corpus():
@@ -168,13 +167,13 @@ def test_trail_dpll_matches_reference_on_binary_corpus():
 def test_binary_conflict_ends_the_propagation():
     # the unit x1 implies x2, -x2 and x3, in clause order; -x2 is already
     # false once x2 is set, so the propagation ends there and never sets x3
-    f = CnfFormula.from_ints(3, [(1,), (-1, 2), (-1, -2), (-1, 3)])
+    f = formula_from_ints(3, [(1,), (-1, 2), (-1, -2), (-1, 3)])
     assert dpll(f) == (True, None, {"decisions": 0, "propagations": 2})
     # on a branch: x1, -x1 and x3 each sit in three clauses, so the first
     # decision sets x1 = True, which ends the same way after one
     # propagation; x1 = False then propagates x3, and x2 through the
     # ternary (-3 1 2)
-    f = CnfFormula.from_ints(
+    f = formula_from_ints(
         3, [(1, 3), (-1, 2), (-1, -2), (-1, 3), (-3, 1, 2), (1, 3, -2)]
     )
     assert dpll(f) == (False, Assignment((False, True, True)),
@@ -266,7 +265,7 @@ def component_formulas(draw):
         for _ in range(draw(st.integers(min_value=0, max_value=3 * len(block)))):
             clauses.append(_clause_over(draw, block))
         start += size
-    return CnfFormula.from_ints(n, clauses)
+    return formula_from_ints(n, clauses)
 
 
 @st.composite
@@ -286,7 +285,7 @@ def chain_formulas(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         clauses.append(_clause_over(draw, list(range(1, n + 1))))
     order_of = draw(st.permutations(range(len(clauses))))
-    return CnfFormula.from_ints(n, [clauses[i] for i in order_of])
+    return formula_from_ints(n, [clauses[i] for i in order_of])
 
 
 def _search_routes_agree_with_brute_force(f):

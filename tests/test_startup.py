@@ -17,8 +17,8 @@ import pytest
 import wittsat
 import wittsat.cli
 from wittsat.cli import main
-from wittsat.ortho import matrix_to_text, sample_orthogonal
 
+from plane_reference import matrix_to_text, sample_orthogonal
 from test_surface import TRACED_CLI_NAMES
 
 HEAVY = ("numpy", "wittsat.encoding", "wittsat.algebra", "wittsat.ortho")

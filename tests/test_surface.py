@@ -2,8 +2,9 @@
 use in the package.
 
 A public name that only tests call is surface to maintain with no caller;
-tests should exercise what the program itself runs.  The few exemptions
-below are kept on purpose, each for the reason given.
+tests should exercise what the program itself runs, and code that only
+tests need lives next to them, in ``tests/*_reference.py`` and
+``tests/formula_helpers.py``.
 """
 
 import ast
@@ -11,18 +12,9 @@ from pathlib import Path
 
 import wittsat
 import wittsat.cli
+from wittsat.algebra import DiagonalElement
 
 PACKAGE = Path(wittsat.__file__).parent
-
-EXEMPT = {
-    "identity_element": "the algebra's unit, the reference element of tests",
-    "omega_element": "the volume element, for the models-by-component count",
-    "serialize_dimacs": "writes the DIMACS format that parse_dimacs reads",
-    "matrix_to_text": "writes the matrix format that the rebase command reads",
-    "sample_orthogonal": "makes the orthogonal matrices that rebase takes",
-    "CnfFormula.from_ints": "builds a formula from literal tuples, as about "
-    "100 test call sites do; the program builds formulas by parsing DIMACS",
-}
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -208,13 +200,17 @@ def test_member_scan_tells_apart_classes_that_share_a_name(tmp_path):
 
 
 def test_every_public_name_has_a_use_in_the_package():
-    unused = unreferenced_public_names(PACKAGE) - set(EXEMPT)
+    unused = unreferenced_public_names(PACKAGE)
     assert not unused, f"public names only tests use: {sorted(unused)}"
 
 
-def test_exemptions_are_still_defined_and_unused():
-    # an exemption that gained a caller, or lost its definition, is stale
-    assert set(EXEMPT) <= unreferenced_public_names(PACKAGE)
+def test_the_sparse_element_has_no_arithmetic():
+    # the member scan above reads public names only; the program builds,
+    # walks and counts elements, and the ring operations and semantic
+    # equality that tests use live in tests/algebra_reference.py
+    dunders = {"__add__", "__sub__", "__mul__", "__neg__", "__eq__", "__bool__"}
+    defined = sorted(dunders & set(vars(DiagonalElement)))
+    assert not defined, f"DiagonalElement defines {defined}"
 
 
 # The layer functions the benchmark's tracer (wittbench/worker.py) wraps
