@@ -24,15 +24,9 @@ from .cnf import (
     CnfFormula,
     InputError,
     ResourceLimitError,
-    TautologyError,
     parse_dimacs,
 )
-from .geometry import (
-    cover_verdict,
-    formula_patterns,
-    mtnp_of_assignment,
-    tnp_of_clause,
-)
+from .geometry import cover_verdict, formula_patterns, plane_text, sign_text
 from .oracle import dpll
 
 # loaded on first use: cover, dpll and dump-only geometry never import numpy
@@ -218,7 +212,7 @@ def _cmd_models(args) -> int:
 
 def _cmd_cover(args) -> int:
     f = _load_formula(args.file)
-    patterns = [p.to_text() for p in formula_patterns(f)]
+    patterns = formula_patterns(f)
     covered, witness, _ = cover_verdict(f, _budget(args))
     if args.json:
         payload = {
@@ -246,17 +240,13 @@ def _cmd_geometry(args) -> int:
     budget = _budget(args)
     samples = _nonnegative(args.samples, "--samples")
     seed = _nonnegative(args.seed, "seed")
-    clause_rows: list[tuple[str, list[str] | None]] = []
-    for clause in f.clauses:
-        try:
-            gens = [str(v) for v in tnp_of_clause(clause, f.n).generators]
-        except TautologyError:
-            gens = None
-        clause_rows.append((str(clause).strip(), gens))
+    clause_rows = [
+        (str(c), None if c.is_tautological else plane_text(c)) for c in f.clauses
+    ]
     sign_rows = None
     if f.n <= _SIGN_DUMP_MAX_N:
         sign_rows = [
-            (a, mtnp_of_assignment(a).to_text())
+            (a, sign_text(a))
             for a in (Assignment.from_mask(m, f.n) for m in range(1 << f.n))
         ]
     report = None
@@ -268,7 +258,8 @@ def _cmd_geometry(args) -> int:
         payload = {
             "n": f.n,
             "clauses": [
-                {"clause": text, "generators": gens} for text, gens in clause_rows
+                {"clause": text, "generators": plane and plane.split()}
+                for text, plane in clause_rows
             ],
             "assignments": None
             if sign_rows is None
@@ -280,11 +271,8 @@ def _cmd_geometry(args) -> int:
             payload.update(report)
         _print_json(payload)
     else:
-        for text, gens in clause_rows:
-            if gens is None:
-                print(f"clause {text}: (tautology, no plane)")
-            else:
-                print(f"clause {text}: {' '.join(gens) or '(zero plane)'}")
+        for text, plane in clause_rows:
+            print(f"clause {text}: {plane or '(tautology, no plane)'}")
         if sign_rows is None:
             print(f"(sign vectors not listed for n > {_SIGN_DUMP_MAX_N})")
         else:

@@ -18,10 +18,6 @@ class DimacsError(InputError):
     """Malformed DIMACS CNF input."""
 
 
-class TautologyError(ValueError):
-    """Operation undefined on a tautological clause (it has no falsifier)."""
-
-
 class ResourceLimitError(RuntimeError):
     """A configured size budget was exceeded."""
 

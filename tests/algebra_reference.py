@@ -22,7 +22,6 @@ from wittsat.algebra import (
     D_QP,
     DiagonalElement,
     _all_identity,
-    _check_n,
     _low_field_bits,
     pattern_alive,
     pattern_field,
@@ -46,7 +45,6 @@ class CheckedElement(DiagonalElement):
     __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[int, int] | None = None):
-        _check_n(n)
         clean: dict[int, int] = {}
         if terms:
             top = 1 << (2 * n)
@@ -137,7 +135,6 @@ def diag_mul(a: DiagonalElement, b: DiagonalElement) -> CheckedElement:
 
 def identity_element(n: int) -> CheckedElement:
     """The multiplicative unit: the all-identity pattern."""
-    _check_n(n)
     return CheckedElement(n, {_all_identity(n): 1})
 
 
@@ -148,7 +145,6 @@ def omega_element(n: int) -> CheckedElement:
     full pattern per assignment with sign (-1)^(number of false positions):
     2^n patterns, so keep n small.
     """
-    _check_n(n)
     terms = {0: 1}
     for i in range(n):
         nxt: dict[int, int] = {}
@@ -167,9 +163,7 @@ S_Q = 0b11   # q_i
 
 
 class NullVector(NamedTuple):
-    """One basis null vector, p_i or q_i; the index is the 1-based position.
-    The program's own vector type belongs to the cover route
-    (wittsat.geometry.WittVector), which this module may not import."""
+    """One basis null vector, p_i or q_i; the index is the 1-based position."""
 
     index: int
     kind: str
@@ -192,7 +186,6 @@ class EFBTerm:
     coeff: int = 1
 
     def __post_init__(self):
-        _check_n(self.n)
         if self.coeff == 0:
             raise ValueError("terms carry nonzero coefficients; use None for zero")
         if not 0 <= self.bits < (1 << (2 * self.n)):

@@ -14,16 +14,8 @@ import itertools
 import numpy as np
 
 from wittsat.algebra import D_PQ, D_QP, pattern_bits
-from wittsat.cnf import Assignment, Clause, TautologyError
-from wittsat.geometry import (
-    FREE,
-    SignVector,
-    TernaryPattern,
-    TotallyNullPlane,
-    WittVector,
-    mtnp_of_assignment,
-    tnp_of_clause,
-)
+from wittsat.cnf import Assignment, Clause
+from wittsat.geometry import plane_text, sign_text
 from wittsat.ortho import VERIFY_TOL, OrthogonalMatrix, _column_signs, haar_samples
 
 from algebra_reference import (
@@ -52,32 +44,28 @@ def encode_clause(clause: Clause, n: int) -> CheckedElement:
     rejected.
     """
     if clause.is_tautological:
-        raise TautologyError(f"tautological clause {clause} has no falsifier")
+        raise ValueError(f"tautological clause {clause} has no falsifier")
     fixed = {abs(lit): (D_PQ if lit > 0 else D_QP) for lit in clause}
     return CheckedElement(n, {pattern_bits(n, fixed): 1})
 
 
-def matches(signs: SignVector, pattern: TernaryPattern) -> bool:
-    if len(pattern.slots) != len(signs.eps):
+def matches(signs: str, pattern: str) -> bool:
+    """A sign vector (``+``/``-`` per position) matches a pattern (``+``,
+    ``-`` or a free ``*`` per position)."""
+    if len(pattern) != len(signs):
         raise ValueError("dimension mismatch")
-    return all(s == FREE or s == e for s, e in zip(pattern.slots, signs.eps))
+    return all(p in ("*", s) for p, s in zip(pattern, signs))
 
 
-def generator_set(plane: TotallyNullPlane) -> frozenset[tuple[int, str]]:
-    return frozenset((v.index, v.kind) for v in plane.generators)
+def generator_set(plane: str) -> frozenset[tuple[int, str]]:
+    """A plane written ``p1 q3`` as its (position, kind) generators."""
+    return frozenset((int(g[1:]), g[0]) for g in plane.split())
 
 
-def plane_contains(plane: TotallyNullPlane, other: TotallyNullPlane) -> bool:
-    return generator_set(other) <= generator_set(plane)
-
-
-def plane_of_sign_vector(s: SignVector) -> TotallyNullPlane:
-    """The maximal plane the sign vector stands for: p_i at +1, q_i at -1."""
-    return TotallyNullPlane(
-        tuple(
-            WittVector(i + 1, "p" if e == 1 else "q") for i, e in enumerate(s.eps)
-        )
-    )
+def plane_of_sign_vector(signs: str) -> frozenset[tuple[int, str]]:
+    """The generators of the maximal plane a sign vector stands for: p_i at
+    +, q_i at -."""
+    return frozenset((i, "p" if s == "+" else "q") for i, s in enumerate(signs, 1))
 
 
 def compatible(clause: Clause, assignment: Assignment, *, verify: bool = False) -> bool:
@@ -93,9 +81,8 @@ def compatible(clause: Clause, assignment: Assignment, *, verify: bool = False) 
         z = encode_clause(clause, len(assignment.values))
         sigma = assignment_element(assignment)
         absorption = diag_mul(sigma, z) == sigma
-        inclusion = plane_contains(
-            plane_of_sign_vector(mtnp_of_assignment(assignment)),
-            tnp_of_clause(clause, len(assignment.values)),
+        inclusion = generator_set(plane_text(clause)) <= plane_of_sign_vector(
+            sign_text(assignment)
         )
         if not (containment == absorption == inclusion):
             raise RuntimeError(
@@ -114,7 +101,7 @@ def psi_z_expansion(clause: Clause, n: int) -> list[EFBTerm]:
     terms; a width-n clause yields the single assignment term.
     """
     if clause.is_tautological:
-        raise TautologyError(f"tautological clause {clause} has no expansion")
+        raise ValueError(f"tautological clause {clause} has no expansion")
     fixed: dict[int, int] = {}
     for lit in clause:
         if abs(lit) > n:
@@ -140,7 +127,7 @@ def check_intersection(clause: Clause, n: int) -> bool:
         for t in psi_z_expansion(clause, n)
     ]
     common = frozenset.intersection(*planes)
-    return common == generator_set(tnp_of_clause(clause, n))
+    return common == generator_set(plane_text(clause))
 
 
 def strict_membership(
@@ -151,7 +138,7 @@ def strict_membership(
     and - for a negated one (q side).  On diagonal sign matrices this is
     exactly the induced-pattern match."""
     if clause.is_tautological:
-        raise TautologyError(f"tautological clause {clause} has no plane")
+        raise ValueError(f"tautological clause {clause} has no plane")
     signs = _column_signs(t.entries, tol)
     for lit in clause:
         if abs(lit) > t.n:

@@ -21,7 +21,7 @@ from wittsat.encoding import (
     models,
     table_cells,
 )
-from wittsat.geometry import cover_verdict, induced_pattern, mtnp_of_assignment
+from wittsat.geometry import cover_verdict, formula_patterns, sign_text
 from wittsat.oracle import dpll
 from wittsat.ortho import (
     NonTransversalError,
@@ -284,14 +284,16 @@ def check_compatibility_triangle(max_n: int = 4) -> str:
     for n in range(1, max_n + 1):
         for ints in clause_universe(n):
             clause = Clause(ints)
-            pattern = induced_pattern(clause, n)
+            pattern = formula_patterns(formula_from_ints(n, [ints]))[0]
             for mask in range(1 << n):
                 a = Assignment.from_mask(mask, n)
                 agreed = compatible(clause, a, verify=True)
                 assert agreed == falsified_by(clause, a)
-                signs = mtnp_of_assignment(a)
+                signs = sign_text(a)
                 assert agreed == matches(signs, pattern)
-                t = OrthogonalMatrix(np.diag([float(e) for e in signs.eps]))
+                t = OrthogonalMatrix(
+                    np.diag([1.0 if e == "+" else -1.0 for e in signs])
+                )
                 assert agreed == strict_membership(t, clause)
                 pairs += 1
     return (f"{pairs} clause/assignment pairs, three definitions + patterns "

@@ -59,13 +59,6 @@ def test_pattern_alive_detects_dead_fields():
     assert not pattern_alive(dead, 2)
 
 
-def test_pattern_bits_rejects_out_of_range_positions():
-    with pytest.raises(ValueError):
-        pattern_bits(2, {3: D_QP})
-    with pytest.raises(ValueError):
-        pattern_bits(2, {0: D_QP})
-
-
 # ---------------------------------------------------------------- terms
 
 

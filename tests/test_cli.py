@@ -705,6 +705,59 @@ def test_geometry_dumps_planes_and_signs(tmp_path, capsys):
     assert not any("discrete_cover" in line for line in lines)
 
 
+# n=3 with a clause, a tautology, the clause again, an empty clause and a unit
+PIN_TEXT = "p cnf 3 5\n-3 1 0\n2 -2 3 0\n-3 1 0\n0\n2 0\n"
+PIN_OUTPUT = {
+    ("cover",): (1, "***\n+*-\n+*-\n*+*\ncovered: yes\n"),
+    ("cover", "--json"): (
+        1,
+        '{"covered": true, "n": 3, "patterns": ["***", "+*-", "+*-", "*+*"], '
+        '"witness": null}\n',
+    ),
+    ("geometry",): (
+        0,
+        "clause -3 1 0: p1 q3\n"
+        "clause 2 -2 3 0: (tautology, no plane)\n"
+        "clause -3 1 0: p1 q3\n"
+        "clause 2 0: p2\n"
+        "assignment -1 -2 -3: +++\n"
+        "assignment 1 -2 -3: -++\n"
+        "assignment -1 2 -3: +-+\n"
+        "assignment 1 2 -3: --+\n"
+        "assignment -1 -2 3: ++-\n"
+        "assignment 1 -2 3: -+-\n"
+        "assignment -1 2 3: +--\n"
+        "assignment 1 2 3: ---\n",
+    ),
+    ("geometry", "--json"): (
+        0,
+        '{"assignments": ['
+        '{"assignment": [-1, -2, -3], "signs": "+++"}, '
+        '{"assignment": [1, -2, -3], "signs": "-++"}, '
+        '{"assignment": [-1, 2, -3], "signs": "+-+"}, '
+        '{"assignment": [1, 2, -3], "signs": "--+"}, '
+        '{"assignment": [-1, -2, 3], "signs": "++-"}, '
+        '{"assignment": [1, -2, 3], "signs": "-+-"}, '
+        '{"assignment": [-1, 2, 3], "signs": "+--"}, '
+        '{"assignment": [1, 2, 3], "signs": "---"}], '
+        '"clauses": ['
+        '{"clause": "-3 1 0", "generators": ["p1", "q3"]}, '
+        '{"clause": "2 -2 3 0", "generators": null}, '
+        '{"clause": "-3 1 0", "generators": ["p1", "q3"]}, '
+        '{"clause": "2 0", "generators": ["p2"]}], "n": 3}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PIN_OUTPUT), ids=" ".join)
+def test_cover_and_geometry_print_the_pinned_output(tmp_path, capsys, argv):
+    path = tmp_path / "pin.cnf"
+    path.write_text(PIN_TEXT)
+    code, out = PIN_OUTPUT[argv]
+    assert main([*argv, str(path)]) == code
+    assert capsys.readouterr().out == out
+
+
 def test_geometry_report_deterministic(unsat_file, capsys):
     assert main(["geometry", "--samples", "20", "--seed", "7", "--json",
                  unsat_file]) == 0

@@ -16,7 +16,6 @@ from wittsat.cnf import (
     ParseWarning,
     parse_dimacs,
 )
-from wittsat.geometry import SignVector, TernaryPattern, TotallyNullPlane, WittVector
 from wittsat.ortho import (
     CONSTRUCTION_TOL,
     NonOrthogonalMatrixError,
@@ -99,14 +98,12 @@ def test_satisfies_respects_empty_clause():
     assert f.has_empty_clause and f.m == 2
 
 
-P1 = WittVector(1, "p")
 # a Witt basis at n = 1: 2 B(p, q) = 1 and both sides null, exactly
 P_ROW, Q_ROW = np.array([[0.5, 0.5]]), np.array([[0.5, -0.5]])
 
 # Per value class: the fields of one object, in constructor order (as small
-# as possible, so that keys of different classes collide: (True,), (1,) and
-# (1,) below are equal tuples); the fields a constructor may leave out and
-# their defaults; and field overrides with the error and message each gives.
+# as possible); the fields a constructor may leave out and their defaults;
+# and field overrides with the error and message each gives.
 VALUE_CLASSES = [
     (Assignment, {"values": (True,)}, {}, [
         ({"values": ()}, ValueError, "assignments need at least one variable"),
@@ -119,23 +116,6 @@ VALUE_CLASSES = [
         ({"empty_clause_count": -1}, ValueError, "negative empty-clause count"),
         ({"clauses": (Clause((2,)),)}, ValueError,
          "variable 2 exceeds declared count 1"),
-    ]),
-    (WittVector, {"index": 1, "kind": "p"}, {}, [
-        ({"kind": "r"}, ValueError, "kind must be 'p' or 'q', got 'r'"),
-        ({"index": 0}, ValueError, "positions are numbered from 1"),
-    ]),
-    (SignVector, {"eps": (1,)}, {}, [
-        ({"eps": ()}, ValueError, "sign vectors need at least one position"),
-        ({"eps": (0,)}, ValueError, "sign entries must be +1 or -1"),
-    ]),
-    (TernaryPattern, {"slots": (1,)}, {}, [
-        ({"slots": ()}, ValueError, "patterns need at least one position"),
-        ({"slots": (2,)}, ValueError, "slots must be +1, -1 or free (0)"),
-    ]),
-    (TotallyNullPlane, {"generators": (P1,)}, {}, [
-        ({"generators": (P1, WittVector(1, "q"))}, ValueError,
-         "generators clash: two vectors at one position cannot both lie in a "
-         "totally null plane"),
     ]),
     (OrthogonalMatrix, {"entries": np.eye(1), "tol": CONSTRUCTION_TOL},
      {"tol": CONSTRUCTION_TOL}, [
@@ -183,8 +163,8 @@ def test_value_classes_keep_their_contract(cls, fields, defaults, rejected):
     shortened = cls(**{k: v for k, v in fields.items() if k not in defaults})
     for name, value in defaults.items():
         assert getattr(shortened, name) == value
-    # objects of different classes, or a tuple of the fields, never compare
-    # equal, even where the keys do
+    # objects of different classes never compare equal, and neither does a
+    # tuple of the fields, though it equals the key of a one-field class
     for other, other_fields, *_ in VALUE_CLASSES:
         if other is not cls:
             assert a != other(**other_fields), other.__name__

@@ -2,36 +2,27 @@
 null-plane constructions of tests/plane_reference.py against each other."""
 
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittsat.cnf import (
-    Assignment,
-    Clause,
-    CnfFormula,
-    ResourceLimitError,
-    TautologyError,
-)
+from wittsat.cli import main
+from wittsat.cnf import Assignment, Clause, CnfFormula, ResourceLimitError
 from wittsat.geometry import (
-    SignVector,
-    TernaryPattern,
-    TotallyNullPlane,
-    WittVector,
-    assignment_of_sign_vector,
+    clause_slots,
     cover_verdict,
     formula_patterns,
-    induced_pattern,
-    mtnp_of_assignment,
-    tnp_of_clause,
+    plane_text,
+    sign_text,
 )
 
-from algebra_reference import EFBTerm, mtnp_of_spinor
+from algebra_reference import EFBTerm, NullVector, mtnp_of_spinor
 from cover_reference import reference_cover
-from formula_helpers import formula_from_ints
-from oracle_reference import brute_force
+from formula_helpers import clause_universe, formula_from_ints
+from oracle_reference import GammaRep, brute_force
 from plane_reference import (
     check_intersection,
     compatible,
@@ -56,50 +47,63 @@ from test_oracle import _corpus_formula
 
 
 def _sign_vectors(n):
-    return [SignVector(eps) for eps in itertools.product((1, -1), repeat=n)]
+    return ["".join(signs) for signs in itertools.product("+-", repeat=n)]
+
+
+def _pattern(ints, n):
+    """The pattern that formula_patterns gives the one clause *ints*."""
+    return formula_patterns(formula_from_ints(n, [ints]))[0]
 
 
 def test_pattern_matching_and_members():
-    p = TernaryPattern((1, 0, -1))
-    assert p.to_text() == "+*-"
-    assert SignVector((1, -1, 1)).to_text() == "+-+"
-    with pytest.raises(ValueError):
-        SignVector((1, 0))
-    assert matches(SignVector((1, 1, -1)), p)
-    assert matches(SignVector((1, -1, -1)), p)
-    assert not matches(SignVector((-1, 1, -1)), p)
-    members = {s.to_text() for s in _sign_vectors(3) if matches(s, p)}
+    p = _pattern((1, -3), 3)
+    assert p == "+*-"
+    assert sign_text(Assignment((False, True, False))) == "+-+"
+    assert matches("++-", p)
+    assert matches("+--", p)
+    assert not matches("-+-", p)
+    members = {s for s in _sign_vectors(3) if matches(s, p)}
     assert members == {"++-", "+--"}
 
 
-def test_plane_rejects_clashing_generators():
-    with pytest.raises(ValueError):
-        TotallyNullPlane((WittVector(1, "p"), WittVector(1, "q")))
+def test_plane_rejects_clashing_generators(tmp_path, capsys):
+    # a clause whose plane would hold both p_i and q_i is a tautology: the
+    # geometry dump gives it no plane and the cover view no pattern
+    for n in (1, 2):
+        for ints in clause_universe(n):
+            clause = Clause(ints + (-ints[0],))
+            assert clause.is_tautological
+            path = tmp_path / "taut.cnf"
+            path.write_text(f"p cnf {n} 1\n{clause}\n")
+            assert main(["geometry", "--json", str(path)]) == 0
+            row = json.loads(capsys.readouterr().out)["clauses"][0]
+            assert row == {"clause": str(clause), "generators": None}
+            assert formula_patterns(formula_from_ints(n, [clause])) == []
 
 
 def test_null_span_criterion():
     # {p_i, q_i} = 1, so a plane cannot hold both; split positions are fine
-    plane = TotallyNullPlane((WittVector(1, "p"), WittVector(2, "q")))
-    assert len(plane.generators) == 2
-    vectors = [WittVector(i, k) for i in (1, 2, 3) for k in "pq"]
+    # (checked exactly on the matrix backend); a clause plane holds at most
+    # one vector per position unless the clause is a tautology
+    rep = GammaRep(3)
+    vectors = [NullVector(i, k) for i in (1, 2, 3) for k in "pq"]
     for u, v in itertools.combinations(vectors, 2):
-        if u.index == v.index:
-            with pytest.raises(ValueError):
-                TotallyNullPlane((u, v))
-        else:
-            assert generator_set(TotallyNullPlane((u, v))) == {
-                (u.index, u.kind),
-                (v.index, v.kind),
-            }
+        mu, mv = rep.matrix_of(u), rep.matrix_of(v)
+        null = not (mu @ mu).any() and not (mu @ mv + mv @ mu).any()
+        assert null == (u.index != v.index)
+    for ints in clause_universe(3):
+        positions = [g[1:] for g in plane_text(Clause(ints)).split()]
+        assert len(set(positions)) == len(positions) == len(ints)
+    assert plane_text(Clause((1, 2, -1))) == "p1 q1 p2"
 
 
 def test_assignment_sign_vector_bijection():
     a = Assignment((True, False))
-    s = mtnp_of_assignment(a)
-    assert s.to_text() == "-+"  # true sits on the q side
-    assert assignment_of_sign_vector(s) == a
-    plane = plane_of_sign_vector(s)
-    assert generator_set(plane) == {(1, "q"), (2, "p")}
+    s = sign_text(a)
+    assert s == "-+"  # true sits on the q side
+    texts = {sign_text(Assignment.from_mask(m, 3)) for m in range(8)}
+    assert texts == set(_sign_vectors(3))
+    assert plane_of_sign_vector(s) == {(1, "q"), (2, "p")}
 
 
 def test_spinor_route_matches_sign_vector_route():
@@ -108,22 +112,23 @@ def test_spinor_route_matches_sign_vector_route():
         a = Assignment(values)
         term = EFBTerm.from_symbols("qp" if v else "pq" for v in values)
         via_term = set(mtnp_of_spinor(term))
-        via_signs = generator_set(plane_of_sign_vector(mtnp_of_assignment(a)))
+        via_signs = plane_of_sign_vector(sign_text(a))
         assert via_term == via_signs
 
 
 def test_clause_plane_generators():
-    plane = tnp_of_clause(Clause((3, -1)), 4)
-    assert plane.generators == (WittVector(1, "q"), WittVector(3, "p"))
-    with pytest.raises(TautologyError):
-        tnp_of_clause(Clause((1, -1)), 2)
+    assert plane_text(Clause((3, -1))) == "q1 p3"
+    assert generator_set(plane_text(Clause((3, -1)))) == {(1, "q"), (3, "p")}
 
 
 def test_induced_pattern_pins_literal_slots():
-    p = induced_pattern(Clause((1, -2)), 3)
-    assert p.to_text() == "+-*"
-    with pytest.raises(TautologyError):
-        induced_pattern(Clause((1, -1)), 2)
+    assert clause_slots(Clause((1, -2))) == {0: 1, 1: -1}
+    assert _pattern((1, -2), 3) == "+-*"
+    # the slots and the text agree on every clause
+    for ints in clause_universe(3):
+        text = _pattern(ints, 3)
+        pinned = {i: 1 if c == "+" else -1 for i, c in enumerate(text) if c != "*"}
+        assert clause_slots(Clause(ints)) == pinned
 
 
 def test_compatible_is_falsification():
@@ -138,14 +143,10 @@ def test_pattern_members_are_exactly_the_falsifying_assignments():
             if max(abs(i) for i in ints) > n:
                 continue
             c = Clause(ints)
-            p = induced_pattern(c, n)
-            matched = {
-                assignment_of_sign_vector(s)
-                for s in _sign_vectors(n)
-                if matches(s, p)
-            }
+            p = _pattern(ints, n)
+            matched = {s for s in _sign_vectors(n) if matches(s, p)}
             falsified = {
-                a
+                sign_text(a)
                 for m in range(1 << n)
                 if falsified_by(c, a := Assignment.from_mask(m, n))
             }
@@ -157,19 +158,19 @@ def test_full_width_universe_covers_and_loses_cover_without_one():
     all_four = [(1, 2), (1, -2), (-1, 2), (-1, -2)]
     assert cover_verdict(formula_from_ints(2, all_four))[:2] == (True, None)
     covered, w, _ = cover_verdict(formula_from_ints(2, all_four[:3]))
-    assert not covered and mtnp_of_assignment(w).to_text() == "--"
+    assert not covered and sign_text(w) == "--"
 
 
 def test_witness_prefers_plus_on_free_positions():
     covered, w, _ = cover_verdict(formula_from_ints(3, [(-1,)]))  # -**
-    assert mtnp_of_assignment(w).to_text() == "+++"
+    assert sign_text(w) == "+++"
 
 
 def test_formula_patterns_skip_tautologies_and_honor_empty_clause():
     f = formula_from_ints(2, [(1, -1), (1, 2)])
-    assert [p.to_text() for p in formula_patterns(f)] == ["++"]
+    assert formula_patterns(f) == ["++"]
     g = CnfFormula(2, (), empty_clause_count=1)
-    assert [p.to_text() for p in formula_patterns(g)] == ["**"]
+    assert formula_patterns(g) == ["**"]
     assert cover_verdict(g)[:2] == (True, None)
 
 
@@ -180,7 +181,7 @@ def test_psi_z_expansion_enumerates_even_completions():
     # a full-width clause pins everything: single term, no sign
     full = psi_z_expansion(Clause((1, -2, 3)), 3)
     assert [str(t) for t in full] == ["1 * pq qp pq"]
-    with pytest.raises(TautologyError):
+    with pytest.raises(ValueError):
         psi_z_expansion(Clause((1, -1)), 2)
 
 
@@ -282,15 +283,16 @@ def _assert_cover_matches_reference(f):
     witness, decisions, propagations = reference_cover(f)
     covered, found, stats = cover_verdict(f)
     assert covered == (witness is None)
-    assert (found and mtnp_of_assignment(found).eps) == witness
+    assert (found and tuple(-1 if v else 1 for v in found.values)) == witness
     assert stats == {"decisions": decisions, "propagations": propagations}
 
 
-def _block_edge_formula(rng, n):
-    """Random 3-SAT over the variables within four places of each block edge
-    of the cover search's weights (every multiple of 64 below n, and n),
-    plus pairs (a b)(-a -b) that straddle each edge, so that the heaviest
-    weights often tie on both sides of an edge.  About a third of the core
+def _clustered_tie_formula(rng, n):
+    """Random 3-SAT over the variables within four places of every multiple
+    of 64 below n, and of n, plus pairs (a b)(-a -b) across each multiple,
+    so that the heaviest weights often tie on both sides of a pick: the
+    cover search's bound then finds a tie past the pick through ``start``
+    and one below it only after ``top`` drops.  About a third of the core
     variables keep one sign, so one side of a branching there kills no
     pattern."""
     edges = list(range(64, n, 64)) + [n]
@@ -338,7 +340,7 @@ def _renamed_pairs(rng, k):
 def _reference_corpus(rng):
     """1,063 seeded formulas for the cover reference test."""
     for i in range(400):
-        yield _block_edge_formula(rng, (63, 64, 65, 128, 129)[i % 5])
+        yield _clustered_tie_formula(rng, (63, 64, 65, 128, 129)[i % 5])
     for _ in range(200):
         yield _corpus_formula(rng)
     for _ in range(100):
@@ -358,7 +360,7 @@ def _reference_corpus(rng):
         yield independent_pairs(k)
 
 
-def _backtrack_block_formula(n, extra):
+def _backtrack_formula(n, extra):
     """Position 0 is the first branching.  At +1 it leaves all four patterns
     over positions 1 and 2, which cover every branch below; at -1 it kills
     them.  *extra* adds patterns as ``{position: sign}``."""
@@ -368,25 +370,45 @@ def _backtrack_block_formula(n, extra):
     )
 
 
-# Once the +1 side of position 0 is covered, the heaviest position sits alone
-# in the last block, and only the backtrack changed its weight.  "restored":
-# five patterns through position 128 that the +1 side killed come back.
-# "unassigned": position 64 was assigned on the +1 side by a flip that
-# killed no pattern.
-BACKTRACK_BLOCKS = {
+# Once the +1 side of position 0 is covered, the heaviest position is one
+# whose weight only the backtrack raised again, above every weight the +1
+# side left.  "restored": five patterns through position 128 that the +1
+# side killed come back.  "unassigned": position 64 was assigned on the +1
+# side by a flip that killed no pattern.  In both, the bound pushed at
+# position 0 matches nothing after the -1 side, and the pick falls back to
+# the largest weight.  "outweighed": the +1 side leaves top 4 and start 2;
+# then position 4 weighs 5 and position 5, past that start, weighs 4, so a
+# pick that kept the +1 side's bound in place of the one pushed at position
+# 0 would take position 5.
+BACKTRACK_BOUNDS = {
     "restored": (129, [{0: -1, 128: 1, 3 + i: 1} for i in range(5)]),
     "unassigned": (
         65,
         [{0: -1, 3 + 2 * i: 1, 4 + 2 * i: 1} for i in range(2)]
         + [{64: -1, 7 + 2 * i: 1, 8 + 2 * i: 1} for i in range(5)],
     ),
+    "outweighed": (6, [{0: -1, 4: 1, 5: 1}, {0: -1, 4: -1, 5: 1},
+                       {0: -1, 4: 1, 5: -1}, {0: -1, 4: -1, 3: 1},
+                       {0: -1, 4: 1, 3: -1}, {0: -1, 5: -1, 3: 1}]),
 }
 
 
-@pytest.mark.parametrize("case", list(BACKTRACK_BLOCKS))
-def test_cover_branching_reads_blocks_a_backtrack_changed(case):
-    n, extra = BACKTRACK_BLOCKS[case]
-    _assert_cover_matches_reference(_backtrack_block_formula(n, extra))
+@pytest.mark.parametrize("case", list(BACKTRACK_BOUNDS))
+def test_cover_pick_resumes_the_bound_a_branching_pushed(case):
+    n, extra = BACKTRACK_BOUNDS[case]
+    _assert_cover_matches_reference(_backtrack_formula(n, extra))
+
+
+def test_cover_pick_rescans_from_position_0_when_top_drops():
+    # The first pick is position 2 (weight 3, tied with position 4).  Its +1
+    # side kills the first pattern, so no weight stays at 3, and the
+    # heaviest is then position 0 (weight 2), below the pick; position 3,
+    # past the pick, also weighs 2.  The pick after it must be position 0.
+    patterns = [{2: -1, 4: 1, 5: 1}, {2: 1, 0: 1, 3: 1},
+                {2: 1, 4: -1, 1: 1}, {0: -1, 4: 1, 3: -1}]
+    f = formula_from_ints(6, [[(q + 1) * s for q, s in p.items()] for p in patterns])
+    assert reference_cover(f) == ((1, 1, 1, -1, 1, 1), 3, 2)
+    _assert_cover_matches_reference(f)
 
 
 def test_cover_matches_reference_on_seeded_corpus():

@@ -9,14 +9,8 @@ import numpy as np
 import pytest
 
 from wittsat.cli import main
-from wittsat.cnf import (
-    Assignment,
-    Clause,
-    CnfFormula,
-    ResourceLimitError,
-    TautologyError,
-)
-from wittsat.geometry import induced_pattern, mtnp_of_assignment
+from wittsat.cnf import Assignment, Clause, CnfFormula, ResourceLimitError
+from wittsat.geometry import formula_patterns, sign_text
 from wittsat.ortho import (
     CONSTRUCTION_TOL,
     NonOrthogonalMatrixError,
@@ -110,11 +104,10 @@ def test_strict_membership_on_diagonals_is_pattern_match():
     for n in (2, 3):
         for ints in clause_universe(n):
             clause = Clause(ints)
-            pattern = induced_pattern(clause, n)
+            pattern = formula_patterns(formula_from_ints(n, [ints]))[0]
             for mask in range(1 << n):
-                a = Assignment.from_mask(mask, n)
-                s = mtnp_of_assignment(a)
-                t = OrthogonalMatrix(np.diag([float(e) for e in s.eps]))
+                s = sign_text(Assignment.from_mask(mask, n))
+                t = OrthogonalMatrix(np.diag([1.0 if e == "+" else -1.0 for e in s]))
                 assert strict_membership(t, clause) == matches(s, pattern)
 
 
@@ -238,7 +231,7 @@ def test_cover_report_zero_samples_edge():
 
 def test_strict_membership_error_cases():
     t = OrthogonalMatrix(np.eye(2))
-    with pytest.raises(TautologyError):
+    with pytest.raises(ValueError, match="tautological"):
         strict_membership(t, Clause((1, -1)))
     with pytest.raises(ValueError):
         strict_membership(t, Clause((3,)))
