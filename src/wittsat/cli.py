@@ -40,7 +40,7 @@ _LAZY = {
     "models": "encoding",
     "zero_test_splits": "algebra",
     "NonTransversalError": "ortho",
-    "OrthogonalMatrix": "ortho",
+    "checked_orthogonal": "ortho",
     "matrices_from_text": "ortho",
     "orthogonal_cover_report": "ortho",
     "rebase_residuals": "ortho",
@@ -239,7 +239,7 @@ def _cmd_geometry(args) -> int:
     f = _load_formula(args.file)
     budget = _budget(args)
     samples = _nonnegative(args.samples, "--samples")
-    seed = _nonnegative(args.seed, "seed")
+    seed = _nonnegative(args.seed, "--seed")
     clause_rows = [
         (str(c), None if c.is_tautological else plane_text(c)) for c in f.clauses
     ]
@@ -293,29 +293,31 @@ def _cmd_rebase(args) -> int:
         arrays += _THIS.matrices_from_text(_read_text(args.file2))
     if len(arrays) != 2:
         raise InputError(f"need exactly two matrices, got {len(arrays)}")
-    t1, t2 = (_THIS.OrthogonalMatrix(a, args.tol) for a in arrays)
+    t1, t2 = (_THIS.checked_orthogonal(a, args.tol) for a in arrays)
+    if len(t1) != len(t2):
+        raise InputError("matrix sizes differ")
     try:
-        basis = _THIS.witt_rebase(t1, t2)
+        p_rows, q_rows, pairing = _THIS.witt_rebase(t1, t2, args.tol)
     except _THIS.NonTransversalError as e:
         print(f"not transversal: planes meet in dimension {e.intersection_dim}",
               file=sys.stderr)
         return EXIT_UNSAT
-    res = _THIS.rebase_residuals(basis, t1, t2)
+    res = {"pairing": pairing, **_THIS.rebase_residuals(p_rows, q_rows, t2)}
     if args.json:
         payload = {
-            "n": t1.n,
+            "n": len(t1),
             "residuals": res,
-            "p_rows": basis.p_vectors.tolist(),
-            "q_rows": basis.q_vectors.tolist(),
+            "p_rows": p_rows.tolist(),
+            "q_rows": q_rows.tolist(),
         }
         _print_json(payload)
     else:
-        print(f"n: {t1.n}")
+        print(f"n: {len(t1)}")
         for key in sorted(res):
             print(f"{key} residual: {res[key]:.3e}")
-        for i, row in enumerate(basis.p_vectors):
+        for i, row in enumerate(p_rows):
             print(f"p{i + 1}: " + " ".join(f"{x: .6f}" for x in row))
-        for i, row in enumerate(basis.q_vectors):
+        for i, row in enumerate(q_rows):
             print(f"q{i + 1}: " + " ".join(f"{x: .6f}" for x in row))
     return EXIT_SAT
 

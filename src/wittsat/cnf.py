@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from itertools import chain
 from typing import Iterable
 
 
@@ -61,15 +60,15 @@ class _TautologicalClause(Clause):
 
 
 class Frozen:
-    """Base of the package's value objects.
+    """Base of the value objects :class:`Assignment` and :class:`CnfFormula`.
 
-    A subclass names its fields in ``__slots__``.  Its ``__init__`` checks
-    them and sets each one once with ``object.__setattr__``, together with
-    ``_key``: the one field, or a tuple of them.  After that no field can be
+    A subclass names its fields in ``__slots__``.  Its ``__init__`` sets
+    each one once with ``object.__setattr__``, together with ``_key``: the
+    one field, or a tuple of them.  It checks nothing: values are checked
+    once, where they enter the program.  After that no field can be
     assigned or deleted.  Two objects are equal, and hash alike, when they
     are of one class and their keys are equal; objects of different classes
-    are never equal.  The classes that hold numpy arrays (ortho) set no key
-    and compare by identity instead.
+    are never equal.
     """
 
     __slots__ = ("_key",)
@@ -90,15 +89,11 @@ class Frozen:
 
 
 class Assignment(Frozen):
-    """A total truth assignment; values[i] is the value of variable i+1."""
+    """A total truth assignment; values[i] is the bool of variable i+1."""
 
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[bool, ...]):
-        if not values:
-            raise ValueError("assignments need at least one variable")
-        if not all(isinstance(v, bool) for v in values):
-            raise TypeError("assignment values must be bools")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_key", values)
 
@@ -137,21 +132,15 @@ class Assignment(Frozen):
 
 
 class CnfFormula(Frozen):
-    """A CNF over variables 1..n.  Empty clauses (immediate contradictions)
-    are counted on the side so :class:`Clause` can stay nonempty."""
+    """A CNF over variables 1..n, n >= 1, that :func:`parse_dimacs` read.
+    Empty clauses (immediate contradictions) are counted on the side so
+    :class:`Clause` can stay nonempty."""
 
     __slots__ = ("n", "clauses", "empty_clause_count")
 
     def __init__(
         self, n: int, clauses: tuple[Clause, ...], empty_clause_count: int = 0
     ):
-        if n < 1:
-            raise ValueError("formulas need at least one variable")
-        if empty_clause_count < 0:
-            raise ValueError("negative empty-clause count")
-        if max(map(abs, chain.from_iterable(clauses)), default=0) > n:
-            var = next(v for v in map(abs, chain.from_iterable(clauses)) if v > n)
-            raise ValueError(f"variable {var} exceeds declared count {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "empty_clause_count", empty_clause_count)

@@ -206,7 +206,7 @@ def table_slabs(
     holds the cell whose last w variables read b the same way (variable n
     is bit 0).  So word * 64 + bit is the assignment's primitive index
     (:func:`table_cells`).  The cell budget is 2^22 when *term_budget* is
-    None and *term_budget* otherwise.
+    None and *term_budget*, at least 1, otherwise.
 
     A slab is one row of the table: the last 8 word axes, up to 256
     contiguous words or 2^14 cells, under one setting of the leading axes
@@ -228,8 +228,6 @@ def table_slabs(
     slabs not yet yielded are undefined.
     """
     cell_budget = DEFAULT_CELL_BUDGET if term_budget is None else int(term_budget)
-    if cell_budget < 1:
-        raise ValueError("term budget must be positive")
     n = f.n
     if 1 << n > cell_budget:
         return None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, Frozen, InputError, ResourceLimitError
+from .cnf import Clause, CnfFormula, InputError, ResourceLimitError
 
 CONSTRUCTION_TOL = 1e-9
 VERIFY_TOL = 1e-6
@@ -44,44 +44,37 @@ class NonTransversalError(ValueError):
         self.intersection_dim = intersection_dim
 
 
-class OrthogonalMatrix(Frozen):
-    """A square matrix t with t^T t = I within tol; its size n is read from
-    the entries."""
+def _orthogonality_residual(m: np.ndarray):
+    """max |m^T m - I| over a matrix or a stack of them; NaN or inf, with no
+    warning, when the products overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(m, -1, -2) @ m
+        return np.abs(gram - np.eye(m.shape[-1])).max(initial=0.0)
 
-    __slots__ = ("entries", "tol")
-    # arrays have no single truth value: objects are equal only to themselves
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
-    def __init__(self, entries: np.ndarray, tol: float = CONSTRUCTION_TOL):
-        m = np.array(entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            i, j = np.argwhere(~np.isfinite(m))[0]
-            raise NonOrthogonalMatrixError(
-                f"row {i + 1}, column {j + 1} is {m[i, j]}; "
-                "an orthogonal matrix has finite entries"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = np.abs(m.T @ m - np.eye(len(m))).max()
-        if not np.isfinite(residual):
-            i, j = np.unravel_index(np.abs(m).argmax(), m.shape)
-            raise NonOrthogonalMatrixError(
-                f"orthogonality residual overflows: row {i + 1}, column {j + 1} "
-                f"is {m[i, j]}; an orthogonal matrix has entries in [-1, 1]"
-            )
-        if not residual <= tol:
-            raise NonOrthogonalMatrixError(
-                f"orthogonality residual {residual:.3e} exceeds {tol:.1e}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "tol", tol)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
+def checked_orthogonal(m: np.ndarray, tol: float) -> np.ndarray:
+    """A square matrix the user supplied, made read-only once it passes
+    t^T t = I within tol.  A non-finite entry, a residual that overflows
+    and a residual past tol each raise NonOrthogonalMatrixError."""
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise NonOrthogonalMatrixError(
+            f"row {i + 1}, column {j + 1} is {m[i, j]}; "
+            "an orthogonal matrix has finite entries"
+        )
+    residual = _orthogonality_residual(m)
+    if not np.isfinite(residual):
+        i, j = np.unravel_index(np.abs(m).argmax(), m.shape)
+        raise NonOrthogonalMatrixError(
+            f"orthogonality residual overflows: row {i + 1}, column {j + 1} "
+            f"is {m[i, j]}; an orthogonal matrix has entries in [-1, 1]"
+        )
+    if not residual <= tol:
+        raise NonOrthogonalMatrixError(
+            f"orthogonality residual {residual:.3e} exceeds {tol:.1e}"
+        )
+    m.setflags(write=False)
+    return m
 
 
 def neutral_gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -92,17 +85,10 @@ def neutral_gram(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             - u[..., n:] @ np.swapaxes(v[..., n:], -1, -2))
 
 
-def mtnp_from_isometry(t: OrthogonalMatrix) -> np.ndarray:
-    """The graph plane of t as an (n, 2n) array: row i is (e_i, t e_i)."""
-    return np.hstack([np.eye(t.n), t.entries.T])
-
-
 def _column_signs(m: np.ndarray, tol: float) -> np.ndarray:
     """Read each column of a matrix, or of each matrix in a stack, once:
     +1 where column j is e_j within tol (every entry), -1 where it is -e_j,
     0 otherwise.  Returns int8 of shape m.shape[:-1]."""
-    if not tol < 1.0:
-        raise ValueError(f"tolerance {tol} cannot tell e_j from -e_j")
     n = m.shape[-1]
     diag = np.diagonal(m, axis1=-2, axis2=-1)
     off = np.abs(m)
@@ -141,13 +127,13 @@ def haar_samples(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     matrices with R's diagonal signs absorbed into Q's columns (Mezzadri,
     Notices AMS 2007).  The stack equals count draws of one matrix each from
     the same generator.  Every draw must pass t^T t = I within
-    CONSTRUCTION_TOL, as OrthogonalMatrix requires; a draw that fails is a
-    numerical defect, not bad input, and raises RuntimeError."""
+    CONSTRUCTION_TOL, rebase's default tolerance for its inputs; a draw that
+    fails is a numerical defect, not bad input, and raises RuntimeError."""
     q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
     q = q * d[:, None, :]
-    residual = np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n)).max(initial=0.0)
+    residual = _orthogonality_residual(q)
     if not residual <= CONSTRUCTION_TOL:
         raise RuntimeError(
             f"sampled orthogonality residual {residual:.3e} exceeds "
@@ -166,55 +152,10 @@ def _witt_residual(p: np.ndarray, q: np.ndarray):
     ])
 
 
-class WittBasis(Frozen):
-    """Dual null bases: 2 B(p_i, q_j) = delta_ij and each side totally null.
-    ``residual`` is the largest error of the three, as measured when the
-    basis is checked against tol."""
-
-    __slots__ = ("p_vectors", "q_vectors", "residual")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(
-        self, p_vectors: np.ndarray, q_vectors: np.ndarray,
-        tol: float = CONSTRUCTION_TOL,
-    ):
-        p = np.array(p_vectors, dtype=float)
-        q = np.array(q_vectors, dtype=float)
-        if p.shape != q.shape or p.ndim != 2 or p.shape[1] != 2 * p.shape[0]:
-            raise ValueError("expected matching (n, 2n) row stacks")
-        residual = float(_witt_residual(p, q))
-        if not residual <= tol:
-            raise ValueError(
-                f"Witt pairing residual {residual:.3e} exceeds {tol:.1e}"
-            )
-        p.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "p_vectors", p)
-        object.__setattr__(self, "q_vectors", q)
-        object.__setattr__(self, "residual", residual)
-
-
-def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve over a stack, where a singular system leaves NaN rows
-    for its own pair instead of failing the whole stack."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        x = np.full(b.shape, np.nan)
-        for i in range(len(a)):
-            try:
-                x[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return x
-
-
 def _rebase_stack(t1: np.ndarray, t2: np.ndarray, d: np.ndarray):
     """Witt rebasing of a stack of transversal pairs: t2 is (k, n, n), t1
-    the same or one matrix shared by every pair, and d = I - t1^T t2.
-    Returns their p and q rows.  A singular solve leaves NaN q rows, which
-    fail the Witt check."""
+    the same or one matrix shared by every pair, and d = I - t1^T t2, whose
+    singular values all exceed VERIFY_TOL.  Returns their p and q rows."""
     n = t2.shape[-1]
     eye = np.broadcast_to(np.eye(n), t2.shape)
     p_rows = np.concatenate(
@@ -222,13 +163,16 @@ def _rebase_stack(t1: np.ndarray, t2: np.ndarray, d: np.ndarray):
     )
     b_rows = np.concatenate([eye, np.swapaxes(t2, -1, -2)], axis=-1)
     gram = 2.0 * d  # gram[i, j] = 2 B(p_rows_i, b_rows_j)
-    q_rows = _solve_each(np.swapaxes(gram, -1, -2), b_rows)
+    q_rows = np.linalg.solve(np.swapaxes(gram, -1, -2), b_rows)
     return p_rows, q_rows
 
 
-def witt_rebase(t1: OrthogonalMatrix, t2: OrthogonalMatrix) -> WittBasis:
-    """A joint Witt basis with the graph plane of t1 as its p side and the
-    graph plane of t2 as its q side.
+def witt_rebase(
+    t1: np.ndarray, t2: np.ndarray, tol: float = CONSTRUCTION_TOL
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The p rows, q rows and Witt residual (:func:`_witt_residual`) of a
+    joint Witt basis with the graph plane of t1 as its p side and that of
+    t2 as its q side; t1 and t2 are n x n and orthogonal within tol.
 
     One SVD of d = I - t1^T t2 serves two ends.  Its singular values at
     most VERIFY_TOL count the eigenvalues 1 of t1^T t2 (for a normal
@@ -239,38 +183,38 @@ def witt_rebase(t1: OrthogonalMatrix, t2: OrthogonalMatrix) -> WittBasis:
     report on a stack of one.
 
     The smallest singular value sigma also bounds the basis check.  Inputs
-    admitted at tol (the larger of theirs) leave errors of at most tol in
-    t1^T t1 and t2^T t2: the p side is null within tol <= 4 tol / sigma^2,
-    since sigma <= 2, and the q side within n tol / (4 sigma^2), since its
-    Gram matrix is t2's error with (2 d)^-1 on both sides; the pairing
-    holds to rounding.  The basis is checked at twice the larger of the
-    two factors, max(8, n / 2) * tol / sigma^2.
+    admitted at tol leave errors of at most tol in t1^T t1 and t2^T t2:
+    the p side is null within tol <= 4 tol / sigma^2, since sigma <= 2,
+    and the q side within n tol / (4 sigma^2), since its Gram matrix is
+    t2's error with (2 d)^-1 on both sides; the pairing holds to rounding.
+    A Witt residual past twice the larger of the two factors, that is past
+    max(8, n / 2) * tol / sigma^2, or NaN, raises ValueError.
     """
-    if t1.n != t2.n:
-        raise InputError("matrix sizes differ")
-    n = t1.n
-    d = np.eye(n) - t1.entries.T @ t2.entries
+    n = len(t1)
+    d = np.eye(n) - t1.T @ t2
     sv = np.linalg.svd(d, compute_uv=False)
     r = int((sv <= VERIFY_TOL).sum())
     if r:
         raise NonTransversalError(r)
-    p_rows, q_rows = _rebase_stack(t1.entries, t2.entries[None], d[None])
-    bound = max(8.0, n / 2.0) * max(t1.tol, t2.tol) / sv[-1] ** 2
-    return WittBasis(p_rows[0], q_rows[0], bound)
+    (p_rows,), (q_rows,) = _rebase_stack(t1, t2[None], d[None])
+    residual = float(_witt_residual(p_rows, q_rows))
+    bound = max(8.0, n / 2.0) * tol / sv[-1] ** 2
+    if not residual <= bound:
+        raise ValueError(f"Witt pairing residual {residual:.3e} exceeds {bound:.1e}")
+    return p_rows, q_rows, residual
 
 
 def rebase_residuals(
-    basis: WittBasis, t1: OrthogonalMatrix, t2: OrthogonalMatrix
+    p_rows: np.ndarray, q_rows: np.ndarray, t2: np.ndarray
 ) -> dict[str, float]:
-    """How exactly the input planes take the p/q coordinate shape: the
-    basis's measured Witt residual, and the largest q coordinate of t1's
-    plane and p coordinate of t2's, both of which should vanish."""
-    a = mtnp_from_isometry(t1)
-    b = mtnp_from_isometry(t2)
+    """The largest q coordinate of t1's plane, spanned by the p rows, and
+    the largest p coordinate of t2's plane: both should vanish."""
+    plane2 = np.hstack([np.eye(len(t2)), t2.T])
+    # numpy multiplies an array by its own transpose with syrk, which rounds
+    # differently; the copy keeps the general product p_side was measured by
     return {
-        "pairing": basis.residual,
-        "p_side": float(np.abs(2.0 * neutral_gram(a, basis.p_vectors)).max()),
-        "q_side": float(np.abs(2.0 * neutral_gram(b, basis.q_vectors)).max()),
+        "p_side": float(np.abs(2.0 * neutral_gram(p_rows, p_rows.copy())).max()),
+        "q_side": float(np.abs(2.0 * neutral_gram(plane2, q_rows)).max()),
     }
 
 
@@ -332,8 +276,6 @@ def orthogonal_cover_report(
     Samples are drawn, tested and rebased in stacks, which gives the same
     report as taking them one by one.
     """
-    if samples < 0:
-        raise InputError("sample count must be nonnegative")
     n = f.n
     want = _clause_columns([c for c in f.clauses if not c.is_tautological], n)
     discrete = f.has_empty_clause or _discrete_cover(n, want, scan_budget)

@@ -12,8 +12,16 @@ from wittsat.cnf import Clause, CnfFormula
 
 
 def formula_from_ints(n: int, clause_ints: Iterable[Iterable[int]]) -> CnfFormula:
-    """The formula over variables 1..n with one clause per literal tuple."""
-    return CnfFormula(n, tuple(Clause(c) for c in clause_ints))
+    """The formula over variables 1..n with one clause per literal tuple.
+
+    CnfFormula takes the variable range as given, as the parser has checked
+    it; a test formula is checked here instead.  A literal past n would
+    otherwise alias another slot of DPLL's 2n + 1 literal values."""
+    clauses = tuple(Clause(c) for c in clause_ints)
+    top = max((abs(lit) for clause in clauses for lit in clause), default=0)
+    if top > n:
+        raise ValueError(f"variable {top} exceeds declared count {n}")
+    return CnfFormula(n, clauses)
 
 
 def clause_universe(n: int) -> list[tuple[int, ...]]:

@@ -16,7 +16,7 @@ import numpy as np
 from wittsat.algebra import D_PQ, D_QP, pattern_bits
 from wittsat.cnf import Assignment, Clause
 from wittsat.geometry import plane_text, sign_text
-from wittsat.ortho import VERIFY_TOL, OrthogonalMatrix, _column_signs, haar_samples
+from wittsat.ortho import VERIFY_TOL, _column_signs, haar_samples
 
 from algebra_reference import (
     S_PQ,
@@ -131,7 +131,7 @@ def check_intersection(clause: Clause, n: int) -> bool:
 
 
 def strict_membership(
-    t: OrthogonalMatrix, clause: Clause, tol: float = VERIFY_TOL
+    t: np.ndarray, clause: Clause, tol: float = VERIFY_TOL
 ) -> bool:
     """The clause plane lies inside the graph plane of t: every involved axis
     must be held with the required sign, + for a positive literal (p side)
@@ -139,10 +139,10 @@ def strict_membership(
     exactly the induced-pattern match."""
     if clause.is_tautological:
         raise ValueError(f"tautological clause {clause} has no plane")
-    signs = _column_signs(t.entries, tol)
+    signs = _column_signs(t, tol)
     for lit in clause:
-        if abs(lit) > t.n:
-            raise ValueError(f"variable {abs(lit)} exceeds n={t.n}")
+        if abs(lit) > len(t):
+            raise ValueError(f"variable {abs(lit)} exceeds n={len(t)}")
         if signs[abs(lit) - 1] != (1 if lit > 0 else -1):
             return False
     return True
@@ -164,17 +164,22 @@ def intersect_dim(
     return len(f1) + len(f2) - rank
 
 
-def sample_orthogonal(n: int, seed: int) -> OrthogonalMatrix:
+def mtnp_from_isometry(t: np.ndarray) -> np.ndarray:
+    """The graph plane of an orthogonal t as an (n, 2n) array: row i is
+    (e_i, t e_i)."""
+    return np.hstack([np.eye(len(t)), t.T])
+
+
+def sample_orthogonal(n: int, seed: int) -> np.ndarray:
     """One Haar draw, deterministic per seed."""
-    return OrthogonalMatrix(haar_samples(n, 1, np.random.default_rng(seed))[0])
+    return haar_samples(n, 1, np.random.default_rng(seed))[0]
 
 
-def matrix_to_text(m) -> str:
+def matrix_to_text(m: np.ndarray) -> str:
     """The plain-text form ``rebase`` reads: first line n, then n rows of n
     entries."""
-    a = np.asarray(getattr(m, "entries", m), dtype=float)
-    n = a.shape[0]
+    n = len(m)
     lines = [str(n)]
-    for row in a:
+    for row in m:
         lines.append(" ".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"

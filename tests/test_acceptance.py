@@ -25,9 +25,7 @@ from wittsat.geometry import cover_verdict, formula_patterns, sign_text
 from wittsat.oracle import dpll
 from wittsat.ortho import (
     NonTransversalError,
-    OrthogonalMatrix,
     haar_samples,
-    mtnp_from_isometry,
     orthogonal_cover_report,
     rebase_residuals,
     witt_rebase,
@@ -55,6 +53,7 @@ from plane_reference import (
     falsified_by,
     intersect_dim,
     matches,
+    mtnp_from_isometry,
     strict_membership,
 )
 
@@ -231,19 +230,19 @@ def check_witt_rebase(pairs_per_n: int = 100, seed: int = 108) -> str:
         rng = np.random.default_rng(seed + n)
         count = 0
         while count < pairs_per_n:
-            t1, t2 = map(OrthogonalMatrix, haar_samples(n, 2, rng))
+            t1, t2 = haar_samples(n, 2, rng)
             try:
-                basis = witt_rebase(t1, t2)
+                p_rows, q_rows, pairing = witt_rebase(t1, t2)
             except NonTransversalError:
                 continue
-            res = rebase_residuals(basis, t1, t2)
+            res = {"pairing": pairing, **rebase_residuals(p_rows, q_rows, t2)}
             assert max(res.values()) <= 1e-9, f"residuals {res} at n={n}"
             count += 1
             accepted += 1
         for r in range(1, n + 1):
-            t1 = OrthogonalMatrix(haar_samples(n, 1, rng)[0])
+            t1 = haar_samples(n, 1, rng)[0]
             flip = np.diag([1.0] * r + [-1.0] * (n - r))
-            t2 = OrthogonalMatrix(t1.entries @ flip)
+            t2 = t1 @ flip
             assert intersect_dim(mtnp_from_isometry(t1), mtnp_from_isometry(t2)) == r
             try:
                 witt_rebase(t1, t2)
@@ -291,9 +290,7 @@ def check_compatibility_triangle(max_n: int = 4) -> str:
                 assert agreed == falsified_by(clause, a)
                 signs = sign_text(a)
                 assert agreed == matches(signs, pattern)
-                t = OrthogonalMatrix(
-                    np.diag([1.0 if e == "+" else -1.0 for e in signs])
-                )
+                t = np.diag([1.0 if e == "+" else -1.0 for e in signs])
                 assert agreed == strict_membership(t, clause)
                 pairs += 1
     return (f"{pairs} clause/assignment pairs, three definitions + patterns "

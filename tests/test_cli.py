@@ -630,9 +630,9 @@ def test_a_failed_orthogonal_sample_is_internal(sat_file, monkeypatch, capsys):
         (["check"], b"p cnf 2 1\n1 \xff 0\n", "can't decode byte 0xff"),
         (["check"], b"p cnf " + b"9" * 5000 + b" 1\n1 0\n", "4300 digits"),
         (["geometry", "--samples", "2", "--seed", "-3"], b"p cnf 2 1\n1 0\n",
-         "seed must be nonnegative, got -3"),
+         "--seed must be nonnegative, got -3"),
         (["geometry", "--seed", "-1"], b"p cnf 2 1\n1 0\n",
-         "seed must be nonnegative, got -1"),
+         "--seed must be nonnegative, got -1"),
         (["geometry", "--samples", "-5"], b"p cnf 2 1\n1 0\n",
          "--samples must be nonnegative, got -5"),
         (["models", "--max-enum", "-3"], b"p cnf 2 1\n1 0\n",
@@ -858,6 +858,52 @@ def test_rebase_names_the_entry_that_overflows_the_residual(tmp_path, capsys,
         assert main(["rebase", str(huge), str(ident)]) == 2
     err = capsys.readouterr().err
     assert named in err
+
+
+# the 3-cycle P: t1 = P, t2 = -I has t1^T t2 = -P^T, no eigenvalue 1, and
+# every number in its basis is a multiple of 1/4, so the output is exact
+_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+_TRANSVERSAL_OUT = """\
+n: 3
+p_side residual: 0.000e+00
+pairing residual: 0.000e+00
+q_side residual: 0.000e+00
+p1:  1.000000  0.000000  0.000000  0.000000  1.000000  0.000000
+p2:  0.000000  1.000000  0.000000  0.000000  0.000000  1.000000
+p3:  0.000000  0.000000  1.000000  1.000000  0.000000  0.000000
+q1:  0.250000  0.250000 -0.250000 -0.250000 -0.250000  0.250000
+q2: -0.250000  0.250000  0.250000  0.250000 -0.250000 -0.250000
+q3:  0.250000 -0.250000  0.250000 -0.250000  0.250000 -0.250000
+"""
+
+
+@pytest.mark.parametrize("text, code, out, err", [
+    (matrix_to_text(_CYCLE) + matrix_to_text(-np.eye(3)), 0, _TRANSVERSAL_OUT,
+     ""),
+    (matrix_to_text(np.eye(3)) + matrix_to_text(np.diag([1.0, -1.0, -1.0])),
+     1, "", "not transversal: planes meet in dimension 1\n"),
+    ("2\n1 0\n0 nan\n" + matrix_to_text(np.eye(2)), 2, "",
+     "error: row 2, column 2 is nan; an orthogonal matrix has finite "
+     "entries\n"),
+    ("2\n1e200 0\n0 1\n" + matrix_to_text(np.eye(2)), 2, "",
+     "error: orthogonality residual overflows: row 1, column 1 is 1e+200; "
+     "an orthogonal matrix has entries in [-1, 1]\n"),
+    ("2\n1 0.5\n0 1\n" + matrix_to_text(np.eye(2)), 2, "",
+     "error: orthogonality residual 5.000e-01 exceeds 1.0e-09\n"),
+    (matrix_to_text(np.eye(2)) + matrix_to_text(np.eye(3)), 2, "",
+     "error: matrix sizes differ\n"),
+    # each matrix is checked before their sizes are compared
+    (matrix_to_text(np.eye(2)) + "3\n1 0 0\n0 1 0\n0 0 2\n", 2, "",
+     "error: orthogonality residual 3.000e+00 exceeds 1.0e-09\n"),
+], ids=["transversal", "meeting", "non-finite", "overflow", "past-tol",
+        "sizes", "past-tol-and-sizes"])
+def test_rebase_plain_output_and_input_errors(tmp_path, capsys, text, code,
+                                              out, err):
+    path = tmp_path / "pair.txt"
+    path.write_text(text)
+    assert main(["rebase", str(path)]) == code
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (out, err)
 
 
 def test_console_entry_point_version():

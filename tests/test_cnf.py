@@ -3,7 +3,6 @@
 import random
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,13 +15,6 @@ from wittsat.cnf import (
     ParseWarning,
     parse_dimacs,
 )
-from wittsat.ortho import (
-    CONSTRUCTION_TOL,
-    NonOrthogonalMatrixError,
-    OrthogonalMatrix,
-    WittBasis,
-)
-
 from dimacs_reference import reference_parse_dimacs, serialize_dimacs
 from formula_helpers import formula_from_ints
 from plane_reference import falsified_by
@@ -86,10 +78,9 @@ def test_primitive_index_orders_variable_one_most_significant():
 
 
 def test_formula_validates_variable_range():
-    with pytest.raises(ValueError):
+    # CnfFormula takes the range as given; formula_from_ints checks it
+    with pytest.raises(ValueError, match="^variable 3 exceeds declared count 2$"):
         formula_from_ints(2, [(1, 3)])
-    with pytest.raises(ValueError):
-        CnfFormula(0, ())
 
 
 def test_satisfies_respects_empty_clause():
@@ -98,81 +89,43 @@ def test_satisfies_respects_empty_clause():
     assert f.has_empty_clause and f.m == 2
 
 
-# a Witt basis at n = 1: 2 B(p, q) = 1 and both sides null, exactly
-P_ROW, Q_ROW = np.array([[0.5, 0.5]]), np.array([[0.5, -0.5]])
-
 # Per value class: the fields of one object, in constructor order (as small
-# as possible); the fields a constructor may leave out and their defaults;
-# and field overrides with the error and message each gives.
+# as possible), and the fields a constructor may leave out with their
+# defaults.
 VALUE_CLASSES = [
-    (Assignment, {"values": (True,)}, {}, [
-        ({"values": ()}, ValueError, "assignments need at least one variable"),
-        ({"values": (1,)}, TypeError, "assignment values must be bools"),
-    ]),
+    (Assignment, {"values": (True,)}, {}),
     (CnfFormula,
      {"n": 1, "clauses": (Clause((1,)),), "empty_clause_count": 0},
-     {"empty_clause_count": 0}, [
-        ({"n": 0}, ValueError, "formulas need at least one variable"),
-        ({"empty_clause_count": -1}, ValueError, "negative empty-clause count"),
-        ({"clauses": (Clause((2,)),)}, ValueError,
-         "variable 2 exceeds declared count 1"),
-    ]),
-    (OrthogonalMatrix, {"entries": np.eye(1), "tol": CONSTRUCTION_TOL},
-     {"tol": CONSTRUCTION_TOL}, [
-        ({"entries": np.ones((1, 2))}, ValueError,
-         "expected a square matrix, got shape (1, 2)"),
-        ({"entries": [[np.nan]]}, NonOrthogonalMatrixError,
-         "row 1, column 1 is nan; an orthogonal matrix has finite entries"),
-        ({"entries": [[1e200]]}, NonOrthogonalMatrixError,
-         "orthogonality residual overflows: row 1, column 1 is 1e+200; an "
-         "orthogonal matrix has entries in [-1, 1]"),
-        ({"entries": [[2.0]]}, NonOrthogonalMatrixError,
-         "orthogonality residual 3.000e+00 exceeds 1.0e-09"),
-    ]),
-    (WittBasis, {"p_vectors": P_ROW, "q_vectors": Q_ROW}, {}, [
-        ({"q_vectors": np.ones((1, 3))}, ValueError,
-         "expected matching (n, 2n) row stacks"),
-        ({"q_vectors": P_ROW}, ValueError,
-         "Witt pairing residual 1.000e+00 exceeds 1.0e-09"),
-    ]),
+     {"empty_clause_count": 0}),
 ]
-# the numpy-backed classes: an object equals only itself
-BY_IDENTITY = (OrthogonalMatrix, WittBasis)
 
 
 @pytest.mark.parametrize(
-    "cls, fields, defaults, rejected",
+    "cls, fields, defaults",
     VALUE_CLASSES,
     ids=[row[0].__name__ for row in VALUE_CLASSES],
 )
-def test_value_classes_keep_their_contract(cls, fields, defaults, rejected):
+def test_value_classes_keep_their_contract(cls, fields, defaults):
     a, b = cls(**fields), cls(*fields.values())
-    # every field, a derived one such as WittBasis.residual too, is set by
-    # the constructor and cannot be assigned or deleted afterwards
+    # every field is set by the constructor and cannot be assigned or
+    # deleted afterwards
     for name in cls.__slots__:
         value = getattr(a, name)
         with pytest.raises(AttributeError):
             setattr(a, name, value)
         with pytest.raises(AttributeError):
             delattr(a, name)
-    if cls in BY_IDENTITY:
-        assert a == a and a != b and hash(a) == hash(a)
-    else:
-        assert a == b and not a != b and hash(a) == hash(b)
-        assert {a, b} == {a}
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert {a, b} == {a}
     shortened = cls(**{k: v for k, v in fields.items() if k not in defaults})
     for name, value in defaults.items():
         assert getattr(shortened, name) == value
     # objects of different classes never compare equal, and neither does a
     # tuple of the fields, though it equals the key of a one-field class
-    for other, other_fields, *_ in VALUE_CLASSES:
+    for other, other_fields, _ in VALUE_CLASSES:
         if other is not cls:
             assert a != other(**other_fields), other.__name__
     assert a != tuple(fields.values())
-    for override, error, message in rejected:
-        with pytest.raises(error) as info:
-            cls(**{**fields, **override})
-        assert str(info.value) == message
 
 
 def test_parse_basic_file():

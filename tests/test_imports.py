@@ -116,7 +116,7 @@ def test_cli_loads_the_numpy_layers_only_on_use():
 
 
 def test_no_module_imports_dataclasses():
-    # the value classes derive from cnf.Frozen: dataclasses would load
+    # Assignment and CnfFormula derive from cnf.Frozen: dataclasses would load
     # inspect, ast and dis into every fresh process
     for path in sorted(PACKAGE.glob("*.py")):
         assert "dataclasses" not in load_time_imports(path), path.name

@@ -15,16 +15,13 @@ from wittsat.ortho import (
     CONSTRUCTION_TOL,
     NonOrthogonalMatrixError,
     NonTransversalError,
-    OrthogonalMatrix,
-    WittBasis,
+    checked_orthogonal,
     haar_samples,
     matrices_from_text,
-    mtnp_from_isometry,
     neutral_gram,
     orthogonal_cover_report,
     rebase_residuals,
     witt_rebase,
-    _solve_each,
 )
 
 from formula_helpers import clause_universe, formula_from_ints, random_clause
@@ -33,21 +30,33 @@ from plane_reference import (
     intersect_dim,
     matches,
     matrix_to_text,
+    mtnp_from_isometry,
     sample_orthogonal,
     strict_membership,
 )
 
 
 def test_orthogonal_matrix_validation():
-    OrthogonalMatrix([[0, 1], [1, 0]])
+    # checked_orthogonal returns the user's matrix itself, made read-only
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert checked_orthogonal(swap, CONSTRUCTION_TOL) is swap
+    assert not swap.flags.writeable
     with pytest.raises(NonOrthogonalMatrixError):
-        OrthogonalMatrix([[1, 1], [0, 1]])
-    # the size is read from the entries, which must be square and 2-d
-    for shape in ([[1, 0, 0], [0, 1, 0]], [1.0], np.eye(2)[None], 1.0):
-        with pytest.raises(ValueError, match="expected a square matrix"):
-            OrthogonalMatrix(shape)
-    flip = OrthogonalMatrix(np.diag([1, -1]))
-    assert flip.n == 2 and np.array_equal(flip.entries, np.diag([1.0, -1.0]))
+        checked_orthogonal(np.array([[1.0, 1.0], [0.0, 1.0]]), CONSTRUCTION_TOL)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[np.nan]],
+     "row 1, column 1 is nan; an orthogonal matrix has finite entries"),
+    ([[1e200]],
+     "orthogonality residual overflows: row 1, column 1 is 1e+200; an "
+     "orthogonal matrix has entries in [-1, 1]"),
+    ([[2.0]], "orthogonality residual 3.000e+00 exceeds 1.0e-09"),
+], ids=["non-finite", "overflow", "past-tol"])
+def test_orthogonal_matrix_messages(entries, message):
+    with pytest.raises(NonOrthogonalMatrixError) as info:
+        checked_orthogonal(np.array(entries), CONSTRUCTION_TOL)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -58,7 +67,8 @@ def test_orthogonal_matrix_rejects_non_finite_entries(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonOrthogonalMatrixError, match=r"row 2, column 2"):
-            OrthogonalMatrix([[1, 0], [0, bad]])
+            checked_orthogonal(np.array([[1.0, 0.0], [0.0, bad]]),
+                               CONSTRUCTION_TOL)
 
 
 def test_haar_samples_reject_a_nan_residual(monkeypatch):
@@ -95,7 +105,7 @@ def test_intersection_dimensions_of_partial_flips():
     t1 = sample_orthogonal(n, seed=11)
     for r in range(n + 1):
         flip = np.diag([1.0] * r + [-1.0] * (n - r))
-        t2 = OrthogonalMatrix(t1.entries @ flip)
+        t2 = t1 @ flip
         d = intersect_dim(mtnp_from_isometry(t1), mtnp_from_isometry(t2))
         assert d == r
 
@@ -107,13 +117,13 @@ def test_strict_membership_on_diagonals_is_pattern_match():
             pattern = formula_patterns(formula_from_ints(n, [ints]))[0]
             for mask in range(1 << n):
                 s = sign_text(Assignment.from_mask(mask, n))
-                t = OrthogonalMatrix(np.diag([1.0 if e == "+" else -1.0 for e in s]))
+                t = np.diag([1.0 if e == "+" else -1.0 for e in s])
                 assert strict_membership(t, clause) == matches(s, pattern)
 
 
 def test_strict_membership_fails_off_axis():
     c = np.cos(np.pi / 4)
-    rot = OrthogonalMatrix([[c, -c], [c, c]])
+    rot = np.array([[c, -c], [c, c]])
     assert not strict_membership(rot, Clause((1,)))
     assert not strict_membership(rot, Clause((-1, 2)))
 
@@ -121,13 +131,13 @@ def test_strict_membership_fails_off_axis():
 def test_sampling_is_deterministic_and_orthogonal():
     a = sample_orthogonal(3, seed=42)
     b = sample_orthogonal(3, seed=42)
-    assert np.array_equal(a.entries, b.entries)
-    assert np.abs(a.entries.T @ a.entries - np.eye(3)).max() < 1e-12
-    assert not np.array_equal(a.entries, sample_orthogonal(3, seed=43).entries)
+    assert np.array_equal(a, b)
+    assert np.abs(a.T @ a - np.eye(3)).max() < 1e-12
+    assert not np.array_equal(a, sample_orthogonal(3, seed=43))
 
 
 def test_sampling_hits_both_determinant_classes_evenly():
-    dets = [np.linalg.det(sample_orthogonal(3, seed=s).entries) for s in range(2000)]
+    dets = [np.linalg.det(sample_orthogonal(3, seed=s)) for s in range(2000)]
     assert all(abs(abs(d) - 1.0) < 1e-10 for d in dets)
     plus = sum(d > 0 for d in dets) / len(dets)
     assert 0.44 < plus < 0.56
@@ -137,7 +147,7 @@ def _meeting_dimension(m: np.ndarray) -> int:
     """The dimension in which witt_rebase finds the planes of I and m to
     meet, 0 when it rebases them."""
     try:
-        witt_rebase(OrthogonalMatrix(np.eye(len(m))), OrthogonalMatrix(m))
+        witt_rebase(np.eye(len(m)), m)
     except NonTransversalError as e:
         return e.intersection_dim
     return 0
@@ -151,24 +161,23 @@ def test_meeting_dimension_known_cases():
 
 
 def test_rebase_of_opposite_reference_planes_is_the_split_basis():
-    basis = witt_rebase(
-        OrthogonalMatrix(np.eye(2)), OrthogonalMatrix(-np.eye(2))
-    )
-    assert np.allclose(basis.p_vectors, np.array([[1, 0, 1, 0], [0, 1, 0, 1]]))
+    p_rows, q_rows, residual = witt_rebase(np.eye(2), -np.eye(2))
+    assert np.allclose(p_rows, np.array([[1, 0, 1, 0], [0, 1, 0, 1]]))
     assert np.allclose(
-        basis.q_vectors, np.array([[0.25, 0, -0.25, 0], [0, 0.25, 0, -0.25]])
+        q_rows, np.array([[0.25, 0, -0.25, 0], [0, 0.25, 0, -0.25]])
     )
-    assert basis.residual < 1e-15
+    assert residual < 1e-15
 
 
 def test_witt_basis_validation_keeps_its_residual():
-    p = np.hstack([np.eye(2), np.eye(2)]) / 2.0
-    q = np.hstack([np.eye(2), -np.eye(2)]) / 2.0
-    assert WittBasis(p, q).residual == 0.0
-    off = q + 1e-10
-    assert 0.0 < WittBasis(p, off).residual <= CONSTRUCTION_TOL
-    with pytest.raises(ValueError):
-        WittBasis(p, p)  # q side fails the pairing
+    # witt_rebase returns the Witt residual it checked the basis with: past
+    # zero for an input 2e-10 off O(2), within the bound at tol 1e-9
+    import wittsat.ortho as ortho
+
+    t2 = -np.eye(2) + 1e-10
+    p_rows, q_rows, residual = witt_rebase(np.eye(2), t2)
+    assert residual == float(ortho._witt_residual(p_rows, q_rows))
+    assert 0.0 < residual <= CONSTRUCTION_TOL
 
 
 def test_rebase_rejects_meeting_planes_with_dimension():
@@ -176,7 +185,7 @@ def test_rebase_rejects_meeting_planes_with_dimension():
     with pytest.raises(NonTransversalError) as info:
         witt_rebase(t, t)
     assert info.value.intersection_dim == 3
-    flip = OrthogonalMatrix(t.entries @ np.diag([1.0, -1.0, -1.0]))
+    flip = t @ np.diag([1.0, -1.0, -1.0])
     with pytest.raises(NonTransversalError) as info2:
         witt_rebase(t, flip)
     assert info2.value.intersection_dim == 1
@@ -190,11 +199,11 @@ def test_rebase_residuals_are_tiny_for_random_transversal_pairs():
         t1 = sample_orthogonal(4, seed=seed)
         t2 = sample_orthogonal(4, seed=1000 + seed)
         try:
-            basis = witt_rebase(t1, t2)
+            p_rows, q_rows, pairing = witt_rebase(t1, t2)
         except NonTransversalError:
             continue
-        res = rebase_residuals(basis, t1, t2)
-        assert max(res.values()) < 1e-9
+        res = rebase_residuals(p_rows, q_rows, t2)
+        assert max(pairing, *res.values()) < 1e-9
         done += 1
 
 
@@ -203,7 +212,7 @@ def test_matrix_text_round_trip_and_errors():
     text = matrix_to_text(t) + matrix_to_text(np.eye(2))
     parsed = matrices_from_text(text)
     assert len(parsed) == 2
-    assert np.array_equal(parsed[0], t.entries)
+    assert np.array_equal(parsed[0], t)
     assert np.array_equal(parsed[1], np.eye(2))
     for bad in ("", "2\n1 0 0 1 extra", "2\n1 0 0", "x\n1"):
         with pytest.raises(ValueError):
@@ -217,8 +226,6 @@ def test_cover_report_on_satisfiable_formula():
     assert report["strict_fraction"] == 0.0
     assert report["samples"] == 50 and report["n"] == 2
     assert 0.0 <= report["transversal_to_p_fraction"] <= report["transversal_fraction"] <= 1.0
-    with pytest.raises(ValueError):
-        orthogonal_cover_report(f, samples=-1, seed=0)
 
 
 def test_cover_report_zero_samples_edge():
@@ -230,33 +237,36 @@ def test_cover_report_zero_samples_edge():
 
 
 def test_strict_membership_error_cases():
-    t = OrthogonalMatrix(np.eye(2))
+    t = np.eye(2)
     with pytest.raises(ValueError, match="tautological"):
         strict_membership(t, Clause((1, -1)))
     with pytest.raises(ValueError):
         strict_membership(t, Clause((3,)))
-    with pytest.raises(ValueError):
-        strict_membership(t, Clause((1,)), tol=1.0)
     # diag(1, -1) holds x1 and -x2, so (x1 -x2) but not (x2)
-    flip = OrthogonalMatrix(np.diag([1.0, -1.0]))
+    flip = np.diag([1.0, -1.0])
     assert strict_membership(flip, Clause((1, -2)))
     assert not strict_membership(flip, Clause((2,)))
     # a small rotation keeps its diagonal within tol of 1, but not its columns
     c, s = np.cos(1e-3), np.sin(1e-3)
-    tilt = OrthogonalMatrix([[c, -s], [s, c]])
+    tilt = np.array([[c, -s], [s, c]])
     assert abs(c - 1.0) < 1e-6
     assert not strict_membership(tilt, Clause((1,)))
 
 
-def test_a_singular_pair_does_not_fail_the_stack():
-    a = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
-    b = np.ones((3, 2, 4))
-    x = _solve_each(a, b)
-    assert np.array_equal(x[0], b[0]) and np.array_equal(x[2], b[2] / 2.0)
-    assert np.isnan(x[1]).all()
-    # NaN rows fail the Witt check instead of passing it
-    with pytest.raises(ValueError):
-        WittBasis(np.hstack([np.eye(2), np.eye(2)]), np.full((2, 4), np.nan))
+def test_nan_q_rows_fail_the_witt_check(monkeypatch):
+    # a NaN residual fails every comparison, so the check must be written
+    # `not residual <= bound` to reject it instead of passing it
+    import wittsat.ortho as ortho
+
+    solve = ortho._rebase_stack
+
+    def nan_q_rows(*args):
+        p_rows, q_rows = solve(*args)
+        return p_rows, np.full(q_rows.shape, np.nan)
+
+    monkeypatch.setattr(ortho, "_rebase_stack", nan_q_rows)
+    with pytest.raises(ValueError, match="^Witt pairing residual nan exceeds "):
+        witt_rebase(np.eye(2), -np.eye(2))
 
 
 def _reference_report(f: CnfFormula, samples: int, seed: int) -> dict:
@@ -268,20 +278,20 @@ def _reference_report(f: CnfFormula, samples: int, seed: int) -> dict:
     n = f.n
     usable = [c for c in f.clauses if not c.is_tautological]
     discrete = f.has_empty_clause or all(
-        any(strict_membership(OrthogonalMatrix(np.diag(signs)), c) for c in usable)
+        any(strict_membership(np.diag(signs), c) for c in usable)
         for signs in itertools.product((1.0, -1.0), repeat=n)
     )
     rng = np.random.default_rng(seed)
     strict = rebased = p_side = 0
-    references = (OrthogonalMatrix(np.eye(n)), OrthogonalMatrix(-np.eye(n)))
+    references = (np.eye(n), -np.eye(n))
     for _ in range(samples):
         q, r = np.linalg.qr(rng.standard_normal((n, n)))
         d = np.sign(np.diag(r))
         d[d == 0] = 1.0
-        t = OrthogonalMatrix(q * d)
+        t = q * d
         strict += any(strict_membership(t, c) for c in usable)
         for side, reference in enumerate(references):
-            m = reference.entries.T @ t.entries
+            m = reference.T @ t
             if (np.abs(np.linalg.eigvals(m) - 1.0) <= 1e-6).any():
                 continue  # the q side is tried only after the p side meets
             try:
@@ -395,15 +405,13 @@ def test_discrete_scan_budget_counts_visited_isometries():
 def _pre_stack_rebase(a1: np.ndarray, a2: np.ndarray) -> tuple[int, str, str]:
     """What the rebase command printed, and its exit code, when witt_rebase
     solved one pair at a time: the reference for its output."""
-    t1 = OrthogonalMatrix(a1)
-    t2 = OrthogonalMatrix(a2)
-    n = t1.n
-    m = t1.entries.T @ t2.entries
+    n = len(a1)
+    m = a1.T @ a2
     r = int((np.abs(np.linalg.eigvals(m) - 1.0) <= 1e-6).sum())
     if r:
         return 1, "", f"not transversal: planes meet in dimension {r}\n"
-    p_rows = np.hstack([np.eye(n), t1.entries.T])
-    b_rows = np.hstack([np.eye(n), t2.entries.T])
+    p_rows = np.hstack([np.eye(n), a1.T])
+    b_rows = np.hstack([np.eye(n), a2.T])
     q_rows = np.linalg.solve((2.0 * (np.eye(n) - m)).T, b_rows)
     pairing = max(np.abs(g).max() for g in (
         2.0 * neutral_gram(p_rows, q_rows) - np.eye(n),
@@ -425,14 +433,13 @@ def _pre_stack_rebase(a1: np.ndarray, a2: np.ndarray) -> tuple[int, str, str]:
 @pytest.mark.parametrize("n", [6, 129])
 def test_rebase_json_is_unchanged_by_the_stacked_core(tmp_path, capsys, n):
     t1 = sample_orthogonal(n, seed=n)
-    pairs = [(t1.entries, t1.entries @ np.diag([1.0] * r + [-1.0] * (n - r)))
-             for r in (1, 2)]
+    pairs = [(t1, t1 @ np.diag([1.0] * r + [-1.0] * (n - r))) for r in (1, 2)]
     seed = 1000
     while len(pairs) < 4:  # two transversal pairs
         seed += 1
-        t2 = sample_orthogonal(n, seed=seed).entries
-        if (np.abs(np.linalg.eigvals(t1.entries.T @ t2) - 1.0) > 1e-6).all():
-            pairs.append((t1.entries, t2))
+        t2 = sample_orthogonal(n, seed=seed)
+        if (np.abs(np.linalg.eigvals(t1.T @ t2) - 1.0) > 1e-6).all():
+            pairs.append((t1, t2))
     codes = []
     for i, (a1, a2) in enumerate(pairs):
         path = tmp_path / f"pair{i}.txt"
@@ -675,7 +682,7 @@ def test_the_basis_check_catches_doubled_q_rows(monkeypatch):
     _double_the_q_rows(monkeypatch)
     for a1, a2 in pairs:
         with pytest.raises(ValueError, match="Witt pairing residual"):
-            witt_rebase(OrthogonalMatrix(a1), OrthogonalMatrix(a2))
+            witt_rebase(a1, a2)
 
 
 # The check's bound, max(8, n/2) * tol / sigma^2, is 3.2, 80 and 3.2 on
@@ -692,4 +699,4 @@ def test_the_basis_check_catches_doubled_q_rows_at_n6(monkeypatch, theta, tol):
     a1, a2 = _nearly_meeting_pair(theta, n=6)
     _double_the_q_rows(monkeypatch)
     with pytest.raises(ValueError, match="Witt pairing residual"):
-        witt_rebase(OrthogonalMatrix(a1, tol), OrthogonalMatrix(a2, tol))
+        witt_rebase(a1, a2, tol)
