@@ -18,8 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Generator, Mapping
 
-import numpy as np
-
 from .cnf import Assignment
 
 # Diagonal pattern fields, two bits per position.  AND implements the
@@ -113,6 +111,8 @@ def cofactor_leaves(
     sets of assignments.  The generator returns the total number of
     splits.
     """
+    import numpy as np  # only the sparse form loads it
+
     n = a.n
     low = _low_field_bits(n)
     width = (n + 3) // 4  # bytes per identity mask, four fields to a byte

@@ -29,7 +29,8 @@ from .cnf import (
 from .geometry import cover_verdict, formula_patterns, plane_text, sign_text
 from .oracle import dpll
 
-# loaded on first use: cover, dpll and dump-only geometry never import numpy
+# loaded on first use: cover, dpll and dump-only geometry never import these
+# modules, and of them only ortho and the sparse form import numpy
 _LAZY = {
     "algebra_models": "encoding",
     "algebra_verdict": "encoding",

@@ -8,18 +8,17 @@ the zero element.
 
 The product takes one of two forms, chosen by 2^n against the cell budget:
 2^22 cells by default, else the explicit budget (``--limit``), so a budget
-below 2^n forces the sparse form at any n.  While 2^n fits, the form is its
-table of values on all 2^n assignments, one bit each and zero when no bit
-is set; past the budget, a sparse sum of patterns (:func:`encode_formula`),
-which the cofactor zero test decides.
-The table is built as a walk over slabs, the Shannon cofactors at each
-setting of its leading variables, in the order of their assignments'
-primitive indices (:func:`table_slabs`): a verdict stops at the first slab
-with a set cell, which is then the lowest-indexed model
-(:func:`first_set_cell`), and a count takes every slab
-(:func:`encode_table`).  :func:`algebra_verdict` and
-:func:`algebra_models`, what ``check`` and ``models`` call, make the choice
-between the two forms.
+below 2^n forces the sparse form at any n.  While 2^n fits, and is no more
+than 2^32, the form is its table of values on all 2^n assignments, one bit
+each and zero when no bit is set; past that, a sparse sum of patterns
+(:func:`encode_formula`), which the cofactor zero test decides.
+The table is never built whole.  :func:`slab_walk` yields its slabs, the
+Shannon cofactors at each setting of the leading variables, as Python
+ints of up to 2^14 bits, in the order of their assignments' primitive
+indices, and skips every slab with no set cell: a verdict stops at the
+first slab, whose lowest set cell is the lowest-indexed model, and a count
+takes every slab.  :func:`algebra_verdict` and :func:`algebra_models`,
+what ``check`` and ``models`` call, make the choice between the two forms.
 """
 
 from __future__ import annotations
@@ -27,9 +26,8 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from typing import Iterable, Iterator
-
-import numpy as np
+from operator import and_
+from typing import Iterator
 
 from .algebra import (
     D_ID,
@@ -77,245 +75,117 @@ def _live_clauses(f: CnfFormula) -> list[Clause]:
     return live
 
 
-# A value table keeps the cells of its last _LANES variables in the bits of
-# one uint64 word.  _LANE_FALSIFIERS[s][negated] is the set of bits where a
-# literal on the variable at lane bit s fails: a positive literal where that
-# bit is 1 (false), a negated one where it is 0 (true).
-_LANES = 6
-_WORD = (1 << 64) - 1
-_LANE_FALSIFIERS = tuple(
-    (ones, _WORD ^ ones)
-    for ones in (sum(1 << b for b in range(64) if b >> s & 1) for s in range(_LANES))
-)
-# The last _ROW_AXES word axes (all of them below n = 15) make one row of
-# contiguous words, a slab; the axes before them are leading axes.  Clauses
-# are combined _CHUNK at a time, so no more than _CHUNK rows are gathered at
-# once.
-_ROW_AXES = 8
-_CHUNK = 256
+# A slab holds the cells of the last min(n, _ROW_VARIABLES) variables, one
+# bit each; the variables before them are the leading variables, whose
+# values pick the slab.
+_ROW_VARIABLES = 14
+# The largest table the walk takes, whatever the cell budget: 2^32 cells,
+# at most 2^18 slabs.  Past it the product is sparse.
+_CELL_CEILING = 1 << 32
 
 
 @functools.cache
-def _literal_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each literal's falsifier over one row of an n-variable value table,
-    and the key of the leading cells it fixes, both indexed by literal + n.
+def _literal_masks(n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Each literal's falsifier over one slab of an n-variable value table,
+    and the key of the leading cells it fixes.
 
-    A literal on a lane fails at its lane mask in every word of the row, a
-    literal on a row axis at every bit of the words whose index reads its
-    falsifying value, and a literal on a leading axis everywhere, since its
-    value picks the rows instead.  With L leading axes, a key's low L bits
-    are the leading axes fixed and its high L bits the index each reads
-    (variable 1 at bit 0 of both halves); a literal sets its variable's bit
-    in the low half, and a positive literal, false at index 1, in the high
-    half too.  So the keys below 2^L are those that index 0 on every
-    leading axis falsifies.  Index n, the literal 0, fixes nothing and pads
-    clauses to one width.
+    A slab is an int of 2^w bits, w = min(n, 14): bit b is the cell whose
+    last w variables read the bits of b (variable n at bit 0), 0 for true
+    and 1 for false.  A literal on a row variable fails where its variable
+    reads its falsifying value, and a literal on one of the L = n - w
+    leading variables on the whole slab, since its value picks the slab
+    instead.  A key's low L bits are the leading variables fixed and its
+    high L bits the values at which the literals on them fail, variable 1
+    at the top bit of each half; a literal sets its variable's bit in the
+    low half, and a positive literal, false at 1, in the high half too.  So
+    a clause's key is the sum of its literals' keys, and 0 when it has no
+    leading literal.
     """
-    lanes = min(n, _LANES)
-    axes = n - lanes
-    row_axes = min(axes, _ROW_AXES)
-    lead = axes - row_axes
-    word = np.arange(1 << row_axes)
-    rows = np.full((2 * n + 1, 1 << row_axes), _WORD, dtype=np.uint64)
-    keys = np.zeros(2 * n + 1, dtype=np.int64)
-    for lit in itertools.chain(range(-n, 0), range(1, n + 1)):
-        var = abs(lit)
-        if var > axes:
-            rows[lit + n] = _LANE_FALSIFIERS[n - var][lit < 0]
-        elif var > lead:
-            # a positive literal fails where its axis reads 1 (false)
-            rows[lit + n, (word >> (axes - var) & 1) != (lit > 0)] = 0
-        else:
-            bit = 1 << (var - 1)
-            keys[lit + n] = (bit << lead if lit > 0 else 0) | bit
-    rows.flags.writeable = False
-    keys.flags.writeable = False
-    return rows, keys
+    w = min(n, _ROW_VARIABLES)
+    lead = n - w
+    full = (1 << (1 << w)) - 1
+    falsifiers: dict[int, int] = {}
+    keys: dict[int, int] = {}
+    for var in range(1, lead + 1):
+        bit = 1 << (lead - var)
+        falsifiers[var] = falsifiers[-var] = full
+        keys[var], keys[-var] = bit << lead | bit, bit
+    for var in range(lead + 1, n + 1):
+        # where the variable reads 1 (false): runs of 2^s cells off, 2^s on
+        run = 1 << (n - var)
+        ones = ((1 << run) - 1) << run
+        while 2 * run < 1 << w:
+            run *= 2
+            ones |= ones << run
+        falsifiers[var], falsifiers[-var] = ones, full ^ ones
+        keys[var] = keys[-var] = 0
+    return falsifiers, keys
 
 
-def _clause_keeps(live: list[Clause], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keys (:func:`_literal_rows`) in ascending order, each with a keep row:
-    the complement of a falsifier over one row.
-
-    A clause's falsifier is the AND of its literals' rows, and its key the
-    OR of their keys (a clause names each variable once, so the sum).  The
-    falsifiers of a chunk are gathered in key order.  When the clauses fill
-    one chunk, each clause gives its own key and row.  Past one chunk, the
-    rows of each key are ORed into one, the union of those clauses'
-    falsifiers, so at most one row per key (3^L with L leading axes) and one
-    chunk are held at once.
-    """
-    literal_rows, literal_keys = _literal_rows(n)
-    keys = np.zeros(0, dtype=np.int64)
-    falsifiers = np.zeros((0, literal_rows.shape[1]), dtype=np.uint64)
-    # the gathers reuse two buffers; numpy would allocate each afresh
-    gathered = np.empty((min(len(live), _CHUNK), literal_rows.shape[1]), np.uint64)
-    column_rows = np.empty_like(gathered)
-    for start in range(0, len(live), _CHUNK):
-        chunk = live[start : start + _CHUNK]
-        widths = np.fromiter(map(len, chunk), np.intp, len(chunk))
-        codes = np.full((len(chunk), widths.max()), n)
-        codes[np.arange(codes.shape[1]) < widths[:, None]] = n + np.fromiter(
-            itertools.chain.from_iterable(chunk), np.intp, widths.sum()
-        )
-        chunk_keys = np.add.reduce(literal_keys[codes], axis=1)
-        order = np.argsort(chunk_keys)
-        codes, chunk_keys = codes[order], chunk_keys[order]
-        rows = gathered[: len(chunk)]
-        np.take(literal_rows, codes[:, 0], axis=0, out=rows, mode="clip")
-        for column in codes.T[1:]:
-            part = np.take(
-                literal_rows, column, axis=0, out=column_rows[: len(chunk)], mode="clip"
-            )
-            np.bitwise_and(rows, part, out=rows)
-        if len(live) <= _CHUNK:  # the only chunk: a row per clause
-            return chunk_keys, np.invert(rows, out=rows)
-        runs = _key_runs(chunk_keys)
-        union = np.empty((len(runs), rows.shape[1]), dtype=np.uint64)
-        for i, (_, lo, hi) in enumerate(runs):
-            np.bitwise_or.reduce(rows[lo:hi], axis=0, out=union[i])
-        chunk_keys = np.array([key for key, _, _ in runs], dtype=np.int64)
-        merged = np.union1d(keys, chunk_keys)
-        held = np.zeros((len(merged), rows.shape[1]), dtype=np.uint64)
-        held[np.searchsorted(merged, keys)] = falsifiers
-        held[np.searchsorted(merged, chunk_keys)] |= union
-        keys, falsifiers = merged, held
-    return keys, np.invert(falsifiers, out=falsifiers)
+def _table_fits(n: int, term_budget: int | None) -> bool:
+    """The product takes its table form: 2^n cells within the cell budget,
+    2^22 when *term_budget* is None and *term_budget* otherwise, and within
+    the ceiling of 2^32."""
+    cell_budget = DEFAULT_CELL_BUDGET if term_budget is None else term_budget
+    return 1 << n <= min(cell_budget, _CELL_CEILING)
 
 
-def _key_runs(keys: np.ndarray) -> list[tuple[int, int, int]]:
-    """(key, start, stop) of each run of equal keys in sorted *keys*."""
-    if not len(keys):
-        return []
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    bounds = starts.tolist() + [len(keys)]
-    return list(zip(keys[starts].tolist(), bounds[:-1], bounds[1:]))
-
-
-def table_slabs(
-    f: CnfFormula, *, term_budget: int | None = None
-) -> tuple[np.ndarray, Iterator[np.ndarray]] | None:
-    """The product's value table, and the walk that fills it slab by slab;
-    None when 2^n exceeds the cell budget or a table that size cannot be
-    made.
+def slab_walk(f: CnfFormula) -> Iterator[tuple[int, int]]:
+    """(index, slab) for each slab of the product's value table that holds
+    a set cell, in ascending index order.
 
     The table is the product written in the primitive-idempotent basis.
-    Every value is 0 or 1, so each cell is one bit: the table is a uint64
-    array of shape (2,)*(n-w), w = min(n, 6).  Its axes are the leading
-    variables, with index 0 for true and 1 for false, and bit b of a word
-    holds the cell whose last w variables read b the same way (variable n
-    is bit 0).  So word * 64 + bit is the assignment's primitive index
-    (:func:`table_cells`).  The cell budget is 2^22 when *term_budget* is
-    None and *term_budget*, at least 1, otherwise.
+    Every value is 0 or 1, so each cell is one bit, and slab s holds the
+    cells from primitive index s * 2^w at its bits (:func:`_literal_masks`):
+    its index reads the leading variables as a primitive index does.  A
+    slab is the Shannon cofactor of the product at its leading values: the
+    cells outside the falsifiers of the clauses whose leading literals
+    those values falsify, since a clause they satisfy drops out.
 
-    A slab is one row of the table: the last 8 word axes, up to 256
-    contiguous words or 2^14 cells, under one setting of the leading axes
-    before them, so slab s holds the primitive indices from s * 2^14.  Below
-    n = 15 there are no leading axes and the table is one slab.  A slab is
-    the Shannon cofactor of the product at its leading setting: the AND of
-    the keep rows (:func:`_clause_keeps`) of the clauses whose leading
-    literals that setting falsifies, since a clause it satisfies drops out.
-
-    The walk yields blocks of consecutive slabs in primitive-index order, as
-    2-d views (slabs, words) of the table, each filled before it is yielded:
-    the first slab alone, with one AND over the keep rows of the clauses
-    with no positive leading literal, then every other slab at once.  That
-    second block starts from every cell set, and the clauses of each key
-    clear their falsifiers with one in-place AND, broadcast over the slabs
-    that key's leading cells select (the first slab again among them, which
-    the AND leaves as it is).  An empty clause empties every slab, yielded as one
-    block.  The table is complete once the walk is exhausted; cells of
-    slabs not yet yielded are undefined.
+    A clause's falsifier is the AND of its literals'.  The clauses with no
+    leading literal OR theirs into the root, and every other clause into
+    one union per key, so at most 3^L unions are held.  The walk goes depth
+    first over the leading variables, index 0 (true) first; a node at depth
+    d ORs in the union of each key whose deepest leading variable is
+    variable d and whose leading literals the node's values all falsify.
+    A node whose union covers the slab is dropped with every slab beneath
+    it, and an empty clause leaves no slab at all.
     """
-    cell_budget = DEFAULT_CELL_BUDGET if term_budget is None else int(term_budget)
-    n = f.n
-    if 1 << n > cell_budget:
-        return None
-    try:
-        table = np.empty((2,) * (n - min(n, _LANES)), dtype=np.uint64)
-    except (ValueError, MemoryError):
-        return None  # past numpy's 64 axes, or past the memory
-    return table, _slab_blocks(f, table)
-
-
-def _slab_blocks(f: CnfFormula, table: np.ndarray) -> Iterator[np.ndarray]:
-    """The walk of :func:`table_slabs` over *table*."""
-    n = f.n
-    lead = table.ndim - min(table.ndim, _ROW_AXES)
-    slabs = table.reshape(1 << lead, -1)
     if f.has_empty_clause:
-        slabs[...] = 0
-        yield slabs
         return
-    keys, keeps = _clause_keeps(_live_clauses(f), n)
-    # the first slab reads index 0 (true) on every leading axis, which
-    # falsifies a leading literal exactly when it is negated; below n = 6
-    # one word holds all 2^n cells in its low bits
-    np.bitwise_and.reduce(
-        keeps[: np.searchsorted(keys, 1 << lead)],
-        axis=0,
-        initial=_WORD >> (64 - (1 << min(n, _LANES))),
-        out=slabs[0],
-    )
-    yield slabs[:1]
-    if lead == 0:
-        return
-    rest = slabs[1:]
-    rest[...] = _WORD
-    leading = table.reshape((2,) * lead + (-1,))
-    for key, lo, hi in _key_runs(keys):
-        falsified = key >> lead
-        index = [
-            falsified >> a & 1 if key >> a & 1 else slice(None) for a in range(lead)
-        ]
-        # the trailing ... keeps a view even when every leading axis is fixed
-        view = leading[(*index, ...)]
-        keep = keeps[lo] if hi - lo == 1 else np.bitwise_and.reduce(keeps[lo:hi])
-        np.bitwise_and(view, keep, out=view)
-    yield rest
-
-
-def encode_table(
-    f: CnfFormula, *, term_budget: int | None = None
-) -> np.ndarray | None:
-    """The value table of :func:`table_slabs` with every slab filled, or
-    None where that gives None."""
-    walk = table_slabs(f, term_budget=term_budget)
-    if walk is None:
-        return None
-    table, blocks = walk
-    for _ in blocks:
-        pass
-    return table
-
-
-def first_set_cell(blocks: Iterable[np.ndarray]) -> tuple[int | None, int, int]:
-    """Walk slab blocks (:func:`table_slabs`) up to the first slab with a set
-    cell: that cell's primitive index, the number of slabs read and the set
-    cells among them.  With no cell set, the index is None and every slab
-    has been read."""
-    read = 0
-    for block in blocks:
-        counts = np.bitwise_count(block).sum(axis=1)
-        if counts.any():
-            slab = int((counts != 0).argmax())
-            words = block[slab]
-            w = int((words != 0).argmax())
-            word = int(words[w])
-            bit = (word & -word).bit_length() - 1
-            cell = ((read + slab) * words.size + w) * 64 + bit
-            return cell, read + slab + 1, int(counts[slab])
-        read += len(block)
-    return None, read, 0
-
-
-def table_cells(table: np.ndarray, n: int) -> np.ndarray:
-    """The primitive indices of an n-variable value table's set cells, in
-    ascending order."""
-    bits = np.unpackbits(
-        table.astype("<u8").reshape(-1).view(np.uint8), bitorder="little"
-    )
-    return np.flatnonzero(bits[: 1 << n])
+    n = f.n
+    lead = n - min(n, _ROW_VARIABLES)
+    full = (1 << (1 << (n - lead))) - 1
+    falsifiers, keys = _literal_masks(n)
+    root = 0
+    unions: dict[int, int] = {}
+    for clause in _live_clauses(f):
+        falsifier = functools.reduce(and_, map(falsifiers.__getitem__, clause))
+        key = sum(map(keys.__getitem__, clause))
+        if key:
+            unions[key] = unions.get(key, 0) | falsifier
+        else:
+            root |= falsifier
+    # the deepest leading variable a key fixes is its lowest fixed bit
+    levels: list[list[tuple[int, int, int]]] = [[] for _ in range(lead + 1)]
+    for key, union in unions.items():
+        fixed = key & ((1 << lead) - 1)
+        depth = lead + 1 - (fixed & -fixed).bit_length()
+        levels[depth].append((fixed, key >> lead, union))
+    stack = [(0, 0, root)]
+    while stack:
+        depth, index, union = stack.pop()
+        for fixed, values, falsifier in levels[depth]:
+            if index & fixed == values:
+                union |= falsifier
+        if union == full:
+            continue
+        if depth == lead:
+            yield index, full ^ union
+            continue
+        bit = 1 << (lead - depth - 1)
+        stack.append((depth + 1, index | bit, union))
+        stack.append((depth + 1, index, union))
 
 
 def encode_formula(
@@ -325,7 +195,7 @@ def encode_formula(
     patterns, merging like patterns after every factor, under the pattern
     budget (*term_budget*, default 2^20); exceeding it raises
     :class:`TermBudgetError`.  This is the product's form past the cell
-    budget of :func:`table_slabs`.
+    budget of its table form (:func:`_table_fits`).
     """
     n = f.n
     budget = DEFAULT_TERM_BUDGET if term_budget is None else int(term_budget)
@@ -405,24 +275,33 @@ def count_models(element: DiagonalElement) -> int:
     return total
 
 
+# the set bits of each byte value, lowest first
+_BYTE_BITS = tuple(tuple(b for b in range(8) if byte >> b & 1) for byte in range(256))
+
+
 def algebra_verdict(
     f: CnfFormula, term_budget: int | None = None
 ) -> tuple[bool, Assignment | None, dict[str, int]]:
     """(unsatisfiable, model, counters) from the product in the form the
-    cell budget picks: the table walk up to its first set cell, or the
-    cofactor zero test of the sparse product.  The counters are
-    ``patterns`` (the sparse product's patterns, or the set cells of the
-    slab holding the model), ``slabs`` (table slabs read) and ``splits``
-    (cofactor splits taken); the form not taken reads 0 in its own."""
-    walk = table_slabs(f, term_budget=term_budget)
-    if walk is None:
+    cell budget picks: the slab walk up to its first slab, whose lowest
+    set cell is the lowest-indexed model, or the cofactor zero test of the
+    sparse product.  The counters are ``patterns`` (the sparse product's
+    patterns, or the set cells of the model's slab), ``slabs`` (the
+    model's slab's index plus one, or all 2^L slabs when there is no
+    model) and ``splits`` (cofactor splits taken); the form not taken reads
+    0 in its own."""
+    n = f.n
+    if not _table_fits(n, term_budget):
         element = encode_formula(f, term_budget=term_budget)
         zero, splits, point = zero_test_splits(element)
         counters = {"patterns": element.term_count, "slabs": 0, "splits": splits}
         return zero, point, counters
-    cell, slabs, patterns = first_set_cell(walk[1])
-    model = None if cell is None else Assignment.from_primitive_index(cell, f.n)
-    return cell is None, model, {"patterns": patterns, "slabs": slabs, "splits": 0}
+    w = min(n, _ROW_VARIABLES)
+    for index, slab in slab_walk(f):
+        cell = index << w | (slab & -slab).bit_length() - 1
+        counters = {"patterns": slab.bit_count(), "slabs": index + 1, "splits": 0}
+        return False, Assignment.from_primitive_index(cell, n), counters
+    return True, None, {"patterns": 0, "slabs": 1 << (n - w), "splits": 0}
 
 
 def algebra_models(
@@ -430,16 +309,34 @@ def algebra_models(
 ) -> tuple[int, list[Assignment] | None]:
     """(model count, the models in primitive-index order when the count is
     from 1 to *max_enum*, else None), from the product in the form the
-    cell budget picks."""
-    table = encode_table(f, term_budget=term_budget)
-    if table is None:
+    cell budget picks.  The table's count sums the set cells of every
+    slab; its listing reads the set cells of the slabs a byte at a time."""
+    n = f.n
+    if not _table_fits(n, term_budget):
         element = encode_formula(f, term_budget=term_budget)
         total = count_models(element)
         if not 0 < total <= max_enum:
             return total, None
         return total, sorted(models(element), key=Assignment.primitive_index)
-    total = int(np.bitwise_count(table).sum())
+    total = 0
+    kept = []  # the slabs, while they hold no more than max_enum cells
+    for index, slab in slab_walk(f):
+        total += slab.bit_count()
+        if total <= max_enum:
+            kept.append((index, slab))
     if not 0 < total <= max_enum:
         return total, None
-    cells = table_cells(table, f.n).tolist()
-    return total, [Assignment.from_primitive_index(i, f.n) for i in cells]
+    w = min(n, _ROW_VARIABLES)
+    # a set cell's values are those its byte's index gives the first n - 3
+    # variables, then those its bit gives the last three (the last n below 3)
+    last = min(n, 3)
+    tails = [Assignment.from_primitive_index(b, 3).values[3 - last :] for b in range(8)]
+    listing: list[Assignment] = []
+    for index, slab in kept:
+        at = index << w >> 3
+        for byte in slab.to_bytes(((1 << w) + 7) // 8, "little"):
+            if byte:
+                head = Assignment.from_primitive_index(at, n - last).values
+                listing += [Assignment(head + tails[b]) for b in _BYTE_BITS[byte]]
+            at += 1
+    return total, listing

@@ -1,6 +1,6 @@
 """A frozen copy of the value-table kernel as it was before the row split,
-kept only as the reference the current :func:`wittsat.encoding.encode_table`
-is compared against (``test_encoding.py``).  It is not part of the package.
+kept only as the reference the slabs of :func:`wittsat.encoding.slab_walk`
+are compared against (``test_encoding.py``).  It is not part of the package.
 
 Each clause is read straight off its literals: a literal on a word axis
 indexes it, a literal on a lane ANDs one of the lane masks, and one in-place

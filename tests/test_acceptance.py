@@ -16,10 +16,10 @@ from wittsat.algebra import D_ID, D_PQ, D_QP
 from wittsat.cnf import Assignment, Clause, CnfFormula
 from wittsat.encoding import (
     TermBudgetError,
+    algebra_models,
     encode_formula,
-    encode_table,
     models,
-    table_cells,
+    slab_walk,
 )
 from wittsat.geometry import cover_verdict, formula_patterns, sign_text
 from wittsat.oracle import dpll
@@ -60,7 +60,7 @@ from plane_reference import (
 
 def _table_unsat(f: CnfFormula) -> bool:
     """The algebraic verdict: the product's value table has no set cell."""
-    return not encode_table(f).any()
+    return next(slab_walk(f), None) is None
 
 
 def check_unsat_equivalence(n3_cases: int = 1000, seed: int = 101) -> str:
@@ -113,8 +113,8 @@ def check_model_sets(cases: int = 200, seed: int = 103) -> str:
         m = int(rng.integers(0, 3 * n + 1))
         f = random_formula(rng, n, m)
         expected = set(brute_force(f).models)
-        cells = table_cells(encode_table(f), n).tolist()
-        assert {Assignment.from_primitive_index(i, n) for i in cells} == expected
+        count, listed = algebra_models(f, None, 1 << n)
+        assert count == len(expected) and set(listed or ()) == expected
         try:
             sparse = encode_formula(f, term_budget=(1 << n) - 1)
         except TermBudgetError:

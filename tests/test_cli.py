@@ -242,13 +242,25 @@ def _algebra_json(capsys, path, *extra):
 
 @pytest.mark.parametrize("n", [60, 70])
 def test_a_limit_past_what_a_table_can_hold_stays_sparse(tmp_path, capsys, n):
-    # 2^60 cells cannot be allocated and numpy arrays stop at 64 axes, so
-    # a --limit above 2^n leaves these products sparse instead of failing
+    # the table form stops at 2^32 cells, so a --limit above 2^n leaves
+    # these products sparse
     path = tmp_path / "wide.cnf"
     path.write_text(serialize_dimacs(two_wide_clauses(n)))
     code, payload = _algebra_json(capsys, str(path), "--limit", str(1 << (n + 1)))
     assert code == 0
     assert payload["stats"] == {"patterns": 3, "slabs": 0, "splits": n}
+
+
+@pytest.mark.parametrize("n, form", [(32, "table"), (33, "sparse")])
+def test_the_table_form_stops_at_2_to_the_32_cells(tmp_path, capsys, n, form):
+    path = tmp_path / "wide.cnf"
+    path.write_text(serialize_dimacs(two_wide_clauses(n)))
+    code, payload = _algebra_json(capsys, str(path), "--limit", str(1 << (n + 1)))
+    assert code == 0
+    if form == "table":  # the first slab holds every cell but all-true
+        assert payload["stats"] == {"patterns": (1 << 14) - 1, "slabs": 1, "splits": 0}
+    else:
+        assert payload["stats"] == {"patterns": 3, "slabs": 0, "splits": n}
 
 
 def test_decision_budget_exit_code(tmp_path, capsys):
@@ -451,7 +463,8 @@ def test_route_all_prints_the_dpll_model(tmp_path, capsys):
 def test_a_wrong_algebra_model_exits_4(sat_file, monkeypatch, capsys, form):
     # SAT_TEXT's only model is -1 2; primitive index 0 is 1 2
     if form == "table":
-        monkeypatch.setattr("wittsat.encoding.first_set_cell", lambda blocks: (0, 1, 1))
+        # the first slab's first cell, primitive index 0
+        monkeypatch.setattr("wittsat.encoding.slab_walk", lambda f: iter([(0, 1)]))
         argv = ["check", sat_file, "--route", "algebra"]
     else:
         monkeypatch.setattr(

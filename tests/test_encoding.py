@@ -2,8 +2,9 @@
 
 Reference values come from truth tables (the brute-force oracle lives in
 tests/oracle_reference.py and is tested independently against DPLL).  Tests
-that read the product's value table go through encode_table and
-table_cells; encode_formula is the sparse product.
+that read the product's value table go through slab_walk, whose slabs are
+compared with the frozen numpy kernel of tests/table_reference.py;
+encode_formula is the sparse product.
 """
 
 import random
@@ -19,17 +20,15 @@ from hypothesis import strategies as st
 from wittsat.algebra import D_ID, D_PQ, D_QP, pattern_bits, zero_test_splits
 from wittsat.cnf import Assignment, Clause, CnfFormula
 from wittsat.encoding import (
-    _CHUNK,
-    _ROW_AXES,
+    _literal_masks,
     DroppedClauseWarning,
     TermBudgetError,
+    algebra_models,
+    algebra_verdict,
     count_models,
     encode_formula,
-    encode_table,
-    first_set_cell,
     models,
-    table_cells,
-    table_slabs,
+    slab_walk,
 )
 
 from algebra_reference import CheckedElement, eval_at, identity_element
@@ -60,14 +59,44 @@ def test_encode_clause_is_the_falsification_indicator():
         assert eval_at(e, a) == int(falsified_by(c, a))
 
 
+def _layout(n):
+    """(row bits, leading variables) of an n-variable table: a slab holds
+    2^w cells, w = min(n, 14), and the L = n - w leading variables pick
+    it."""
+    w = min(n, 14)
+    return w, n - w
+
+
+def _walk_bits(f):
+    """The set cells the slab walk yields, as a boolean vector over
+    primitive indices, after checking the walk: slab indices ascending and
+    below 2^L, and every slab nonzero and within its 2^w bits."""
+    w, lead = _layout(f.n)
+    bits = np.zeros(1 << f.n, dtype=bool)
+    last = -1
+    for index, slab in slab_walk(f):
+        assert last < index < 1 << lead
+        assert 0 < slab < 1 << (1 << w)
+        last = index
+        raw = np.frombuffer(slab.to_bytes(((1 << w) + 7) // 8, "little"), np.uint8)
+        cells = np.unpackbits(raw, bitorder="little")[: 1 << w]
+        bits[index << w : (index + 1) << w] = cells
+    return bits
+
+
+def _walk_cells(f):
+    """The primitive indices of the walk's set cells, in ascending order."""
+    return np.flatnonzero(_walk_bits(f)).tolist()
+
+
 def _table_unsat(f):
-    return not encode_table(f).any()
+    return next(slab_walk(f), None) is None
 
 
 def test_single_model_formula_collapses_to_its_point():
     f = formula_from_ints(2, [(1, 2), (-1, 2), (1, -2)])
     # the table's one set cell is the model's primitive index, 0
-    assert table_cells(encode_table(f), 2).tolist() == [0]
+    assert _walk_cells(f) == [0]
     e = encode_formula(f)
     assert models(e) == {Assignment((True, True))}
     assert count_models(e) == 1
@@ -112,12 +141,19 @@ def test_term_budget_is_enforced():
 def test_explicit_budget_caps_the_table_cells():
     rng = np.random.default_rng(0)
     f = formula_from_ints(13, [random_clause(rng, 13, 3) for _ in range(55)])
-    table = encode_table(f, term_budget=1 << 13)
-    assert np.array_equal(table, encode_table(f))
+    # 2^13 cells fit: the table answers, as under the default budget
+    verdict = algebra_verdict(f, 1 << 13)
+    assert verdict == algebra_verdict(f)
+    assert verdict[2]["slabs"] == 1 and verdict[2]["splits"] == 0
+    assert algebra_models(f, 1 << 13, 1 << 13) == algebra_models(f, None, 1 << 13)
     # one cell fewer refuses the table, and the sparse product outgrows it
-    assert encode_table(f, term_budget=(1 << 13) - 1) is None
-    with pytest.raises(TermBudgetError):
-        encode_formula(f, term_budget=(1 << 13) - 1)
+    for call in (
+        lambda: algebra_verdict(f, (1 << 13) - 1),
+        lambda: algebra_models(f, (1 << 13) - 1, 0),
+        lambda: encode_formula(f, term_budget=(1 << 13) - 1),
+    ):
+        with pytest.raises(TermBudgetError):
+            call()
 
 
 @pytest.mark.parametrize("seed", [0, 4])  # 7 models, unsatisfiable
@@ -125,17 +161,16 @@ def test_threshold_3sat_at_n15_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     f = formula_from_ints(15, [random_clause(rng, 15, 3) for _ in range(64)])
     expected = set(brute_force(f).models)
-    table = encode_table(f)
-    cells = table_cells(table, f.n).tolist()
+    cells = _walk_cells(f)
     assert {Assignment.from_primitive_index(i, f.n) for i in cells} == expected
-    assert int(np.bitwise_count(table).sum()) == len(expected)
+    assert algebra_models(f, None, 0) == (len(expected), None)
     assert _table_unsat(f) == (not expected)
 
 
 def test_switched_product_is_zeroed_by_later_clauses():
     # the table holds the product; the unit clauses zero all its cells
     prefix = [(1, 2), (3, 4), (5, 6)]
-    assert len(table_cells(encode_table(formula_from_ints(6, prefix)), 6)) == 27
+    assert len(_walk_cells(formula_from_ints(6, prefix))) == 27
     f = formula_from_ints(6, prefix + [(-1,), (-2,)])
     e = encode_formula(f)
     assert brute_force(f).models == () and _table_unsat(f)
@@ -146,29 +181,35 @@ def test_tautology_is_dropped_from_both_product_forms():
     pairs = formula_from_ints(6, [(1, 2), (3, 4), (5, 6)])
     tautology = formula_from_ints(6, [(1, -1)] + list(pairs.clauses))
     with pytest.warns(DroppedClauseWarning):
-        table = encode_table(tautology)
+        cells = _walk_cells(tautology)
     with pytest.warns(DroppedClauseWarning):
         sparse = encode_formula(tautology)
-    cells = table_cells(table, 6).tolist()
     assert len(cells) == 27 and sparse.term_count < 27
     assert {Assignment.from_primitive_index(i, 6) for i in cells} == models(sparse)
-    assert np.array_equal(table, encode_table(pairs))
+    assert cells == _walk_cells(pairs)
     assert CheckedElement.of(sparse) == encode_formula(pairs)
 
 
 def _table_set(f):
-    """The encoded table's set cells as a boolean vector over primitive
-    indices, after checking the packed layout: one uint64 word per setting
-    of the leading n - 6 variables, and a bit count equal to the cells."""
+    """The walk's set cells (:func:`_walk_bits`), after checking that the
+    model count sums as many."""
+    got = _walk_bits(f)
+    assert algebra_models(f, None, 0) == (int(got.sum()), None)
+    return got
+
+
+def _truth_set(f):
+    """The formula's value at every primitive index, clause by clause."""
     n = f.n
-    table = encode_table(f)
-    assert table.dtype == np.uint64 and table.shape == (2,) * max(n - 6, 0)
-    cells = table_cells(table, n)
-    assert int(np.bitwise_count(table).sum()) == len(cells)
-    assert bool(table.any()) == bool(len(cells))
-    out = np.zeros(1 << n, dtype=bool)
-    out[cells] = True
-    return out
+    index = np.arange(1 << n)
+    want = np.full(1 << n, not f.has_empty_clause)
+    for clause in f.clauses:
+        holds = np.zeros(1 << n, dtype=bool)
+        for lit in clause:
+            false = (index >> (n - abs(lit))) & 1 == 1
+            holds |= ~false if lit > 0 else false
+        want &= holds
+    return want
 
 
 def _assert_table_matches_satisfies(f):
@@ -178,7 +219,7 @@ def _assert_table_matches_satisfies(f):
         assert got[a.primitive_index()] == a.satisfies(f), a
 
 
-# n < 6 fills part of one word, n = 6 exactly one, n = 7 two words
+# n < 3 fills part of one byte, n = 3 exactly one, n = 8 one slab of 256
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("seed", range(4))
 def test_packed_table_matches_satisfies(n, seed):
@@ -186,13 +227,14 @@ def test_packed_table_matches_satisfies(n, seed):
     _assert_table_matches_satisfies(random_formula(rng, n, 2 * n))
 
 
-# at n = 8 variables 1-2 are word axes and 3-8 lanes; n = 7 has one axis
+# at n = 8 a cell's index reads variables 3-8 in its low six bits (the
+# lanes) and variables 1-2 in its top two (the word axes)
 @pytest.mark.parametrize(
     "n, clauses",
     [
         (8, [(3, -4), (-5, 8, 6), (7,)]),  # lane variables only
-        (8, [(1, -2), (2,)]),  # word axes only; (1, -2) fixes both: a 0-d view
-        (7, [(-1,), (2, 7)]),  # (-1) fixes the only word axis: a 0-d view
+        (8, [(1, -2), (2,)]),  # word axes only; (1, -2) fixes both
+        (7, [(-1,), (2, 7)]),  # (-1) fixes the top bit
         (8, [(-1, 5), (2, -3, 8), (-2, 4), (1, 2, -6, 7)]),  # mixed
     ],
     ids=["lanes", "word-axes", "only-word-axis", "mixed"],
@@ -201,10 +243,31 @@ def test_packed_table_clause_placement(n, clauses):
     _assert_table_matches_satisfies(formula_from_ints(n, clauses))
 
 
+# past n = 14 the first n - 14 variables are leading: they pick the slab
+@pytest.mark.parametrize(
+    "n, clauses",
+    [
+        (16, [(1, -2), (-1,)]),  # leading variables only
+        (17, [(1, -2, 3), (-1, 2, -3, 4), (2, 3)]),  # keys fixing every one
+        (16, [(1,), (2, 9), (-2, -10)]),  # a unit drops half the slabs
+        (17, [(-1, 5), (2, -3, 17), (-2, 4), (1, 2, -6, 16)]),  # mixed
+        (15, [(1, 15), (-1, 15), (2, -15), (-2, -15)]),  # no slab left
+    ],
+    ids=["leading-only", "every-leading", "dead-half", "mixed", "unsat"],
+)
+def test_leading_clause_placement(n, clauses):
+    f = formula_from_ints(n, clauses)
+    assert np.array_equal(_table_set(f), _truth_set(f))
+
+
 def test_packed_table_empty_clause_clears_every_cell():
-    for n in (3, 6, 8):
+    for n in (3, 6, 8, 16):
         f = CnfFormula(n, (Clause((1, 2)),), empty_clause_count=1)
         assert not _table_set(f).any()
+        # every slab counts as read
+        unsat, model, counters = algebra_verdict(f)
+        assert unsat and model is None
+        assert counters == {"patterns": 0, "slabs": 1 << _layout(n)[1], "splits": 0}
 
 
 def test_packed_table_drops_a_tautology_with_warning():
@@ -219,15 +282,7 @@ def test_packed_table_at_n20_matches_satisfies():
     f = formula_from_ints(n, [random_clause(rng, n, 3) for _ in range(80)])
     got = _table_set(f)
     # every cell against a clause-by-clause evaluation of its index ...
-    index = np.arange(1 << n)
-    want = np.ones(1 << n, dtype=bool)
-    for clause in f.clauses:
-        holds = np.zeros(1 << n, dtype=bool)
-        for lit in clause:
-            false = ((index >> (n - abs(lit))) & 1).astype(bool)
-            holds |= ~false if lit > 0 else false
-        want &= holds
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, _truth_set(f))
     # ... and every model plus as many other cells against satisfies
     models_ = np.flatnonzero(got)
     assert 0 < len(models_) < 1000
@@ -237,31 +292,26 @@ def test_packed_table_at_n20_matches_satisfies():
         assert a.satisfies(f) == got[i]
 
 
+def _reference_bits(f):
+    """The frozen kernel's table as a boolean vector over primitive
+    indices."""
+    words = reference_table(f).astype("<u8").reshape(-1).view(np.uint8)
+    return np.unpackbits(words, bitorder="little")[: 1 << f.n].astype(bool)
+
+
 def _assert_table_matches_reference(f):
-    """The table equals the frozen per-clause kernel's bit for bit, and both
-    warn about the same dropped tautologies."""
+    """The walk's cells equal the frozen per-clause kernel's bit for bit,
+    and both warn about the same dropped tautologies."""
     with warnings.catch_warnings(record=True) as want_warned:
         warnings.simplefilter("always")
-        want = reference_table(f)
+        want = _reference_bits(f)
     with warnings.catch_warnings(record=True) as got_warned:
         warnings.simplefilter("always")
-        got = encode_table(f)
+        got = _walk_bits(f)
     assert [str(w.message) for w in got_warned] == [
         str(w.message) for w in want_warned
     ]
-    assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
-
-
-def _layout(n):
-    """(leading, row-axis, lane) variables of an n-variable table."""
-    axes = max(n - 6, 0)
-    lead = axes - min(axes, _ROW_AXES)
-    return (
-        list(range(1, lead + 1)),
-        list(range(lead + 1, axes + 1)),
-        list(range(axes + 1, n + 1)),
-    )
 
 
 def _signed(rng, variables):
@@ -270,7 +320,7 @@ def _signed(rng, variables):
 
 # widths 1 to n, unit clauses, repeated clauses, a repeated literal (which
 # Clause drops), tautologies and the empty clause, at every n up to the
-# cell budget
+# cell budget: L = 0 leading variables up to n = 14, then up to 8
 @pytest.mark.parametrize("n", range(1, 23))
 @pytest.mark.parametrize("seed", range(2))
 def test_table_equals_the_reference_at_every_n(n, seed):
@@ -291,91 +341,97 @@ def test_table_equals_the_reference_at_every_n(n, seed):
     _assert_table_matches_reference(CnfFormula(n, f.clauses, empty_clause_count=1))
 
 
-# clauses confined to one part of the layout: the lanes, the row axes or the
-# leading axes (one fixing every leading axis), and mixed; n = 14 is the
-# last n with no leading axis
+# clauses confined to one part of the layout: the leading variables (one
+# clause fixing all of them) or the row variables, and mixed; n = 14 is the
+# last n with no leading variable
 @pytest.mark.parametrize("n", [7, 13, 14, 15, 16, 20, 22])
 @pytest.mark.parametrize("seed", range(3))
 def test_table_equals_the_reference_per_layout_part(n, seed):
     rng = np.random.default_rng(1000 * n + seed)
-    lead, row, lane = _layout(n)
+    lead = list(range(1, _layout(n)[1] + 1))
+    row = list(range(len(lead) + 1, n + 1))
     clauses = []
-    for part in (lead, row, lane):
+    for part in (lead, row):
         for width in range(1, min(len(part), 4) + 1):
             chosen = rng.choice(part, size=width, replace=False)
             clauses.append(_signed(rng, (int(v) for v in chosen)))
     if lead:
         clauses.append(_signed(rng, lead))
-        clauses.append(_signed(rng, lead + row[:1] + lane[:1]))
+        clauses.append(_signed(rng, lead + row[:2]))
     clauses += [random_clause(rng, n, 3) for _ in range(2 * n)]
     _assert_table_matches_reference(formula_from_ints(n, clauses))
 
 
-def test_table_equals_the_reference_across_clause_chunks():
+def test_table_equals_the_reference_with_many_clauses():
     rng = np.random.default_rng(17200)
     for n in (9, 16):
-        m = 2 * _CHUNK + 37
         clauses = [
-            random_clause(rng, n, int(rng.integers(1, 5))) for _ in range(m)
+            random_clause(rng, n, int(rng.integers(1, 5))) for _ in range(549)
         ]
         _assert_table_matches_reference(formula_from_ints(n, clauses))
 
 
 @pytest.mark.parametrize("n", [9, 16, 18])
-def test_clauses_only_the_first_chunk_holds_are_kept(n):
-    # one row per key is held between chunks; a clause whose key recurs
-    # in the first chunk only must still clear its cells
+def test_keys_repeated_across_many_clauses_are_kept(n):
+    # the clauses of one key share one union; each must still clear its
+    # own cells, a clause repeated many times and a run of clauses with
+    # the same leading literals and different row literals among them
     rng = np.random.default_rng(17300 + n)
-    clauses = [random_clause(rng, n, 4) for _ in range(_CHUNK)]
-    clauses += [clauses[-1]] * (_CHUNK + 37)
+    lead = _layout(n)[1]
+    clauses = [random_clause(rng, n, 4) for _ in range(256)]
+    clauses += [clauses[-1]] * 293
+    head = _signed(rng, range(1, min(lead, 2) + 1))
+    for _ in range(300):
+        tail = rng.choice(range(lead + 1, n + 1), size=2, replace=False)
+        clauses.append(head + _signed(rng, (int(v) for v in tail)))
     _assert_table_matches_reference(formula_from_ints(n, clauses))
 
 
 @pytest.mark.parametrize("n, ratio", [(3, 2.0), (6, 3.0), (14, 4.26), (15, 1.0),
                                       (16, 4.26), (19, 3.0), (21, 4.26)])
 def test_the_slab_walk_yields_the_table_in_order(n, ratio):
-    # the first slab alone, then the others at once, each a row of the
-    # assembled table; the first set cell and the slabs up to it match the
-    # table's cells
+    # the walk yields the reference table's nonzero slabs, in order, and
+    # the verdict reads its model, slab and patterns off the first
     rng = np.random.default_rng(17500 + n)
     m = round(ratio * n)
     f = formula_from_ints(n, [random_clause(rng, n, 3) for _ in range(m)])
-    want = reference_table(f)
-    rows = want.reshape(1 << max(n - 14, 0), -1)
-    table, blocks = table_slabs(f)
-    got = [block.copy() for block in blocks]
-    assert [len(block) for block in got] == [1] + ([len(rows) - 1] if n > 14 else [])
-    assert np.array_equal(np.concatenate(got), rows)
-    assert np.array_equal(table, want)
-    cells = table_cells(want, n)
-    cell, slabs, patterns = first_set_cell(table_slabs(f)[1])
-    if len(cells):
-        slab = int(cells[0]) >> 14
-        assert (cell, slabs) == (int(cells[0]), slab + 1)
-        assert patterns == int(np.count_nonzero(cells >> 14 == slab))
+    w, lead = _layout(n)
+    words = reference_table(f).astype("<u8").reshape(1 << lead, -1)
+    rows = [int.from_bytes(row.tobytes(), "little") for row in words]
+    got = list(slab_walk(f))
+    assert got == [(i, row) for i, row in enumerate(rows) if row]
+    unsat, model, counters = algebra_verdict(f)
+    if got:
+        index, slab = got[0]
+        cell = index << w | (slab & -slab).bit_length() - 1
+        assert not unsat and model == Assignment.from_primitive_index(cell, n)
+        assert counters == {
+            "patterns": slab.bit_count(), "slabs": index + 1, "splits": 0
+        }
     else:
-        assert (cell, slabs, patterns) == (None, len(rows), 0)
+        assert unsat and model is None
+        assert counters == {"patterns": 0, "slabs": 1 << lead, "splits": 0}
 
 
 def test_table_working_memory_does_not_grow_with_the_clauses():
-    """Clause rows are made a chunk at a time: the peak allocation stays
-    within a small multiple of the table and one chunk's rows, far below
-    one row per clause."""
+    """The falsifiers of the clauses of one key are ORed into one union as
+    they are read, so the walk holds at most 3^L unions (9 at n = 16)
+    besides the list of the clauses it reads, far below one falsifier per
+    clause."""
     n, m = 16, 20_000
     rng = np.random.default_rng(17400)
     f = formula_from_ints(n, [random_clause(rng, n, 3) for _ in range(m)])
-    table_bytes = 8 << (n - 6)
-    chunk_bytes = 8 * _CHUNK << _ROW_AXES
-    encode_table(f)  # the per-n literal rows are made once, not per call
+    slab_bytes = (1 << 14) // 8
+    _literal_masks(n)  # the per-n literal masks are made once, not per call
     tracemalloc.start()
     try:
-        table = encode_table(f)
+        count, _ = algebra_models(f, None, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.nbytes == table_bytes
-    clause_rows_bytes = 8 * m << _ROW_AXES  # one row per clause: 41 MB
-    assert peak <= 4 * (table_bytes + chunk_bytes) < clause_rows_bytes // 10
+    assert count == 0
+    clause_rows_bytes = m * slab_bytes  # one falsifier per clause: 41 MB
+    assert peak <= 8 * m + 64 * slab_bytes < clause_rows_bytes // 100
 
 
 def _units_formula(seed):

@@ -421,7 +421,10 @@ def _pre_stack_rebase(a1: np.ndarray, a2: np.ndarray) -> tuple[int, str, str]:
         "n": n,
         "residuals": {
             "pairing": float(pairing),
-            "p_side": float(np.abs(2.0 * neutral_gram(p_rows, p_rows)).max()),
+            # the general product the program measures p_side by: numpy
+            # multiplies an array by its own transpose with syrk, which
+            # rounds differently
+            "p_side": float(np.abs(2.0 * neutral_gram(p_rows, p_rows.copy())).max()),
             "q_side": float(np.abs(2.0 * neutral_gram(b_rows, q_rows)).max()),
         },
         "p_rows": p_rows.tolist(),

@@ -1,9 +1,10 @@
-"""What a fresh ``wittsat`` process loads: the cover search, DPLL and the
-plane dump run without numpy, and the numpy-backed layers (encoding,
-algebra, ortho) load on the first call that needs them.  Neither the
-import nor the numpy-free commands load ``dataclasses``, ``inspect`` or
-``traceback``; a defect loads ``traceback`` to print itself, and only
-``--json`` output loads ``json``.  Every test that counts modules runs in
+"""What a fresh ``wittsat`` process loads: the cover search, DPLL, the
+plane dump and the algebra's value table run without numpy; the layers
+that use it, the sparse product's cofactor walk and the orthogonal group,
+load it on the first call that needs them.  Neither the import nor the
+numpy-free commands load ``dataclasses``, ``inspect`` or ``traceback``; a
+defect loads ``traceback`` to print itself, and only ``--json`` output
+loads ``json``.  Every test that counts modules runs in
 an interpreter of its own, since this one has imported them all."""
 
 import json
@@ -106,13 +107,32 @@ def test_the_search_commands_never_load_numpy(files, capsys):
     assert [call["code"] for call in got["calls"]] == [0, 1, 0, 0, 0, 2]
 
 
+def test_the_table_form_never_loads_numpy(files, capsys):
+    # within the cell budget check (its default route included) and models
+    # walk the value table, nor do they load dataclasses, inspect or
+    # traceback
+    argvs = [
+        ["check", files["sat"]],
+        ["check", "--route", "algebra", files["unsat"]],
+        ["models", files["sat"]],
+        ["models", "--json", files["unsat"]],
+    ]
+    got = fresh_python(CALLS, json.dumps(argvs))
+    assert got["import"] == []
+    for argv, call in zip(argvs, got["calls"]):
+        assert call.pop("loaded") == ["wittsat.encoding", "wittsat.algebra"], argv
+        assert call == in_process(argv, capsys), argv
+    assert [call["code"] for call in got["calls"]] == [0, 1, 0, 1]
+
+
 def test_the_numpy_commands_load_their_layers_and_answer_as_before(
     files, capsys
 ):
+    # a --limit below 2^n keeps the product sparse
     argvs = {
         "wittsat.encoding": [
-            ["check", "--route", "algebra", files["sat"]],
-            ["models", files["sat"]],
+            ["check", "--route", "algebra", "--limit", "3", files["sat"]],
+            ["models", "--limit", "3", files["sat"]],
         ],
         "wittsat.ortho": [
             ["geometry", "--samples", "4", files["unsat"]],
@@ -123,7 +143,8 @@ def test_the_numpy_commands_load_their_layers_and_answer_as_before(
         got = fresh_python(CALLS, json.dumps(group))
         assert got["import"] == []
         for argv, call in zip(group, got["calls"]):
-            assert module in call.pop("loaded"), argv
+            loaded = call.pop("loaded")
+            assert module in loaded and "numpy" in loaded, argv
             assert call == in_process(argv, capsys), argv
             assert call["code"] == 0, argv
 
