@@ -2,6 +2,7 @@
 clause-copying predecessor, and the references of tests/oracle_reference.py
 (the truth table, the exact matrix backend) against hand-computed cases."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -162,6 +163,50 @@ def test_trail_dpll_matches_reference_on_binary_corpus():
     rng = random.Random(2022)
     for _ in range(3000):
         _assert_matches_reference(_binary_corpus_formula(rng))
+
+
+def _counters_digest(make, rng, count):
+    """sha256 prefix over (unsat, model bits, decisions, propagations) of
+    the first ``count`` formulas ``make(rng)`` draws."""
+    h = hashlib.sha256()
+    for _ in range(count):
+        unsat, model, stats = dpll(make(rng))
+        row = (unsat, model_bits(model), stats["decisions"], stats["propagations"])
+        h.update(repr(row).encode())
+    return h.hexdigest()[:16]
+
+
+def test_dpll_counters_are_pinned_on_the_seeded_corpora():
+    # the frozen reference counts no propagations, so these digests pin
+    # them (with verdict, model and decisions) on both corpora above
+    assert _counters_digest(_corpus_formula, random.Random(2003), 5000) == (
+        "0b060429ac6d4b2b"
+    )
+    assert _counters_digest(_binary_corpus_formula, random.Random(2022), 3000) == (
+        "c68e51c23a52c8bf"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, clauses, model, decisions, propagations",
+    [
+        (5, [], "11111", 0, 0),  # no clauses
+        (4, [(1, -1), (3, -3), (-3, 3, 2), (4, -4)], "1111", 3, 0),
+        (3, [(1, -1), (2, -2), (3, -3)], "111", 3, 0),  # binary tautologies
+        # the units satisfy every clause before any decision
+        (4, [(2,), (-4,), (1, 2), (-4, 3, -1), (2, -3, 4)], "1110", 0, 2),
+        # -x2 is pure, and setting it leaves no clause: the pick's scan runs
+        # through all 200,001 slots to its end
+        (100_000, [(1,), (-2, 100_000)], "10" + "1" * 99_998, 0, 1),
+    ],
+    ids=["empty", "tautologies", "binary-tautologies", "units", "n100000"],
+)
+def test_dpll_reads_sat_where_no_clause_is_left(
+    n, clauses, model, decisions, propagations
+):
+    unsat, got, stats = dpll(formula_from_ints(n, clauses))
+    assert (unsat, model_bits(got)) == (False, model)
+    assert stats == {"decisions": decisions, "propagations": propagations}
 
 
 def test_binary_conflict_ends_the_propagation():
