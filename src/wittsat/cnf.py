@@ -206,15 +206,19 @@ def parse_dimacs(text: str) -> CnfFormula:
     try:
         lits = tuple(map(int, toks))
     except ValueError:
-        lits = None
-    if lits is None or "-0" in toks or max(map(abs, lits), default=0) > n:
+        raise _first_token_error(lines, ln, n) from None
+    if "-0" in toks or max(lits, default=0) > n or min(lits, default=0) < -n:
         raise _first_token_error(lines, ln, n)
     clauses = []
     empties = start = 0
     for _ in range(lits.count(0)):
         end = lits.index(0, start)
         if end > start:
-            clauses.append(Clause(lits[start:end]))
+            clause = lits[start:end]
+            if len(set(map(abs, clause))) == end - start:  # nothing for Clause to do
+                clauses.append(tuple.__new__(Clause, clause))
+            else:
+                clauses.append(Clause(clause))
         else:
             empties += 1
         start = end + 1

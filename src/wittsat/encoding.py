@@ -56,11 +56,6 @@ class DroppedClauseWarning(UserWarning):
     """A tautological clause was skipped while encoding."""
 
 
-def _clause_pattern(clause: Clause, n: int) -> int:
-    fixed = {abs(lit): (D_PQ if lit > 0 else D_QP) for lit in clause}
-    return pattern_bits(n, fixed)
-
-
 def _live_clauses(f: CnfFormula) -> list[Clause]:
     """The clauses that have a falsifier, dropping (with a warning) the
     tautological ones, which have none."""
@@ -157,11 +152,16 @@ def slab_walk(f: CnfFormula) -> Iterator[tuple[int, int]]:
     lead = n - min(n, _ROW_VARIABLES)
     full = (1 << (1 << (n - lead))) - 1
     falsifiers, keys = _literal_masks(n)
+    mask, key_of = falsifiers.__getitem__, keys.__getitem__
     root = 0
     unions: dict[int, int] = {}
     for clause in _live_clauses(f):
-        falsifier = functools.reduce(and_, map(falsifiers.__getitem__, clause))
-        key = sum(map(keys.__getitem__, clause))
+        if len(clause) == 3:
+            a, b, c = clause
+            falsifier = falsifiers[a] & falsifiers[b] & falsifiers[c]
+        else:
+            falsifier = functools.reduce(and_, map(mask, clause))
+        key = lead and sum(map(key_of, clause))  # 0 without leading variables
         if key:
             unions[key] = unions.get(key, 0) | falsifier
         else:
@@ -203,7 +203,7 @@ def encode_formula(
         return DiagonalElement(n, {})
     terms: dict[int, int] = {_all_identity(n): 1}
     for clause in _live_clauses(f):
-        z = _clause_pattern(clause, n)
+        z = pattern_bits(n, {abs(lit): D_PQ if lit > 0 else D_QP for lit in clause})
         if len(clause) == 1:
             # q_ip_i + p_iq_i is the identity, so (identity - falsifier) is
             # the opposite field's idempotent: one pattern, not two

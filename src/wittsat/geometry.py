@@ -16,11 +16,11 @@ from .cnf import Assignment, Clause, CnfFormula, ResourceLimitError
 # assignment's plane holds q_i where variable i is true and p_i where false.
 
 
-def clause_slots(clause: Clause) -> dict[int, int]:
-    """The fixed slots of the clause's pattern as ``{0-based position:
-    sign}``; every other position is free and absent from the dict.  A
-    tautological clause has no pattern, and the callers skip it."""
-    return {abs(lit) - 1: 1 if lit > 0 else -1 for lit in clause}
+def clause_slots(clause: Clause) -> list[tuple[int, int]]:
+    """The fixed slots of the clause's pattern as (0-based position, sign)
+    pairs in literal order; every other position is free.  A tautological
+    clause has no pattern, and the callers skip it."""
+    return [(lit - 1, 1) if lit > 0 else (-lit - 1, -1) for lit in clause]
 
 
 def plane_text(clause: Clause) -> str:
@@ -45,17 +45,18 @@ def formula_patterns(f: CnfFormula) -> list[str]:
     for clause in f.clauses:
         if not clause.is_tautological:
             row = ["*"] * f.n
-            for pos, sign in clause_slots(clause).items():
+            for pos, sign in clause_slots(clause):
                 row[pos] = "+" if sign == 1 else "-"
             pats.append("".join(row))
     return pats
 
 
 def _first_uncovered(
-    patterns: list[dict[int, int]], n: int, decision_budget: int | None
+    slots: list[list[tuple[int, int]]], n: int, decision_budget: int | None
 ) -> tuple[tuple[int, ...] | None, int, int]:
-    """Search for a sign vector that no pattern matches; also return the
-    number of branchings and of forced signs that got assigned.
+    """Search for a sign vector that no pattern matches, each pattern given
+    by its fixed slots (:func:`clause_slots`); also return the number of
+    branchings and of forced signs that got assigned.
 
     Positions are assigned along a trail and unassigned by popping it.  A
     pattern is live while none of its fixed slots is contradicted.  A live
@@ -88,24 +89,21 @@ def _first_uncovered(
     never picked.
     """
     decisions = propagations = 0
-    slots = [tuple(p.items()) for p in patterns]
     if not all(slots):
         return None, 0, 0  # a pattern without fixed slots matches everything
     occurs = {1: [[] for _ in range(n)], -1: [[] for _ in range(n)]}
+    weight = [0] * n
     for j, pattern in enumerate(slots):
         for pos, sign in pattern:
             occurs[sign][pos].append(j)
-    size = [len(pattern) for pattern in slots]
+            weight[pos] += 1
+    size = list(map(len, slots))
     agree = [0] * len(slots)  # assigned slots that match
     dead = [False] * len(slots)  # a swept slot contradicts the pattern
     killed: list[int] = []
     # live patterns fixing each position as of the last sweep; an assigned
     # position is lowered by `assigned_mark` so that the pick skips it
     assigned_mark = len(slots) + 1
-    weight = [0] * n
-    for pattern in slots:
-        for pos, _ in pattern:
-            weight[pos] += 1
     top, start = max(weight), 0
     value = [0] * n
     trail: list[int] = []
@@ -206,7 +204,7 @@ def cover_verdict(
     ``decision_budget`` branchings raise ResourceLimitError; None means
     unbounded.
     """
-    fixed = [{}] if f.has_empty_clause else []
+    fixed = [[]] if f.has_empty_clause else []
     fixed += [clause_slots(c) for c in f.clauses if not c.is_tautological]
     found, decisions, propagations = _first_uncovered(fixed, f.n, decision_budget)
     counters = {"decisions": decisions, "propagations": propagations}

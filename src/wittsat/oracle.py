@@ -100,15 +100,23 @@ class _TrailSearch:
         self.count = count = [0] * (size + 1)  # slot size: the pick's sentinel
         self.clauses = slots = []
         for i, clause in enumerate(clauses):
-            if len(clause) == 2:
-                a, b = clause
-                a %= size  # -v becomes size - v
-                b %= size
+            if len(clause) == 3:  # the common width, unrolled
+                a, b, c = clause
+                abc = a, b, c = a % size, b % size, c % size  # -v becomes size - v
+                counted[a].append(i)
+                counted[b].append(i)
+                counted[c].append(i)
+                count[a] += 1
+                count[b] += 1
+                count[c] += 1
+                slots.append(abc)
+            elif len(clause) == 2:
+                ab = a, b = clause[0] % size, clause[1] % size
                 implied[size - a].append(b)
                 implied[size - b].append(a)
                 count[a] += 1
                 count[b] += 1
-                slots.append((a, b))
+                slots.append(ab)
             else:
                 clause = [x % size for x in clause]
                 for x in clause:

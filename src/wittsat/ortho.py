@@ -208,7 +208,12 @@ def rebase_residuals(
     p_rows: np.ndarray, q_rows: np.ndarray, t2: np.ndarray
 ) -> dict[str, float]:
     """The largest q coordinate of t1's plane, spanned by the p rows, and
-    the largest p coordinate of t2's plane: both should vanish."""
+    the largest p coordinate of t2's plane: both should vanish.
+
+    ``p_side`` is no independent check.  The plane of t1 is the p rows
+    themselves, so it is 2 max|B(p_i, p_j)|: twice the p-side nullness term
+    that the pairing residual (:func:`_witt_residual`) already holds, apart
+    from rounding."""
     plane2 = np.hstack([np.eye(len(t2)), t2.T])
     # numpy multiplies an array by its own transpose with syrk, which rounds
     # differently; the copy keeps the general product p_side was measured by

@@ -122,12 +122,12 @@ def test_clause_plane_generators():
 
 
 def test_induced_pattern_pins_literal_slots():
-    assert clause_slots(Clause((1, -2))) == {0: 1, 1: -1}
+    assert clause_slots(Clause((-2, 1))) == [(1, -1), (0, 1)]
     assert _pattern((1, -2), 3) == "+-*"
-    # the slots and the text agree on every clause
+    # the slots, in literal order, and the text agree on every clause
     for ints in clause_universe(3):
         text = _pattern(ints, 3)
-        pinned = {i: 1 if c == "+" else -1 for i, c in enumerate(text) if c != "*"}
+        pinned = [(abs(x) - 1, 1 if text[abs(x) - 1] == "+" else -1) for x in ints]
         assert clause_slots(Clause(ints)) == pinned
 
 
