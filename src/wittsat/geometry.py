@@ -19,7 +19,8 @@ from .cnf import Assignment, Clause, CnfFormula, ResourceLimitError
 def clause_slots(clause: Clause) -> list[tuple[int, int]]:
     """The fixed slots of the clause's pattern as (0-based position, sign)
     pairs in literal order; every other position is free.  A tautological
-    clause has no pattern, and the callers skip it."""
+    clause has no pattern, and the caller, :func:`formula_patterns`, skips
+    it; the cover search reads the literals as slots itself."""
     return [(lit - 1, 1) if lit > 0 else (-lit - 1, -1) for lit in clause]
 
 
@@ -52,11 +53,10 @@ def formula_patterns(f: CnfFormula) -> list[str]:
 
 
 def _first_uncovered(
-    slots: list[list[tuple[int, int]]], n: int, decision_budget: int | None
-) -> tuple[tuple[int, ...] | None, int, int]:
-    """Search for a sign vector that no pattern matches, each pattern given
-    by its fixed slots (:func:`clause_slots`); also return the number of
-    branchings and of forced signs that got assigned.
+    clauses: list[Clause], n: int, decision_budget: int | None
+) -> tuple[list[int] | None, int, int]:
+    """(the signs of a sign vector no clause's pattern matches, 0 where
+    free, or None if they cover all; branchings; forced signs assigned).
 
     Positions are assigned along a trail and unassigned by popping it.  A
     pattern is live while none of its fixed slots is contradicted.  A live
@@ -64,138 +64,137 @@ def _first_uncovered(
     is covered; a live pattern with one unassigned slot left forces the
     opposite sign there (unit propagation read on covers).  Branching takes
     the position fixed by the most live patterns, lowest index on ties, +1
-    first.  Positions left unassigned read +1 in the witness.  More than
+    first; a position left unassigned reads +1.  More than
     ``decision_budget`` branchings raise ResourceLimitError.
 
-    An assignment updates only ``agree``, the assigned slots that match each
-    pattern.  That alone finds covers and forced signs: a pattern with no
-    slot left outside ``agree`` has none contradicted, and one with a single
-    slot left forces it only if it is unassigned.  Dead patterns are found
-    by a sweep over ``trail[swept:]`` after a propagation ends without a
-    cover, so a branch that ends in a cover never touches them.  The sweep
-    marks a pattern ``dead``, puts it on ``killed`` and lowers the branching
-    weights of its slots when it meets a contradicted slot, and the undo
-    reverses that for the patterns killed since the branching, so at a
-    decision point the list holds exactly the dead patterns.
+    Variable v's position is slot v at +1 and slot size - v at -1, with
+    size = 2n+1: a literal's fixed slot is the literal mod size, ``size -
+    x`` is slot x's opposite, ``var`` maps a slot to its variable, and no
+    list is subscripted with a negative int.  ``value[x]`` is 1 once x is
+    assigned, -1 once its opposite is, else 0.  ``occurs[x]`` lists the
+    patterns that fix x, and ``left`` counts a pattern's fixed slots not
+    yet agreeing.  Assigning x walks ``occurs[x]`` once: a count that falls
+    to 1 queues the opposite of the pattern's unassigned slot (none if the
+    last slot is contradicted), and one that falls to 0 is a cover, after
+    which the walk still finishes its decrements, since the undo adds 1
+    back on all of ``occurs[x]``.  After a propagation ends without a
+    cover, a sweep over ``trail[swept:]`` lowers each assigned position's
+    weight by ``assigned_mark``, and marks a pattern ``dead``, puts it on
+    ``killed`` and lowers its positions' weights when it meets a
+    contradicted slot, so a branch that ends in a cover never touches them;
+    the undo reverses the sweep since the branching.
 
-    Two values make the pick cheap.  ``top`` bounds every weight from
-    above, and no position below ``start`` has weight ``top``; the pick is
-    ``weight.index(top, start)``.  When no position matches, ``top`` drops
-    to the largest weight and the pick is its first position, from 0 on.
-    Beneath a branching weights only fall, so both values stay valid there,
-    and each branching pushes them next to its marks.  At a decision point
-    every live pattern has two unassigned slots, so the largest weight is
-    at least 1, and an assigned position, whose weight is at most -1, is
-    never picked.
+    The pick keeps ``top``, a bound on every weight, and ``start``, below
+    which no position weighs ``top``: it is ``weight.index(top, start)``,
+    whose scan ends at a sentinel equal to ``top`` past position n, and
+    then ``top`` drops to the largest weight and the pick is its first
+    position.  Weights only fall beneath a branching, which pushes both
+    values next to its marks.  At a decision point every live pattern has
+    two unassigned slots, so the largest weight is at least 1 and no
+    assigned position (at most -1) is picked.
     """
-    decisions = propagations = 0
-    if not all(slots):
-        return None, 0, 0  # a pattern without fixed slots matches everything
-    occurs = {1: [[] for _ in range(n)], -1: [[] for _ in range(n)]}
-    weight = [0] * n
-    for j, pattern in enumerate(slots):
-        for pos, sign in pattern:
-            occurs[sign][pos].append(j)
-            weight[pos] += 1
-    size = list(map(len, slots))
-    agree = [0] * len(slots)  # assigned slots that match
+    size = 2 * n + 1
+    occurs = [[] for _ in range(size)]
+    slots = []
+    for j, clause in enumerate(clauses):
+        if len(clause) == 3:  # the common width, unrolled
+            a, b, c = clause
+            pattern = a, b, c = a % size, b % size, c % size
+            occurs[a].append(j)
+            occurs[b].append(j)
+            occurs[c].append(j)
+        else:
+            pattern = [x % size for x in clause]
+            for x in pattern:
+                occurs[x].append(j)
+        slots.append(pattern)
+    weight = [len(occurs[v]) + len(occurs[size - v]) for v in range(1, n + 1)]
+    weight = [0, *weight, 0]  # by variable; n + 1 holds the pick's sentinel
+    var = [*range(n + 1), *range(n, 0, -1)]  # the variable of each slot
+    left = list(map(len, slots))  # fixed slots not yet agreeing
     dead = [False] * len(slots)  # a swept slot contradicts the pattern
     killed: list[int] = []
-    # live patterns fixing each position as of the last sweep; an assigned
-    # position is lowered by `assigned_mark` so that the pick skips it
     assigned_mark = len(slots) + 1
-    top, start = max(weight), 0
-    value = [0] * n
+    top, start = max(weight), 1
+    value = [0] * size
     trail: list[int] = []
-    swept = 0
+    swept = decisions = propagations = 0
     # (trail mark, killed mark, position tried at +1, top, start)
     branches: list[tuple[int, int, int, int, int]] = []
     branch_sign = 0  # 1 when the queue starts with a branching's own sign
-    queue = [(p[0][0], -p[0][1]) for p in slots if len(p) == 1]
-
-    def propagate(queue: list[tuple[int, int]]) -> bool:
-        """Assign the queued positions and what they force; False on cover."""
-        while queue:
-            pos, sign = queue.pop()
-            if value[pos]:
-                if value[pos] != sign:
-                    return False
-                continue
-            value[pos] = sign
-            trail.append(pos)
-            weight[pos] -= assigned_mark
-            agreeing = occurs[sign][pos]
-            for j in agreeing:
-                agree[j] += 1
-            for j in agreeing:
-                left = size[j] - agree[j]
-                if left == 0:
-                    return False
-                if left == 1:
-                    # none unassigned if the last slot is contradicted
-                    for q, s in slots[j]:
-                        if not value[q]:
-                            queue.append((q, -s))
-                            break
-        return True
-
-    def undo(mark: int, killed_mark: int) -> None:
-        while len(trail) > mark:
-            pos = trail.pop()
-            sign = value[pos]
-            value[pos] = 0
-            weight[pos] += assigned_mark
-            for j in occurs[sign][pos]:
-                agree[j] -= 1
-        for j in killed[killed_mark:]:
-            dead[j] = False
-            for q, _ in slots[j]:
-                weight[q] += 1
-        del killed[killed_mark:]
-
+    queue = [size - p[0] for p in slots if len(p) == 1]
     while True:
         mark = len(trail)
-        ok = propagate(queue)
+        covered = False
+        while queue and not covered:
+            x = queue.pop()
+            if value[x]:
+                covered = value[x] < 0
+                continue
+            value[x] = 1
+            value[size - x] = -1
+            trail.append(x)
+            for j in occurs[x]:
+                k = left[j] - 1
+                left[j] = k
+                if k == 1:
+                    for y in slots[j]:
+                        if not value[y]:
+                            queue.append(size - y)
+                            break
+                elif not k:
+                    covered = True
         propagations += len(trail) - mark - branch_sign
-        if ok:
-            for pos in trail[swept:]:
-                for j in occurs[-value[pos]][pos]:
+        if not covered:
+            for x in trail[swept:]:
+                weight[var[x]] -= assigned_mark
+                for j in occurs[size - x]:
                     if not dead[j]:
                         dead[j] = True
                         killed.append(j)
-                        for q, _ in slots[j]:
-                            weight[q] -= 1
+                        for y in slots[j]:
+                            weight[var[y]] -= 1
             swept = len(trail)
             if len(killed) == len(slots):
-                return tuple(v or 1 for v in value), decisions, propagations
+                return value[1 : n + 1], decisions, propagations
             decisions += 1
             if decision_budget is not None and decisions > decision_budget:
                 raise ResourceLimitError(
                     f"cover search exceeded {decision_budget} decisions"
                 )
-            try:
-                pos = weight.index(top, start)
-            except ValueError:
+            weight[n + 1] = top
+            v = weight.index(top, start)
+            if v > n:
+                weight[n + 1] = 0
                 top = max(weight)
-                pos = weight.index(top)
-            start = pos + 1
-            branches.append((swept, len(killed), pos, top, start))
-            queue = [(pos, 1)]
+                v = weight.index(top)
+            start = v + 1
+            branches.append((swept, len(killed), v, top, start))
+            queue = [v]
             branch_sign = 1
             continue
         if not branches:
             return None, decisions, propagations
-        mark, killed_mark, pos, top, start = branches.pop()
-        undo(mark, killed_mark)
+        mark, killed_mark, v, top, start = branches.pop()
+        for x in trail[mark:]:
+            value[x] = value[size - x] = 0
+            for j in occurs[x]:
+                left[j] += 1
+        for x in trail[mark:swept]:
+            weight[var[x]] += assigned_mark
+        for j in killed[killed_mark:]:
+            dead[j] = False
+            for y in slots[j]:
+                weight[var[y]] += 1
+        del trail[mark:], killed[killed_mark:]
         swept = mark
-        queue = [(pos, -1)]
+        queue = [size - v]
 
 
 def cover_verdict(
     f: CnfFormula, decision_budget: int | None = None
 ) -> tuple[bool, Assignment | None, dict[str, int]]:
-    """(covered, satisfying assignment built from the uncovered witness,
-    counters).
+    """(covered, satisfying assignment from the uncovered witness, counters).
 
     Covered means unsatisfiable; an uncovered sign vector translates back to
     an assignment falsifying no clause, true where the sign is -1.  The
@@ -204,10 +203,11 @@ def cover_verdict(
     ``decision_budget`` branchings raise ResourceLimitError; None means
     unbounded.
     """
-    fixed = [[]] if f.has_empty_clause else []
-    fixed += [clause_slots(c) for c in f.clauses if not c.is_tautological]
-    found, decisions, propagations = _first_uncovered(fixed, f.n, decision_budget)
+    if f.has_empty_clause:  # its pattern has no fixed slot: it matches all
+        return True, None, {"decisions": 0, "propagations": 0}
+    clauses = [c for c in f.clauses if not c.is_tautological]
+    found, decisions, propagations = _first_uncovered(clauses, f.n, decision_budget)
     counters = {"decisions": decisions, "propagations": propagations}
     if found is None:
         return True, None, counters
-    return False, Assignment(tuple(s == -1 for s in found)), counters
+    return False, Assignment(tuple([s < 0 for s in found])), counters

@@ -1,9 +1,11 @@
 """Formulas built from literal tuples, seeded clauses and formulas drawn
-from a numpy Generator, and every clause over a few variables."""
+from a numpy Generator, every clause over a few variables, and the
+binary-heavy formulas that DPLL and the cover search are compared on."""
 
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterable
 
 import numpy as np
@@ -49,3 +51,25 @@ def random_formula(
         width = int(rng.integers(1, top + 1))
         clauses.append(random_clause(rng, n, width))
     return formula_from_ints(n, clauses)
+
+
+def binary_corpus_formula(rng: random.Random) -> CnfFormula:
+    """n <= 12, mostly two-literal clauses, which DPLL propagates through
+    implication lists and which carry the cover search's pigeonhole time;
+    among them tautologies (x, -x), a few units and ternaries, and some
+    clauses repeated."""
+    n = rng.randint(1, 12)
+    clauses = []
+    for _ in range(rng.randint(0, 4 * n)):
+        roll = rng.random()
+        if roll < 0.08:
+            v = rng.randint(1, n)
+            clauses.append([v, -v])
+        elif roll < 0.16 or n < 2:
+            clauses.append([rng.choice((1, -1)) * rng.randint(1, n)])
+        else:
+            width = 3 if roll < 0.28 and n >= 3 else 2
+            clauses.append([rng.choice((1, -1)) * v
+                            for v in rng.sample(range(1, n + 1), width)])
+    clauses += rng.sample(clauses, min(len(clauses), rng.randint(0, 3)))
+    return CnfFormula(n, tuple(Clause(c) for c in clauses))

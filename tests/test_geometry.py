@@ -21,7 +21,7 @@ from wittsat.geometry import (
 
 from algebra_reference import EFBTerm, NullVector, mtnp_of_spinor
 from cover_reference import reference_cover
-from formula_helpers import clause_universe, formula_from_ints
+from formula_helpers import binary_corpus_formula, clause_universe, formula_from_ints
 from oracle_reference import GammaRep, brute_force
 from plane_reference import (
     check_intersection,
@@ -409,6 +409,34 @@ def test_cover_pick_rescans_from_position_0_when_top_drops():
     f = formula_from_ints(6, [[(q + 1) * s for q, s in p.items()] for p in patterns])
     assert reference_cover(f) == ((1, 1, 1, -1, 1, 1), 3, 2)
     _assert_cover_matches_reference(f)
+
+
+def test_cover_walk_finishes_its_decrements_past_a_cover():
+    # The first branching sets position 0 to +1; "cover" and "a" then queue
+    # position 1 at -1 and at +1, and +1 comes off the queue first.  Its
+    # occurrence list holds "unit", which it leaves with one slot, "cover",
+    # whose slots then all agree, and "after".  On the -1 side of position 0,
+    # "c" forces position 1 to +1 again, and "after" must then force
+    # position 3: a walk that stopped at "cover" would leave "after" one
+    # count too high once the undo had added its 1 back.
+    patterns = [
+        {0: 1, 4: 1}, {0: 1, 4: -1},  # keep position 0 as heavy as 1
+        {1: 1, 2: 1},  # unit
+        {0: 1, 1: 1},  # cover
+        {1: 1, 3: 1},  # after
+        {0: 1, 1: -1},  # a
+        {0: -1, 1: -1},  # c
+    ]
+    f = formula_from_ints(5, [[(q + 1) * s for q, s in p.items()] for p in patterns])
+    assert reference_cover(f) == ((-1, 1, -1, -1, 1), 1, 4)
+    _assert_cover_matches_reference(f)
+
+
+def test_cover_matches_reference_on_binary_corpus():
+    # two-slot patterns carry the pigeonhole time
+    rng = random.Random(2022)
+    for _ in range(3000):
+        _assert_cover_matches_reference(binary_corpus_formula(rng))
 
 
 def test_cover_matches_reference_on_seeded_corpus():

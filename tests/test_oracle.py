@@ -24,7 +24,7 @@ from algebra_reference import (
     omega_element,
 )
 from dpll_reference import reference_dpll
-from formula_helpers import formula_from_ints
+from formula_helpers import binary_corpus_formula, formula_from_ints
 from oracle_reference import GAMMA_LIMIT, SAT, UNSAT, GammaRep, brute_force
 from test_cnf import (
     formulas,
@@ -138,31 +138,10 @@ def test_trail_dpll_matches_reference_on_seeded_corpus():
         _assert_matches_reference(_corpus_formula(rng))
 
 
-def _binary_corpus_formula(rng):
-    """n <= 12, mostly two-literal clauses, which the search propagates
-    through implication lists; among them tautologies (x, -x), a few
-    units and ternaries, and some clauses repeated."""
-    n = rng.randint(1, 12)
-    clauses = []
-    for _ in range(rng.randint(0, 4 * n)):
-        roll = rng.random()
-        if roll < 0.08:
-            v = rng.randint(1, n)
-            clauses.append([v, -v])
-        elif roll < 0.16 or n < 2:
-            clauses.append([rng.choice((1, -1)) * rng.randint(1, n)])
-        else:
-            width = 3 if roll < 0.28 and n >= 3 else 2
-            clauses.append([rng.choice((1, -1)) * v
-                            for v in rng.sample(range(1, n + 1), width)])
-    clauses += rng.sample(clauses, min(len(clauses), rng.randint(0, 3)))
-    return CnfFormula(n, tuple(Clause(c) for c in clauses))
-
-
 def test_trail_dpll_matches_reference_on_binary_corpus():
     rng = random.Random(2022)
     for _ in range(3000):
-        _assert_matches_reference(_binary_corpus_formula(rng))
+        _assert_matches_reference(binary_corpus_formula(rng))
 
 
 def _counters_digest(make, rng, count):
@@ -182,7 +161,7 @@ def test_dpll_counters_are_pinned_on_the_seeded_corpora():
     assert _counters_digest(_corpus_formula, random.Random(2003), 5000) == (
         "0b060429ac6d4b2b"
     )
-    assert _counters_digest(_binary_corpus_formula, random.Random(2022), 3000) == (
+    assert _counters_digest(binary_corpus_formula, random.Random(2022), 3000) == (
         "c68e51c23a52c8bf"
     )
 
