@@ -1,11 +1,13 @@
 """Command line interface.
 
 Exit codes: 0 satisfiable (or report/rebase success), 1 unsatisfiable (or
-planes not transversal), 2 bad input (an InputError or an OSError, nothing
-else), 3 resource limit exceeded, 4 internal error (route divergence, a
-model that fails verification, or any other exception).  With
---solver-codes the check command uses the solver convention instead: 10
-satisfiable, 20 unsatisfiable.
+planes not transversal), 2 bad input or bad usage (an InputError or an
+OSError, or argparse's usage error: an unknown option or command, a missing
+FILE, a non-integer --limit, --json together with --solver-codes), 3
+resource limit exceeded, 4 internal error (route divergence, a model that
+fails verification, or any other exception).  With --solver-codes the
+check command uses the solver convention instead: 10 satisfiable, 20
+unsatisfiable.
 """
 
 from __future__ import annotations
@@ -103,10 +105,17 @@ def _nonnegative(value: int, name: str) -> int:
     return value
 
 
-def _print_json(payload: dict) -> None:
-    import json  # only --json output loads it
+@functools.cache
+def _json_encode():
+    """One encoder for every --json call; json.dumps would build its own
+    per call.  Only --json output loads json."""
+    import json
 
-    print(json.dumps(payload, sort_keys=True))
+    return json.JSONEncoder(sort_keys=True).encode
+
+
+def _print_json(payload: dict) -> None:
+    print(_json_encode()(payload))
 
 
 def _verdict_name(unsat: bool) -> str:
@@ -324,9 +333,16 @@ def _cmd_rebase(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """Built on the first ``main`` call and reused: parsing leaves no state
-    on the parser, and building it costs about a millisecond."""
+def _build_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
+]:
+    """The top-level parser and each command's own parser by name.
+
+    A call that names a command is parsed by that command's parser alone
+    (see ``main``); the top-level parser parses only a call that does not
+    start with a command name.  Built on the first ``main`` call and
+    reused: parsing leaves no state on a parser, and building them costs
+    about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="wittsat",
         description="CNF satisfiability through null-plane algebra, "
@@ -427,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reb.add_argument("--json", action="store_true")
     reb.set_defaults(func=_cmd_rebase)
 
-    return parser
+    return parser, sub.choices
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
@@ -437,7 +453,18 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        # no command name first: usage, help, --version or a usage error
+        args = parser.parse_args(argv)
+    else:
+        # the top-level pass would hand these same tokens to the command's
+        # parser and report what it leaves over; this does both directly
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     # the warning filters in force stay as they are; only the format changes
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning

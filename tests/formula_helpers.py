@@ -1,6 +1,6 @@
 """Formulas built from literal tuples, seeded clauses and formulas drawn
-from a numpy Generator, every clause over a few variables, and the
-binary-heavy formulas that DPLL and the cover search are compared on."""
+from a numpy Generator, every clause over a few variables, and the seeded
+corpora that DPLL and the cover search are compared on."""
 
 from __future__ import annotations
 
@@ -51,6 +51,23 @@ def random_formula(
         width = int(rng.integers(1, top + 1))
         clauses.append(random_clause(rng, n, width))
     return formula_from_ints(n, clauses)
+
+
+def corpus_formula(rng: random.Random) -> CnfFormula:
+    """n <= 12, widths 1-4; a clause may name a variable twice in either
+    sign (a dropped duplicate or a tautology), some clauses repeat, and a
+    few formulas carry an empty clause."""
+    n = rng.randint(1, 12)
+    clauses = []
+    for _ in range(rng.randint(0, 5 * n)):
+        width = rng.randint(1, min(n, 4))
+        clauses.append([rng.choice((1, -1)) * rng.randint(1, n) for _ in range(width)])
+    clauses += rng.sample(clauses, min(len(clauses), rng.randint(0, 2)))
+    return CnfFormula(
+        n,
+        tuple(Clause(c) for c in clauses),
+        empty_clause_count=int(rng.random() < 0.02),
+    )
 
 
 def binary_corpus_formula(rng: random.Random) -> CnfFormula:

@@ -1,6 +1,6 @@
 """Command line behavior: output shapes and exit codes."""
 
-import argparse
+import contextlib
 import io
 import json
 import os
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import wittsat
+import wittsat.cli
 from wittsat.cli import _build_parser, main
 from wittsat.cnf import Assignment, CnfFormula
 from wittsat.oracle import dpll
@@ -939,14 +940,88 @@ def test_console_entry_point_version():
 def test_readme_names_exactly_the_registered_commands():
     # the usage line and the per-command bullets of the README's command
     # line section, against the subcommands the parser registers
-    sub = next(
-        a for a in _build_parser()._actions
-        if isinstance(a, argparse._SubParsersAction)
-    )
-    commands = sorted(sub.choices)
+    commands = sorted(_build_parser()[1])
     readme = Path(__file__).resolve().parent.parent / "README.md"
     text = readme.read_text(encoding="utf-8")
     usage = re.findall(r"^wittsat (\S+) \[options\] FILE$", text, re.M)
     assert [sorted(line.split("|")) for line in usage] == [commands]
     section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     assert sorted(re.findall(r"^\* `(\w+) ", section, re.M)) == commands
+
+
+# F is a small satisfiable DIMACS file and M a transversal matrix pair,
+# both in the working directory
+DISPATCH_CORPUS = [
+    ["check", "F"],
+    ["check", "F", "--json"],
+    ["check", "F", "--solver-codes"],
+    ["check", "--route", "cover", "F"],
+    ["models", "F"],
+    ["models", "F", "--json"],
+    ["cover", "F"],
+    ["cover", "F", "--json"],
+    ["geometry", "F"],
+    ["geometry", "F", "--samples", "3", "--json"],
+    ["rebase", "M"],
+    ["rebase", "M", "--json"],
+    [],
+    ["-h"],
+    ["check", "-h"],
+    ["--version"],
+    ["bogus"],
+    ["check"],
+    ["check", "F", "--bogus"],
+    ["check", "F", "x", "y"],
+    ["check", "F", "--rou", "dpll"],
+    ["check", "F", "--limit=5"],
+    ["check", "--", "F"],
+    ["--", "check", "F"],
+    ["check", "F", "--json", "--solver-codes"],
+    ["check", "F", "--limit", "x"],
+    ["check", "F", "--limit", "-5"],
+    ["check", "F", "--version"],
+    ["cover", "F", "--ver"],
+    ["rebase", "a", "b", "c"],
+]
+
+
+def _answer(argv: list[str]) -> tuple:
+    """Exit code (or SystemExit code), stdout and stderr of one call, with
+    the wall-clock timings dropped from check's JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = ("SystemExit", e.code)
+    text = out.getvalue()
+    if text.startswith("{"):
+        payload = json.loads(text)
+        payload.pop("timings", None)
+        text = json.dumps(payload, sort_keys=True)
+    return code, text, err.getvalue()
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+def test_a_call_answers_as_the_top_level_parse_did(tmp_path, monkeypatch, argv):
+    (tmp_path / "F").write_text(SAT_TEXT)
+    (tmp_path / "M").write_text(matrix_to_text(_CYCLE) + matrix_to_text(-np.eye(3)))
+    monkeypatch.chdir(tmp_path)
+    got = _answer(argv)
+    # the reference: every call parsed by the top-level parser, which hands
+    # a command's tokens to that command's parser
+    parser, _ = _build_parser()
+    monkeypatch.setattr(wittsat.cli, "_build_parser", lambda: (parser, {}))
+    assert got == _answer(argv)
+
+
+def test_a_command_call_makes_no_top_level_pass(sat_file, monkeypatch, capsys):
+    parser, _ = _build_parser()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a command's call")
+
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    assert main(["check", sat_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "SAT"

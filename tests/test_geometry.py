@@ -21,7 +21,12 @@ from wittsat.geometry import (
 
 from algebra_reference import EFBTerm, NullVector, mtnp_of_spinor
 from cover_reference import reference_cover
-from formula_helpers import binary_corpus_formula, clause_universe, formula_from_ints
+from formula_helpers import (
+    binary_corpus_formula,
+    clause_universe,
+    corpus_formula,
+    formula_from_ints,
+)
 from oracle_reference import GammaRep, brute_force
 from plane_reference import (
     check_intersection,
@@ -43,7 +48,6 @@ from test_cnf import (
     renamed_pigeonhole,
     wide_clauses,
 )
-from test_oracle import _corpus_formula
 
 
 def _sign_vectors(n):
@@ -342,7 +346,7 @@ def _reference_corpus(rng):
     for i in range(400):
         yield _clustered_tie_formula(rng, (63, 64, 65, 128, 129)[i % 5])
     for _ in range(200):
-        yield _corpus_formula(rng)
+        yield corpus_formula(rng)
     for _ in range(100):
         yield _star_formula(rng, rng.choice((8, 40, 63, 64, 65, 129)))
     for _ in range(100):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittsat.algebra import D_PQ, D_QP, DiagonalElement, pattern_bits
-from wittsat.cnf import Assignment, Clause, CnfFormula, ResourceLimitError
+from wittsat.cnf import Assignment, CnfFormula, ResourceLimitError
 from wittsat.geometry import cover_verdict
 from wittsat.oracle import dpll
 
@@ -24,7 +24,7 @@ from algebra_reference import (
     omega_element,
 )
 from dpll_reference import reference_dpll
-from formula_helpers import binary_corpus_formula, formula_from_ints
+from formula_helpers import binary_corpus_formula, corpus_formula, formula_from_ints
 from oracle_reference import GAMMA_LIMIT, SAT, UNSAT, GammaRep, brute_force
 from test_cnf import (
     formulas,
@@ -115,27 +115,10 @@ def _assert_matches_reference(f):
             dpll(f, decision_budget=decisions - 1)
 
 
-def _corpus_formula(rng):
-    """n <= 12, widths 1-4; a clause may name a variable twice in either
-    sign (a dropped duplicate or a tautology), some clauses repeat, and a
-    few formulas carry an empty clause."""
-    n = rng.randint(1, 12)
-    clauses = []
-    for _ in range(rng.randint(0, 5 * n)):
-        width = rng.randint(1, min(n, 4))
-        clauses.append([rng.choice((1, -1)) * rng.randint(1, n) for _ in range(width)])
-    clauses += rng.sample(clauses, min(len(clauses), rng.randint(0, 2)))
-    return CnfFormula(
-        n,
-        tuple(Clause(c) for c in clauses),
-        empty_clause_count=int(rng.random() < 0.02),
-    )
-
-
 def test_trail_dpll_matches_reference_on_seeded_corpus():
     rng = random.Random(2003)
     for _ in range(5000):
-        _assert_matches_reference(_corpus_formula(rng))
+        _assert_matches_reference(corpus_formula(rng))
 
 
 def test_trail_dpll_matches_reference_on_binary_corpus():
@@ -158,7 +141,7 @@ def _counters_digest(make, rng, count):
 def test_dpll_counters_are_pinned_on_the_seeded_corpora():
     # the frozen reference counts no propagations, so these digests pin
     # them (with verdict, model and decisions) on both corpora above
-    assert _counters_digest(_corpus_formula, random.Random(2003), 5000) == (
+    assert _counters_digest(corpus_formula, random.Random(2003), 5000) == (
         "0b060429ac6d4b2b"
     )
     assert _counters_digest(binary_corpus_formula, random.Random(2022), 3000) == (
