@@ -70,11 +70,16 @@ EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
+    """The file's text, or stdin's for ``-``; a file's bytes are read
+    unbuffered and decoded as UTF-8 once, with no text layer.  Its line
+    ends stay as written: ``splitlines`` and ``split``, which read the
+    text, take ``\\r\\n`` and ``\\r`` as text mode would have taken its
+    ``\\n``."""
     try:
         if path == "-":
             return sys.stdin.read()
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read().decode()
     except UnicodeDecodeError as e:
         raise InputError(str(e)) from None
 

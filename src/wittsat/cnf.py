@@ -155,7 +155,8 @@ class CnfFormula(Frozen):
         return self.empty_clause_count > 0
 
 
-_HEADER = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)")
+# re.ASCII: \d would also match other scripts' digits, which int() reads
+_HEADER = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)", re.ASCII)
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -163,13 +164,19 @@ def parse_dimacs(text: str) -> CnfFormula:
 
     Comments ('c' lines) and blank lines are skipped; a '%' line ends the
     input (common in benchmark archives).  Clauses may span lines and are
-    terminated by 0; a bare 0 is an empty clause.  Count mismatches against
+    terminated by 0; a bare 0 is an empty clause.  A number is ASCII
+    digits with an optional sign: ``int`` would also read ``1_2`` and other
+    scripts' digits, so those are bad tokens.  Count mismatches against
     the header produce a :class:`ParseWarning`; structural problems raise
     :class:`DimacsError`.
 
-    The clause lines are read as one stream of tokens, converted with one
-    ``map(int, ...)``; only when that stream holds an error are the lines
-    read again one token at a time, to name its line and token.
+    The lines after the header are joined and split once; only when that
+    text holds a 'c' or a '%' are they walked to drop comments and stop at
+    the trailer.  The tokens are converted with one ``map(int, ...)``, and
+    only when they hold an error are the lines read again one token at a
+    time, to name its line and token.  A clause with no repeated variable
+    is made directly, without :class:`Clause`'s checks; a three-literal
+    clause is tested for that with six int comparisons, not a set.
     """
     lines = text.splitlines()
     header = None
@@ -194,15 +201,20 @@ def parse_dimacs(text: str) -> CnfFormula:
     if header is None:
         raise DimacsError("missing 'p cnf' header")
     n, declared = header
-    body = []
-    for line in lines[ln:]:
-        head = line.lstrip()[:1]
-        if head == "c":
-            continue
-        if head == "%":
-            break
-        body.append(line)
-    toks = " ".join(body).split()
+    body = " ".join(lines[ln:])
+    if "c" in body or "%" in body:
+        kept = []
+        for line in lines[ln:]:
+            head = line.lstrip()[:1]
+            if head == "c":
+                continue
+            if head == "%":
+                break
+            kept.append(line)
+        body = " ".join(kept)
+    toks = body.split()
+    if not plain_ascii(body) and not all(map(plain_ascii, toks)):
+        raise _first_token_error(lines, ln, n)
     try:
         lits = tuple(map(int, toks))
     except ValueError:
@@ -210,21 +222,30 @@ def parse_dimacs(text: str) -> CnfFormula:
     if "-0" in toks or max(lits, default=0) > n or min(lits, default=0) < -n:
         raise _first_token_error(lines, ln, n)
     clauses = []
+    append = clauses.append
+    make = tuple.__new__
+    index = lits.index
     empties = start = 0
     for _ in range(lits.count(0)):
-        end = lits.index(0, start)
-        if end > start:
+        end = index(0, start)
+        if end - start == 3:  # the common width, unrolled
+            a, b, c = clause = lits[start:end]
+            if a != b and a != -b and a != c and a != -c and b != c and b != -c:
+                append(make(Clause, clause))
+            else:
+                append(Clause(clause))
+        elif end > start:
             clause = lits[start:end]
             if len(set(map(abs, clause))) == end - start:  # nothing for Clause to do
-                clauses.append(tuple.__new__(Clause, clause))
+                append(make(Clause, clause))
             else:
-                clauses.append(Clause(clause))
+                append(Clause(clause))
         else:
             empties += 1
         start = end + 1
     if start < len(lits):
         warnings.warn("unterminated final clause (missing trailing 0)", ParseWarning)
-        clauses.append(Clause(lits[start:]))
+        append(Clause(lits[start:]))
     found = len(clauses) + empties
     if found != declared:
         warnings.warn(
@@ -233,9 +254,17 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(n, tuple(clauses), empties)
 
 
+def plain_ascii(text: str) -> bool:
+    """Whether the text is ASCII without '_'.  The input formats take a
+    number only in this form: ``int`` and ``float`` would also read ``_``
+    separators and other scripts' digits.  One C-level scan, so a whole
+    text is tested before any of its tokens is."""
+    return text.isascii() and "_" not in text
+
+
 def _first_token_error(lines: list[str], header_ln: int, n: int) -> DimacsError:
     """The error of the first bad token after the header line: '-0', a
-    token that is no integer, or a variable past n."""
+    token that is no ASCII integer, or a variable past n."""
     for ln, line in enumerate(lines[header_ln:], header_ln + 1):
         s = line.strip()
         if s.startswith("c"):
@@ -246,6 +275,8 @@ def _first_token_error(lines: list[str], header_ln: int, n: int) -> DimacsError:
             if tok == "-0":
                 return DimacsError(f"line {ln}: '-0' is not a literal")
             try:
+                if not plain_ascii(tok):
+                    raise ValueError
                 lit = int(tok)
             except ValueError:
                 return DimacsError(f"line {ln}: bad token {tok!r}")

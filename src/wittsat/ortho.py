@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, InputError, ResourceLimitError
+from .cnf import Clause, CnfFormula, InputError, ResourceLimitError, plain_ascii
 
 CONSTRUCTION_TOL = 1e-9
 VERIFY_TOL = 1e-6
@@ -315,13 +315,17 @@ def orthogonal_cover_report(
 
 
 def matrices_from_text(text: str) -> list[np.ndarray]:
-    """Parse one or more concatenated plain-text matrices."""
+    """Parse one or more concatenated plain-text matrices.  A size or an
+    entry that is not :func:`plain_ascii` is a bad one: each size is
+    tested, and the entries one by one only when the whole text is not
+    plain."""
     tokens = text.split()
+    plain = plain_ascii(text)
     out = []
     pos = 0
     while pos < len(tokens):
         try:
-            n = int(tokens[pos])
+            n = int(_plain_token(tokens[pos]))
         except ValueError:
             raise InputError(f"expected a matrix size, got {tokens[pos]!r}") from None
         if n < 1:
@@ -330,8 +334,11 @@ def matrices_from_text(text: str) -> list[np.ndarray]:
         need = n * n
         if pos + need > len(tokens):
             raise InputError(f"matrix of size {n} is truncated")
+        entries = tokens[pos : pos + need]
+        if not plain:
+            entries = map(_plain_token, entries)
         try:
-            vals = np.fromiter(map(float, tokens[pos : pos + need]), float, need)
+            vals = np.fromiter(map(float, entries), float, need)
         except ValueError as e:
             raise InputError(f"bad matrix entry: {e}") from None
         out.append(vals.reshape(n, n))
@@ -339,3 +346,11 @@ def matrices_from_text(text: str) -> list[np.ndarray]:
     if not out:
         raise InputError("no matrices found")
     return out
+
+
+def _plain_token(token: str) -> str:
+    """The token, or, if it is not :func:`plain_ascii`, the ValueError
+    ``float`` gives for a token it cannot read."""
+    if plain_ascii(token):
+        return token
+    raise ValueError(f"could not convert string to float: {token!r}")

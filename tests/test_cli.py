@@ -173,6 +173,36 @@ def test_check_reads_stdin(monkeypatch, capsys):
     assert "status: UNSAT" in capsys.readouterr().out
 
 
+def test_a_file_reads_alike_in_crlf_with_comments_and_through_stdin(
+    tmp_path, monkeypatch
+):
+    # a file is read as bytes and decoded once, so its CR LF line ends
+    # reach the parser; stdin is read as text
+    rng = np.random.default_rng(35)
+    f = formula_from_ints(
+        8,
+        [random_clause(rng, 8, 3) for _ in range(30)] + [(1, -1, 2), (3,), (-4, 5)],
+    )
+    text = serialize_dimacs(f)
+    header, *rest = text.splitlines()
+    variants = {
+        "lf": text,
+        "crlf": text.replace("\n", "\r\n"),
+        "comments": "\n".join(
+            ["c a comment", header, "c clauses follow", *rest, "%", "0"]
+        ) + "\n",
+    }
+    for name, variant in variants.items():
+        (tmp_path / name).write_bytes(variant.encode())
+    for extra in ([], ["--json"]):
+        expected = _answer(["check", str(tmp_path / "lf"), *extra])
+        assert expected[0] in (0, 1) and expected[1]
+        for name in ("crlf", "comments"):
+            assert _answer(["check", str(tmp_path / name), *extra]) == expected, name
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert _answer(["check", "-", *extra]) == expected
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 2 1\n1 nope 0\n")
@@ -658,10 +688,23 @@ def test_a_failed_orthogonal_sample_is_internal(sat_file, monkeypatch, capsys):
         (["rebase"], b"c\n", "expected a matrix size"),
         (["rebase"], b"0\n", "bad matrix size"),
         (["rebase"], b"", "no matrices found"),
+        # int() and float() also read '_' separators and other scripts'
+        # digits (here Arabic-Indic), which the file formats do not
+        (["check"], b"p cnf 12 1\n1_2 0\n", "line 2: bad token '1_2'"),
+        (["check"], "p cnf 3 1\n1 \u0662 0\n".encode(),
+         "line 2: bad token '\u0662'"),
+        (["check"], "p cnf \u0663 1\n1 0\n".encode(), "line 1: malformed header"),
+        (["rebase"], "2\n\u0661 0\n0 1\n2\n1 0\n0 1\n".encode(),
+         "bad matrix entry: could not convert string to float: '\u0661'"),
+        (["rebase"], b"2\n1 0\n0 1_0\n2\n1 0\n0 1\n",
+         "bad matrix entry: could not convert string to float: '1_0'"),
+        (["rebase"], "\u0662\n1 0\n0 1\n".encode(),
+         "expected a matrix size, got '\u0662'"),
     ],
     ids=["utf8", "long-header", "seed", "seed-without-samples", "samples",
          "max-enum", "sizes", "entry", "truncated", "size-token", "size-zero",
-         "empty"],
+         "empty", "underscore-token", "digit-token", "digit-header",
+         "digit-entry", "underscore-entry", "digit-size"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input"

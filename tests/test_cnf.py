@@ -187,8 +187,18 @@ def _reference_outcome(parse, text):
         except Exception as e:  # compared across the two parsers
             got = (type(e).__name__, str(e))
         else:
-            got = (got.n, tuple(map(tuple, got.clauses)), got.empty_clause_count)
+            clauses = tuple(map(_clause_outcome, got.clauses))
+            got = (got.n, clauses, got.empty_clause_count)
     return got, [(w.category, str(w.message)) for w in caught]
+
+
+def _clause_outcome(clause):
+    """A clause's literals and tautology flag: the flag a Clause carries,
+    or the one a plain tuple's literals imply (the reference's clauses)."""
+    flag = getattr(clause, "is_tautological", None)
+    if flag is None:
+        flag = any(-lit in clause for lit in clause)
+    return tuple(clause), flag
 
 
 def _random_dimacs(rng):
@@ -221,10 +231,31 @@ def _random_dimacs(rng):
     return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
 
 
+# three-literal clauses that repeat or negate a variable in each position
+# pair, beside clauses of the other widths
+_REPEATING_TRIPLES = ["1 1 2", "1 2 1", "2 1 1", "1 -1 2", "1 2 -1", "2 1 -1",
+                      "1 1 1", "-1 -1 -1", "-3 2 -1"]
+_OTHER_WIDTHS = ["2", "-3 -3", "1 -1", "3 1", "1 2 3 -2", "2 -3 1 3", "1 2 -3 3 1"]
+
+
+def _fixed_dimacs():
+    """Each repeating triple among clauses of widths 1, 2 and 4 or more,
+    in LF and CR LF, with and without comment lines."""
+    for triple in _REPEATING_TRIPLES:
+        for other in _OTHER_WIDTHS:
+            clauses = [other, triple, " ".join(other.split()[::-1]), triple]
+            for comments in (False, True):
+                lines = ["p cnf 3 4"] + [f"{c} 0" for c in clauses]
+                if comments:
+                    lines[2:2] = ["c between", "  c indented 1 0"]
+                for newline in ("\n", "\r\n"):
+                    yield newline.join(lines) + newline
+
+
 def test_parse_matches_frozen_reference_on_seeded_texts():
     rng = random.Random(1403)
-    for _ in range(4000):
-        text = _random_dimacs(rng)
+    texts = [_random_dimacs(rng) for _ in range(4000)]
+    for text in [*texts, *_fixed_dimacs()]:
         assert _reference_outcome(parse_dimacs, text) == _reference_outcome(
             reference_parse_dimacs, text
         ), text
