@@ -70,14 +70,14 @@ EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
-    """The file's text, or stdin's for ``-``; a file's bytes are read
-    unbuffered and decoded as UTF-8 once, with no text layer.  Its line
-    ends stay as written: ``splitlines`` and ``split``, which read the
-    text, take ``\\r\\n`` and ``\\r`` as text mode would have taken its
-    ``\\n``."""
+    """The file's text, or stdin's for ``-``: its bytes decoded as strict
+    UTF-8 once, with no text layer, so the same bytes read alike either
+    way.  A file is read unbuffered.  Line ends stay as written:
+    ``splitlines`` and ``split``, which read the text, take ``\\r\\n`` and
+    ``\\r`` as text mode would have taken its ``\\n``."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            return sys.stdin.buffer.read().decode()
         with open(path, "rb", buffering=0) as fh:
             return fh.read().decode()
     except UnicodeDecodeError as e:
@@ -266,9 +266,7 @@ def _cmd_geometry(args) -> int:
         ]
     report = None
     if samples:
-        report = _THIS.orthogonal_cover_report(
-            f, samples, seed, scan_budget=budget
-        )
+        report = _THIS.orthogonal_cover_report(f, samples, seed, budget=budget)
     if args.json:
         payload = {
             "n": f.n,
@@ -428,8 +426,8 @@ def _build_parser() -> tuple[
         "--limit",
         type=int,
         default=None,
-        help="diagonal isometries the report's discrete cover scan may visit "
-        "(default: WITTSAT_LIMIT env, else unbounded)",
+        help="branching decision budget for the cover search behind the "
+        "report's discrete_cover (default: WITTSAT_LIMIT env, else unbounded)",
     )
     geo.add_argument("--json", action="store_true")
     geo.set_defaults(func=_cmd_geometry)

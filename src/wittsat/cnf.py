@@ -155,8 +155,15 @@ class CnfFormula(Frozen):
         return self.empty_clause_count > 0
 
 
+# The input formats are ASCII, and so is their whitespace: the ASCII
+# characters str.split splits on, and the ASCII line breaks of
+# str.splitlines.  Another script's space is part of a token.  The two
+# patterns serve only a text that is not ASCII; re compiles them on use.
+_SPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_TOKEN = f"[^{_SPACE}]+"
+_LINE_BREAK = "\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]"
 # re.ASCII: \d would also match other scripts' digits, which int() reads
-_HEADER = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)", re.ASCII)
+_HEADER = re.compile(rf"p[{_SPACE}]+cnf[{_SPACE}]+(\d+)[{_SPACE}]+(\d+)", re.ASCII)
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -166,22 +173,28 @@ def parse_dimacs(text: str) -> CnfFormula:
     input (common in benchmark archives).  Clauses may span lines and are
     terminated by 0; a bare 0 is an empty clause.  A number is ASCII
     digits with an optional sign: ``int`` would also read ``1_2`` and other
-    scripts' digits, so those are bad tokens.  Count mismatches against
-    the header produce a :class:`ParseWarning`; structural problems raise
-    :class:`DimacsError`.
+    scripts' digits, so those are bad tokens.  Whitespace and line breaks
+    are ASCII only, so ``1\\xa02`` is one bad token.  Count mismatches
+    against the header produce a :class:`ParseWarning`; structural
+    problems raise :class:`DimacsError`.
 
     The lines after the header are joined and split once; only when that
     text holds a 'c' or a '%' are they walked to drop comments and stop at
-    the trailer.  The tokens are converted with one ``map(int, ...)``, and
-    only when they hold an error are the lines read again one token at a
-    time, to name its line and token.  A clause with no repeated variable
-    is made directly, without :class:`Clause`'s checks; a three-literal
-    clause is tested for that with six int comparisons, not a set.
+    the trailer.  An ASCII text is read by ``str``'s own splitting and
+    stripping, whose whitespace is ASCII there; any other text is split at
+    ASCII line breaks and stripped of ASCII whitespace, and a body that
+    still holds a non-ASCII character holds a bad token.  The tokens are
+    converted with one ``map(int, ...)``, and only when they hold an error
+    are the lines read again one token at a time, to name its line and
+    token.  A clause with no repeated variable is made directly, without
+    :class:`Clause`'s checks; a three-literal clause is tested for that
+    with six int comparisons, not a set.
     """
-    lines = text.splitlines()
+    space = None if text.isascii() else _SPACE
+    lines = text.splitlines() if space is None else re.split(_LINE_BREAK, text)
     header = None
     for ln, line in enumerate(lines, 1):
-        s = line.strip()
+        s = line.strip(space)
         if not s or s.startswith("c"):
             continue
         if s.startswith("%"):
@@ -205,16 +218,16 @@ def parse_dimacs(text: str) -> CnfFormula:
     if "c" in body or "%" in body:
         kept = []
         for line in lines[ln:]:
-            head = line.lstrip()[:1]
+            head = line.lstrip(space)[:1]
             if head == "c":
                 continue
             if head == "%":
                 break
             kept.append(line)
         body = " ".join(kept)
-    toks = body.split()
-    if not plain_ascii(body) and not all(map(plain_ascii, toks)):
+    if not plain_ascii(body):  # its tokens, split at ASCII spaces, hold a bad one
         raise _first_token_error(lines, ln, n)
+    toks = body.split()
     try:
         lits = tuple(map(int, toks))
     except ValueError:
@@ -262,16 +275,22 @@ def plain_ascii(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def ascii_tokens(text: str) -> list[str]:
+    """The text's tokens, split at ASCII whitespace only: ``str.split``
+    for an ASCII text, a regular expression for any other."""
+    return text.split() if text.isascii() else re.findall(_TOKEN, text)
+
+
 def _first_token_error(lines: list[str], header_ln: int, n: int) -> DimacsError:
     """The error of the first bad token after the header line: '-0', a
     token that is no ASCII integer, or a variable past n."""
     for ln, line in enumerate(lines[header_ln:], header_ln + 1):
-        s = line.strip()
+        s = line.strip(_SPACE)
         if s.startswith("c"):
             continue
         if s.startswith("%"):
             break
-        for tok in s.split():
+        for tok in ascii_tokens(s):
             if tok == "-0":
                 return DimacsError(f"line {ln}: '-0' is not a literal")
             try:

@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, InputError, ResourceLimitError, plain_ascii
+from .cnf import Clause, CnfFormula, InputError, ascii_tokens, plain_ascii
+from .geometry import cover_verdict
 
 CONSTRUCTION_TOL = 1e-9
 VERIFY_TOL = 1e-6
 
-# The report draws and tests Haar samples this many at a time, scans
-# diagonal isometries this many at a time, and matches clauses against a
-# stack this many at a time.  A stack also holds at most _STACK_CELLS
-# matrix or sign entries, so its working arrays stay a few MB at any n.
+# The report draws and tests Haar samples this many at a time, and matches
+# clauses against a stack this many at a time.  A stack also holds at most
+# _STACK_CELLS matrix entries, so its working arrays stay a few MB at any n.
 _SAMPLE_CHUNK = 256
-_SIGN_CHUNK = 1 << 12
 _CLAUSE_CHUNK = 64
 _STACK_CELLS = 1 << 18
 
@@ -223,31 +222,6 @@ def rebase_residuals(
     }
 
 
-def _discrete_cover(n: int, want: np.ndarray, budget: int | None) -> bool:
-    """Every +-1 diagonal isometry strictly holds some clause.  The 2^n sign
-    vectors are scanned in itertools.product((1, -1), repeat=n) order, a
-    chunk at a time; a diagonal matrix's column signs are its
-    diagonal.  The scan stops at the first chunk with an uncovered vector;
-    visiting more than budget vectors raises ResourceLimitError."""
-    total = 1 << n
-    step = max(1, min(_SIGN_CHUNK, _STACK_CELLS // n))
-    # bit n-1-j of a vector's index is 1 where position j reads -1
-    shifts = np.minimum(np.arange(n - 1, -1, -1), 63)
-    start = 0
-    while start < total:
-        if budget is not None and start >= budget:
-            raise ResourceLimitError(
-                f"discrete cover needs more than {budget} diagonal isometries"
-            )
-        stop = min(total, start + step, budget or total)
-        index = np.arange(start, stop, dtype=np.int64)
-        signs = (1 - 2 * ((index[:, None] >> shifts) & 1)).astype(np.int8)
-        if not _holds_some(signs, want).all():
-            return False
-        start = stop
-    return True
-
-
 def _rebased(sign: float, t: np.ndarray) -> int:
     """How many transversal samples rebase against the plane of sign * I."""
     eye = np.eye(t.shape[-1])
@@ -256,13 +230,15 @@ def _rebased(sign: float, t: np.ndarray) -> int:
 
 
 def orthogonal_cover_report(
-    f: CnfFormula, samples: int, seed: int, *, scan_budget: int | None = None
+    f: CnfFormula, samples: int, seed: int, *, budget: int | None = None
 ) -> dict:
     """Sampling report over the isometry group for a formula's clause family.
 
     discrete_cover: every +-1 diagonal isometry strictly holds some clause
-    plane (the discrete mirror of the cover test); a scan that would visit
-    more than scan_budget of them raises ResourceLimitError.
+    plane.  A diagonal matrix's column signs are its diagonal, so this is
+    the cover search's predicate, every sign vector matched by a clause
+    pattern, and it is read from :func:`cover_verdict`; more than budget
+    of its decisions raise ResourceLimitError.
     strict_fraction: share of Haar samples strictly holding one; exact
     alignment has measure zero, so ~0 is the expected negative control.
     transversal_fraction: share of samples whose graph plane can be rebased
@@ -283,7 +259,7 @@ def orthogonal_cover_report(
     """
     n = f.n
     want = _clause_columns([c for c in f.clauses if not c.is_tautological], n)
-    discrete = f.has_empty_clause or _discrete_cover(n, want, scan_budget)
+    discrete = cover_verdict(f, budget)[0]
     rng = np.random.default_rng(seed)
     strict_hits = rebasable = p_side = 0
     step = max(1, min(_SAMPLE_CHUNK, _STACK_CELLS // (n * n)))
@@ -315,11 +291,11 @@ def orthogonal_cover_report(
 
 
 def matrices_from_text(text: str) -> list[np.ndarray]:
-    """Parse one or more concatenated plain-text matrices.  A size or an
-    entry that is not :func:`plain_ascii` is a bad one: each size is
-    tested, and the entries one by one only when the whole text is not
-    plain."""
-    tokens = text.split()
+    """Parse one or more concatenated plain-text matrices, split at ASCII
+    whitespace only.  A size or an entry that is not :func:`plain_ascii`
+    is a bad one: each size is tested, and the entries one by one only
+    when the whole text is not plain."""
+    tokens = ascii_tokens(text)
     plain = plain_ascii(text)
     out = []
     pos = 0

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -18,13 +19,14 @@ import wittsat
 import wittsat.cli
 from wittsat.cli import _build_parser, main
 from wittsat.cnf import Assignment, CnfFormula
+from wittsat.geometry import cover_verdict
 from wittsat.oracle import dpll
 
 from dimacs_reference import serialize_dimacs
 from formula_helpers import formula_from_ints, random_clause
 from oracle_reference import brute_force
 from plane_reference import matrix_to_text, sample_orthogonal
-from test_cnf import independent_pairs, pigeonhole, two_wide_clauses
+from test_cnf import independent_pairs, pigeonhole, random_3sat, two_wide_clauses
 
 SAT_TEXT = "p cnf 2 2\n1 2 0\n-1 0\n"
 UNSAT_TEXT = "p cnf 1 2\n1 0\n-1 0\n"
@@ -167,8 +169,16 @@ def test_consecutive_calls_share_no_state(tmp_path, sat_file, capsys):
     assert "clause" in out and "status" not in out and "covered" not in out
 
 
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin`` over the bytes.  Its text layer decodes
+    as stdin's does under a C or POSIX locale, with ``surrogateescape``,
+    which would read a stray byte rather than refuse it; its ``buffer``
+    holds the bytes themselves."""
+    return io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape")
+
+
 def test_check_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(UNSAT_TEXT))
+    monkeypatch.setattr(sys, "stdin", _stdin(UNSAT_TEXT.encode()))
     assert main(["check", "-"]) == 1
     assert "status: UNSAT" in capsys.readouterr().out
 
@@ -176,8 +186,8 @@ def test_check_reads_stdin(monkeypatch, capsys):
 def test_a_file_reads_alike_in_crlf_with_comments_and_through_stdin(
     tmp_path, monkeypatch
 ):
-    # a file is read as bytes and decoded once, so its CR LF line ends
-    # reach the parser; stdin is read as text
+    # a file and stdin are read as bytes and decoded once, so CR LF line
+    # ends reach the parser
     rng = np.random.default_rng(35)
     f = formula_from_ints(
         8,
@@ -199,8 +209,36 @@ def test_a_file_reads_alike_in_crlf_with_comments_and_through_stdin(
         assert expected[0] in (0, 1) and expected[1]
         for name in ("crlf", "comments"):
             assert _answer(["check", str(tmp_path / name), *extra]) == expected, name
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        assert _answer(["check", "-", *extra]) == expected
+        for name, variant in variants.items():
+            monkeypatch.setattr(sys, "stdin", _stdin(variant.encode()))
+            assert _answer(["check", "-", *extra]) == expected, name
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["check"], b"c caf\xe9\np cnf 2 1\n1 2 0\n",
+         "can't decode byte 0xe9 in position 5"),
+        (["check"], b"p cnf 3 1\n1 \xff 0\n", "can't decode byte 0xff"),
+        (["check"], "p cnf 3 1\n1\xa02 0\n".encode(),
+         "line 2: bad token '1\\xa02'"),
+        (["rebase"], b"2\n1 0\n0 \xff\n2\n1 0\n0 1\n", "can't decode byte 0xff"),
+    ],
+    ids=["latin1-comment", "stray-byte", "nbsp-token", "rebase-stray-byte"],
+)
+def test_the_same_bytes_answer_alike_by_path_and_through_stdin(
+    tmp_path, monkeypatch, argv, data, message
+):
+    # stdin is decoded as a file is, strict UTF-8, and DIMACS whitespace is
+    # ASCII either way
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    by_path = _answer([argv[0], str(path), *argv[1:]])
+    monkeypatch.setattr(sys, "stdin", _stdin(data))
+    assert _answer([argv[0], "-", *argv[1:]]) == by_path
+    code, out, err = by_path
+    assert code == 2 and not out
+    assert err.startswith("error: ") and message in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -610,30 +648,47 @@ def test_cover_honours_the_budget(tmp_path, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _all_sign_file(tmp_path, n, seed):
-    """All 8 sign clauses over 3 seeded variables, so every sign vector is
-    covered and the discrete scan must visit all 2^n of them."""
-    rng = np.random.default_rng(seed)
-    a, b, c = (int(v) for v in rng.choice(np.arange(1, n + 1), 3, replace=False))
-    clauses = [(sa * a, sb * b, sc * c)
-               for sa in (1, -1) for sb in (1, -1) for sc in (1, -1)]
-    path = tmp_path / f"all-sign-{n}.cnf"
-    path.write_text(serialize_dimacs(formula_from_ints(n, clauses)))
-    return str(path)
-
-
 def test_geometry_honours_the_budget(tmp_path, monkeypatch, capsys):
-    big = _all_sign_file(tmp_path, 30, seed=30)
-    argv = ["geometry", big, "--samples", "1", "--json"]
-    assert main(argv + ["--limit", "4096"]) == 3
-    assert "4096 diagonal isometries" in capsys.readouterr().err
-    monkeypatch.setenv("WITTSAT_LIMIT", "4096")
-    assert main(argv) == 3
+    # --limit counts the cover search's decisions, as it does for cover:
+    # geometry exits 3 exactly when cover does, and otherwise reports
+    # cover's verdict as its discrete_cover
+    rng = random.Random(36)
+    formulas = {"php5-4": pigeonhole(4), "php6-5": pigeonhole(5),
+                "ratio6-24": random_3sat(rng, 24, 144),
+                "ratio2-40": random_3sat(rng, 40, 80)}
+    seen = set()
+    for name, f in formulas.items():
+        path = tmp_path / f"{name}.cnf"
+        path.write_text(serialize_dimacs(f))
+        decisions = cover_verdict(f)[2]["decisions"]
+        for limit in sorted({1, decisions // 2, decisions - 1, decisions} - {0}):
+            cover = main(["cover", str(path), "--limit", str(limit), "--json"])
+            cover_out = capsys.readouterr().out
+            code = main(["geometry", str(path), "--samples", "1", "--limit",
+                         str(limit), "--json"])
+            out, err = capsys.readouterr()
+            assert (code == 3) == (cover == 3), (name, limit)
+            if code == 3:
+                assert err.startswith("error: cover search exceeded") and not out
+            else:
+                covered = json.loads(cover_out)["covered"]
+                assert code == 0 and json.loads(out)["discrete_cover"] is covered
+            seen.add(code)
+    assert seen == {0, 3}
+    php = str(tmp_path / "php6-5.cnf")
+    monkeypatch.setenv("WITTSAT_LIMIT", "1")
+    assert main(["geometry", php, "--samples", "1", "--json"]) == 3
     capsys.readouterr()
-    monkeypatch.delenv("WITTSAT_LIMIT")
-    # without a budget the scan is unbounded; n=14 is 2^14 vectors
-    assert main(["geometry", _all_sign_file(tmp_path, 14, seed=14),
-                 "--samples", "1", "--json"]) == 0
+
+
+def test_geometry_reads_discrete_cover_on_an_unsat_file_at_n24(tmp_path, capsys):
+    # 2^24 diagonal isometries: discrete_cover is the cover search's
+    # verdict, which takes milliseconds here
+    f = random_3sat(random.Random(24), 24, 144)
+    assert dpll(f)[0]
+    path = tmp_path / "ratio6-24.cnf"
+    path.write_text(serialize_dimacs(f))
+    assert main(["geometry", str(path), "--samples", "1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["discrete_cover"] is True
 
 
@@ -700,11 +755,21 @@ def test_a_failed_orthogonal_sample_is_internal(sat_file, monkeypatch, capsys):
          "bad matrix entry: could not convert string to float: '1_0'"),
         (["rebase"], "\u0662\n1 0\n0 1\n".encode(),
          "expected a matrix size, got '\u0662'"),
+        # whitespace is ASCII only: another script's space (here no-break
+        # space and the line separator) is part of a token
+        (["check"], "p cnf 3 1\n\xa0c a comment\n1 2 0\n".encode(),
+         "line 2: bad token '\\xa0c'"),
+        (["check"], "p cnf 3 1\n1 2 0\u2028c a comment\n".encode(),
+         "line 2: bad token '0\\u2028c'"),
+        (["check"], "p cnf 3 1\xa0\n1 2 0\n".encode(), "line 1: malformed header"),
+        (["rebase"], "2\n1\xa00\n0 1\n2\n1 0\n0 1\n".encode(),
+         "bad matrix entry: could not convert string to float: '1\\xa00'"),
     ],
     ids=["utf8", "long-header", "seed", "seed-without-samples", "samples",
          "max-enum", "sizes", "entry", "truncated", "size-token", "size-zero",
          "empty", "underscore-token", "digit-token", "digit-header",
-         "digit-entry", "underscore-entry", "digit-size"],
+         "digit-entry", "underscore-entry", "digit-size", "nbsp-comment",
+         "line-separator", "nbsp-header", "nbsp-entry"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input"

@@ -170,6 +170,26 @@ def test_parse_errors():
         parse_dimacs("p cnf 2 2\n1 0\n2 -0 two -5 0\n")
 
 
+def test_parse_whitespace_is_ascii_only():
+    # one rule for the header, the clauses and the comments: the ASCII
+    # characters str.split splits on separate tokens, the ASCII line breaks
+    # of str.splitlines end lines, and any other space is part of a token
+    for sep in " \t\x1f":
+        text = f"p{sep}cnf 3 1\n1{sep}2{sep}0\n"
+        assert parse_dimacs(text).clauses == ((1, 2),), repr(sep)
+    for brk in ("\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"):
+        text = f"c caf\xe9{brk}p cnf 3 2{brk}1 2 0{brk}c \u2028 -1{brk}-3 0{brk}"
+        assert parse_dimacs(text).clauses == ((1, 2), (-3,)), repr(brk)
+    for space in ("\xa0", "\u2003", "\u3000", "\x85", "\u2028", "\u2029"):
+        with pytest.raises(DimacsError, match=r"^line 2: bad token '1\\"):
+            parse_dimacs(f"p cnf 3 1\n1{space}2 0\n")
+        with pytest.raises(DimacsError, match=r"^line 1: (malformed|expected)"):
+            parse_dimacs(f"{space}p cnf 3 1\n1 2 0\n")
+        # a comment runs to an ASCII line break, another space included
+        f = parse_dimacs(f"p cnf 3 1\n1 2 0\nc note{space}-1 0\n")
+        assert f.clauses == ((1, 2),)
+
+
 def test_parse_warnings():
     with pytest.warns(ParseWarning):
         parse_dimacs("p cnf 2 1\n1 2\n")  # missing trailing 0

@@ -3,6 +3,7 @@ rebasing, and the sampling report."""
 
 import itertools
 import json
+import random
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from wittsat.cli import main
 from wittsat.cnf import Assignment, Clause, CnfFormula, ResourceLimitError
-from wittsat.geometry import formula_patterns, sign_text
+from wittsat.geometry import cover_verdict, formula_patterns, sign_text
 from wittsat.ortho import (
     CONSTRUCTION_TOL,
     NonOrthogonalMatrixError,
@@ -34,6 +35,7 @@ from plane_reference import (
     sample_orthogonal,
     strict_membership,
 )
+from test_cnf import pigeonhole, random_3sat
 
 
 def test_orthogonal_matrix_validation():
@@ -375,31 +377,25 @@ def test_transversal_fraction_by_parity():
             assert abs(frac - 0.5) <= 0.05  # 4.5 standard deviations at p=1/2
 
 
-def test_discrete_scan_budget_counts_visited_isometries():
-    covered = formula_from_ints(
-        4, [(a, 2 * b) for a in (1, -1) for b in (1, -1)]
-    )
-    assert orthogonal_cover_report(covered, 0, 0, scan_budget=16)["discrete_cover"]
-    with pytest.raises(ResourceLimitError):
-        orthogonal_cover_report(covered, 0, 0, scan_budget=15)
-    # (x1) holds for the first four vectors of the scan, +-- order, and
-    # fails at the fifth
-    sat = formula_from_ints(3, [(1,)])
-    assert orthogonal_cover_report(sat, 0, 0, scan_budget=5)["discrete_cover"] is False
-    with pytest.raises(ResourceLimitError):
-        orthogonal_cover_report(sat, 0, 0, scan_budget=4)
-    # past 63 variables the leading positions read +1 for every vector the
-    # scan can reach; (x100) fails first at the second vector
-    wide = formula_from_ints(100, [(100,)])
-    assert orthogonal_cover_report(wide, 0, 0, scan_budget=2)["discrete_cover"] is False
-    with pytest.raises(ResourceLimitError):
-        orthogonal_cover_report(wide, 0, 0, scan_budget=1)
-    with pytest.raises(ResourceLimitError):
-        orthogonal_cover_report(formula_from_ints(100, [(1,), (-1,)]), 0, 0,
-                                scan_budget=5000)
-    # an empty clause covers everything without a scan
+def test_discrete_cover_budget_counts_cover_decisions():
+    # the budget is the cover search's: the report answers at exactly the
+    # decisions the search makes and raises one below, on PHP, random
+    # ratio-6 and satisfiable formulas past any 2^n scan
+    rng = random.Random(36)
+    formulas = [pigeonhole(4), pigeonhole(5), random_3sat(rng, 30, 180),
+                random_3sat(rng, 40, 240), formula_from_ints(100, [(100,)]),
+                random_3sat(rng, 60, 120)]
+    for f in formulas:
+        covered, _, counters = cover_verdict(f)
+        decisions = counters["decisions"]
+        assert orthogonal_cover_report(f, 0, 0, budget=decisions)["discrete_cover"] is covered
+        if decisions:
+            with pytest.raises(ResourceLimitError, match="cover search exceeded"):
+                orthogonal_cover_report(f, 0, 0, budget=decisions - 1)
+    assert {cover_verdict(f)[0] for f in formulas} == {True, False}
+    # an empty clause covers everything without a search
     empty = CnfFormula(20, (), empty_clause_count=1)
-    assert orthogonal_cover_report(empty, 0, 0, scan_budget=1)["discrete_cover"]
+    assert orthogonal_cover_report(empty, 0, 0, budget=1)["discrete_cover"]
 
 
 def _pre_stack_rebase(a1: np.ndarray, a2: np.ndarray) -> tuple[int, str, str]:
