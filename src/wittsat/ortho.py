@@ -20,11 +20,8 @@ from .geometry import cover_verdict
 CONSTRUCTION_TOL = 1e-9
 VERIFY_TOL = 1e-6
 
-# The report draws and tests Haar samples this many at a time, and matches
-# clauses against a stack this many at a time.  A stack also holds at most
+# The report draws, tests and rebases Haar samples in stacks of at most
 # _STACK_CELLS matrix entries, so its working arrays stay a few MB at any n.
-_SAMPLE_CHUNK = 256
-_CLAUSE_CHUNK = 64
 _STACK_CELLS = 1 << 18
 
 
@@ -98,27 +95,15 @@ def _column_signs(m: np.ndarray, tol: float) -> np.ndarray:
     return plus.astype(np.int8) - minus.astype(np.int8)
 
 
-def _clause_columns(clauses: list[Clause], n: int) -> np.ndarray:
-    """An (n, m) matrix of the column sign each non-tautological clause asks
-    for, 0 where it asks none."""
-    want = np.zeros((n, len(clauses)))
-    for j, clause in enumerate(clauses):
-        for lit in clause:
-            want[abs(lit) - 1, j] = 1.0 if lit > 0 else -1.0
-    return want
-
-
-def _holds_some(signs: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """Which rows of a (k, n) column-sign array strictly hold some clause.
-    Each literal adds +1 to signs @ want when its column has its sign and
-    at most 0 otherwise, so a clause is held exactly when the sum reaches
-    its width."""
-    held = np.zeros(len(signs), dtype=bool)
-    s = signs.astype(float)
-    for lo in range(0, want.shape[1], _CLAUSE_CHUNK):
-        block = want[:, lo:lo + _CLAUSE_CHUNK]
-        held |= (s @ block == np.abs(block).sum(axis=0)).any(axis=1)
-    return held
+def _holds_some(signs: np.ndarray, clauses: list[Clause]) -> int:
+    """How many rows of a (k, n) column-sign array strictly hold some
+    clause: every literal's column carries the literal's sign.  Only a row
+    with a nonzero sign can hold one, and at n >= 2 a Haar sample almost
+    never has one, so those rows alone are read, one by one."""
+    return sum(
+        any(all(row[abs(lit) - 1] * lit > 0 for lit in c) for c in clauses)
+        for row in signs[signs.any(axis=1)].tolist()
+    )
 
 
 def haar_samples(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -239,8 +224,10 @@ def orthogonal_cover_report(
     the cover search's predicate, every sign vector matched by a clause
     pattern, and it is read from :func:`cover_verdict`; more than budget
     of its decisions raise ResourceLimitError.
-    strict_fraction: share of Haar samples strictly holding one; exact
-    alignment has measure zero, so ~0 is the expected negative control.
+    strict_fraction: share of Haar samples strictly holding one, that is
+    with each literal's column +-e_j in the literal's sign.  Exact alignment
+    has measure zero, so ~0 is the expected negative control; at n = 1
+    every sample is +-1 and holds the clause of its sign, if there is one.
     transversal_fraction: share of samples whose graph plane can be rebased
     into Witt position against a coordinate reference plane, the all-p plane
     (t = I) first and the all-q plane (t = -I) second.  The plane of t meets
@@ -254,18 +241,18 @@ def orthogonal_cover_report(
     is cos(theta) >= 1 - VERIFY_TOL^2/2, and |lambda + 1| <= VERIFY_TOL is
     cos(theta) <= VERIFY_TOL^2/2 - 1.
 
-    Samples are drawn, tested and rebased in stacks, which gives the same
-    report as taking them one by one.
+    Samples are drawn, tested and rebased in stacks of at most _STACK_CELLS
+    matrix entries, which gives the same report as taking them one by one.
     """
     n = f.n
-    want = _clause_columns([c for c in f.clauses if not c.is_tautological], n)
+    usable = [c for c in f.clauses if not c.is_tautological]
     discrete = cover_verdict(f, budget)[0]
     rng = np.random.default_rng(seed)
     strict_hits = rebasable = p_side = 0
-    step = max(1, min(_SAMPLE_CHUNK, _STACK_CELLS // (n * n)))
+    step = max(1, _STACK_CELLS // (n * n))
     for start in range(0, samples, step):
         t = haar_samples(n, min(step, samples - start), rng)
-        strict_hits += int(_holds_some(_column_signs(t, VERIFY_TOL), want).sum())
+        strict_hits += _holds_some(_column_signs(t, VERIFY_TOL), usable)
         # t meets the all-p plane at eigenvalue 1 and the all-q plane at
         # eigenvalue -1 (the spectrum of -t); the q side is tried only for
         # samples that meet the p side

@@ -586,6 +586,25 @@ def test_models_lists_past_the_cell_budget(tmp_path, capsys, n):
     assert all(Assignment(tuple(v > 0 for v in m)).satisfies(f) for m in listed)
 
 
+@pytest.mark.parametrize(
+    "argv, name, wrong, message",
+    [
+        (["check", "--route", "all"], "dpll", lambda f, budget: (True, None, {}),
+         "error: routes disagree: algebra=SAT, cover=SAT, dpll=UNSAT"),
+        (["models"], "algebra_models", lambda f, budget, max_enum: (1, []),
+         "error: enumeration disagrees with the count"),
+    ],
+    ids=["route-disagreement", "count-vs-enumeration"],
+)
+def test_a_broken_cross_check_exits_4(sat_file, monkeypatch, capsys, argv,
+                                      name, wrong, message):
+    monkeypatch.setattr(f"wittsat.cli.{name}", wrong)
+    assert main([argv[0], sat_file, *argv[1:]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_check_verifies_every_route_model(sat_file, monkeypatch, capsys):
     # under --route all DPLL's model is the one printed, but the cover
     # witness is checked on its own
@@ -790,6 +809,33 @@ def test_models_listing_and_json(sat_file, unsat_file, capsys):
     assert payload["count"] == 0 and payload["models"] is None
 
 
+MORE_THAN_ONE = "models: 3\n(more than --max-enum 1, not listed)\n"
+THREE_UNLISTED = '{"count": 3, "m": 1, "models": null, "n": 2}\n'
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, out",
+    [
+        # --limit 3 is below 2^2 cells, so these take the sparse form
+        ("p cnf 2 2\n1 0\n-1 0\n", ["--limit", "3"], 1, "models: 0\n"),
+        ("p cnf 2 1\n1 2 0\n", ["--max-enum", "1"], 0, MORE_THAN_ONE),
+        ("p cnf 2 1\n1 2 0\n", ["--max-enum", "1", "--limit", "3"], 0,
+         MORE_THAN_ONE),
+        ("p cnf 2 1\n1 2 0\n", ["--max-enum", "1", "--json"], 0, THREE_UNLISTED),
+        ("p cnf 2 1\n1 2 0\n", ["--max-enum", "1", "--limit", "3", "--json"], 0,
+         THREE_UNLISTED),
+    ],
+    ids=["unsat-sparse", "over-cap-table", "over-cap-sparse",
+         "over-cap-table-json", "over-cap-sparse-json"],
+)
+def test_models_prints_a_count_it_does_not_list(tmp_path, capsys, text, argv,
+                                                code, out):
+    path = tmp_path / "f.cnf"
+    path.write_text(text)
+    assert main(["models", str(path), *argv]) == code
+    assert capsys.readouterr().out == out
+
+
 def test_models_enum_cap(sat_file, capsys):
     assert main(["models", "--max-enum", "0", sat_file]) == 0
     out = capsys.readouterr().out
@@ -825,6 +871,11 @@ def test_geometry_dumps_planes_and_signs(tmp_path, capsys):
     assert "assignment 1 2: --" in lines
     assert "assignment -1 -2: ++" in lines
     assert not any("discrete_cover" in line for line in lines)
+    f.write_text("p cnf 7 1\n1 -7 0\n")
+    assert main(["geometry", str(f)]) == 0
+    assert capsys.readouterr().out == (
+        "clause 1 -7 0: p1 q7\n(sign vectors not listed for n > 6)\n"
+    )
 
 
 # n=3 with a clause, a tautology, the clause again, an empty clause and a unit

@@ -16,6 +16,7 @@ from wittsat.ortho import (
     CONSTRUCTION_TOL,
     NonOrthogonalMatrixError,
     NonTransversalError,
+    _holds_some,
     checked_orthogonal,
     haar_samples,
     matrices_from_text,
@@ -121,6 +122,27 @@ def test_strict_membership_on_diagonals_is_pattern_match():
                 s = sign_text(Assignment.from_mask(mask, n))
                 t = np.diag([1.0 if e == "+" else -1.0 for e in s])
                 assert strict_membership(t, clause) == matches(s, pattern)
+
+
+def test_holds_some_counts_rows_with_every_literal_signed():
+    clause = Clause((1, -3))
+    rows = {
+        "held": [1, 0, -1],
+        "unsigned": [1, 0, 0],
+        "flipped": [1, 0, 1],
+        "all zero": [0, 0, 0],
+    }
+    for name, row in rows.items():
+        signs = np.array([row], dtype=np.int8)
+        assert _holds_some(signs, [clause]) == (name == "held"), name
+    # two clauses, where only the second is held
+    row = np.array([[1, -1, 0]], dtype=np.int8)
+    assert _holds_some(row, [Clause((1, 3)), Clause((-2,))]) == 1
+    assert _holds_some(row, [Clause((1, 3)), Clause((2,))]) == 0
+    # a row counts once, however many clauses it holds
+    signs = np.array([[1, -1, -1], [0, 0, 0], [1, 0, -1]], dtype=np.int8)
+    assert _holds_some(signs, [Clause((1, -3)), Clause((-2,))]) == 2
+    assert _holds_some(signs, []) == 0
 
 
 def test_strict_membership_fails_off_axis():
@@ -342,11 +364,13 @@ def test_stacked_report_equals_the_per_matrix_definition():
     axis = formula_from_ints(1, [(1,)])
     assert 0 < orthogonal_cover_report(axis, 40, 3)["strict_fraction"] < 1
     cases.append((axis, 40, 3))
-    # stacks past one chunk
     cases.append((formula_from_ints(2, [(1, 2), (-1,)]), 300, 4))
     cases.append((formula_from_ints(7, [(1, -2, 3), (-4,)]), 260, 5))
     cases.append((formula_from_ints(3, [(1, -1)]), 30, 6))  # nothing usable
-    # at n=40 a stack holds fewer samples than at small n
+    # a stack holds 2^18 entries: 495 samples at n=23 and 163 at n=40, so
+    # these reports span two stacks; all +1 holds neither formula's clauses,
+    # so the reference's scan of 2^n sign vectors stops at its first
+    cases.append((formula_from_ints(23, [(-1, 2), (-5,)]), 600, 8))
     cases.append((formula_from_ints(40, [(-1, -2), (-3,)]), 170, 7))
     for f, samples, seed in cases:
         report = orthogonal_cover_report(f, samples, seed)
