@@ -98,12 +98,13 @@ def _column_signs(m: np.ndarray, tol: float) -> np.ndarray:
 def _holds_some(signs: np.ndarray, clauses: list[Clause]) -> int:
     """How many rows of a (k, n) column-sign array strictly hold some
     clause: every literal's column carries the literal's sign.  Only a row
-    with a nonzero sign can hold one, and at n >= 2 a Haar sample almost
-    never has one, so those rows alone are read, one by one."""
-    return sum(
-        any(all(row[abs(lit) - 1] * lit > 0 for lit in c) for c in clauses)
-        for row in signs[signs.any(axis=1)].tolist()
-    )
+    with a nonzero sign can hold one, so those rows alone are read, with
+    one row mask per distinct clause."""
+    signed = signs[signs.any(axis=1)]
+    held = np.zeros(len(signed), dtype=bool)
+    for c in dict.fromkeys(clauses):
+        held |= (signed[:, [abs(lit) - 1 for lit in c]] == np.sign(c)).all(axis=1)
+    return int(held.sum())
 
 
 def haar_samples(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -136,19 +137,18 @@ def _witt_residual(p: np.ndarray, q: np.ndarray):
     ])
 
 
-def _rebase_stack(t1: np.ndarray, t2: np.ndarray, d: np.ndarray):
-    """Witt rebasing of a stack of transversal pairs: t2 is (k, n, n), t1
-    the same or one matrix shared by every pair, and d = I - t1^T t2, whose
-    singular values all exceed VERIFY_TOL.  Returns their p and q rows."""
+def _rebase_stack(t2: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Witt rebasing of a stack of transversal pairs (t1, t2): t2 is
+    (k, n, n) and d = I - t1^T t2, whose singular values all exceed
+    VERIFY_TOL.  Returns the q rows, the basis of each t2 plane dual to the
+    p rows [I | t1^T] under twice the neutral form; the caller knows the
+    p rows, so they are not built here."""
     n = t2.shape[-1]
-    eye = np.broadcast_to(np.eye(n), t2.shape)
-    p_rows = np.concatenate(
-        [eye, np.swapaxes(np.broadcast_to(t1, t2.shape), -1, -2)], axis=-1
+    b_rows = np.concatenate(
+        [np.broadcast_to(np.eye(n), t2.shape), np.swapaxes(t2, -1, -2)], axis=-1
     )
-    b_rows = np.concatenate([eye, np.swapaxes(t2, -1, -2)], axis=-1)
     gram = 2.0 * d  # gram[i, j] = 2 B(p_rows_i, b_rows_j)
-    q_rows = np.linalg.solve(np.swapaxes(gram, -1, -2), b_rows)
-    return p_rows, q_rows
+    return np.linalg.solve(np.swapaxes(gram, -1, -2), b_rows)
 
 
 def witt_rebase(
@@ -180,7 +180,8 @@ def witt_rebase(
     r = int((sv <= VERIFY_TOL).sum())
     if r:
         raise NonTransversalError(r)
-    (p_rows,), (q_rows,) = _rebase_stack(t1, t2[None], d[None])
+    p_rows = np.hstack([np.eye(n), t1.T])
+    (q_rows,) = _rebase_stack(t2[None], d[None])
     residual = float(_witt_residual(p_rows, q_rows))
     bound = max(8.0, n / 2.0) * tol / sv[-1] ** 2
     if not residual <= bound:
@@ -207,11 +208,22 @@ def rebase_residuals(
     }
 
 
-def _rebased(sign: float, t: np.ndarray) -> int:
-    """How many transversal samples rebase against the plane of sign * I."""
-    eye = np.eye(t.shape[-1])
-    p_rows, q_rows = _rebase_stack(sign * eye, t, eye - sign * t)
-    return int((_witt_residual(p_rows, q_rows) <= CONSTRUCTION_TOL).sum())
+def _rebased(sign: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Which samples of a transversal stack rebase against the plane of
+    sign * I, one sign of +-1 per sample, with one solve for the stack.
+
+    The p rows are [I | sign I], so B(p_i, p_j) is exactly 0 and
+    2 B(p_i, q_j) - delta_ij is 2 (q_L - sign q_R)^T - I.  A product with I
+    or -I is exact, so this reads the residual of :func:`_witt_residual`
+    bit for bit, without building the p rows or its four products on them."""
+    n = t.shape[-1]
+    eye = np.eye(n)
+    s = sign[:, None, None]
+    q_rows = _rebase_stack(t, eye - s * t)
+    pairing = 2.0 * np.swapaxes(q_rows[..., :n] - s * q_rows[..., n:], -1, -2) - eye
+    residual = np.maximum(np.abs(pairing).max(axis=(-2, -1)),
+                          np.abs(neutral_gram(q_rows, q_rows)).max(axis=(-2, -1)))
+    return residual <= CONSTRUCTION_TOL
 
 
 def orthogonal_cover_report(
@@ -243,6 +255,12 @@ def orthogonal_cover_report(
 
     Samples are drawn, tested and rebased in stacks of at most _STACK_CELLS
     matrix entries, which gives the same report as taking them one by one.
+    Each stack's tried samples are rebased with one solve (:func:`_rebased`),
+    every sample against its own reference plane.  Its rows [I | +-I] are
+    known, so they are neither built nor multiplied, and the residuals are
+    those of :func:`witt_rebase` bit for bit.  Only samples
+    with a diagonal entry within VERIFY_TOL of +-1 have their column signs
+    read, since no other sample has a signed column.
     """
     n = f.n
     usable = [c for c in f.clauses if not c.is_tautological]
@@ -252,16 +270,23 @@ def orthogonal_cover_report(
     step = max(1, _STACK_CELLS // (n * n))
     for start in range(0, samples, step):
         t = haar_samples(n, min(step, samples - start), rng)
-        strict_hits += _holds_some(_column_signs(t, VERIFY_TOL), usable)
+        # a column is signed only where its diagonal entry d has
+        # |d -+ 1| <= VERIFY_TOL, which is | |d| - 1 | <= VERIFY_TOL
+        near = (np.abs(np.abs(np.diagonal(t, axis1=-2, axis2=-1)) - 1.0)
+                <= VERIFY_TOL).any(axis=1)
+        if near.any():
+            strict_hits += _holds_some(_column_signs(t[near], VERIFY_TOL), usable)
         # t meets the all-p plane at eigenvalue 1 and the all-q plane at
-        # eigenvalue -1 (the spectrum of -t); the q side is tried only for
-        # samples that meet the p side
+        # eigenvalue -1 (the spectrum of -t); a sample that meets the p side
+        # is tried against the q side (sign -1), one that meets both is not
         cos = np.linalg.eigvalsh(0.5 * (t + np.swapaxes(t, -1, -2)))
         meets_p = cos[:, -1] >= 1.0 - 0.5 * VERIFY_TOL * VERIFY_TOL
         meets_q = cos[:, 0] <= 0.5 * VERIFY_TOL * VERIFY_TOL - 1.0
-        p_ok = _rebased(1.0, t[~meets_p])
-        p_side += p_ok
-        rebasable += p_ok + _rebased(-1.0, t[meets_p & ~meets_q])
+        tried = ~meets_p | ~meets_q
+        sign = np.where(meets_p[tried], -1.0, 1.0)
+        ok = _rebased(sign, t[tried])
+        rebasable += int(ok.sum())
+        p_side += int(ok[sign > 0].sum())
 
     def frac(k: int) -> float:
         return k / samples if samples else 0.0

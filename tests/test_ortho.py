@@ -142,7 +142,19 @@ def test_holds_some_counts_rows_with_every_literal_signed():
     # a row counts once, however many clauses it holds
     signs = np.array([[1, -1, -1], [0, 0, 0], [1, 0, -1]], dtype=np.int8)
     assert _holds_some(signs, [Clause((1, -3)), Clause((-2,))]) == 2
+    # a repeated clause counts its rows once too
+    assert _holds_some(signs, [Clause((1, -3)), Clause((-2,)), Clause((1, -3))]) == 2
     assert _holds_some(signs, []) == 0
+    # against the definition read row by row, on random rows and clauses
+    rng = np.random.default_rng(3838)
+    signs = rng.integers(-1, 2, size=(300, 4), dtype=np.int8)
+    clauses = [Clause(random_clause(rng, 4, int(rng.integers(1, 4)))) for _ in range(6)]
+    want = sum(
+        any(all(row[abs(lit) - 1] * lit > 0 for lit in c) for c in clauses)
+        for row in signs.tolist()
+    )
+    assert 0 < want < 300
+    assert _holds_some(signs, clauses) == want
 
 
 def test_strict_membership_fails_off_axis():
@@ -285,8 +297,7 @@ def test_nan_q_rows_fail_the_witt_check(monkeypatch):
     solve = ortho._rebase_stack
 
     def nan_q_rows(*args):
-        p_rows, q_rows = solve(*args)
-        return p_rows, np.full(q_rows.shape, np.nan)
+        return np.full(solve(*args).shape, np.nan)
 
     monkeypatch.setattr(ortho, "_rebase_stack", nan_q_rows)
     with pytest.raises(ValueError, match="^Witt pairing residual nan exceeds "):
@@ -528,10 +539,12 @@ def test_eigenvalues_at_the_tolerance_boundary(monkeypatch, n):
     monkeypatch.setattr(ortho, "_rebased",
                         lambda sign, t: tried.append((sign, t)) or rebased(sign, t))
     orthogonal_cover_report(formula_from_ints(n, [(1,)]), len(stack), 0)
-    (p_sign, p_tried), (q_sign, q_tried) = tried
-    assert (p_sign, q_sign) == (1.0, -1.0)
-    assert np.array_equal(p_tried, stack[~meets_p])
-    assert np.array_equal(q_tried, stack[meets_p & ~meets_q])
+    # one rebase for the stack: the p side for samples that miss it, the q
+    # side (sign -1) for those that meet it and miss the q side
+    ((sign, t),) = tried
+    assert np.array_equal(t, stack[~meets_p | ~meets_q])
+    assert np.array_equal(sign < 0, meets_p[~meets_p | ~meets_q])
+    assert set(sign.tolist()) <= {1.0, -1.0}
 
 
 def _meeting_pair(rng: np.random.Generator, n: int, r: int):
@@ -693,8 +706,7 @@ def _double_the_q_rows(monkeypatch):
     solve = ortho._rebase_stack
 
     def doubled(*args):
-        p_rows, q_rows = solve(*args)
-        return p_rows, 2.0 * q_rows
+        return 2.0 * solve(*args)
 
     monkeypatch.setattr(ortho, "_rebase_stack", doubled)
 
