@@ -6,19 +6,17 @@ that falsifier).  The product evaluates to 1 exactly on satisfying
 assignments, so the formula is unsatisfiable precisely when the product is
 the zero element.
 
-The product takes one of two forms, chosen by 2^n against the cell budget:
-2^22 cells by default, else the explicit budget (``--limit``), so a budget
-below 2^n forces the sparse form at any n.  While 2^n fits, and is no more
-than 2^32, the form is its table of values on all 2^n assignments, one bit
-each and zero when no bit is set; past that, a sparse sum of patterns
-(:func:`encode_formula`), which the cofactor zero test decides.
+The product takes one of two forms: its table of values on all 2^n
+assignments, one bit each and zero when no bit is set, or a sparse sum of
+patterns (:func:`encode_formula`), which the cofactor zero test decides.
 The table is never built whole.  :func:`slab_walk` yields its slabs, the
-Shannon cofactors at each setting of the leading variables, as Python
-ints of up to 2^14 bits, in the order of their assignments' primitive
-indices, and skips every slab with no set cell: a verdict stops at the
-first slab, whose lowest set cell is the lowest-indexed model, and a count
-takes every slab.  :func:`algebra_verdict` and :func:`algebra_models`,
-what ``check`` and ``models`` call, make the choice between the two forms.
+Shannon cofactors at each setting of the leading variables, as Python ints
+of up to 2^14 bits in primitive-index order, skips every slab with no set
+cell, and charges the cells it covers to the cell budget (2^22, or
+``--limit``).  ``check`` (:func:`algebra_verdict`) walks to the first slab,
+whose lowest set cell is the lowest-indexed model, and takes the sparse
+form only when the walk passes the budget first; ``models``
+(:func:`algebra_models`) walks when all 2^n cells are within the budget.
 """
 
 from __future__ import annotations
@@ -58,7 +56,10 @@ class DroppedClauseWarning(UserWarning):
 
 def _live_clauses(f: CnfFormula) -> list[Clause]:
     """The clauses that have a falsifier, dropping (with a warning) the
-    tautological ones, which have none."""
+    tautological ones, which have none; none at all beside an empty
+    clause, whose falsifier is every assignment."""
+    if f.has_empty_clause:
+        return []
     live = []
     for clause in f.clauses:
         if clause.is_tautological:
@@ -74,9 +75,6 @@ def _live_clauses(f: CnfFormula) -> list[Clause]:
 # bit each; the variables before them are the leading variables, whose
 # values pick the slab.
 _ROW_VARIABLES = 14
-# The largest table the walk takes, whatever the cell budget: 2^32 cells,
-# at most 2^18 slabs.  Past it the product is sparse.
-_CELL_CEILING = 1 << 32
 
 
 @functools.cache
@@ -117,17 +115,12 @@ def _literal_masks(n: int) -> tuple[dict[int, int], dict[int, int]]:
     return falsifiers, keys
 
 
-def _table_fits(n: int, term_budget: int | None) -> bool:
-    """The product takes its table form: 2^n cells within the cell budget,
-    2^22 when *term_budget* is None and *term_budget* otherwise, and within
-    the ceiling of 2^32."""
-    cell_budget = DEFAULT_CELL_BUDGET if term_budget is None else term_budget
-    return 1 << n <= min(cell_budget, _CELL_CEILING)
-
-
-def slab_walk(f: CnfFormula) -> Iterator[tuple[int, int]]:
+def slab_walk(
+    f: CnfFormula, cell_budget: int, live: list[Clause] | None = None
+) -> Iterator[tuple[int, int]]:
     """(index, slab) for each slab of the product's value table that holds
-    a set cell, in ascending index order.
+    a set cell, in ascending index order, of the product over the clauses
+    *live* (else :func:`_live_clauses`).
 
     The table is the product written in the primitive-idempotent basis.
     Every value is 0 or 1, so each cell is one bit, and slab s holds the
@@ -144,18 +137,20 @@ def slab_walk(f: CnfFormula) -> Iterator[tuple[int, int]]:
     d ORs in the union of each key whose deepest leading variable is
     variable d and whose leading literals the node's values all falsify.
     A node whose union covers the slab is dropped with every slab beneath
-    it, and an empty clause leaves no slab at all.
+    it, and an empty clause covers the root.  Each node the walk finishes,
+    dropped or yielded, covers the 2^(n - d) cells beneath it at depth d;
+    once the cells covered pass *cell_budget* the walk raises
+    :class:`ResourceLimitError`.
     """
-    if f.has_empty_clause:
-        return
     n = f.n
     lead = n - min(n, _ROW_VARIABLES)
     full = (1 << (1 << (n - lead))) - 1
+    cap = cell_budget >> (n - lead)  # in slabs: a node covers 2^(L - d)
     falsifiers, keys = _literal_masks(n)
     mask, key_of = falsifiers.__getitem__, keys.__getitem__
-    root = 0
+    root = full if f.has_empty_clause else 0
     unions: dict[int, int] = {}
-    for clause in _live_clauses(f):
+    for clause in _live_clauses(f) if live is None else live:
         if len(clause) == 3:
             a, b, c = clause
             falsifier = falsifiers[a] & falsifiers[b] & falsifiers[c]
@@ -173,36 +168,37 @@ def slab_walk(f: CnfFormula) -> Iterator[tuple[int, int]]:
         depth = lead + 1 - (fixed & -fixed).bit_length()
         levels[depth].append((fixed, key >> lead, union))
     stack = [(0, 0, root)]
+    covered = 0
     while stack:
         depth, index, union = stack.pop()
         for fixed, values, falsifier in levels[depth]:
             if index & fixed == values:
                 union |= falsifier
-        if union == full:
+        if union != full and depth < lead:
+            bit = 1 << (lead - depth - 1)
+            stack.append((depth + 1, index | bit, union))
+            stack.append((depth + 1, index, union))
             continue
-        if depth == lead:
+        covered += 1 << (lead - depth)
+        if covered > cap:
+            raise ResourceLimitError(f"the walk covers over {cell_budget} cells")
+        if union != full:
             yield index, full ^ union
-            continue
-        bit = 1 << (lead - depth - 1)
-        stack.append((depth + 1, index | bit, union))
-        stack.append((depth + 1, index, union))
 
 
 def encode_formula(
-    f: CnfFormula, *, term_budget: int | None = None
+    f: CnfFormula, *, term_budget: int | None = None, live: list[Clause] | None = None
 ) -> DiagonalElement:
-    """Product over clauses of (identity - falsifier) as a sparse sum of
-    patterns, merging like patterns after every factor, under the pattern
-    budget (*term_budget*, default 2^20); exceeding it raises
-    :class:`TermBudgetError`.  This is the product's form past the cell
-    budget of its table form (:func:`_table_fits`).
-    """
+    """Product over clauses (*live*, else :func:`_live_clauses`) of
+    (identity - falsifier) as a sparse sum of patterns, merging like
+    patterns after every factor, under the pattern budget (*term_budget*,
+    default 2^20); exceeding it raises :class:`TermBudgetError`."""
     n = f.n
     budget = DEFAULT_TERM_BUDGET if term_budget is None else int(term_budget)
     if f.has_empty_clause:
         return DiagonalElement(n, {})
     terms: dict[int, int] = {_all_identity(n): 1}
-    for clause in _live_clauses(f):
+    for clause in _live_clauses(f) if live is None else live:
         z = pattern_bits(n, {abs(lit): D_PQ if lit > 0 else D_QP for lit in clause})
         if len(clause) == 1:
             # q_ip_i + p_iq_i is the identity, so (identity - falsifier) is
@@ -282,37 +278,41 @@ _BYTE_BITS = tuple(tuple(b for b in range(8) if byte >> b & 1) for byte in range
 def algebra_verdict(
     f: CnfFormula, term_budget: int | None = None
 ) -> tuple[bool, Assignment | None, dict[str, int]]:
-    """(unsatisfiable, model, counters) from the product in the form the
-    cell budget picks: the slab walk up to its first slab, whose lowest
-    set cell is the lowest-indexed model, or the cofactor zero test of the
-    sparse product.  The counters are ``patterns`` (the sparse product's
-    patterns, or the set cells of the model's slab), ``slabs`` (the
-    model's slab's index plus one, or all 2^L slabs when there is no
-    model) and ``splits`` (cofactor splits taken); the form not taken reads
-    0 in its own."""
+    """(unsatisfiable, model, counters) from the slab walk up to its first
+    slab, or from the cofactor zero test of the sparse product when the
+    walk passes the cell budget first.  The counters are ``patterns`` (the
+    sparse product's patterns, or the set cells of the model's slab),
+    ``slabs`` (the model's slab's index plus one, or all 2^L slabs when
+    there is no model) and ``splits`` (cofactor splits taken); the form
+    not taken reads 0 in its own."""
     n = f.n
-    if not _table_fits(n, term_budget):
-        element = encode_formula(f, term_budget=term_budget)
-        zero, splits, point = zero_test_splits(element)
-        counters = {"patterns": element.term_count, "slabs": 0, "splits": splits}
-        return zero, point, counters
     w = min(n, _ROW_VARIABLES)
-    for index, slab in slab_walk(f):
-        cell = index << w | (slab & -slab).bit_length() - 1
-        counters = {"patterns": slab.bit_count(), "slabs": index + 1, "splits": 0}
-        return False, Assignment.from_primitive_index(cell, n), counters
-    return True, None, {"patterns": 0, "slabs": 1 << (n - w), "splits": 0}
+    cell_budget = DEFAULT_CELL_BUDGET if term_budget is None else term_budget
+    live = _live_clauses(f)
+    try:
+        for index, slab in slab_walk(f, cell_budget, live):
+            cell = index << w | (slab & -slab).bit_length() - 1
+            counters = {"patterns": slab.bit_count(), "slabs": index + 1, "splits": 0}
+            return False, Assignment.from_primitive_index(cell, n), counters
+        return True, None, {"patterns": 0, "slabs": 1 << (n - w), "splits": 0}
+    except ResourceLimitError:  # the walk passed the budget first
+        element = encode_formula(f, term_budget=term_budget, live=live)
+    zero, splits, point = zero_test_splits(element)
+    counters = {"patterns": element.term_count, "slabs": 0, "splits": splits}
+    return zero, point, counters
 
 
 def algebra_models(
     f: CnfFormula, term_budget: int | None, max_enum: int
 ) -> tuple[int, list[Assignment] | None]:
     """(model count, the models in primitive-index order when the count is
-    from 1 to *max_enum*, else None), from the product in the form the
-    cell budget picks.  The table's count sums the set cells of every
-    slab; its listing reads the set cells of the slabs a byte at a time."""
+    from 1 to *max_enum*, else None), from the slab walk when all 2^n cells
+    are within the cell budget and from the sparse product past it.  The
+    walk's count sums the set cells of every slab; its listing reads the
+    set cells of the slabs a byte at a time."""
     n = f.n
-    if not _table_fits(n, term_budget):
+    cell_budget = DEFAULT_CELL_BUDGET if term_budget is None else term_budget
+    if 1 << n > cell_budget:
         element = encode_formula(f, term_budget=term_budget)
         total = count_models(element)
         if not 0 < total <= max_enum:
@@ -320,7 +320,7 @@ def algebra_models(
         return total, sorted(models(element), key=Assignment.primitive_index)
     total = 0
     kept = []  # the slabs, while they hold no more than max_enum cells
-    for index, slab in slab_walk(f):
+    for index, slab in slab_walk(f, cell_budget):
         total += slab.bit_count()
         if total <= max_enum:
             kept.append((index, slab))

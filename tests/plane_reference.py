@@ -16,7 +16,7 @@ import numpy as np
 from wittsat.algebra import D_PQ, D_QP, pattern_bits
 from wittsat.cnf import Assignment, Clause
 from wittsat.geometry import plane_text, sign_text
-from wittsat.ortho import VERIFY_TOL, _column_signs, haar_samples
+from wittsat.ortho import VERIFY_TOL, haar_samples
 
 from algebra_reference import (
     S_PQ,
@@ -136,14 +136,19 @@ def strict_membership(
     """The clause plane lies inside the graph plane of t: every involved axis
     must be held with the required sign, + for a positive literal (p side)
     and - for a negated one (q side).  On diagonal sign matrices this is
-    exactly the induced-pattern match."""
+    exactly the induced-pattern match.  Each literal's column is compared
+    with +-e_j here, every entry within tol, so the report's
+    ``strict_fraction`` is checked against a reading other than its own."""
     if clause.is_tautological:
         raise ValueError(f"tautological clause {clause} has no plane")
-    signs = _column_signs(t, tol)
+    n = len(t)
     for lit in clause:
-        if abs(lit) > len(t):
-            raise ValueError(f"variable {abs(lit)} exceeds n={len(t)}")
-        if signs[abs(lit) - 1] != (1 if lit > 0 else -1):
+        j = abs(lit) - 1
+        if j >= n:
+            raise ValueError(f"variable {abs(lit)} exceeds n={n}")
+        axis = np.zeros(n)
+        axis[j] = 1.0 if lit > 0 else -1.0
+        if not (np.abs(t[:, j] - axis) <= tol).all():
             return False
     return True
 

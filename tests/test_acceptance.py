@@ -60,7 +60,7 @@ from plane_reference import (
 
 def _table_unsat(f: CnfFormula) -> bool:
     """The algebraic verdict: the product's value table has no set cell."""
-    return next(slab_walk(f), None) is None
+    return next(slab_walk(f, 1 << f.n), None) is None
 
 
 def check_unsat_equivalence(n3_cases: int = 1000, seed: int = 101) -> str:

@@ -150,6 +150,23 @@ def test_warnings_print_their_message_only(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == ""
 
 
+def test_a_fallback_to_the_sparse_product_warns_once(tmp_path, capsys):
+    # under --limit 1024 the walk passes the budget at n = 12 and the
+    # sparse product runs on the same live clauses, so no filter is needed
+    # to keep the tautology's warning to one line
+    rng = np.random.default_rng(1200)
+    clauses = [random_clause(rng, 12, 3) for _ in range(12)] + [(1, -1, 5)]
+    path = tmp_path / "tautology-12.cnf"
+    path.write_text(serialize_dimacs(formula_from_ints(12, clauses)))
+    argv = ["check", str(path), "--route", "algebra", "--limit", "1024", "--json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["stats"]["slabs"] == 0
+    assert err == "warning: dropping tautological clause 1 -1 5 0\n"
+
+
 def test_consecutive_calls_share_no_state(tmp_path, sat_file, capsys):
     # one parser serves every call in a process; no option may carry over
     assert main(["check", "--json", sat_file]) == 0
@@ -295,13 +312,21 @@ def test_search_routes_answer_deep_independent_pairs(tmp_path, capsys):
         assert model.satisfies(f)
 
 
+# the first slab of two_wide_clauses(n) holds every cell but all-true
+TWO_WIDE_FIRST_SLAB = {"patterns": (1 << 14) - 1, "slabs": 1, "splits": 0}
+
+
 def test_algebra_route_answers_two_wide_clauses(tmp_path, capsys):
+    # the walk answers at its first slab, within the default cell budget;
+    # a budget under one slab of 2^14 cells leaves the product sparse
     path = tmp_path / "wide.cnf"
     path.write_text(serialize_dimacs(two_wide_clauses(3000)))
-    assert main(["check", str(path), "--route", "algebra", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["status"] == "SAT"
-    assert payload["stats"] == {"patterns": 3, "slabs": 0, "splits": 3000}
+    sparse = {"patterns": 3, "slabs": 0, "splits": 3000}
+    for extra, stats in (([], TWO_WIDE_FIRST_SLAB), (["--limit", "4096"], sparse)):
+        assert main(["check", str(path), "--route", "algebra", "--json", *extra]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "SAT"
+        assert payload["stats"] == stats
 
 
 def _algebra_json(capsys, path, *extra):
@@ -309,27 +334,46 @@ def _algebra_json(capsys, path, *extra):
     return code, json.loads(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("n", [60, 70])
-def test_a_limit_past_what_a_table_can_hold_stays_sparse(tmp_path, capsys, n):
-    # the table form stops at 2^32 cells, so a --limit above 2^n leaves
-    # these products sparse
+@pytest.mark.parametrize("n", [32, 33, 60, 70])
+def test_a_limit_past_2_to_the_n_cells_walks_two_wide_clauses(tmp_path, capsys, n):
+    # no ceiling stops the walk at 2^32 cells: a --limit above 2^n walks
     path = tmp_path / "wide.cnf"
     path.write_text(serialize_dimacs(two_wide_clauses(n)))
     code, payload = _algebra_json(capsys, str(path), "--limit", str(1 << (n + 1)))
     assert code == 0
-    assert payload["stats"] == {"patterns": 3, "slabs": 0, "splits": n}
+    assert payload["stats"] == TWO_WIDE_FIRST_SLAB
 
 
-@pytest.mark.parametrize("n, form", [(32, "table"), (33, "sparse")])
-def test_the_table_form_stops_at_2_to_the_32_cells(tmp_path, capsys, n, form):
-    path = tmp_path / "wide.cnf"
-    path.write_text(serialize_dimacs(two_wide_clauses(n)))
-    code, payload = _algebra_json(capsys, str(path), "--limit", str(1 << (n + 1)))
-    assert code == 0
-    if form == "table":  # the first slab holds every cell but all-true
-        assert payload["stats"] == {"patterns": (1 << 14) - 1, "slabs": 1, "splits": 0}
-    else:
-        assert payload["stats"] == {"patterns": 3, "slabs": 0, "splits": n}
+@pytest.mark.parametrize("n", [23, 28, 32, 40])
+def test_the_walk_answers_ratio_1_25_past_the_table(tmp_path, capsys, n):
+    # 2^n passes the default cell budget of 2^22, but a model turns up
+    # within it, so the walk answers where the sparse product once ran
+    f, path = _random_file(tmp_path, n, 1.25, 1000 * n + 1)
+    code, payload = _algebra_json(capsys, path)
+    assert not dpll(f)[0]
+    assert code == 0 and payload["status"] == "SAT"
+    assert payload["stats"]["slabs"] > 0 and payload["stats"]["splits"] == 0
+
+
+def _units_first_trap(tmp_path, n):
+    """(x_L)(-x_L), L = n - 14 the last leading variable, ahead of random
+    3-SAT at ratio 2: the walk rules out one slab per setting of the L - 1
+    leading variables before it, and the sparse product is zero after the
+    two units."""
+    lead = n - 14
+    rng = np.random.default_rng(7)
+    clauses = [(lead,), (-lead,)] + [random_clause(rng, n, 3) for _ in range(2 * n)]
+    path = tmp_path / f"trap-{n}.cnf"
+    path.write_text(serialize_dimacs(formula_from_ints(n, clauses)))
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [24, 34, 48])
+def test_the_units_first_trap_falls_back_to_the_sparse_product(tmp_path, capsys, n):
+    # the walk passes the default budget of 2^22 cells (256 slabs) first
+    code, payload = _algebra_json(capsys, _units_first_trap(tmp_path, n))
+    assert code == 1 and payload["status"] == "UNSAT"
+    assert payload["stats"] == {"patterns": 0, "slabs": 0, "splits": 0}
 
 
 def test_decision_budget_exit_code(tmp_path, capsys):
@@ -533,7 +577,9 @@ def test_a_wrong_algebra_model_exits_4(sat_file, monkeypatch, capsys, form):
     # SAT_TEXT's only model is -1 2; primitive index 0 is 1 2
     if form == "table":
         # the first slab's first cell, primitive index 0
-        monkeypatch.setattr("wittsat.encoding.slab_walk", lambda f: iter([(0, 1)]))
+        monkeypatch.setattr(
+            "wittsat.encoding.slab_walk", lambda f, cell_budget, live: iter([(0, 1)])
+        )
         argv = ["check", sat_file, "--route", "algebra"]
     else:
         monkeypatch.setattr(

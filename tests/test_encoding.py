@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittsat.algebra import D_ID, D_PQ, D_QP, pattern_bits, zero_test_splits
-from wittsat.cnf import Assignment, Clause, CnfFormula
+from wittsat.cnf import Assignment, Clause, CnfFormula, ResourceLimitError
 from wittsat.encoding import (
     _literal_masks,
     DroppedClauseWarning,
@@ -74,7 +74,7 @@ def _walk_bits(f):
     w, lead = _layout(f.n)
     bits = np.zeros(1 << f.n, dtype=bool)
     last = -1
-    for index, slab in slab_walk(f):
+    for index, slab in slab_walk(f, 1 << f.n):
         assert last < index < 1 << lead
         assert 0 < slab < 1 << (1 << w)
         last = index
@@ -90,7 +90,7 @@ def _walk_cells(f):
 
 
 def _table_unsat(f):
-    return next(slab_walk(f), None) is None
+    return next(slab_walk(f, 1 << f.n), None) is None
 
 
 def test_single_model_formula_collapses_to_its_point():
@@ -146,7 +146,8 @@ def test_explicit_budget_caps_the_table_cells():
     assert verdict == algebra_verdict(f)
     assert verdict[2]["slabs"] == 1 and verdict[2]["splits"] == 0
     assert algebra_models(f, 1 << 13, 1 << 13) == algebra_models(f, None, 1 << 13)
-    # one cell fewer refuses the table, and the sparse product outgrows it
+    # one cell fewer: the walk passes it at its one slab, and the sparse
+    # product outgrows it
     for call in (
         lambda: algebra_verdict(f, (1 << 13) - 1),
         lambda: algebra_models(f, (1 << 13) - 1, 0),
@@ -154,6 +155,22 @@ def test_explicit_budget_caps_the_table_cells():
     ):
         with pytest.raises(TermBudgetError):
             call()
+
+
+def test_the_walk_charges_every_cell_it_covers():
+    # an unsatisfiable walk rules out all 2^16 cells, some at nodes above
+    # the slabs: it finishes at a budget of 2^16 and raises one cell short
+    rng = np.random.default_rng(16006)
+    f = formula_from_ints(16, [random_clause(rng, 16, 3) for _ in range(96)])
+    assert brute_force(f).verdict == "UNSAT"
+    assert list(slab_walk(f, 1 << 16)) == []
+    with pytest.raises(ResourceLimitError):
+        list(slab_walk(f, (1 << 16) - 1))
+    # an empty clause covers them all at once
+    with_empty = CnfFormula(16, f.clauses, 1)
+    assert list(slab_walk(with_empty, 1 << 16)) == []
+    with pytest.raises(ResourceLimitError):
+        next(slab_walk(with_empty, (1 << 16) - 1))
 
 
 @pytest.mark.parametrize("seed", [0, 4])  # 7 models, unsatisfiable
@@ -398,7 +415,7 @@ def test_the_slab_walk_yields_the_table_in_order(n, ratio):
     w, lead = _layout(n)
     words = reference_table(f).astype("<u8").reshape(1 << lead, -1)
     rows = [int.from_bytes(row.tobytes(), "little") for row in words]
-    got = list(slab_walk(f))
+    got = list(slab_walk(f, 1 << f.n))
     assert got == [(i, row) for i, row in enumerate(rows) if row]
     unsat, model, counters = algebra_verdict(f)
     if got:

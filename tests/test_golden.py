@@ -7,7 +7,9 @@ command below runs in process on every file, and the sha256 of its stdout,
 stderr and exit code, with the wall-clock ``timings`` dropped from
 ``check``'s JSON, must equal the digest recorded before the parser and the
 routes' clause setup were rewritten for speed (``geometry``'s before the
-sampling report rebased each stack with one solve).  A changed digest
+sampling report rebased each stack with one solve, and the two ``--limit
+1024`` digests of the sparse product before the slab walk counted the
+cells it covers against the budget).  A changed digest
 means changed output; a changed corpus digest means the corpus changed and
 the others prove nothing until they are recorded again.
 
@@ -35,6 +37,10 @@ COMMANDS = {
     "check-dpll": ["check", "--route", "dpll", "--json"],
     "cover": ["cover", "--json"],
     "models": ["models", "--json"],
+    # a budget under one slab of 2^14 cells keeps every product past the
+    # 2^10-cell table in its sparse form
+    "check-algebra-sparse": ["check", "--route", "algebra", "--limit", "1024", "--json"],
+    "models-sparse": ["models", "--limit", "1024", "--json"],
     # "{i}" is the file's index in its corpus, so each file gets its own seed
     "geometry": ["geometry", "--samples", "40", "--seed", "{i}", "--json"],
     "geometry-plain": ["geometry", "--samples", "40", "--seed", "{i}"],
@@ -52,6 +58,8 @@ DIGESTS = {
     "check-dpll": "eae1ae49b106857202d850205ab412f65a2dc30bbb705f9b4bc6551f1666ab5b",
     "cover": "5d4876d3665e9a793701b1960c44811f93f2454d73e1beab4837121bd0e43230",
     "models": "67dd10e9b531147000b28c854394423d0b143e738f57eda4f2392ea325f8006d",
+    "check-algebra-sparse": "56669bc250fb65f7446bb973b7e60abdc2d07141bbd362b3693b5e12237b9c31",
+    "models-sparse": "e731ce7b811c4d336b3f05662aaefbd15ea5f02c7c888b899d5a636d2535a5b4",
     "geometry": "40dc5a2a559ab39c891b7b0532547c3f8e04c1b97b29fcd1db0a7d26c6978795",
     "geometry-plain": "555565275b6e8237d2a243444e9dbe5a58fe1c90e9ceb87ca67c7d457ec9354f",
     "geometry-wide": "2049ffc0b3b14528ca9fd95e98c067cbcc798e035162c8592a032f403f207e8e",
