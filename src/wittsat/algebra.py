@@ -111,8 +111,6 @@ def cofactor_leaves(
     sets of assignments.  The generator returns the total number of
     splits.
     """
-    import numpy as np  # only the sparse form loads it
-
     n = a.n
     low = _low_field_bits(n)
     width = (n + 3) // 4  # bytes per identity mask, four fields to a byte
@@ -132,14 +130,11 @@ def cofactor_leaves(
             continue
         # Split on the most constrained position: fewest identity fields,
         # lowest index on ties, never one that is identity in every term.
-        masks = b"".join(
-            (p & (p >> 1) & low).to_bytes(width, "little") for p in terms
-        )
-        rows = np.frombuffer(masks, dtype=np.uint8).reshape(len(terms), width)
-        counts = np.empty((width, 4), dtype=np.int64)
-        for k in range(4):
-            counts[:, k] = ((rows >> (2 * k)) & 1).sum(axis=0, dtype=np.int64)
-        counts = counts.reshape(-1)[:n]
+        import numpy as np  # only a frame that splits loads it
+
+        masks = b"".join((p & (p >> 1) & low).to_bytes(width, "little") for p in terms)
+        bits = np.unpackbits(np.frombuffer(masks, dtype=np.uint8), bitorder="little")
+        counts = bits.reshape(len(terms), -1)[:, : 2 * n : 2].sum(axis=0)
         counts[counts == len(terms)] = len(terms) + 1
         best = int(np.argmin(counts))
         splits += 1
@@ -175,8 +170,7 @@ def _cofactor(terms: Mapping[int, int], pos: int, keep: int) -> dict[int, int]:
     ident = D_ID << shift
     sub: dict[int, int] = {}
     for pat, c in terms.items():
-        f = (pat >> shift) & 0b11
-        if f == keep or f == D_ID:
+        if pat >> shift & keep:  # the kept field or identity
             r = pat | ident
             nc = sub.get(r, 0) + c
             if nc:

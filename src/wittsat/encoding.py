@@ -25,7 +25,7 @@ import functools
 import itertools
 import warnings
 from operator import and_
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .algebra import (
     D_ID,
@@ -77,10 +77,25 @@ def _live_clauses(f: CnfFormula) -> list[Clause]:
 _ROW_VARIABLES = 14
 
 
+class _LiteralTable(dict):
+    """A table of literals whose entry *make* makes on first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[int], int]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, lit: int) -> int:
+        value = self[lit] = self.make(lit)
+        return value
+
+
 @functools.cache
 def _literal_masks(n: int) -> tuple[dict[int, int], dict[int, int]]:
     """Each literal's falsifier over one slab of an n-variable value table,
-    and the key of the leading cells it fixes.
+    and the key of the leading cells it fixes, made on first use, so the
+    tables hold only the literals of the formulas walked.
 
     A slab is an int of 2^w bits, w = min(n, 14): bit b is the cell whose
     last w variables read the bits of b (variable n at bit 0), 0 for true
@@ -97,22 +112,27 @@ def _literal_masks(n: int) -> tuple[dict[int, int], dict[int, int]]:
     w = min(n, _ROW_VARIABLES)
     lead = n - w
     full = (1 << (1 << w)) - 1
-    falsifiers: dict[int, int] = {}
-    keys: dict[int, int] = {}
-    for var in range(1, lead + 1):
-        bit = 1 << (lead - var)
-        falsifiers[var] = falsifiers[-var] = full
-        keys[var], keys[-var] = bit << lead | bit, bit
-    for var in range(lead + 1, n + 1):
+
+    def falsifier(lit: int) -> int:
+        var = abs(lit)
+        if var <= lead:
+            return full
         # where the variable reads 1 (false): runs of 2^s cells off, 2^s on
         run = 1 << (n - var)
         ones = ((1 << run) - 1) << run
         while 2 * run < 1 << w:
             run *= 2
             ones |= ones << run
-        falsifiers[var], falsifiers[-var] = ones, full ^ ones
-        keys[var] = keys[-var] = 0
-    return falsifiers, keys
+        return ones if lit > 0 else full ^ ones
+
+    def key(lit: int) -> int:
+        var = abs(lit)
+        if var > lead:
+            return 0
+        bit = 1 << (lead - var)
+        return bit << lead | bit if lit > 0 else bit
+
+    return _LiteralTable(falsifier), _LiteralTable(key)
 
 
 def slab_walk(
@@ -146,6 +166,8 @@ def slab_walk(
     lead = n - min(n, _ROW_VARIABLES)
     full = (1 << (1 << (n - lead))) - 1
     cap = cell_budget >> (n - lead)  # in slabs: a node covers 2^(L - d)
+    if not cap:  # each finished node covers a slab or more: the first raises
+        raise ResourceLimitError(f"the walk covers over {cell_budget} cells")
     falsifiers, keys = _literal_masks(n)
     mask, key_of = falsifiers.__getitem__, keys.__getitem__
     root = full if f.has_empty_clause else 0

@@ -85,13 +85,9 @@ def _column_signs(m: np.ndarray, tol: float) -> np.ndarray:
     """Read each column of a matrix, or of each matrix in a stack, once:
     +1 where column j is e_j within tol (every entry), -1 where it is -e_j,
     0 otherwise.  Returns int8 of shape m.shape[:-1]."""
-    n = m.shape[-1]
-    diag = np.diagonal(m, axis1=-2, axis2=-1)
-    off = np.abs(m)
-    off[..., np.arange(n), np.arange(n)] = 0.0
-    off = off.max(axis=-2, initial=0.0)
-    plus = np.maximum(off, np.abs(diag - 1.0)) <= tol
-    minus = np.maximum(off, np.abs(diag + 1.0)) <= tol
+    eye = np.eye(m.shape[-1])
+    plus = np.abs(m - eye).max(axis=-2, initial=0.0) <= tol
+    minus = np.abs(m + eye).max(axis=-2, initial=0.0) <= tol
     return plus.astype(np.int8) - minus.astype(np.int8)
 
 

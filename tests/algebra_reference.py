@@ -1,6 +1,7 @@
 """Paper constructions on single basis terms and point values that the tests
-check the term engine and the null planes against, and the arithmetic of
-diagonal elements that the program itself never runs.
+check the term engine and the null planes against, the arithmetic of
+diagonal elements that the program itself never runs, and a zero test that
+picks its splits field by field in plain Python.
 
 Full basis terms s_1 ... s_n take one factor per position from q_ip_i,
 p_iq_i, p_i and q_i, packed two bits per position like the diagonal
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from wittsat.algebra import (
+    D_ID,
     D_PQ,
     D_QP,
     DiagonalElement,
@@ -27,6 +29,7 @@ from wittsat.algebra import (
     pattern_field,
     zero_test_splits,
 )
+from wittsat.cnf import Assignment
 
 
 class CheckedElement(DiagonalElement):
@@ -283,3 +286,45 @@ def assignment_element(assignment) -> CheckedElement:
     """The primitive idempotent selecting exactly one assignment."""
     values = _values_of(assignment)
     return CheckedElement(len(values), {_sigma_pattern(values): 1})
+
+
+def reference_pick(terms: Mapping[int, int], n: int) -> int:
+    """The position the zero test splits a frame on, from identity fields
+    counted one position and one term at a time: fewest identity fields,
+    lowest index on ties, never a position that is identity in every term."""
+    counts = [sum(pattern_field(p, i) == D_ID for p in terms) for i in range(n)]
+    return min((c, i) for i, c in enumerate(counts) if c < len(terms))[1]
+
+
+def reference_zero_test(a: DiagonalElement) -> tuple[bool, int, Assignment | None]:
+    """(zero, splits, point) of a cofactor walk that splits where
+    :func:`reference_pick` says, each side's terms summed as they are read
+    with a term dropped when its sum cancels, the q_ip_i side first.  It
+    stops at the first frame whose coefficients share one sign; the point
+    reads that frame's first pattern, the split values where it was split
+    and true at its other identity fields."""
+    n = a.n
+    splits = 0
+    stack: list[tuple[Mapping[int, int], dict[int, bool]]] = [(a.terms, {})]
+    while stack:
+        terms, fixed = stack.pop()
+        if not terms:
+            continue
+        if len({c > 0 for c in terms.values()}) == 1:
+            first = next(iter(terms))
+            values = [pattern_field(first, i) != D_PQ for i in range(n)]
+            for i, value in fixed.items():
+                values[i] = value
+            return False, splits, Assignment(tuple(values))
+        pos = reference_pick(terms, n)
+        splits += 1
+        for field, value in ((D_PQ, False), (D_QP, True)):
+            side: dict[int, int] = {}
+            for p, c in terms.items():
+                if pattern_field(p, pos) in (field, D_ID):
+                    q = p | D_ID << 2 * pos
+                    side[q] = side.get(q, 0) + c
+                    if not side[q]:
+                        del side[q]
+            stack.append((side, {**fixed, pos: value}))
+    return True, splits, None

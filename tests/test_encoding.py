@@ -31,7 +31,12 @@ from wittsat.encoding import (
     slab_walk,
 )
 
-from algebra_reference import CheckedElement, eval_at, identity_element
+from algebra_reference import (
+    CheckedElement,
+    eval_at,
+    identity_element,
+    reference_zero_test,
+)
 from formula_helpers import formula_from_ints, random_clause, random_formula
 from oracle_reference import brute_force
 from plane_reference import encode_clause, falsified_by
@@ -439,7 +444,7 @@ def test_table_working_memory_does_not_grow_with_the_clauses():
     rng = np.random.default_rng(17400)
     f = formula_from_ints(n, [random_clause(rng, n, 3) for _ in range(m)])
     slab_bytes = (1 << 14) // 8
-    _literal_masks(n)  # the per-n literal masks are made once, not per call
+    _literal_masks(n)  # the per-n literal tables are kept between calls
     tracemalloc.start()
     try:
         count, _ = algebra_models(f, None, 0)
@@ -449,6 +454,34 @@ def test_table_working_memory_does_not_grow_with_the_clauses():
     assert count == 0
     clause_rows_bytes = m * slab_bytes  # one falsifier per clause: 41 MB
     assert peak <= 8 * m + 64 * slab_bytes < clause_rows_bytes // 100
+
+
+def test_the_literal_tables_hold_only_the_literals_walked():
+    # a table of every literal's falsifier and key grows with n^2 (108 MiB
+    # at n = 20,000); this formula has five literals
+    n = 20_000
+    f = formula_from_ints(n, [(1, 2, 3), (-1, -2)])
+    tracemalloc.start()
+    try:
+        unsat, model, _ = algebra_verdict(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not unsat and model.satisfies(f)
+    assert peak < 16 << 20
+
+
+def test_a_budget_below_one_slab_sets_up_no_walk(monkeypatch):
+    # 4096 >> 14 is 0 slabs, so the walk raises before it makes the literal
+    # tables or the unions, and the sparse product answers
+    def fail(n):
+        raise AssertionError("the walk made its literal tables")
+
+    monkeypatch.setattr("wittsat.encoding._literal_masks", fail)
+    f = two_wide_clauses(3000)
+    unsat, model, counters = algebra_verdict(f, 4096)
+    assert not unsat and model.satisfies(f)
+    assert counters == {"patterns": 3, "slabs": 0, "splits": 3000}
 
 
 def _units_formula(seed):
@@ -557,6 +590,16 @@ def test_zero_test_split_counts_are_pinned():
     for (e, _), (zero, _, point) in zip(cases, got):
         assert (point is None) == zero
         assert point is None or eval_at(e, point) != 0
+
+
+def test_the_zero_test_splits_where_the_reference_pick_does():
+    # a walk whose splits are picked by identity fields counted one by one
+    # gives the same verdict, split count and point as the program's count
+    elements = [e for e, _ in _split_corpus()]
+    elements.append(encode_formula(pigeonhole(3)))
+    elements += [encode_formula(two_wide_clauses(n)) for n in (60, 300)]
+    for e in elements:
+        assert zero_test_splits(e) == reference_zero_test(e)
 
 
 def test_encoded_products_pass_the_validating_constructor():

@@ -1,7 +1,8 @@
 """What a fresh ``wittsat`` process loads: the cover search, DPLL, the
-plane dump and the algebra's value table run without numpy; the layers
-that use it, the sparse product's cofactor walk and the orthogonal group,
-load it on the first call that needs them.  Neither the import nor the
+plane dump, the algebra's value table and a sparse product whose cofactor
+walk never splits run without numpy; the layers that use it, the cofactor
+walk's split and the orthogonal group, load it on the first call that
+needs them.  Neither the import nor the
 numpy-free commands load ``dataclasses``, ``inspect`` or ``traceback``; a
 defect loads ``traceback`` to print itself, and only ``--json`` output
 loads ``json``.  Every test that counts modules runs in
@@ -20,6 +21,7 @@ import wittsat.cli
 from wittsat.cli import main
 
 from plane_reference import matrix_to_text, sample_orthogonal
+from test_cli import _units_first_trap
 from test_surface import TRACED_CLI_NAMES
 
 HEAVY = ("numpy", "wittsat.encoding", "wittsat.algebra", "wittsat.ortho")
@@ -123,6 +125,18 @@ def test_the_table_form_never_loads_numpy(files, capsys):
         assert call.pop("loaded") == ["wittsat.encoding", "wittsat.algebra"], argv
         assert call == in_process(argv, capsys), argv
     assert [call["code"] for call in got["calls"]] == [0, 1, 0, 1]
+
+
+def test_a_sparse_product_that_never_splits_never_loads_numpy(tmp_path, capsys):
+    # the walk passes the cell budget, and the two units ahead of the
+    # random clauses leave the sparse product zero, with no frame to split
+    argv = ["check", "--route", "algebra", _units_first_trap(tmp_path, 24)]
+    got = fresh_python(CALLS, json.dumps([argv]))
+    assert got["import"] == []
+    [call] = got["calls"]
+    assert call.pop("loaded") == ["wittsat.encoding", "wittsat.algebra"]
+    assert call == in_process(argv, capsys)
+    assert call["code"] == 1
 
 
 def test_the_numpy_commands_load_their_layers_and_answer_as_before(
